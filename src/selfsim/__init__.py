@@ -40,7 +40,7 @@ from .errors import (
     TimeNonPositive,
     ValidationError,
 )
-from .grids import ComplexField, Grid1D, RealField, SpectralField, field_to_spectral, spectral_to_field
+from .grids import ComplexField, Grid1D, RealField
 from .params import (
     MediumParams,
     QuadratureConfig,

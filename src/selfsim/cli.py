@@ -267,10 +267,18 @@ def _cmd_helmholtz(config: dict) -> ResultEnvelope:
     return env
 
 
+def _tail_window(text) -> tuple[float, float]:
+    window = _float_list(text)
+    if len(window) != 2 or not 0.0 < window[0] < window[1]:
+        raise ValidationError(f"tail window must be x_lo,x_hi with 0 < x_lo < x_hi, got {text!r}")
+    return window[0], window[1]
+
+
 def _cmd_diffusion(config: dict) -> ResultEnvelope:
     p = _params_from(config)
     grid = _grid_from(config, 1 << 16, 0.02)
     times = _float_list(config.get("times", "0.5,1,2"))
+    window = _tail_window(config["tail_window"]) if config.get("tail_window") else None
     env = ResultEnvelope("diffusion", config)
     cols = ["x"] + [f"W_t{t:g}" for t in times]
     data = [grid.x]
@@ -280,11 +288,11 @@ def _cmd_diffusion(config: dict) -> ResultEnvelope:
         data.append(w.values)
         env.results[f"mass_t{t:g}"] = w.mass()
         env.results[f"peak_t{t:g}"] = float(w.values.max())
+    # the fit can still refuse the window; it runs before any file is written
+    slope = dif.fit_tail_exponent(w, *window) if window else None
     emit_table(env, config["out"], "diffusion", cols, list(zip(*data)))
     emit_plot_script(env, config["out"], "diffusion", "diffusion.csv", cols[1:])
-    if config.get("tail_window"):
-        x_lo, x_hi = _float_list(config["tail_window"])
-        slope = dif.fit_tail_exponent(w, x_lo, x_hi)
+    if window:
         env.results["tail_slope"] = slope
         env.results["tail_slope_expected"] = -(1.0 + p.delta)
         emit_plot_script(env, config["out"], "diffusion_tail", "diffusion.csv",

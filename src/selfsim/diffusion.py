@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.special import gammaln as _gammaln
 
 from .errors import (
@@ -206,8 +206,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     """
     if t < 0.0:
         raise NegativeTime(f"diffusion is irreversible; got t = {t}")
-    sym = np.exp(-dispersion(params, rho0.grid.k) * t)
-    return apply_symbol(rho0, sym)
+    return apply_symbol(rho0, np.exp(-dispersion(params, rho0.grid.k_half) * t))
 
 
 def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatch:
@@ -325,7 +324,7 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
     if L > -x[0] or L > x[-1]:
         raise LOutOfGrid(f"window [-{L}, {L}] extends beyond the grid")
     mask = np.abs(x) <= L
-    return float(np.trapezoid(x[mask] ** p * w.values[mask], x[mask]))
+    return float(trapezoid(x[mask] ** p * w.values[mask], x[mask]))
 
 
 def _ddx4(vals: np.ndarray, dx: float) -> np.ndarray:

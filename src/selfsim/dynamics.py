@@ -14,9 +14,10 @@ three evaluations:
 * a power series in a_delta t^2 / |x|^delta, valid off the origin (entire
   on the whole exponent band, though near delta = 2 the decay onset can
   exceed any practical term budget for moderate arguments),
-* an FFT synthesis of the damped transform e^{-eps|k|} with a geometric
-  eps-ladder extrapolated to 0+ (the symbols decay too slowly for a raw
-  truncated transform to be trustworthy),
+* one real-FFT synthesis of the symbol times the Richardson combination
+  sum_j c_j e^{-eps_j |k|} of a geometric eps-ladder, i.e. the damped
+  transform extrapolated to eps -> 0+ on the symbol side (the symbols
+  decay too slowly for a raw truncated transform to be trustworthy),
 * a certified pointwise quadrature of the Fourier integral along a rotated
   contour, used as the high-accuracy cross-check.
 
@@ -38,8 +39,9 @@ from .errors import (
     SeriesBudgetExceeded,
 )
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
+from .operator import laplacian_apply_spectral
 from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import neville_at_zero, quad_checked
+from .quadrature import quad_checked
 
 __all__ = [
     "CauchyState",
@@ -106,9 +108,9 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     and evolving by t then -t returns the input state.
     """
     g = state.u.grid
-    w = _omega(params, g.k)
-    uh = np.fft.fft(state.u.values)
-    vh = np.fft.fft(state.v.values)
+    w = _omega(params, g.k_half)
+    uh = np.fft.rfft(state.u.values)
+    vh = np.fft.rfft(state.v.values)
     cw = np.cos(w * t)
     sw = np.sin(w * t)
     sw_over = np.empty_like(w)
@@ -118,47 +120,49 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     uh2 = cw * uh + sw_over * vh
     vh2 = -w * sw * uh + cw * vh
     return CauchyState(
-        u=RealField(g, np.fft.ifft(uh2).real),
-        v=RealField(g, np.fft.ifft(vh2).real),
+        u=RealField(g, np.fft.irfft(uh2, n=g.n)),
+        v=RealField(g, np.fft.irfft(vh2, n=g.n)),
         t=state.t + t,
     )
 
 
 def energy(params: MediumParams, state: CauchyState) -> float:
-    """Conserved energy (1/2) int (v^2 + u * (-Lap) u) dx in spectral form."""
-    g = state.u.grid
-    w2 = dispersion(params, g.k)
-    uh = np.fft.fft(state.u.values)
-    vh = np.fft.fft(state.v.values)
-    return float(g.dx / (2.0 * g.n) * np.sum(np.abs(vh) ** 2 + w2 * np.abs(uh) ** 2))
+    """Conserved energy (1/2) int (v^2 + u * (-Lap) u) dx."""
+    u = state.u.values
+    v = state.v.values
+    lap_u = laplacian_apply_spectral(params, state.u).values
+    return float(0.5 * state.u.grid.dx * (np.sum(v**2) - np.sum(u * lap_u)))
 
 
 # --------------------------------------------------------------- FFT kernels
 
-def _damping_ladder(grid: Grid1D, ladder) -> list[float]:
-    # smallest eps still suppresses the Nyquist symbol: eps_min * k_max >= 20
-    if ladder is not None:
-        return list(ladder)
-    k_max = math.pi / grid.dx
-    eps_min = 20.0 / k_max
-    return [eps_min * 2.0**j for j in range(4, -1, -1)]
+def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
+    """Kernel of a slowly decaying even symbol(k), regularized and taken to eps -> 0+.
 
-
-def _kernel_ladder(grid: Grid1D, symbol_half_fn, ladder) -> np.ndarray:
-    eps_list = _damping_ladder(grid, ladder)
+    The damped symbols S(k) e^{-eps_j k} on a geometric eps-ladder are
+    combined with the Lagrange weights c_j of polynomial extrapolation to
+    eps = 0 before a single synthesis: since synthesis is linear, this is
+    the pointwise Neville extrapolation of the damped kernels, done once on
+    the symbol.  The smallest eps still suppresses the Nyquist symbol:
+    eps_min * k_max = 20.
+    """
+    eps_min = 20.0 / (math.pi / grid.dx)
+    eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
     k = grid.k_half
-    base = symbol_half_fn(k)
-    fields = [sample_kernel(grid, base * np.exp(-e * k)) for e in eps_list]
-    return neville_at_zero(eps_list, fields)
+    damping = np.zeros_like(k)
+    for e_j in eps_list:
+        c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
+        damping += c_j * np.exp(-e_j * k)
+    return sample_kernel(grid, symbol(k) * damping)
 
 
-def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float, ladder=None) -> RealField:
+def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
     """Velocity kernel Q(., t) sampled on a centered grid.
 
-    FFT synthesis of the damped symbol e^{-eps k} sin(omega t)/omega on a
-    geometric eps-ladder, extrapolated to eps -> 0+ pointwise.  Accuracy is
-    set by the grid: the ladder floor scales with the Nyquist wavenumber
-    and periodic images decay like |x|^(-1-delta) of the grid length.
+    FFT synthesis of sin(omega t)/omega with the eps-ladder Richardson
+    weights applied to the symbol.  Accuracy is set by the grid: the
+    ladder floor scales with the Nyquist wavenumber and periodic images
+    decay like |x|^(-1-delta) of the grid length.
     """
 
     def sym(k):
@@ -169,20 +173,16 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float, ladder=No
         out[~nz] = t
         return out
 
-    return RealField(grid, _kernel_ladder(grid, sym, ladder))
+    return RealField(grid, _kernel_ladder(grid, sym))
 
 
-def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float, ladder=None) -> RealField:
+def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
     """Displacement kernel dQ/dt(., t); at t = 0 its discrete mass is exactly 1.
 
     The origin sample carries the mollified point mass (width ~ ladder
     floor); off-origin samples extrapolate to the smooth part.
     """
-
-    def sym(k):
-        return np.cos(_omega(params, k) * t)
-
-    return RealField(grid, _kernel_ladder(grid, sym, ladder))
+    return RealField(grid, _kernel_ladder(grid, lambda k: np.cos(_omega(params, k) * t)))
 
 
 # ------------------------------------------------------------ series kernels
@@ -372,24 +372,12 @@ def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
 
 
-def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float,
-                    ladder=None) -> ComplexField:
+def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float) -> ComplexField:
     """Frequency-domain Green's function on a centered grid.
 
     Inverse transform of the resolvent symbol, synthesized with the same
-    damped-transform ladder as the time-domain kernels.  At omega = 0 the
-    real part converges (eps -> 0+, after gauging the k = 0 mode) to the
-    static Green's function.
+    eps-ladder as the time-domain kernels.  At omega = 0 the real part
+    converges (eps -> 0+, after gauging the k = 0 mode) to the static
+    Green's function.
     """
-    sym0 = helmholtz_symbol(params, grid.k_half, omega, eps)
-    eps_list = _damping_ladder(grid, ladder)
-    k = grid.k_half
-    re_fields = []
-    im_fields = []
-    for e in eps_list:
-        vals = sample_kernel(grid, sym0 * np.exp(-e * k))
-        re_fields.append(vals.real)
-        im_fields.append(vals.imag)
-    re = neville_at_zero(eps_list, re_fields)
-    im = neville_at_zero(eps_list, im_fields)
-    return ComplexField(grid, re + 1j * im)
+    return ComplexField(grid, _kernel_ladder(grid, lambda k: helmholtz_symbol(params, k, omega, eps)))

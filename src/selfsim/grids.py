@@ -1,20 +1,19 @@
-"""Uniform grids, sampled fields, and FFT plumbing.
+"""Uniform grids, sampled fields, and the one spectral path.
 
 Periodic spectral approximation of operators defined on the infinite line:
 the caller is responsible for choosing a grid wide enough that wrap-around
 contamination in the region of interest is below tolerance (a "guard band").
-Wavenumbers follow the usual FFT layout, k_j = 2*pi*j/(n*dx) with j in
-[-n/2, n/2).
 
-Two transform normalizations are used:
+Every spectral capability is one multiplication by a symbol S(k) sampled
+on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2
+(``Grid1D.k_half``, the rfft layout), done with real FFTs:
 
-* fields:   u_hat(k) = dx * sum_j u_j exp(-i k x_j)  (continuum convention,
-  so the k = 0 amplitude equals the discrete integral of the field);
-* kernels:  sample_kernel() synthesizes (1/2pi) int S(k) exp(i k x) dk on
-  the grid from symbol samples S(k_j).
+* apply_symbol() multiplies the transform of a field by a Hermitian symbol;
+* sample_kernel() synthesizes (1/2pi) int S(k) exp(i k x) dk on the grid
+  from the samples of an even symbol.
 
-Centered grids (x_min = -(n//2) dx) make the kernel phase factor (-1)^j,
-so even real symbols can use the half-spectrum irfft fast path.
+Centered grids (x_min = -(n//2) dx) make the kernel phase factor the real
+sequence (-1)^j.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ __all__ = [
     "Grid1D",
     "RealField",
     "ComplexField",
-    "SpectralField",
-    "field_to_spectral",
-    "spectral_to_field",
     "apply_symbol",
     "sample_kernel",
 ]
@@ -132,44 +128,25 @@ class ComplexField:
         return complex(self.values[self.grid.index_near(x)])
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Amplitudes on the wavenumber grid, continuum normalization."""
-
-    grid: Grid1D
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", _check_values(self.grid, self.amplitudes, "amplitudes").astype(complex)
+def _check_symbol_half(grid: Grid1D, symbol_half) -> np.ndarray:
+    symbol_half = np.asarray(symbol_half)
+    if symbol_half.shape != (grid.n // 2 + 1,):
+        raise ValidationError(
+            f"symbol_half must have shape ({grid.n // 2 + 1},), got {symbol_half.shape}"
         )
+    return symbol_half
 
 
-def field_to_spectral(f: RealField) -> SpectralField:
-    """u_hat(k_j) = dx * sum u exp(-i k_j x); k = 0 amplitude is the mass."""
-    g = f.grid
-    phase = np.exp(-1j * g.k * g.x_min)
-    return SpectralField(g, g.dx * np.fft.fft(f.values) * phase)
+def apply_symbol(f: RealField, symbol_half: np.ndarray) -> RealField:
+    """Inverse transform of S(k) * transform(f), S sampled on grid.k_half.
 
-
-def spectral_to_field(s: SpectralField) -> RealField:
-    g = s.grid
-    phase = np.exp(1j * g.k * g.x_min)
-    vals = np.fft.ifft(s.amplitudes * phase) / g.dx
-    return RealField(g, vals.real)
-
-
-def apply_symbol(f: RealField, symbol: np.ndarray) -> RealField:
-    """Inverse transform of symbol(k) * transform(f); symbol in fft order.
-
-    The x_min phases cancel for diagonal multipliers, so plain fft/ifft
-    suffices.  Real output is returned (conjugate-symmetric symbols only).
+    S must be Hermitian (S(-k) = conj S(k)), so the output is real and the
+    nonnegative half of the spectrum determines it.  The x_min phases
+    cancel for diagonal multipliers.
     """
     g = f.grid
-    if g.n < MIN_POINTS:
-        raise GridTooSmall(f"need at least {MIN_POINTS} points")
-    out = np.fft.ifft(np.fft.fft(f.values) * symbol)
-    return RealField(g, out.real)
+    symbol_half = _check_symbol_half(g, symbol_half)
+    return RealField(g, np.fft.irfft(np.fft.rfft(f.values) * symbol_half, n=g.n))
 
 
 def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
@@ -186,11 +163,7 @@ def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
     if grid.n % 2:
         # the (-1)^j shift phase below is exact only for even point counts
         raise ValidationError("kernel synthesis requires an even point count")
-    symbol_half = np.asarray(symbol_half)
-    if symbol_half.shape != (grid.n // 2 + 1,):
-        raise ValidationError(
-            f"symbol_half must have shape ({grid.n // 2 + 1},), got {symbol_half.shape}"
-        )
+    symbol_half = _check_symbol_half(grid, symbol_half)
     signs = np.where(np.arange(symbol_half.size) % 2 == 0, 1.0, -1.0)
     if np.iscomplexobj(symbol_half):
         re = np.fft.irfft(symbol_half.real * signs, n=grid.n) / grid.dx

@@ -89,9 +89,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise IoError(f"failed to write {path}: {exc}") from exc
 
 
-_atomic_write = atomic_write_text
-
-
 def _format_cell(value) -> str:
     # canonicalize numpy scalars so cells carry the shortest round-trip form
     if isinstance(value, float):
@@ -106,7 +103,7 @@ def write_csv_atomic(path: str, header: list[str], rows) -> None:
         if len(row) != len(header):
             raise IoError(f"row width {len(row)} != header width {len(header)} in {path}")
         lines.append(",".join(_format_cell(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_default(value):
@@ -116,7 +113,7 @@ def _json_default(value):
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def emit_table(envelope: ResultEnvelope, out_dir: str, name: str,
@@ -153,6 +150,6 @@ def emit_plot_script(envelope: ResultEnvelope, out_dir: str, name: str,
     )
     lines.append(f"plot {plots}")
     path = os.path.join(out_dir, f"{name}.gp")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
     envelope.tables.append(f"{name}.gp")
     return path

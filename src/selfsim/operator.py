@@ -22,7 +22,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gamma as _gamma
 
 from .errors import AlphaOutOfRange, DeltaOutOfRange, OriginSingular
@@ -91,7 +90,7 @@ def laplacian_apply_spectral(params: MediumParams, f: RealField) -> RealField:
     wide enough that wrap-around at the measurement window is below
     tolerance.
     """
-    return apply_symbol(f, laplacian_symbol(params, f.grid.k))
+    return apply_symbol(f, laplacian_symbol(params, f.grid.k_half))
 
 
 def weyl_marchaud(delta: float, f, x: float, side: str,
@@ -180,7 +179,8 @@ def flux_apply(params: MediumParams, rho: RealField) -> RealField:
     kernel = np.zeros(2 * n + 1)
     kernel[n + 1 :] = -w[1:]
     kernel[:n] = w[1:][::-1]
-    full = fftconvolve(vals, kernel)
+    m = 3 * n  # full linear convolution length n + (2n + 1) - 1
+    full = np.fft.irfft(np.fft.rfft(vals, m) * np.fft.rfft(kernel, m), m)
     return RealField(g, -c * full[n : 2 * n])
 
 
@@ -217,7 +217,5 @@ def frac_derivative_spectral(alpha: float, f: RealField) -> RealField:
     """
     if alpha < 0.0:
         raise AlphaOutOfRange(f"derivative branch needs alpha >= 0, got {alpha}")
-    k = f.grid.k
-    mag = np.abs(k) ** alpha if alpha > 0.0 else np.ones_like(k)
-    sym = mag * np.exp(1j * np.sign(k) * math.pi * alpha / 2.0)
-    return apply_symbol(f, sym)
+    k = f.grid.k_half
+    return apply_symbol(f, k**alpha * np.exp(1j * np.sign(k) * math.pi * alpha / 2.0))

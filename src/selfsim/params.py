@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
 
 from .errors import (
     DeltaOutOfRange,
@@ -125,17 +124,6 @@ def factorial_ext(alpha: float) -> float:
     if alpha > -1.0:
         return float(_gamma(alpha + 1.0))
     return float(-math.pi / (_gamma(-alpha) * math.sin(math.pi * alpha)))
-
-
-def log_abs_factorial_ext(alpha: float) -> float:
-    """log|alpha!| for series coefficients; same pole set as factorial_ext."""
-    if alpha > -1.0:
-        return float(_gammaln(alpha + 1.0))
-    if float(alpha).is_integer():
-        raise PoleError(f"alpha = {alpha:g} is a pole of the extended factorial")
-    return float(
-        math.log(math.pi) - _gammaln(-alpha) - math.log(abs(math.sin(math.pi * alpha)))
-    )
 
 
 def dispersion(params: MediumParams, k):

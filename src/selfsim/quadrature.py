@@ -1,13 +1,15 @@
 """Shared quadrature engines.
 
-Three recurring difficulties, one routine each:
+Two recurring difficulties, one routine each:
 
 * power-law singularity at 0           -> geometric panels + Taylor disc,
-* bounded oscillatory tails            -> doubling blocks + Wynn epsilon,
-* regularized (eps -> 0+) transforms   -> geometric ladder + Neville.
+* bounded oscillatory tails            -> doubling blocks + Wynn epsilon.
 
 Everything is plain scipy.integrate.quad underneath; warnings are turned
 into QuadratureNoConvergence when the reported error exceeds the budget.
+
+Regularized (eps -> 0+) grid transforms take their Richardson weights on
+the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import QuadratureNoConvergence
 
 __all__ = [
     "quad_checked",
-    "geometric_ladder",
     "neville_at_zero",
     "wynn_epsilon",
     "panel_integral",
@@ -40,11 +41,6 @@ def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
             f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
         )
     return val
-
-
-def geometric_ladder(base: float, ratio: float, count: int) -> list[float]:
-    """[base, base*ratio, ...], largest first; used for eps -> 0+ sweeps."""
-    return [base * ratio**j for j in range(count)]
 
 
 def neville_at_zero(xs, ys):

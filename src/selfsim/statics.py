@@ -41,7 +41,7 @@ from .errors import (
     NonZeroMeanForce,
     OriginSingular,
 )
-from .grids import RealField
+from .grids import RealField, apply_symbol
 from .params import MediumParams, dispersion, factorial_ext
 
 __all__ = [
@@ -119,18 +119,17 @@ def poisson_solve(params: MediumParams, force: RealField, project: bool = False,
     fixed here by the zero-mean gauge.
     """
     g = force.grid
-    fh = np.fft.fft(force.values)
     scale = float(np.max(np.abs(force.values))) or 1.0
-    mean = abs(fh[0]) / g.n
+    mean = abs(float(np.sum(force.values))) / g.n
     if mean > mean_tol * scale and not project:
         raise NonZeroMeanForce(
             f"force has mean amplitude {mean:g} (tolerance {mean_tol * scale:g}); "
             "enable project=True to gauge it away"
         )
-    w2 = dispersion(params, g.k)
-    uh = np.zeros_like(fh)
-    uh[1:] = fh[1:] / w2[1:]
-    return RealField(g, np.fft.ifft(uh).real)
+    w2 = dispersion(params, g.k_half)
+    inverse = np.zeros_like(w2)
+    inverse[1:] = 1.0 / w2[1:]
+    return apply_symbol(force, inverse)
 
 
 def riesz_kernel(alpha: float, x, eps: float = 0.0):
@@ -231,33 +230,33 @@ class AnnihilationReport:
     max_abs: float
 
 
-def constant_annihilation_check(alpha: float, eps_ladder=None, tol_inf: float = 1e-14) -> AnnihilationReport:
+def constant_annihilation_check(alpha: float, eps_values=None, tol_inf: float = 1e-14) -> AnnihilationReport:
     """Verify Re int_0^inf dx / (eps - i x)^(alpha+1) = 0 across an eps sweep.
 
     Evaluates the closed antiderivative -(i/alpha)(eps - i x)^(-alpha) at
     both endpoints, the upper one at X large enough that |X^-alpha / alpha|
     is below tol_inf.  The vanishing of this integral is what lets the
     kernel family act as a fractional derivative that kills constants.
-    The default ladder descends three decades from the configured
+    The default sweep descends three decades from the configured
     regularization base.
     """
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"check requires alpha > 0, got {alpha}")
-    if eps_ladder is None:
+    if eps_values is None:
         from .params import DEFAULT_QUADRATURE
 
         base = DEFAULT_QUADRATURE.epsilon
-        eps_ladder = tuple(base * 10.0**-j for j in range(4))
+        eps_values = tuple(base * 10.0**-j for j in range(4))
     x_hi = (tol_inf * alpha) ** (-1.0 / alpha)
     vals = []
-    for eps in eps_ladder:
+    for eps in eps_values:
         upper = (-1j / alpha) * (eps - 1j * x_hi) ** (-alpha)
         lower = (-1j / alpha) * complex(eps) ** (-alpha)
         vals.append(float((upper - lower).real))
     vals = tuple(vals)
     return AnnihilationReport(
         alpha=alpha,
-        eps_values=tuple(eps_ladder),
+        eps_values=tuple(eps_values),
         values=vals,
         max_abs=max(abs(v) for v in vals),
     )

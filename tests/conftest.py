@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from selfsim import Grid1D, make_params
+
+# Property tests draw delta across the band 0 < delta < 2.  Examples are
+# derandomized so every run checks the same exponents, and few enough that
+# the suite's wall time stays flat.  The fixtures they share are immutable
+# grids and fields, so reusing one across examples is safe.
+settings.register_profile(
+    "band",
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("band")
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 """Independent oracle evaluations used to freeze expected test values.
 
-Everything here goes straight through scipy.integrate.quad on the defining
-integrals (with damped sweeps extrapolated to 0+ where the raw integral
-only exists as a limit), deliberately bypassing the library's closed forms
-and engines so the two routes stay independent.
+The pointwise oracles go straight through scipy.integrate.quad on the
+defining integrals (with damped sweeps extrapolated to 0+ where the raw
+integral only exists as a limit), deliberately bypassing the library's
+closed forms and engines so the two routes stay independent.  The grid
+oracle extrapolates sampled kernels in x space, the route the library's
+symbol-side eps-ladder replaces.
 """
 
 import math
@@ -79,3 +81,22 @@ def propagator_direct(delta: float, x: float, t: float, a_delta: float) -> float
 def lorentzian_cdf(x, scale: float):
     """Exact CDF of the scale-s Lorentzian: 1/2 + arctan(x/s)/pi."""
     return 0.5 + np.arctan(np.asarray(x) / scale) / np.pi
+
+
+def kernel_ladder_xspace(grid, symbol_half):
+    """eps -> 0+ kernel of an even symbol, extrapolated in x space.
+
+    One synthesis per damped symbol S(k) e^{-eps k} on the library's
+    eps-ladder (floor 20/k_max, ratio 2), then pointwise Neville to eps = 0;
+    real and imaginary parts are extrapolated separately.
+    """
+    from selfsim.grids import sample_kernel
+    from selfsim.quadrature import neville_at_zero
+
+    eps_min = 20.0 / (math.pi / grid.dx)
+    eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
+    fields = [sample_kernel(grid, symbol_half * np.exp(-e * grid.k_half)) for e in eps_list]
+    out = neville_at_zero(eps_list, [f.real for f in fields])
+    if np.iscomplexobj(symbol_half):
+        out = out + 1j * neville_at_zero(eps_list, [f.imag for f in fields])
+    return out

@@ -165,6 +165,16 @@ class TestTailFit:
         assert "set logscale xy" in script
         assert "fitted_slope" in script
 
+    @pytest.mark.parametrize("window", ["50", "1000,2000"])
+    def test_bad_window_fails_before_any_file(self, tmp_path, window):
+        # a malformed window, or one the fit refuses, must leave no partial output
+        out = tmp_path / "o"
+        code = main(["diffusion", "--delta", "0.5", "--times", "0.1",
+                     "--n", "4096", "--dx", "0.05",
+                     "--tail-window", window, "--out", str(out)])
+        assert code == 1
+        assert not out.exists() or os.listdir(out) == []
+
 
 class TestIoHelpers:
     def test_csv_rejects_ragged_rows(self, tmp_path):

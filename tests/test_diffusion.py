@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.integrate import trapezoid
 
 from selfsim import (
     DeltaMismatch,
@@ -27,6 +29,9 @@ from selfsim import (
 from selfsim.errors import OriginSingular, ValidationError
 
 from oracles import lorentzian_cdf, propagator_direct
+
+# exponents drawn across the band 0 < delta < 2, clear of its endpoints
+BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
 
 
 class TestPropagator:
@@ -72,7 +77,7 @@ class TestPropagatorCauchy:
     def test_analytic_mass(self, params_one):
         # arctan antiderivative: window mass 2 arctan(X/s)/pi
         x = np.linspace(-500.0, 500.0, 200001)
-        num = float(np.trapezoid(propagator_cauchy(params_one, x, 1.0), x))
+        num = float(trapezoid(propagator_cauchy(params_one, x, 1.0), x))
         want = 2.0 * math.atan(500.0 / params_one.a_delta) / math.pi
         assert num == pytest.approx(want, abs=1e-9)
 
@@ -131,13 +136,18 @@ class TestDiffuse:
         with pytest.raises(NegativeTime):
             diffuse(params_half, gaussian_field, -0.5)
 
-    def test_mass_conserved(self, params_half, gaussian_field):
-        out = diffuse(params_half, gaussian_field, 1.7)
+    @given(delta=BAND)
+    @example(delta=0.5)
+    def test_mass_conserved(self, delta, gaussian_field):
+        out = diffuse(make_params(delta, 1.0, 1.0), gaussian_field, 1.7)
         assert out.mass() == pytest.approx(gaussian_field.mass(), abs=1e-13)
 
-    def test_semigroup(self, params_half, gaussian_field):
-        one = diffuse(params_half, gaussian_field, 0.9)
-        two = diffuse(params_half, diffuse(params_half, gaussian_field, 0.4), 0.5)
+    @given(delta=BAND)
+    @example(delta=0.5)
+    def test_semigroup(self, delta, gaussian_field):
+        params = make_params(delta, 1.0, 1.0)
+        one = diffuse(params, gaussian_field, 0.9)
+        two = diffuse(params, diffuse(params, gaussian_field, 0.4), 0.5)
         assert np.max(np.abs(one.values - two.values)) / np.max(np.abs(one.values)) < 1e-12
 
     def test_point_source_matches_cauchy_closed_form(self, params_one):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from selfsim import (
     CauchyState,
@@ -27,6 +28,11 @@ from selfsim import (
 )
 from selfsim.errors import OriginSingular
 from selfsim.quadrature import neville_at_zero
+
+from oracles import kernel_ladder_xspace
+
+# exponents drawn across the band 0 < delta < 2, clear of its endpoints
+BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
 
 
 def _state(grid, ufn, vfn):
@@ -56,9 +62,12 @@ class TestCauchyEvolve:
         assert np.max(np.abs(st.u.values - 1.5)) < 1e-12
         assert np.max(np.abs(st.v.values - 0.25)) < 1e-12
 
-    def test_time_reversal(self, params_three_halves, small_grid):
+    @given(delta=BAND)
+    @example(delta=1.5)
+    def test_time_reversal(self, delta, small_grid):
+        params = make_params(delta, 1.0, 1.0)
         s0 = _state(small_grid, lambda x: np.exp(-x * x) * np.cos(3 * x), lambda x: np.exp(-x * x / 2))
-        back = cauchy_evolve(params_three_halves, cauchy_evolve(params_three_halves, s0, 1.3), -1.3)
+        back = cauchy_evolve(params, cauchy_evolve(params, s0, 1.3), -1.3)
         assert np.max(np.abs(back.u.values - s0.u.values)) < 1e-10
         assert np.max(np.abs(back.v.values - s0.v.values)) < 1e-10
 
@@ -85,12 +94,15 @@ class TestEnergy:
                 e0, rel=1e-12
             )
 
-    def test_conserved_over_many_steps(self, params_three_halves, small_grid):
+    @given(delta=BAND)
+    @example(delta=1.5)
+    def test_conserved_over_many_steps(self, delta, small_grid):
+        params = make_params(delta, 1.0, 1.0)
         s = _state(small_grid, lambda x: np.exp(-x * x) * np.cos(2 * x), lambda x: 0.3 * np.exp(-x * x))
-        e0 = energy(params_three_halves, s)
+        e0 = energy(params, s)
         for _ in range(100):
-            s = cauchy_evolve(params_three_halves, s, 0.04)
-        assert energy(params_three_halves, s) == pytest.approx(e0, rel=1e-10)
+            s = cauchy_evolve(params, s, 0.04)
+        assert energy(params, s) == pytest.approx(e0, rel=1e-10)
 
 
 class TestSpectralKernels:
@@ -102,8 +114,10 @@ class TestSpectralKernels:
         m = wave_kernel_dt_spectral(params_half, small_grid, 0.0).mass()
         assert m == pytest.approx(1.0, abs=1e-9)
 
-    def test_even_in_x(self, params_half, small_grid):
-        q = wave_kernel_spectral(params_half, small_grid, 0.8).values
+    @given(delta=BAND)
+    @example(delta=0.5)
+    def test_even_in_x(self, delta, small_grid):
+        q = wave_kernel_spectral(make_params(delta, 1.0, 1.0), small_grid, 0.8).values
         assert np.max(np.abs(q[1:] - q[1:][::-1])) < 1e-10 * np.max(np.abs(q))
 
     def test_odd_in_t(self, params_half, small_grid):
@@ -126,14 +140,34 @@ class TestSpectralKernels:
         assert neville_at_zero(dts, vals) == pytest.approx(0.0, abs=1e-6)
 
     def test_grid_kernel_matches_series_at_delta_one(self, params_one):
-        # tuned synthesis grid: ladder floor ~8.4e-3, guard length ~1e4
+        # ladder floor 20 dx / pi ~ 8e-3, guard length ~1e4
         grid = Grid1D.centered(1 << 23, 1.25e-3)
-        ladder = [0.128, 0.064, 0.032, 0.016, 0.008]
-        q = wave_kernel_spectral(params_one, grid, 1.0, ladder=ladder)
+        q = wave_kernel_spectral(params_one, grid, 1.0)
         for x_t in (1.0, 2.0, 3.0, 5.0):
             xg = grid.x[grid.index_near(x_t)]
             want = wave_kernel_series(params_one, xg, 1.0)
             assert q.value_near(x_t) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.5])
+    def test_symbol_ladder_matches_xspace_ladder(self, delta):
+        # Richardson weights on the symbol equal Neville on the sampled kernels
+        params = make_params(delta, 1.0, 1.0)
+        grid = Grid1D.centered(1 << 13, 0.05)
+        w = np.sqrt(dispersion(params, grid.k_half))
+        t = 1.2
+        with np.errstate(invalid="ignore"):
+            q_sym = np.where(w > 0.0, np.sin(w * t) / w, t)
+        cases = [
+            (wave_kernel_spectral(params, grid, t).values, q_sym),
+            (wave_kernel_dt_spectral(params, grid, t).values, np.cos(w * t)),
+            (helmholtz_green(params, grid, 0.0, 0.2).values,
+             helmholtz_symbol(params, grid.k_half, 0.0, 0.2)),
+            (helmholtz_green(params, grid, 1.3, 0.1).values,
+             helmholtz_symbol(params, grid.k_half, 1.3, 0.1)),
+        ]
+        for got, sym in cases:
+            want = kernel_ladder_xspace(grid, sym)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSeriesKernels:

@@ -5,7 +5,7 @@ import pytest
 
 from selfsim import Grid1D, GridTooSmall, NonPositiveScale, RealField
 from selfsim.errors import ValidationError
-from selfsim.grids import field_to_spectral, sample_kernel, spectral_to_field
+from selfsim.grids import apply_symbol, sample_kernel
 
 
 class TestGrid1D:
@@ -53,35 +53,18 @@ class TestFields:
         assert f.mass() == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
-class TestTransforms:
-    def test_round_trip(self):
-        g = Grid1D.centered(256, 0.1)
-        f = g.sample(lambda x: np.exp(-x * x) * np.cos(3 * x))
-        back = spectral_to_field(field_to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
-
-    def test_zero_mode_is_mass(self):
-        g = Grid1D.centered(256, 0.1)
-        f = g.sample(lambda x: np.exp(-x * x))
-        s = field_to_spectral(f)
-        assert s.amplitudes[0].real == pytest.approx(f.mass(), rel=1e-12)
-        assert abs(s.amplitudes[0].imag) < 1e-14
-
-    def test_gaussian_transform_pair(self):
-        # u_hat of exp(-x^2) is sqrt(pi) exp(-k^2/4)
-        g = Grid1D.centered(1024, 0.05)
-        s = field_to_spectral(g.sample(lambda x: np.exp(-x * x)))
-        want = math.sqrt(math.pi) * np.exp(-g.k**2 / 4.0)
-        assert np.max(np.abs(s.amplitudes - want)) < 1e-10
-
-    def test_off_center_grid_round_trip(self):
-        # the x_min phase factors must cancel for any grid placement
-        g = Grid1D(-3.7, 0.05, 1024)
-        f = g.sample(lambda x: np.exp(-((x - 20.0) ** 2)))
-        back = spectral_to_field(field_to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
-        s = field_to_spectral(f)
-        assert s.amplitudes[0].real == pytest.approx(f.mass(), rel=1e-12)
+class TestApplySymbol:
+    @pytest.mark.parametrize("grid", [Grid1D.centered(1024, 0.05), Grid1D(-30.3, 0.05, 1023)],
+                             ids=["centered", "off-center-odd"])
+    def test_gaussian_symbol_on_gaussian(self, grid):
+        # exp(-k^2) times the transform sqrt(pi) exp(-k^2/4) of exp(-x^2)
+        # inverts to exp(-x^2/5) / sqrt(5), wherever the grid sits
+        f = grid.sample(lambda x: np.exp(-((x + 5.0) ** 2)))
+        out = apply_symbol(f, np.exp(-grid.k_half**2))
+        want = np.exp(-((grid.x + 5.0) ** 2) / 5.0) / math.sqrt(5.0)
+        assert np.max(np.abs(out.values - want)) < 1e-12
+        with pytest.raises(ValidationError):
+            apply_symbol(f, np.exp(-grid.k**2))
 
 
 class TestSampleKernel:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from selfsim import (
     AlphaOutOfRange,
@@ -20,6 +21,9 @@ from selfsim import (
 from selfsim.operator import weyl_marchaud
 
 from oracles import frac_kernel_sweep
+
+# exponents drawn across the band 0 < delta < 2, clear of its endpoints
+BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
 
 TIGHT = QuadratureConfig(abs_tol=1e-11)
 
@@ -81,13 +85,15 @@ class TestLaplacianSpectral:
         want = -dispersion(params_three_halves, k0) * np.cos(k0 * small_grid.x)
         assert np.max(np.abs(out.values - want)) / dispersion(params_three_halves, k0) < 1e-10
 
-    def test_self_adjoint_and_negative(self, params_half, small_grid):
+    @given(delta=BAND)
+    @example(delta=0.5)
+    def test_self_adjoint_and_negative(self, delta, small_grid):
+        params = make_params(delta, 1.0, 1.0)
         rng = np.random.default_rng(7)
-        x = small_grid.x
         f = small_grid.sample(lambda x: np.exp(-x * x) * np.cos(2 * x))
         g = small_grid.sample(lambda x: np.exp(-((x - 1) ** 2) / 2))
-        lf = laplacian_apply_spectral(params_half, f)
-        lg = laplacian_apply_spectral(params_half, g)
+        lf = laplacian_apply_spectral(params, f)
+        lg = laplacian_apply_spectral(params, g)
         a = np.dot(f.values, lg.values)
         b = np.dot(lf.values, g.values)
         assert a == pytest.approx(b, rel=1e-12)
@@ -95,7 +101,7 @@ class TestLaplacianSpectral:
             h = small_grid.sample(
                 lambda x, c=rng.uniform(1, 3), s=rng.uniform(0.5, 2): np.exp(-x * x / s) * np.cos(c * x)
             )
-            lh = laplacian_apply_spectral(params_half, h)
+            lh = laplacian_apply_spectral(params, h)
             assert np.dot(h.values, lh.values) <= 1e-12
 
     def test_quadratic_form_vanishes_only_for_constants(self, params_half, small_grid):
