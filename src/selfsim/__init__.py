@@ -17,6 +17,9 @@ numeric route for each:
 ``python -m selfsim.cli selftest`` runs the full acceptance suite.
 """
 
+# the one version string: pyproject.toml and every JSON envelope read it
+__version__ = "0.1.0"
+
 from .errors import (
     AlphaOutOfRange,
     DeltaMismatch,
@@ -97,5 +100,3 @@ from .diffusion import (
     sample_levy,
     truncated_moment,
 )
-
-__version__ = "0.1.0"

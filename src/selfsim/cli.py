@@ -5,9 +5,11 @@ before any numeric work, writes CSV tables plus a JSON envelope (and a
 gnuplot script where a plot makes sense) into --out, and exits with
 
     0  success
-    1  validation error (no partial files)
+    1  validation error, including a malformed command line (no partial files)
     2  numeric failure (quadrature or series did not converge)
     3  self-test failure
+    4  an output file could not be written (no torn or temporary files;
+       files written before the failing one stay)
 
 Configuration may come from --config (a single JSON document); individual
 flags override scalar fields.  Unknown config keys are rejected.  Identical
@@ -27,7 +29,7 @@ import numpy as np
 from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
-from .errors import NumericError, ValidationError
+from .errors import IoError, NumericError, ValidationError
 from .grids import Grid1D
 from .io import ResultEnvelope, emit_envelope, emit_plot_script, emit_table
 from .operator import laplacian_apply_point, laplacian_apply_spectral
@@ -58,8 +60,18 @@ def _float_list(text: str) -> list[float]:
         raise ValidationError(f"expected a comma-separated float list, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1), not argparse's exit 2,
+    which this CLI reserves for numeric failure.  Subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="selfsim", description=__doc__.splitlines()[0])
+    top = _Parser(prog="selfsim", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, physics=True):
@@ -202,8 +214,8 @@ def _cmd_laplacian(config: dict) -> ResultEnvelope:
         fn = lambda u: np.exp(-u * u)  # noqa: E731
     lap = laplacian_apply_spectral(p, field)
     env = ResultEnvelope("laplacian", config)
-    rows = list(zip(grid.x, field.values, lap.values))
-    emit_table(env, config["out"], "laplacian", ["x", "field", "laplacian"], rows)
+    emit_table(env, config["out"], "laplacian", ["x", "field", "laplacian"],
+               np.column_stack([grid.x, field.values, lap.values]))
     n_pw = int(config.get("pointwise") or 0)
     if n_pw > 0:
         xs = np.linspace(-2.0, 2.0, n_pw)
@@ -229,7 +241,7 @@ def _cmd_cauchy(config: dict) -> ResultEnvelope:
         st = dyn.cauchy_evolve(p, state0, t)
         data.append(st.u.values)
         env.results[f"energy_t{t:g}"] = dyn.energy(p, st)
-    emit_table(env, config["out"], "cauchy", cols, list(zip(*data)))
+    emit_table(env, config["out"], "cauchy", cols, np.column_stack(data))
     emit_plot_script(env, config["out"], "cauchy", "cauchy.csv", cols[1:])
     return env
 
@@ -262,8 +274,8 @@ def _cmd_helmholtz(config: dict) -> ResultEnvelope:
     eps = float(config.get("eps", 0.1))
     field = dyn.helmholtz_green(p, grid, omega, eps)
     env = ResultEnvelope("helmholtz", config)
-    rows = list(zip(grid.x, field.values.real, field.values.imag))
-    emit_table(env, config["out"], "helmholtz", ["x", "re", "im"], rows)
+    emit_table(env, config["out"], "helmholtz", ["x", "re", "im"],
+               np.column_stack([grid.x, field.values.real, field.values.imag]))
     return env
 
 
@@ -290,7 +302,7 @@ def _cmd_diffusion(config: dict) -> ResultEnvelope:
         env.results[f"peak_t{t:g}"] = float(w.values.max())
     # the fit can still refuse the window; it runs before any file is written
     slope = dif.fit_tail_exponent(w, *window) if window else None
-    emit_table(env, config["out"], "diffusion", cols, list(zip(*data)))
+    emit_table(env, config["out"], "diffusion", cols, np.column_stack(data))
     emit_plot_script(env, config["out"], "diffusion", "diffusion.csv", cols[1:])
     if window:
         env.results["tail_slope"] = slope
@@ -357,9 +369,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         config = _merge_config(args)
         if args.command == "selftest":
             env, ok = _cmd_selftest(config)
@@ -375,6 +387,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
         return 2
+    except IoError as exc:
+        print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
+        return 4
     print(f"wall_time_s: {time.monotonic() - started:.3f}", file=sys.stderr)
     return code
 

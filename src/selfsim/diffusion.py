@@ -90,7 +90,7 @@ class SampleBatch:
 
         lines = [f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}"]
         lines.append("x")
-        lines.extend(f"{float(v)!r}" for v in self.samples)
+        lines.extend(map(repr, self.samples.tolist()))
         atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 

@@ -5,6 +5,11 @@ re-runs never observe torn files.  Identical configurations must produce
 byte-identical outputs: floats are serialized with repr (shortest
 round-trip form), JSON keys are sorted, and nothing volatile (timestamps,
 wall time) enters the files.
+
+CSV tables arrive either as a 2-D float array (the grid-sized tables) or
+as a sequence of row tuples (the small ones).  Both are formatted a block
+of rows at a time, column by column, so a 2^20-row table never exists as
+2^20 row tuples; either form gives the same bytes for the same values.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import __version__
 from .errors import IoError
 
 __all__ = [
@@ -27,7 +35,8 @@ __all__ = [
     "emit_plot_script",
 ]
 
-TOOL_VERSION = "0.1.0"
+# rows formatted per block: bounds the per-row Python objects alive at once
+_CSV_BLOCK_ROWS = 1 << 15
 
 
 def canonical_config(config: dict) -> dict:
@@ -65,7 +74,7 @@ class ResultEnvelope:
             "results": self.results,
             "seed": self.seed,
             "tables": sorted(self.tables),
-            "version": TOOL_VERSION,
+            "version": __version__,
         }
 
 
@@ -96,14 +105,37 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_block(block, width: int, path: str) -> str:
+    """The lines of one block of rows, without a trailing newline."""
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        # tolist() yields Python floats, whose repr is the shortest round trip
+        columns = [map(repr, col) for col in block.T.tolist()]
+    else:
+        for row_width in map(len, block):
+            if row_width != width:
+                raise IoError(f"row width {row_width} != header width {width} in {path}")
+        columns = [map(_format_cell, col) for col in zip(*block)]
+    return "\n".join(map(",".join, zip(*columns)))
+
+
 def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    """CSV with LF endings and full round-trip float precision."""
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise IoError(f"row width {len(row)} != header width {len(header)} in {path}")
-        lines.append(",".join(_format_cell(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV with LF endings and full round-trip float precision.
+
+    ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))`` or
+    a sequence of row tuples; ``len(rows)`` is the number of rows.  Rows
+    are formatted a block at a time, column by column, and both forms give
+    the same bytes for the same values.  A row whose width differs from
+    the header's raises ``IoError`` before anything is written.
+    """
+    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != len(header)):
+        raise IoError(f"table shape {rows.shape} does not match header width {len(header)} in {path}")
+    chunks = [",".join(header)]
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        chunks.append(_csv_block(rows[start:start + _CSV_BLOCK_ROWS], len(header), path))
+    chunks.append("")
+    text = "\n".join(chunks)
+    del chunks  # free the block strings before the write encodes the text
+    atomic_write_text(path, text)
 
 
 def _json_default(value):

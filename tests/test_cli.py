@@ -1,11 +1,18 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from selfsim import io
 from selfsim.cli import main
+from selfsim.errors import IoError
 from selfsim.io import ResultEnvelope, emit_plot_script, write_csv_atomic
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read(path):
@@ -71,6 +78,51 @@ class TestValidation:
 
         monkeypatch.setitem(cli._HANDLERS, "dispersion", boom)
         assert main(["dispersion", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--delta", "abc"],
+        ["dispersion", "--bogus", "1"],
+        # argparse reads a negative list after a space as an option
+        ["potentials", "--alphas", "-0.5,0.5,1.5"],
+    ])
+    def test_usage_error_exits_1_without_files(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "code: ValidationError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_potentials_line_runs(self, tmp_path):
+        line = next(ln for ln in README.read_text().splitlines()
+                    if ln.startswith("selfsim potentials"))
+        argv = shlex.split(line)[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path / "o")
+        assert main(argv) == 0
+        header, rows = _csv_rows(tmp_path / "o" / "potentials.csv")
+        assert header == ["x", "b_alpha-0.5", "b_alpha0.5", "b_alpha1.5"]
+        assert len(rows) == 4
+
+
+class TestUnwritableOutput:
+    def _check_exit_4(self, capsys, argv):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "code: IoError" in err
+        assert "Traceback" not in err
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        self._check_exit_4(capsys, ["dispersion", "--out", str(blocker / "o")])
+        assert os.listdir(tmp_path) == ["blocker"]
+        assert blocker.read_text() == "keep"
+
+    def test_table_path_taken_by_a_directory(self, tmp_path, capsys):
+        # the rename fails after the temp file exists; it must be removed
+        out = tmp_path / "o"
+        (out / "dispersion.csv").mkdir(parents=True)
+        self._check_exit_4(capsys, ["dispersion", "--out", str(out)])
+        assert os.listdir(out) == ["dispersion.csv"]
+        assert os.listdir(out / "dispersion.csv") == []
 
 
 class TestDeterminism:
@@ -176,12 +228,53 @@ class TestTailFit:
         assert not out.exists() or os.listdir(out) == []
 
 
-class TestIoHelpers:
-    def test_csv_rejects_ragged_rows(self, tmp_path):
-        from selfsim.errors import IoError
+def _rowwise_csv(header, rows):
+    """Row-by-row reference formatting: repr of every float, str otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf,
+                   0.1, 1.0 / 3.0, -2.5e-300, 123456.789, 1.7976931348623157e308]
+_BLOCK = io._CSV_BLOCK_ROWS
+
+
+class TestIoHelpers:
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_array_and_rows_match_rowwise_reference(self, tmp_path, n_rows):
+        header = ["a", "b", "c"]
+        table = np.resize(np.array(_SPECIAL_FLOATS), 3 * n_rows).reshape(n_rows, 3)
+        want = _rowwise_csv(header, table.tolist())
+        inputs = {
+            "array": table,
+            "numpy_rows": list(zip(*table.T)),
+            "float_rows": [tuple(row) for row in table.tolist()],
+        }
+        for name, rows in inputs.items():
+            path = tmp_path / f"{name}.csv"
+            write_csv_atomic(str(path), header, rows)
+            # compared as lines: pytest reports the first differing row cheaply
+            assert _read(path).decode().split("\n") == want.split("\n"), name
+
+    def test_mixed_float_and_str_rows(self, tmp_path):
+        header = ["case", "status", "value", "count"]
+        rows = [("AC01", "pass", np.float64(-0.0), 3), ("AC02", "FAIL", 5e-324, np.int64(-7)),
+                ("AC03", "pass", math.nan, 0)] * (_BLOCK // 2 + 1)
+        write_csv_atomic(str(tmp_path / "t.csv"), header, rows)
+        want = _rowwise_csv(header, rows)
+        assert _read(tmp_path / "t.csv").decode().split("\n") == want.split("\n")
+
+    def test_csv_rejects_ragged_rows(self, tmp_path):
         with pytest.raises(IoError):
             write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], [(1.0,)])
+        rows = [(1.0, 2.0)] * (_BLOCK + 1) + [(1.0, 2.0, 3.0)]
+        with pytest.raises(IoError):
+            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], rows)
+        with pytest.raises(IoError):
+            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], np.zeros((4, 3)))
+        assert os.listdir(tmp_path) == []
 
     def test_empty_rows_give_header_only_csv(self, tmp_path):
         write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], [])
