@@ -70,9 +70,9 @@ from .statics import (
     riesz_origin_integral,
     riesz_tail_integral,
 )
+from .quadrature import SeriesPolicy
 from .dynamics import (
     CauchyState,
-    SeriesPolicy,
     cauchy_evolve,
     energy,
     greens_retarded,

@@ -38,21 +38,6 @@ from .selftest import run_selftest
 
 __all__ = ["main"]
 
-_COMMON_KEYS = {"delta", "h", "zeta", "out", "seed"}
-_ALLOWED_KEYS = {
-    "dispersion": _COMMON_KEYS | {"k"},
-    "greens-static": _COMMON_KEYS | {"x"},
-    "laplacian": _COMMON_KEYS | {"n", "dx", "function", "k0", "pointwise"},
-    "cauchy": _COMMON_KEYS | {"n", "dx", "times", "k0"},
-    "kernels": _COMMON_KEYS | {"t", "x"},
-    "helmholtz": _COMMON_KEYS | {"n", "dx", "omega", "eps"},
-    "diffusion": _COMMON_KEYS | {"n", "dx", "times", "tail_window"},
-    "mc": _COMMON_KEYS | {"t", "n_samples", "ks"},
-    "potentials": _COMMON_KEYS | {"alphas", "x"},
-    "selftest": {"out", "cases"},
-}
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in str(text).split(",") if tok != ""]
@@ -154,15 +139,12 @@ def _merge_config(args) -> dict:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise ValidationError("config must be a JSON object")
-    allowed = _ALLOWED_KEYS[args.command]
-    unknown = set(config) - allowed
+    # a config key is allowed when the subcommand has a flag for it
+    flags = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
+    unknown = set(config) - set(flags)
     if unknown:
         raise ValidationError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            config[key] = val
+    config.update((key, val) for key, val in flags.items() if val is not None)
     config.setdefault("out", "out")
     return config
 

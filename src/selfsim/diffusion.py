@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.special import gammaln as _gammaln
 
 from .errors import (
     DeltaMismatch,
@@ -35,15 +34,14 @@ from .errors import (
     LOutOfGrid,
     NegativeTime,
     OriginSingular,
-    SeriesBudgetExceeded,
     TimeNonPositive,
     ValidationError,
 )
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import complex_quad, quad_checked
-from .dynamics import DEFAULT_SERIES, SeriesPolicy
+from .quadrature import (SeriesPolicy, _stable_log_terms, _stable_series, _stable_sign,
+                         complex_quad, quad_checked)
 
 __all__ = [
     "SampleBatch",
@@ -138,33 +136,8 @@ def propagator_series(params: MediumParams, x: float, t: float,
         raise OriginSingular("series propagator is defined for x != 0")
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
-    policy = policy or DEFAULT_SERIES
-    delta = params.delta
-    ln_arg = math.log(params.a_delta * t) - delta * math.log(abs(x))
-    total = 0.0
-    prev_m = math.inf
-    for n in range(1, policy.max_terms + 1):
-        lnm = _gammaln(n * delta + 1.0) - _gammaln(n + 1.0) + n * ln_arg - math.log(abs(x))
-        if lnm > 700.0:
-            raise SeriesBudgetExceeded(
-                f"term magnitude overflows at n = {n}; argument too large for "
-                f"the series at delta = {delta:g}",
-                partial_sum=total, tail_bound=math.inf,
-            )
-        m = math.exp(lnm)
-        total += (1.0 / math.pi) * (-1.0) ** (n - 1) * math.sin(n * math.pi * delta / 2.0) * m
-        if m < policy.abs_tol and m < prev_m:
-            return total
-        if m > prev_m * policy.ratio_guard:
-            raise SeriesBudgetExceeded(
-                f"term ratio exceeded guard at n = {n}", partial_sum=total, tail_bound=m
-            )
-        prev_m = m
-    raise SeriesBudgetExceeded(
-        f"series did not converge within {policy.max_terms} terms",
-        partial_sum=total,
-        tail_bound=prev_m,
-    )
+    ln_xi = math.log(params.a_delta * t) - params.delta * math.log(abs(x))
+    return _stable_series(params.delta, 1, 1, 1, ln_xi, -math.log(abs(x)), policy)
 
 
 def propagator_quadrature(params: MediumParams, x: float, t: float,
@@ -245,27 +218,25 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     return SampleBatch(delta=delta, scale=scale, seed=seed, samples=scale * out)
 
 
-def tail_cdf_mass(params: MediumParams, x, t: float, n_terms: int | None = None):
+# Terms summed by tail_cdf_mass, for delta < 1 and delta >= 1.  Below 1
+# the series converges and 14 terms hold once x is a few scales out; from
+# 1 up it is asymptotic, and optimal truncation keeps its leading 4.
+_TAIL_TERMS = (14, 4)
+
+
+def tail_cdf_mass(params: MediumParams, x, t: float):
     """P(X > x) for x >> scale, term-by-term integral of the tail series.
 
-    Convergent for delta < 1; for delta >= 1 the same expression is the
-    asymptotic expansion and only its leading terms are summed (optimal
-    truncation), accurate once x is a few scales out.
+    Its x-derivative is minus the propagator series.  Convergent for
+    delta < 1; for delta >= 1 the same expression is the asymptotic
+    expansion and only its leading terms are summed (optimal truncation),
+    accurate once x is a few scales out.
     """
     d = params.delta
-    at = params.a_delta * t
-    if n_terms is None:
-        n_terms = 14 if d < 1.0 else 4
-    xa = np.asarray(x, dtype=float)
-    tot = np.zeros_like(xa)
-    for n in range(1, n_terms + 1):
-        c = math.exp(_gammaln(n * d + 1.0) - _gammaln(n + 1.0) + n * math.log(at))
-        tot += (
-            (-1.0) ** (n - 1)
-            * math.sin(math.pi * n * d / 2.0)
-            * c
-            / (math.pi * n * d * xa ** (n * d))
-        )
+    terms = _TAIL_TERMS[d >= 1.0]
+    ln_xi = math.log(params.a_delta * t) - d * np.log(np.asarray(x, dtype=float))
+    tot = sum(_stable_sign(d, n) * np.exp(_stable_log_terms(d, n, 0, 1, 1, ln_xi))
+              for n in range(1, terms + 1))
     return float(tot) if np.ndim(x) == 0 else tot
 
 

@@ -31,17 +31,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
-from .errors import (
-    EpsNonPositive,
-    OriginSingular,
-    SeriesBudgetExceeded,
-)
+from .errors import EpsNonPositive, OriginSingular
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .operator import laplacian_apply_spectral
 from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import quad_checked
+from .quadrature import SeriesPolicy, _stable_log_terms, _stable_series, quad_checked
 
 __all__ = [
     "CauchyState",
@@ -72,28 +67,6 @@ class CauchyState:
     def __post_init__(self):
         if self.u.grid != self.v.grid:
             raise ValueError("u and v must share one grid")
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation contract for the power-series kernel evaluators.
-
-    Summation stops once a term magnitude falls below abs_tol on the
-    decreasing side of the hump; ratio_guard aborts runaway growth.
-    """
-
-    max_terms: int = 400
-    abs_tol: float = 1e-14
-    ratio_guard: float = 1e8
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be > 0")
-
-
-DEFAULT_SERIES = SeriesPolicy()
 
 
 def _omega(params: MediumParams, k: np.ndarray) -> np.ndarray:
@@ -187,41 +160,12 @@ def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> Rea
 
 # ------------------------------------------------------------ series kernels
 
-def _series_sum(delta: float, a_delta: float, x: float, t: float,
-                lg_denom_shift: int, ln_front: float, policy: SeriesPolicy):
-    """Common engine: sum (-1)^n sin(n pi delta/2) exp(lnm_n) for n >= 1.
-
-    lnm_n = lgamma(n delta + 1) - lgamma(2n + shift) + n ln(a t^2/|x|^delta)
-    + ln_front.  Magnitudes are assembled in log space; the hump of the
-    entire series is climbed and descent below abs_tol ends the sum.
-    """
-    ln_xi = math.log(a_delta * t * t) - delta * math.log(abs(x))
-    total = 0.0
-    prev_m = math.inf
-    for n in range(1, policy.max_terms + 1):
-        lnm = _gammaln(n * delta + 1.0) - _gammaln(2.0 * n + lg_denom_shift) + n * ln_xi + ln_front
-        if lnm > 700.0:
-            # the hump exceeds float range; near delta = 2 the coefficient
-            # decay (2n)^-(2-delta) sets in far too late for this argument
-            raise SeriesBudgetExceeded(
-                f"term magnitude overflows at n = {n}; argument too large for "
-                f"the series at delta = {delta:g}",
-                partial_sum=total, tail_bound=math.inf,
-            )
-        m = math.exp(lnm)
-        total += -(1.0 / math.pi) * (-1.0) ** n * math.sin(n * math.pi * delta / 2.0) * m
-        if m < policy.abs_tol and m < prev_m:
-            return total
-        if m > prev_m * policy.ratio_guard:
-            raise SeriesBudgetExceeded(
-                f"term ratio exceeded guard {policy.ratio_guard:g} at n = {n}",
-                partial_sum=total, tail_bound=m,
-            )
-        prev_m = m
-    raise SeriesBudgetExceeded(
-        f"series did not reach abs_tol = {policy.abs_tol:g} within {policy.max_terms} terms",
-        partial_sum=total, tail_bound=prev_m,
-    )
+def _kernel_series_args(params: MediumParams, x: float, t: float, kind: str):
+    """(q, ln xi, ln front) of the Q or dQ/dt series (r = 1, p = 2)."""
+    ln_xi = math.log(params.a_delta * t * t) - params.delta * math.log(abs(x))
+    if kind == "Q":
+        return 2, ln_xi, math.log(abs(t) / abs(x))
+    return 1, ln_xi, -math.log(abs(x))
 
 
 def wave_kernel_series(params: MediumParams, x: float, t: float,
@@ -238,9 +182,7 @@ def wave_kernel_series(params: MediumParams, x: float, t: float,
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
         return 0.0
-    policy = policy or DEFAULT_SERIES
-    ln_front = math.log(abs(t) / abs(x))
-    val = _series_sum(params.delta, params.a_delta, x, abs(t), 2, ln_front, policy)
+    val = _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "Q"), policy)
     return val if t > 0 else -val
 
 
@@ -251,9 +193,7 @@ def wave_kernel_dt_series(params: MediumParams, x: float, t: float,
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
         return 0.0
-    policy = policy or DEFAULT_SERIES
-    ln_front = -math.log(abs(x))
-    return _series_sum(params.delta, params.a_delta, x, abs(t), 1, ln_front, policy)
+    return _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "dQ"), policy)
 
 
 def wave_series_terms(params: MediumParams, x: float, t: float,
@@ -269,12 +209,9 @@ def wave_series_terms(params: MediumParams, x: float, t: float,
     """
     if kind not in ("Q", "dQ"):
         raise ValueError("kind must be 'Q' or 'dQ'")
-    shift = 2 if kind == "Q" else 1
-    ln_front = math.log(abs(t) / abs(x)) if kind == "Q" else -math.log(abs(x))
-    ln_xi = math.log(params.a_delta * t * t) - params.delta * math.log(abs(x))
+    q, ln_xi, ln_front = _kernel_series_args(params, x, t, kind)
     n = np.arange(1, count + 1, dtype=float)
-    lnm = _gammaln(n * params.delta + 1.0) - _gammaln(2.0 * n + shift) + n * ln_xi + ln_front
-    mags = np.exp(lnm)
+    mags = np.exp(_stable_log_terms(params.delta, n, 1, 2, q, ln_xi, ln_front))
     if include_angular:
         mags = mags * np.abs(np.sin(n * math.pi * params.delta / 2.0))
     return mags

@@ -79,13 +79,17 @@ class ResultEnvelope:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text via a temp file in the target directory plus rename."""
+    """Write text via a temp file in the target directory plus rename; the
+    file gets the mode open(path, "w") would give it, not the temp's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
+            umask = os.umask(0)  # reading the umask means setting it; put it back
+            os.umask(umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

