@@ -45,9 +45,12 @@ __all__ = [
 _TAU_TAYLOR_FRACTION = 1e-3
 
 
-def _fpp_richardson(f, x: float, h0: float = 1e-2) -> float:
-    """Second derivative by central differences, two Richardson sweeps."""
-    v = [(f(x + h) + f(x - h) - 2.0 * f(x)) / (h * h) for h in (h0, h0 / 2, h0 / 4)]
+def _fpp_richardson(f, x: float, two_fx: float, h0: float = 1e-2) -> float:
+    """Second derivative by central differences, two Richardson sweeps.
+
+    two_fx is the caller's 2 f(x), so f(x) is not evaluated again.
+    """
+    v = [(f(x + h) + f(x - h) - two_fx) / (h * h) for h in (h0, h0 / 2, h0 / 4)]
     r1 = (4.0 * v[1] - v[0]) / 3.0
     r2 = (4.0 * v[2] - v[1]) / 3.0
     return (16.0 * r2 - r1) / 15.0
@@ -59,22 +62,25 @@ def laplacian_apply_point(params: MediumParams, f, x: float,
 
     f must be twice differentiable near x and bounded; oscillatory
     non-decaying tails (plane waves) are handled by block doubling with
-    series acceleration.
+    series acceleration.  f(x) is evaluated once.  Beyond tau_split the
+    constant part -2 f(x) tau^(-1-delta) is integrated in closed form, so
+    the tail blocks see only f(x + tau) + f(x - tau), which oscillates
+    about zero or decays.
     """
     qcfg = qcfg or DEFAULT_QUADRATURE
     delta = params.delta
     c = params.h**delta / params.zeta
     tol = qcfg.abs_tol / max(c, 1.0)
-
-    def d2(tau):
-        return f(x + tau) + f(x - tau) - 2.0 * f(x)
+    power = -1.0 - delta
+    two_fx = 2.0 * f(x)
 
     tau_t = _TAU_TAYLOR_FRACTION * qcfg.tau_split
-    inner = _fpp_richardson(f, x) * tau_t ** (2.0 - delta) / (2.0 - delta)
-    inner += panel_integral(lambda u: d2(u) * u ** (-1.0 - delta),
+    inner = _fpp_richardson(f, x, two_fx) * tau_t ** (2.0 - delta) / (2.0 - delta)
+    inner += panel_integral(lambda u: (f(x + u) + f(x - u) - two_fx) * u**power,
                             tau_t, qcfg.tau_split, abs_tol=tol * 0.4)
-    outer = oscillatory_tail(lambda u: d2(u) * u ** (-1.0 - delta),
-                             qcfg.tau_split, abs_tol=tol * 0.4)
+    outer = oscillatory_tail(lambda u: (f(x + u) + f(x - u)) * u**power,
+                             qcfg.tau_split, abs_tol=tol * 0.4,
+                             closed_form=-two_fx * qcfg.tau_split ** (-delta) / delta)
     return c * (inner + outer)
 
 
@@ -114,23 +120,23 @@ def weyl_marchaud(delta: float, f, x: float, side: str,
     coef = delta / _gamma(1.0 - delta)
     tol = qcfg.abs_tol / max(coef, 1.0)
 
-    def inc(tau):
-        return f(x) - f(x + sgn * tau)
+    power = -1.0 - delta
+    fx = f(x)
 
     # Taylor disc to second order: the increment is -sgn f' tau - f'' tau^2/2,
     # and the quadratic term still matters at the tau_t^(2-delta) scale
     tau_t = _TAU_TAYLOR_FRACTION * qcfg.tau_split
     h0 = 1e-3
     fp = (f(x + h0) - f(x - h0)) / (2.0 * h0)
-    fpp = _fpp_richardson(f, x)
+    fpp = _fpp_richardson(f, x, 2.0 * fx)
     inner = -sgn * fp * tau_t ** (1.0 - delta) / (1.0 - delta)
     inner -= 0.5 * fpp * tau_t ** (2.0 - delta) / (2.0 - delta)
-    inner += panel_integral(lambda u: inc(u) * u ** (-1.0 - delta),
+    inner += panel_integral(lambda u: (fx - f(x + sgn * u)) * u**power,
                             tau_t, qcfg.tau_split, abs_tol=tol * 0.4)
-    # outer: split off the exact f(x) * tau^(-1-delta) tail
-    outer = f(x) * qcfg.tau_split ** (-delta) / delta
-    outer -= oscillatory_tail(lambda u: f(x + sgn * u) * u ** (-1.0 - delta),
-                              qcfg.tau_split, abs_tol=tol * 0.4)
+    # outer: the f(x) tau^(-1-delta) part in closed form, f(x + sgn tau) by blocks
+    outer = oscillatory_tail(lambda u: -f(x + sgn * u) * u**power,
+                             qcfg.tau_split, abs_tol=tol * 0.4,
+                             closed_form=fx * qcfg.tau_split ** (-delta) / delta)
     return coef * (inner + outer)
 
 

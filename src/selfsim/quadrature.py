@@ -111,13 +111,17 @@ def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) 
 
 
 def oscillatory_tail(fn, start: float, abs_tol: float, max_blocks: int = 36,
-                     rel_floor: float = 1e-5) -> float:
-    """int_start^inf fn, fn bounded-oscillatory or decaying, by doubling blocks.
+                     rel_floor: float = 1e-5, closed_form: float = 0.0) -> float:
+    """closed_form + int_start^inf fn, fn bounded-oscillatory or decaying,
+    by doubling blocks.
 
+    closed_form is the part of the caller's tail integral it knows exactly
+    (the operators' f(x) tau^(-1-delta) term); the block partial sums start
+    from it, so the relative floor below certifies the whole value.
     Decaying integrands terminate the plain sum once two consecutive
     blocks fall under abs_tol (tight certification).  Bounded oscillatory
-    integrands leave a slowly decaying mean part; there the block partial
-    sums are accelerated by Wynn's epsilon algorithm and accepted once the
+    integrands decay too slowly for that; there the block partial sums
+    are accelerated by Wynn's epsilon algorithm and accepted once the
     recent extrapolants agree to max(abs_tol, rel_floor * |value|).  The
     relative floor is the honest certification level of this branch: past
     a dozen doublings a block holds more oscillations than quad can
@@ -126,7 +130,7 @@ def oscillatory_tail(fn, start: float, abs_tol: float, max_blocks: int = 36,
     sums: list[float] = []
     blocks: list[float] = []
     recent: list[float] = []
-    partial = 0.0
+    partial = closed_form
     a = start
     for _ in range(max_blocks):
         b = 2.0 * a

@@ -5,7 +5,8 @@ defining integrals (with damped sweeps extrapolated to 0+ where the raw
 integral only exists as a limit), deliberately bypassing the library's
 closed forms and engines so the two routes stay independent.  The grid
 oracle extrapolates sampled kernels in x space, the route the library's
-symbol-side eps-ladder replaces.
+symbol-side eps-ladder replaces.  The Gaussian's Laplacian is a closed
+form that no library route uses.
 """
 
 import math
@@ -13,6 +14,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma, hyp1f1
 
 
 def _neville0(xs, ys):
@@ -76,6 +78,13 @@ def propagator_direct(delta: float, x: float, t: float, a_delta: float) -> float
         lambda k: math.exp(-a_delta * k**delta * t) * math.cos(k * x),
         0.0, k_hi, epsabs=1e-13, limit=int(20 * k_hi * abs(x) / math.pi) + 200,
     ) / math.pi
+
+
+def gaussian_laplacian(delta: float, x, a_delta: float):
+    """Nonlocal Laplacian of exp(-x^2), h = zeta = 1:
+    -a 2^delta Gamma((1+delta)/2)/sqrt(pi) 1F1((1+delta)/2; 1/2; -x^2)."""
+    scale = a_delta * 2.0**delta * gamma((1.0 + delta) / 2.0) / math.sqrt(math.pi)
+    return -scale * hyp1f1((1.0 + delta) / 2.0, 0.5, -np.square(x))
 
 
 def lorentzian_cdf(x, scale: float):
