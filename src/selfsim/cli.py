@@ -1,26 +1,26 @@
 """Command-line interface.
 
-One subcommand per capability; every run validates its configuration
-before any numeric work, writes CSV tables plus a JSON envelope (and a
-gnuplot script where a plot makes sense) into --out, and exits with
+One subcommand per capability.  A run validates its options before any
+numeric work, computes its CSV tables, JSON envelope and gnuplot scripts,
+and commits them into --out as one staged set.  Exit codes:
 
     0  success
-    1  validation error, including a malformed command line (no partial files)
+    1  validation error, including a malformed command line
     2  numeric failure (quadrature or series did not converge)
     3  self-test failure
-    4  an output file could not be written (no torn or temporary files;
-       files written before the failing one stay)
+    4  an output file could not be written
 
-Configuration may come from --config (a single JSON document); individual
-flags override scalar fields.  Unknown config keys are rejected.  Identical
-configurations produce byte-identical files; wall time goes to stderr only.
+Exits other than 0 and 3 leave no file of the run, and no exit leaves torn
+or temporary files.  Options may also come from --config (one JSON object):
+flags override its values, unknown keys are rejected, and each value is
+checked like its flag.  Identical options give byte-identical files; wall
+time goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,18 +31,57 @@ from . import dynamics as dyn
 from . import statics as sta
 from .errors import IoError, NumericError, ValidationError
 from .grids import Grid1D
-from .io import ResultEnvelope, emit_envelope, emit_plot_script, emit_table
+from .io import ResultEnvelope, atomic_write_text, commit, plot_script, write_csv_atomic
 from .operator import laplacian_apply_point, laplacian_apply_spectral
 from .params import dispersion, dispersion_quadrature, make_params
 from .selftest import run_selftest
 
 __all__ = ["main"]
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated float list, got {text!r}") from exc
+# ------------------------------------------------------------------ options
+# A converter takes the text of a flag, or str() of a config file's JSON value,
+# and returns the value the handler reads; ValueError means "refused".
+
+
+def _flag(text) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError("expected true or false")
+    return text == "True"
+
+
+def _names(text) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _floats(text) -> tuple[float, ...]:
+    return tuple(map(float, _names(text)))
+
+
+def _tail_window(text) -> tuple[float, float]:
+    window = _floats(text)
+    if len(window) != 2 or not 0.0 < window[0] < window[1]:
+        raise ValueError("expected x_lo,x_hi with 0 < x_lo < x_hi")
+    return window
+
+
+def _function(value) -> str:
+    if value not in ("gaussian", "cos"):
+        raise ValueError("expected gaussian or cos")
+    return value
+
+
+# option name: (converter, default, help); defaults are already converted
+_OUT = {"out": (str, "out", "output directory")}
+_PHYSICS = {
+    **_OUT,
+    "delta": (float, 0.5, "exponent of the coupling, 0 < delta < 2"),
+    "h": (float, 1.0, "length scale h"),
+    "zeta": (float, 1.0, "dimensionless parameter zeta"),
+}
+
+
+def _grid(n: int, dx: float) -> dict:
+    return {"n": (int, n, "grid points"), "dx": (float, dx, "grid spacing")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,322 +97,263 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="selfsim", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, physics=True):
-        p.add_argument("--config", default=None, help="JSON config; flags override scalars")
-        p.add_argument("--out", default="out", help="output directory")
-        if physics:
-            p.add_argument("--delta", type=float, default=None)
-            p.add_argument("--h", type=float, default=None)
-            p.add_argument("--zeta", type=float, default=None)
-            p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("dispersion", help="omega^2(k), closed form and quadrature")
-    common(p)
-    p.add_argument("--k", default=None, help="comma-separated wavenumbers")
-
-    p = sub.add_parser("greens-static", help="static point-force response")
-    common(p)
-    p.add_argument("--x", default=None, help="comma-separated positions")
-
-    p = sub.add_parser("laplacian", help="nonlocal Laplacian of a test field")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--function", choices=("gaussian", "cos"), default=None)
-    p.add_argument("--k0", type=float, default=None)
-    p.add_argument("--pointwise", type=int, default=None,
-                   help="also run the quadrature route at this many interior points")
-
-    p = sub.add_parser("cauchy", help="evolve a Gaussian initial displacement")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--times", default=None, help="comma-separated evolution times")
-    p.add_argument("--k0", type=float, default=None)
-
-    p = sub.add_parser("kernels", help="Cauchy kernels by series and quadrature")
-    common(p)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--x", default=None, help="comma-separated positions (nonzero)")
-
-    p = sub.add_parser("helmholtz", help="frequency-domain Green's function")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-
-    p = sub.add_parser("diffusion", help="heavy-tailed propagator profiles")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--times", default=None)
-    p.add_argument("--tail-window", dest="tail_window", default=None,
-                   help="x_lo,x_hi window for a log-log tail fit of the last profile")
-
-    p = sub.add_parser("mc", help="stable sampling and KS comparison")
-    common(p)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    p.add_argument("--ks", action="store_true", default=None)
-
-    p = sub.add_parser("potentials", help="kernel family b_alpha profiles")
-    common(p)
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--x", default=None)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p, physics=False)
-    p.add_argument("--cases", default=None, help="comma-separated case ids (default all)")
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON object of options; flags override its values")
+        for name, (convert, _, help_opt) in options.items():
+            flag = "--" + name.replace("_", "-")
+            if convert is _flag:
+                p.add_argument(flag, dest=name, action="store_true", default=None, help=help_opt)
+            else:
+                # argparse converts numbers, so the envelope echoes them as numbers
+                p.add_argument(flag, dest=name, type=convert if convert in (float, int) else None,
+                               help=help_opt)
     return top
 
 
-def _merge_config(args) -> dict:
-    config = {}
+def _spec(args) -> argparse.Namespace:
+    """The run's options: flags over config-file values over defaults.  A
+    given value is checked as the text a flag would carry: ``str(value)``
+    goes through its option's converter.  ``given`` keeps the values as
+    given, for the envelope."""
+    given = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                given = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
+        if not isinstance(given, dict):
             raise ValidationError("config must be a JSON object")
-    # a config key is allowed when the subcommand has a flag for it
-    flags = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
-    unknown = set(config) - set(flags)
+    options = _COMMANDS[args.command][2]
+    unknown = set(given) - set(options)
     if unknown:
         raise ValidationError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    config.update((key, val) for key, val in flags.items() if val is not None)
-    config.setdefault("out", "out")
-    return config
-
-
-def _params_from(config: dict):
-    return make_params(
-        float(config.get("delta", 0.5)),
-        float(config.get("h", 1.0)),
-        float(config.get("zeta", 1.0)),
-    )
-
-
-def _grid_from(config: dict, n_default: int, dx_default: float) -> Grid1D:
-    return Grid1D.centered(int(config.get("n", n_default)), float(config.get("dx", dx_default)))
+    given.update({k: v for k, v in vars(args).items() if k in options and v is not None})
+    spec = argparse.Namespace(command=args.command, given=given)
+    for name, (convert, default, _) in options.items():
+        value = default
+        if name in given:
+            try:
+                value = convert(str(given[name]))
+            except ValueError as exc:
+                raise ValidationError(f"invalid {name} {given[name]!r}: {exc}") from exc
+        setattr(spec, name, value)
+    return spec
 
 
 # ------------------------------------------------------------------ commands
-
-def _cmd_dispersion(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    ks = _float_list(config.get("k", "0,0.5,1,2,5"))
-    env = ResultEnvelope("dispersion", config, results={"a_delta": p.a_delta})
-    rows = [(k, float(dispersion(p, k)), dispersion_quadrature(p, k)) for k in ks]
-    emit_table(env, config["out"], "dispersion", ["k", "omega2", "omega2_quadrature"], rows)
-    return env
+# A handler takes the spec and returns the envelope; it writes nothing.
 
 
-def _cmd_greens_static(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    xs = _float_list(config.get("x", "0.25,0.5,1,2,4,8"))
-    env = ResultEnvelope("greens-static", config,
-                         results={"prefactor": sta.greens_prefactor(p)})
-    rows = [(x, sta.greens_static(p, x)) for x in xs]
-    emit_table(env, config["out"], "greens_static", ["x", "g"], rows)
-    emit_plot_script(env, config["out"], "greens_static", "greens_static.csv", ["g"], loglog=True)
-    return env
+def _table(header, rows):
+    return lambda path: write_csv_atomic(path, header, rows)
 
 
-def _cmd_laplacian(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    grid = _grid_from(config, 4096, 0.02)
-    kind = config.get("function", "gaussian")
-    k0 = float(config.get("k0", 1.0))
-    if kind == "cos":
-        field = grid.sample(lambda x: np.cos(k0 * x))
-        fn = lambda u: np.cos(k0 * u)  # noqa: E731
-    else:
-        field = grid.sample(lambda x: np.exp(-x * x))
-        fn = lambda u: np.exp(-u * u)  # noqa: E731
+def _grid_table(header, columns):
+    # stacked only while the file is written, so no 2-D copy outlives it
+    return lambda path: write_csv_atomic(path, header, np.column_stack(columns))
+
+
+def _script(*args, **kwargs):
+    text = plot_script(*args, **kwargs)
+    return lambda path: atomic_write_text(path, text)
+
+
+def _cmd_dispersion(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    rows = [(k, float(dispersion(p, k)), dispersion_quadrature(p, k)) for k in s.k]
+    return ResultEnvelope("dispersion", s.given, results={"a_delta": p.a_delta}, files={
+        "dispersion.csv": _table(["k", "omega2", "omega2_quadrature"], rows),
+    })
+
+
+def _cmd_greens_static(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    rows = [(x, sta.greens_static(p, x)) for x in s.x]
+    return ResultEnvelope("greens-static", s.given,
+                          results={"prefactor": sta.greens_prefactor(p)}, files={
+        "greens_static.csv": _table(["x", "g"], rows),
+        "greens_static.gp": _script("greens-static", "greens_static.csv", ["g"], loglog=True),
+    })
+
+
+def _cmd_laplacian(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    grid = Grid1D.centered(s.n, s.dx)
+    fn = (lambda u: np.cos(s.k0 * u)) if s.function == "cos" else (lambda u: np.exp(-u * u))
+    field = grid.sample(fn)
     lap = laplacian_apply_spectral(p, field)
-    env = ResultEnvelope("laplacian", config)
-    emit_table(env, config["out"], "laplacian", ["x", "field", "laplacian"],
-               np.column_stack([grid.x, field.values, lap.values]))
-    n_pw = int(config.get("pointwise") or 0)
-    if n_pw > 0:
-        xs = np.linspace(-2.0, 2.0, n_pw)
+    table = _grid_table(["x", "field", "laplacian"], [grid.x, field.values, lap.values])
+    env = ResultEnvelope("laplacian", s.given, files={"laplacian.csv": table})
+    if s.pointwise > 0:
+        xs = np.linspace(-2.0, 2.0, s.pointwise)
         pw = [(x, laplacian_apply_point(p, fn, x)) for x in xs]
-        emit_table(env, config["out"], "laplacian_pointwise", ["x", "laplacian"], pw)
-        worst = max(abs(v - lap.value_near(x)) for x, v in pw)
-        env.results["max_route_difference"] = worst
+        env.files["laplacian_pointwise.csv"] = _table(["x", "laplacian"], pw)
+        env.results["max_route_difference"] = max(abs(v - lap.value_near(x)) for x, v in pw)
     return env
 
 
-def _cmd_cauchy(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    grid = _grid_from(config, 4096, 0.05)
-    times = _float_list(config.get("times", "0.5,1,2"))
-    k0 = float(config.get("k0", 2.0))
-    u0 = grid.sample(lambda x: np.exp(-x * x) * np.cos(k0 * x))
+def _cmd_cauchy(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    grid = Grid1D.centered(s.n, s.dx)
+    u0 = grid.sample(lambda x: np.exp(-x * x) * np.cos(s.k0 * x))
     v0 = grid.sample(lambda x: np.zeros_like(x))
     state0 = dyn.CauchyState(u0, v0)
-    env = ResultEnvelope("cauchy", config, results={"energy_t0": dyn.energy(p, state0)})
-    cols = ["x", "u_t0"] + [f"u_t{t:g}" for t in times]
+    env = ResultEnvelope("cauchy", s.given, results={"energy_t0": dyn.energy(p, state0)})
+    cols = ["x", "u_t0"] + [f"u_t{t:g}" for t in s.times]
     data = [grid.x, u0.values]
-    for t in times:
+    for t in s.times:
         st = dyn.cauchy_evolve(p, state0, t)
         data.append(st.u.values)
         env.results[f"energy_t{t:g}"] = dyn.energy(p, st)
-    emit_table(env, config["out"], "cauchy", cols, np.column_stack(data))
-    emit_plot_script(env, config["out"], "cauchy", "cauchy.csv", cols[1:])
+    env.files["cauchy.csv"] = _grid_table(cols, data)
+    env.files["cauchy.gp"] = _script("cauchy", "cauchy.csv", cols[1:])
     return env
 
 
-def _cmd_kernels(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    t = float(config.get("t", 1.0))
-    xs = _float_list(config.get("x", "0.5,1,2,4"))
-    env = ResultEnvelope("kernels", config)
-    rows = []
-    for x in xs:
-        rows.append(
-            (
-                x,
-                dyn.wave_kernel_series(p, x, t),
-                dyn.wave_kernel_fourier(p, x, t),
-                dyn.wave_kernel_dt_series(p, x, t),
-                dyn.wave_kernel_dt_fourier(p, x, t),
-            )
-        )
-    emit_table(env, config["out"], "kernels",
-               ["x", "Q_series", "Q_quadrature", "dQ_series", "dQ_quadrature"], rows)
-    return env
+def _cmd_kernels(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    kernels = (dyn.wave_kernel_series, dyn.wave_kernel_fourier,
+               dyn.wave_kernel_dt_series, dyn.wave_kernel_dt_fourier)
+    rows = [(x, *(kernel(p, x, s.t) for kernel in kernels)) for x in s.x]
+    header = ["x", "Q_series", "Q_quadrature", "dQ_series", "dQ_quadrature"]
+    return ResultEnvelope("kernels", s.given, files={"kernels.csv": _table(header, rows)})
 
 
-def _cmd_helmholtz(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    grid = _grid_from(config, 1 << 16, 0.01)
-    omega = float(config.get("omega", 0.0))
-    eps = float(config.get("eps", 0.1))
-    field = dyn.helmholtz_green(p, grid, omega, eps)
-    env = ResultEnvelope("helmholtz", config)
-    emit_table(env, config["out"], "helmholtz", ["x", "re", "im"],
-               np.column_stack([grid.x, field.values.real, field.values.imag]))
-    return env
+def _cmd_helmholtz(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    grid = Grid1D.centered(s.n, s.dx)
+    field = dyn.helmholtz_green(p, grid, s.omega, s.eps)
+    table = _grid_table(["x", "re", "im"], [grid.x, field.values.real, field.values.imag])
+    return ResultEnvelope("helmholtz", s.given, files={"helmholtz.csv": table})
 
 
-def _tail_window(text) -> tuple[float, float]:
-    window = _float_list(text)
-    if len(window) != 2 or not 0.0 < window[0] < window[1]:
-        raise ValidationError(f"tail window must be x_lo,x_hi with 0 < x_lo < x_hi, got {text!r}")
-    return window[0], window[1]
-
-
-def _cmd_diffusion(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    grid = _grid_from(config, 1 << 16, 0.02)
-    times = _float_list(config.get("times", "0.5,1,2"))
-    window = _tail_window(config["tail_window"]) if config.get("tail_window") else None
-    env = ResultEnvelope("diffusion", config)
-    cols = ["x"] + [f"W_t{t:g}" for t in times]
+def _cmd_diffusion(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    grid = Grid1D.centered(s.n, s.dx)
+    env = ResultEnvelope("diffusion", s.given)
+    cols = ["x"] + [f"W_t{t:g}" for t in s.times]
     data = [grid.x]
     w = None
-    for t in times:
+    for t in s.times:
         w = dif.propagator(p, grid, t)
         data.append(w.values)
         env.results[f"mass_t{t:g}"] = w.mass()
         env.results[f"peak_t{t:g}"] = float(w.values.max())
-    # the fit can still refuse the window; it runs before any file is written
-    slope = dif.fit_tail_exponent(w, *window) if window else None
-    emit_table(env, config["out"], "diffusion", cols, np.column_stack(data))
-    emit_plot_script(env, config["out"], "diffusion", "diffusion.csv", cols[1:])
-    if window:
+    env.files["diffusion.csv"] = _grid_table(cols, data)
+    env.files["diffusion.gp"] = _script("diffusion", "diffusion.csv", cols[1:])
+    if s.tail_window:
+        slope = dif.fit_tail_exponent(w, *s.tail_window)
         env.results["tail_slope"] = slope
         env.results["tail_slope_expected"] = -(1.0 + p.delta)
-        emit_plot_script(env, config["out"], "diffusion_tail", "diffusion.csv",
-                         cols[1:], loglog=True,
-                         annotations={"fitted_slope": slope})
+        env.files["diffusion_tail.gp"] = _script("diffusion", "diffusion.csv", cols[1:],
+                                                 loglog=True, annotations={"fitted_slope": slope})
     return env
 
 
-def _cmd_mc(config: dict) -> ResultEnvelope:
-    p = _params_from(config)
-    t = float(config.get("t", 1.0))
-    n = int(config.get("n_samples", 100_000))
-    seed = int(config.get("seed", 20260808))
-    batch = dif.sample_levy(p, t, n, seed)
-    env = ResultEnvelope("mc", config, seed=seed,
-                         results={"scale": batch.scale, "n_samples": n})
-    csv_path = os.path.join(config["out"], "samples.csv")
-    batch.to_csv(csv_path)
-    env.tables.append("samples.csv")
-    if config.get("ks"):
-        s = np.sort(batch.samples)
-        cdf = dif.numeric_cdf(p, t, s)
-        env.results["ks_distance"] = dif.ks_distance(s, cdf)
+def _cmd_mc(s) -> ResultEnvelope:
+    p = make_params(s.delta, s.h, s.zeta)
+    batch = dif.sample_levy(p, s.t, s.n_samples, s.seed)
+    env = ResultEnvelope("mc", s.given, seed=s.seed,
+                         results={"scale": batch.scale, "n_samples": s.n_samples},
+                         files={"samples.csv": batch.to_csv})
+    if s.ks:
+        samples = np.sort(batch.samples)
+        cdf = dif.numeric_cdf(p, s.t, samples)
+        env.results["ks_distance"] = dif.ks_distance(samples, cdf)
     return env
 
 
-def _cmd_potentials(config: dict) -> ResultEnvelope:
-    alphas = _float_list(config.get("alphas", "-0.5,0.5,1.5"))
-    xs = _float_list(config.get("x", "0.25,0.5,1,2,4"))
-    env = ResultEnvelope("potentials", config)
-    cols = ["x"] + [f"b_alpha{a:g}" for a in alphas]
-    rows = [[x] + [sta.riesz_kernel(a, x) for a in alphas] for x in xs]
-    emit_table(env, config["out"], "potentials", cols, rows)
-    emit_plot_script(env, config["out"], "potentials", "potentials.csv", cols[1:], loglog=True)
-    return env
+def _cmd_potentials(s) -> ResultEnvelope:
+    cols = ["x"] + [f"b_alpha{a:g}" for a in s.alphas]
+    rows = [[x] + [sta.riesz_kernel(a, x) for a in s.alphas] for x in s.x]
+    return ResultEnvelope("potentials", s.given, files={
+        "potentials.csv": _table(cols, rows),
+        "potentials.gp": _script("potentials", "potentials.csv", cols[1:], loglog=True),
+    })
 
 
-def _cmd_selftest(config: dict) -> tuple[ResultEnvelope, bool]:
-    cases = None
-    if config.get("cases"):
-        cases = [c.strip() for c in str(config["cases"]).split(",") if c.strip()]
-    results = run_selftest(cases)
-    env = ResultEnvelope("selftest", config)
+def _cmd_selftest(s) -> ResultEnvelope:
+    results = run_selftest(s.cases)
     rows = [(r.case_id, "pass" if r.passed else "FAIL", r.detail) for r in results]
-    env.results["n_pass"] = sum(r.passed for r in results)
-    env.results["n_fail"] = sum(not r.passed for r in results)
-    emit_table(env, config["out"], "selftest", ["case", "status", "detail"], rows)
-    return env, all(r.passed for r in results)
+    return ResultEnvelope("selftest", s.given, results={
+        "n_pass": sum(r.passed for r in results),
+        "n_fail": sum(not r.passed for r in results),
+    }, files={"selftest.csv": _table(["case", "status", "detail"], rows)})
 
 
-_HANDLERS = {
-    "dispersion": _cmd_dispersion,
-    "greens-static": _cmd_greens_static,
-    "laplacian": _cmd_laplacian,
-    "cauchy": _cmd_cauchy,
-    "kernels": _cmd_kernels,
-    "helmholtz": _cmd_helmholtz,
-    "diffusion": _cmd_diffusion,
-    "mc": _cmd_mc,
-    "potentials": _cmd_potentials,
+# command: (handler, help, options)
+_COMMANDS = {
+    "dispersion": (_cmd_dispersion, "omega^2(k), closed form and quadrature", {
+        **_PHYSICS,
+        "k": (_floats, (0.0, 0.5, 1.0, 2.0, 5.0), "comma-separated wavenumbers"),
+    }),
+    "greens-static": (_cmd_greens_static, "static point-force response", {
+        **_PHYSICS,
+        "x": (_floats, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), "comma-separated positions"),
+    }),
+    "laplacian": (_cmd_laplacian, "nonlocal Laplacian of a test field", {
+        **_PHYSICS, **_grid(4096, 0.02),
+        "function": (_function, "gaussian", "test field: gaussian or cos"),
+        "k0": (float, 1.0, "wavenumber of the cos field"),
+        "pointwise": (int, 0, "also run the quadrature route at this many interior points"),
+    }),
+    "cauchy": (_cmd_cauchy, "evolve a Gaussian initial displacement", {
+        **_PHYSICS, **_grid(4096, 0.05),
+        "times": (_floats, (0.5, 1.0, 2.0), "comma-separated evolution times"),
+        "k0": (float, 2.0, "carrier wavenumber of the initial displacement"),
+    }),
+    "kernels": (_cmd_kernels, "Cauchy kernels by series and quadrature", {
+        **_PHYSICS,
+        "t": (float, 1.0, "time"),
+        "x": (_floats, (0.5, 1.0, 2.0, 4.0), "comma-separated positions (nonzero)"),
+    }),
+    "helmholtz": (_cmd_helmholtz, "frequency-domain Green's function", {
+        **_PHYSICS, **_grid(1 << 16, 0.01),
+        "omega": (float, 0.0, "frequency"),
+        "eps": (float, 0.1, "damping"),
+    }),
+    "diffusion": (_cmd_diffusion, "heavy-tailed propagator profiles", {
+        **_PHYSICS, **_grid(1 << 16, 0.02),
+        "times": (_floats, (0.5, 1.0, 2.0), "comma-separated times"),
+        "tail_window": (_tail_window, None,
+                        "x_lo,x_hi window for a log-log tail fit of the last profile"),
+    }),
+    "mc": (_cmd_mc, "stable sampling and KS comparison", {
+        **_PHYSICS,
+        "t": (float, 1.0, "time"),
+        "n_samples": (int, 100_000, "number of samples"),
+        "seed": (int, 20260808, "random seed"),
+        "ks": (_flag, False, "compare with the numeric CDF (KS distance)"),
+    }),
+    "potentials": (_cmd_potentials, "kernel family b_alpha profiles", {
+        **_OUT,
+        "alphas": (_floats, (-0.5, 0.5, 1.5), "comma-separated exponents alpha"),
+        "x": (_floats, (0.25, 0.5, 1.0, 2.0, 4.0), "comma-separated positions"),
+    }),
+    "selftest": (_cmd_selftest, "run the acceptance suite", {
+        **_OUT,
+        "cases": (_names, None, "comma-separated case ids (default all)"),
+    }),
 }
+
+
+# looked up by name at call time, so a caller can wrap or replace a handler
+_HANDLERS = {command: handler for command, (handler, _, _) in _COMMANDS.items()}
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
-        config = _merge_config(args)
-        if args.command == "selftest":
-            env, ok = _cmd_selftest(config)
-            emit_envelope(env, config["out"])
-            code = 0 if ok else 3
-        else:
-            env = _HANDLERS[args.command](config)
-            emit_envelope(env, config["out"])
-            code = 0
-    except ValidationError as exc:
+        spec = _spec(_build_parser().parse_args(argv))
+        env = _HANDLERS[spec.command](spec)
+        commit(env, spec.out)
+    except (ValidationError, NumericError, IoError) as exc:
         print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
-        return 2
-    except IoError as exc:
-        print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
-        return 4
+        return 1 if isinstance(exc, ValidationError) else 2 if isinstance(exc, NumericError) else 4
     print(f"wall_time_s: {time.monotonic() - started:.3f}", file=sys.stderr)
-    return code
+    return 3 if env.results.get("n_fail") else 0
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ of rows at a time, column by column, so a 2^20-row table never exists as
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 
@@ -31,8 +33,8 @@ __all__ = [
     "config_hash",
     "write_csv_atomic",
     "write_json_atomic",
-    "emit_table",
-    "emit_plot_script",
+    "plot_script",
+    "commit",
 ]
 
 # rows formatted per block: bounds the per-row Python objects alive at once
@@ -43,7 +45,7 @@ def canonical_config(config: dict) -> dict:
     """The scientifically meaningful part of a config: output location
     stripped, so determinism is judged on what was computed, not where it
     was written."""
-    return {k: v for k, v in config.items() if k not in ("out", "config")}
+    return {k: v for k, v in config.items() if k != "out"}
 
 
 def config_hash(config: dict) -> str:
@@ -54,7 +56,8 @@ def config_hash(config: dict) -> str:
 
 @dataclass
 class ResultEnvelope:
-    """What a command produced: inputs echoed, scalars, table references.
+    """What a command produced: inputs echoed, scalars, and its files as
+    ``{name: writer}``, where ``writer(path)`` writes that file to ``path``.
 
     Wall time is intentionally not stored (it would break byte-for-byte
     determinism); the CLI reports it on stderr instead.
@@ -63,7 +66,7 @@ class ResultEnvelope:
     command: str
     config: dict
     results: dict = field(default_factory=dict)
-    tables: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
     seed: int | None = None
 
     def to_dict(self) -> dict:
@@ -73,7 +76,7 @@ class ResultEnvelope:
             "config_sha256": config_hash(self.config),
             "results": self.results,
             "seed": self.seed,
-            "tables": sorted(self.tables),
+            "tables": sorted(self.files),
             "version": __version__,
         }
 
@@ -152,40 +155,50 @@ def write_json_atomic(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
-def emit_table(envelope: ResultEnvelope, out_dir: str, name: str,
-               header: list[str], rows) -> str:
-    """Write one CSV and register it in the envelope; returns the path."""
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    write_csv_atomic(csv_path, header, rows)
-    envelope.tables.append(f"{name}.csv")
-    return csv_path
-
-
-def emit_envelope(envelope: ResultEnvelope, out_dir: str) -> str:
-    path = os.path.join(out_dir, f"{envelope.command}.json")
-    write_json_atomic(path, envelope.to_dict())
-    return path
-
-
-def emit_plot_script(envelope: ResultEnvelope, out_dir: str, name: str,
-                     csv_name: str, columns: list[str], loglog: bool = False,
-                     annotations: dict | None = None) -> str:
-    """Plain-text gnuplot script referencing the CSV by relative path."""
+def plot_script(title: str, csv_name: str, columns: list[str], loglog: bool = False,
+                annotations: dict | None = None) -> str:
+    """Plain-text gnuplot script plotting each of ``columns`` (CSV columns
+    2, 3, ...) against column 1 of the CSV, referenced by relative path."""
     lines = [
         "# generated plot script; render with: gnuplot <this file>",
         "set datafile separator ','",
         "set key autotitle columnhead",
-        f"set title '{envelope.command}'",
+        f"set title '{title}'",
     ]
     if loglog:
         lines.append("set logscale xy")
     for key, val in (annotations or {}).items():
         lines.append(f"# {key} = {val}")
-    plots = ", ".join(
-        f"'{csv_name}' using 1:{i + 2} with lines" for i in range(len(columns))
-    )
-    lines.append(f"plot {plots}")
-    path = os.path.join(out_dir, f"{name}.gp")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    envelope.tables.append(f"{name}.gp")
-    return path
+    lines.append("plot " + ", ".join(f"'{csv_name}' using 1:{i + 2} with lines"
+                                     for i in range(len(columns))))
+    return "\n".join(lines) + "\n"
+
+
+def commit(envelope: ResultEnvelope, out_dir: str) -> None:
+    """Write the envelope's files, then the envelope as ``<command>.json``,
+    into a stage directory under ``out_dir`` and rename each into place.
+    A failure removes the files already renamed (an earlier run's file of
+    the same name is not restored) and raises ``IoError`` for OS errors."""
+    files = dict(envelope.files)
+    files[f"{envelope.command}.json"] = lambda path: write_json_atomic(path, envelope.to_dict())
+    renamed = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        stage = tempfile.mkdtemp(dir=out_dir, prefix=".stage-")
+        try:
+            for name, write in files.items():
+                write(os.path.join(stage, name))
+            for name in files:
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+                renamed.append(name)
+        except BaseException:
+            for name in renamed:
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(out_dir, name))
+            raise
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except IoError:  # a writer's own failure, already named and wrapped
+        raise
+    except OSError as exc:
+        raise IoError(f"failed to commit into {out_dir}: {exc}") from exc

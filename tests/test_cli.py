@@ -11,7 +11,7 @@ import pytest
 from selfsim import io
 from selfsim.cli import main
 from selfsim.errors import IoError
-from selfsim.io import ResultEnvelope, emit_plot_script, write_csv_atomic
+from selfsim.io import plot_script, write_csv_atomic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -85,11 +85,46 @@ class TestValidation:
         monkeypatch.setitem(cli._HANDLERS, "dispersion", boom)
         assert main(["dispersion", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv, owner, name", [
+        # the spectral table is computed before the failing quadrature route
+        (["laplacian", "--pointwise", "3"], "cli", "laplacian_apply_point"),
+        # the samples are drawn before the failing CDF
+        (["mc", "--n-samples", "1000", "--ks"], "cli.dif", "numeric_cdf"),
+    ])
+    def test_numeric_failure_leaves_no_files(self, monkeypatch, tmp_path, argv, owner, name):
+        from selfsim import cli
+        from selfsim.errors import QuadratureNoConvergence
+
+        def boom(*args, **kwargs):
+            raise QuadratureNoConvergence("forced")
+
+        monkeypatch.setattr(cli if owner == "cli" else cli.dif, name, boom)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("dispersion", {"delta": "abc"}),
+        ("laplacian", {"n": 1024.9}),
+        ("mc", {"ks": "false"}),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "code: ValidationError" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["dispersion", "--delta", "abc"],
         ["dispersion", "--bogus", "1"],
         # argparse reads a negative list after a space as an option
         ["potentials", "--alphas", "-0.5,0.5,1.5"],
+        # only mc draws random numbers
+        ["dispersion", "--seed", "1"],
     ])
     def test_usage_error_exits_1_without_files(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -129,6 +164,54 @@ class TestUnwritableOutput:
         self._check_exit_4(capsys, ["dispersion", "--out", str(out)])
         assert os.listdir(out) == ["dispersion.csv"]
         assert os.listdir(out / "dispersion.csv") == []
+
+    def test_envelope_path_taken_by_a_directory(self, tmp_path, capsys):
+        # the envelope is renamed last: the table renamed before it must go again
+        out = tmp_path / "o"
+        (out / "dispersion.json").mkdir(parents=True)
+        self._check_exit_4(capsys, ["dispersion", "--out", str(out)])
+        assert os.listdir(out) == ["dispersion.json"]
+        assert os.listdir(out / "dispersion.json") == []
+
+    def test_failed_write_while_staging_leaves_nothing(self, monkeypatch, tmp_path, capsys):
+        from selfsim import cli
+
+        def boom(path, text):
+            raise IoError(f"failed to write {path}: forced")
+
+        # the plot script is staged after the table, so one file is already staged
+        monkeypatch.setattr(cli, "atomic_write_text", boom)
+        out = tmp_path / "o"
+        assert main(["greens-static", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "forced" in err
+        assert "failed to commit" not in err  # the writer's error is not wrapped twice
+        assert os.listdir(out) == []
+
+
+class TestCommittedFiles:
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--k", "1"],
+        ["diffusion", "--delta", "0.5", "--times", "0.1", "--n", "4096", "--dx", "0.05"],
+        ["mc", "--n-samples", "1000"],
+    ])
+    def test_out_holds_exactly_the_envelope_files(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        command = argv[0]
+        env = json.loads((out / f"{command}.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(env["tables"] + [f"{command}.json"])
+
+    def test_committed_files_follow_umask(self, tmp_path):
+        out = tmp_path / "o"
+        old = os.umask(0o022)
+        try:
+            assert main(["greens-static", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE((out / name).stat().st_mode) for name in os.listdir(out)}
+        assert modes == dict.fromkeys(modes, 0o644)
+        assert len(modes) == 3
 
 
 class TestDeterminism:
@@ -298,11 +381,9 @@ class TestIoHelpers:
         write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], [])
         assert (tmp_path / "t.csv").read_text() == "x,value\n"
 
-    def test_plot_script_references_csv(self, tmp_path):
-        env = ResultEnvelope("demo", {})
-        emit_plot_script(env, str(tmp_path), "demo", "demo.csv", ["y1", "y2"], loglog=True,
-                         annotations={"slope": -1.5})
-        text = (tmp_path / "demo.gp").read_text()
+    def test_plot_script_references_csv(self):
+        text = plot_script("demo", "demo.csv", ["y1", "y2"], loglog=True,
+                           annotations={"slope": -1.5})
         assert "'demo.csv' using 1:2" in text
         assert "'demo.csv' using 1:3" in text
         assert "# slope = -1.5" in text
