@@ -54,7 +54,10 @@ def _names(text) -> list[str]:
 
 
 def _floats(text) -> tuple[float, ...]:
-    return tuple(map(float, _names(text)))
+    values = tuple(map(float, _names(text)))
+    if not values:
+        raise ValueError("expected at least one value")
+    return values
 
 
 def _tail_window(text) -> tuple[float, float]:

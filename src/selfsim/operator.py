@@ -61,11 +61,11 @@ def laplacian_apply_point(params: MediumParams, f, x: float,
     """Nonlocal Laplacian of a callable at one point, by singular quadrature.
 
     f must be twice differentiable near x and bounded; oscillatory
-    non-decaying tails (plane waves) are handled by block doubling with
-    series acceleration.  f(x) is evaluated once.  Beyond tau_split the
-    constant part -2 f(x) tau^(-1-delta) is integrated in closed form, so
-    the tail blocks see only f(x + tau) + f(x - tau), which oscillates
-    about zero or decays.
+    non-decaying tails (plane waves) are summed between the integrand's
+    zeros with series acceleration.  f(x) is evaluated once.  Beyond
+    tau_split the constant part -2 f(x) tau^(-1-delta) is integrated in
+    closed form, so the tail blocks see only f(x + tau) + f(x - tau),
+    which oscillates about zero or decays.
     """
     qcfg = qcfg or DEFAULT_QUADRATURE
     delta = params.delta

@@ -3,7 +3,10 @@
 Two recurring difficulties, one routine each:
 
 * power-law singularity at 0           -> geometric panels + Taylor disc,
-* bounded oscillatory tails            -> doubling blocks + Wynn epsilon.
+* bounded oscillatory tails            -> half-cycles between the zeros of
+                                          the integrand + Wynn epsilon, or
+                                          doubling blocks + Wynn epsilon when
+                                          it decays or has too few zeros.
 
 Everything is plain scipy.integrate.quad underneath; warnings are turned
 into QuadratureNoConvergence when the reported error exceeds the budget.
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln as _gammaln
 
 from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
@@ -110,35 +114,40 @@ def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) 
     return total
 
 
-def oscillatory_tail(fn, start: float, abs_tol: float, max_blocks: int = 36,
-                     rel_floor: float = 1e-5, closed_form: float = 0.0) -> float:
-    """closed_form + int_start^inf fn, fn bounded-oscillatory or decaying,
-    by doubling blocks.
+# Zero-aligned branch: scan [start, 32 start] on a fine grid for the zeros,
+# step later brackets by a quarter of the zero gap, give up after a budget.
+_DECAY_PROBE_POINTS = 17
+_ZERO_SCAN_POINTS = 2049
+_MIN_SIGN_CHANGES = 4
+_BRACKET_STEPS = 64
+_HALF_CYCLES = 4000
+_WYNN_WINDOW = 24
+# Doubling fallback: block count and the relative certification floor, which
+# is the honest level of that branch (see oscillatory_tail).
+_DOUBLING_BLOCKS = 36
+_DOUBLING_REL_FLOOR = 1e-5
 
-    closed_form is the part of the caller's tail integral it knows exactly
-    (the operators' f(x) tau^(-1-delta) term); the block partial sums start
-    from it, so the relative floor below certifies the whole value.
-    Decaying integrands terminate the plain sum once two consecutive
-    blocks fall under abs_tol (tight certification).  Bounded oscillatory
-    integrands decay too slowly for that; there the block partial sums
-    are accelerated by Wynn's epsilon algorithm and accepted once the
-    recent extrapolants agree to max(abs_tol, rel_floor * |value|).  The
-    relative floor is the honest certification level of this branch: past
-    a dozen doublings a block holds more oscillations than quad can
-    subdivide, so the block values themselves carry ~1e-5 relative noise.
-    """
+
+def _tail_block(fn, a: float, b: float, abs_tol: float) -> float:
+    """quad of one tail block; only non-finite values are refused here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, _err = quad(fn, a, b, epsabs=abs_tol * 0.1, epsrel=1e-11, limit=800)
+    if not math.isfinite(val):
+        raise QuadratureNoConvergence(f"tail block [{a:g}, {b:g}] evaluated non-finite")
+    return val
+
+
+def _doubling_tail(fn, start: float, abs_tol: float, closed_form: float) -> float:
+    """The fallback branch: blocks [a, 2a], decay stop or Wynn to the floor."""
     sums: list[float] = []
     blocks: list[float] = []
     recent: list[float] = []
     partial = closed_form
     a = start
-    for _ in range(max_blocks):
+    for _ in range(_DOUBLING_BLOCKS):
         b = 2.0 * a
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _err = quad(fn, a, b, epsabs=abs_tol * 0.1, epsrel=1e-11, limit=800)
-        if not math.isfinite(val):
-            raise QuadratureNoConvergence(f"tail block [{a:g}, {b:g}] evaluated non-finite")
+        val = _tail_block(fn, a, b, abs_tol)
         partial += val
         blocks.append(val)
         sums.append(partial)
@@ -149,11 +158,83 @@ def oscillatory_tail(fn, start: float, abs_tol: float, max_blocks: int = 36,
             recent.append(est)
             if len(recent) >= 4:
                 spread = max(recent[-4:]) - min(recent[-4:])
-                if spread < max(abs_tol, rel_floor * abs(est)):
+                if spread < max(abs_tol, _DOUBLING_REL_FLOOR * abs(est)):
                     return est
         a = b
     raise QuadratureNoConvergence(
-        f"tail integral from {start:g} did not settle within {max_blocks} doubling blocks"
+        f"tail integral from {start:g} did not settle within {_DOUBLING_BLOCKS} doubling blocks"
+    )
+
+
+def _next_zero(fn, zero: float, step: float) -> float:
+    """The first sign change of fn past zero, on a grid of the given step."""
+    lo = f_lo = None
+    for j in range(1, _BRACKET_STEPS + 1):
+        hi = zero + j * step
+        f_hi = fn(hi)
+        if not math.isfinite(f_hi):
+            raise QuadratureNoConvergence(f"tail integrand evaluated non-finite at {hi:g}")
+        if lo is not None and (f_hi > 0.0) != (f_lo > 0.0):
+            return brentq(fn, lo, hi)
+        lo, f_lo = hi, f_hi
+    raise QuadratureNoConvergence(
+        f"no sign change of the tail integrand within {_BRACKET_STEPS} steps past {zero:g}"
+    )
+
+
+def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0) -> float:
+    """closed_form + int_start^inf fn, fn oscillating about zero or decaying.
+
+    closed_form is the part of the caller's tail integral it knows exactly
+    (the operators' f(x) tau^(-1-delta) term); the partial sums start from
+    it, so the stop rule certifies the whole value.  Two branches:
+
+    * Zero-aligned (fn changes sign at least 4 times on [start, 32 start]
+      and has not decayed by 16 start): blocks run between consecutive
+      zeros of fn, found by brentq, as in QUADPACK's QAWF and Sidi's
+      mW-transformation.  The half-cycle integrals alternate, so Wynn's
+      epsilon on the last 24 partial sums converges geometrically; the
+      value is accepted once three consecutive extrapolants agree to
+      abs_tol, with no relative floor.  No bracket within 64 steps of a
+      quarter zero gap, or 4000 half-cycles without agreement, raise
+      QuadratureNoConvergence.
+    * Doubling fallback (decaying integrands, or too few sign changes):
+      blocks [a, 2a].  A decaying fn stops once two consecutive blocks
+      fall under abs_tol (tight certification).  Otherwise Wynn's epsilon
+      runs on the block partial sums and stops when four extrapolants
+      agree to max(abs_tol, 1e-5 |value|).  That relative floor is the
+      honest level of this branch: past a dozen doublings a block holds
+      more oscillations than quad can subdivide, so the block values
+      carry ~1e-5 relative noise.
+    """
+    probe = np.linspace(16.0 * start, 32.0 * start, _DECAY_PROBE_POINTS).tolist()
+    if max(abs(fn(u)) for u in probe) * 16.0 * start < abs_tol:
+        return _doubling_tail(fn, start, abs_tol, closed_form)
+    grid = np.linspace(start, 32.0 * start, _ZERO_SCAN_POINTS).tolist()
+    values = np.array([fn(u) for u in grid])
+    if not np.isfinite(values).all():
+        raise QuadratureNoConvergence(f"tail integrand evaluated non-finite in the zero scan from {start:g}")
+    positive = values > 0.0
+    changes = np.flatnonzero(positive[1:] != positive[:-1])
+    if len(changes) < _MIN_SIGN_CHANGES:
+        return _doubling_tail(fn, start, abs_tol, closed_form)
+    zeros = [brentq(fn, grid[i], grid[i + 1]) for i in changes]
+    step = 0.25 * float(np.median(np.diff(zeros)))
+
+    partial = closed_form + _tail_block(fn, start, zeros[0], abs_tol)
+    sums: list[float] = []
+    recent: list[float] = []
+    a = zeros[0]
+    for n in range(1, _HALF_CYCLES + 1):
+        b = zeros[n] if n < len(zeros) else _next_zero(fn, a, step)
+        partial += _tail_block(fn, a, b, abs_tol)
+        sums.append(partial)
+        recent.append(wynn_epsilon(sums[-_WYNN_WINDOW:]))
+        if len(recent) >= 3 and max(recent[-3:]) - min(recent[-3:]) < abs_tol:
+            return recent[-1]
+        a = b
+    raise QuadratureNoConvergence(
+        f"tail integral from {start:g} did not settle within {_HALF_CYCLES} half-cycles"
     )
 
 

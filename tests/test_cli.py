@@ -132,6 +132,20 @@ class TestValidation:
         assert "code: ValidationError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diffusion", "--times", ",", "--n", "4096", "--dx", "0.05", "--tail-window", "1,2"],
+        ["cauchy", "--times", ","],
+        ["dispersion", "--k", ""],
+        ["potentials", "--alphas", " , "],
+    ])
+    def test_empty_value_list_exits_1_without_files(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "code: ValidationError" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_readme_potentials_line_runs(self, tmp_path):
         line = next(ln for ln in README.read_text().splitlines()
                     if ln.startswith("selfsim potentials"))

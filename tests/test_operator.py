@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.special import sici
 
 from selfsim import (
     AlphaOutOfRange,
@@ -10,6 +11,7 @@ from selfsim import (
     Grid1D,
     OriginSingular,
     QuadratureConfig,
+    QuadratureNoConvergence,
     dispersion,
     flux_apply,
     frac_derivative_spectral,
@@ -19,6 +21,7 @@ from selfsim import (
     make_params,
 )
 from selfsim.operator import weyl_marchaud
+from selfsim.quadrature import oscillatory_tail
 
 from oracles import frac_kernel_sweep, gaussian_laplacian
 
@@ -51,6 +54,18 @@ class TestLaplacianPoint:
         got = laplacian_apply_point(p, lambda u: math.cos(k0 * u), x)
         assert abs(got + lam * math.cos(k0 * x)) <= 1e-4 * lam
 
+    @given(delta=BAND, k0=st.floats(1.0, 3.0, exclude_max=True), x=st.floats(-2.0, 2.0))
+    @example(delta=0.3, k0=2.0, x=0.3)
+    @example(delta=0.14, k0=2.0, x=0.0)
+    def test_plane_wave_eigenvalue_tight_on_band(self, delta, k0, x):
+        # zero-aligned tail blocks: measured worst 1.7e-8 of the eigenvalue
+        # (at delta = 1.86, where it is not the tail's), 1.0e-4 at delta = 0.14
+        # with doubling blocks
+        p = make_params(delta, 1.0, 1.0)
+        lam = float(dispersion(p, k0))
+        got = laplacian_apply_point(p, lambda u: math.cos(k0 * u), x)
+        assert abs(got + lam * math.cos(k0 * x)) <= 1e-6 * lam
+
     @given(delta=BAND, x=st.floats(-2.0, 2.0))
     @example(delta=1.0169206842019496, x=0.24868894691607402)
     @example(delta=1.1342354109418162, x=0.05361628303106425)
@@ -63,10 +78,11 @@ class TestLaplacianPoint:
         assert abs(got - gaussian_laplacian(delta, x, p.a_delta)) <= 1e-4 * scale
 
     def test_plane_wave_cost(self):
-        # f(x) is evaluated once and the tail sees no constant part; a tail
-        # that falls back to slow Wynn-accelerated convergence shows here
-        # as more calls (measured 216,643; summing the constant part in
-        # blocks takes 627,174)
+        # f(x) is evaluated once, the tail sees no constant part, and its
+        # blocks are half-cycles; a tail that falls back to doubling blocks
+        # shows here as more calls (measured 5,413, of which 4,098 scan for
+        # the zeros; doubling blocks take 216,643, and summing the constant
+        # part in them 627,174)
         x = 0.3
         calls = []
 
@@ -78,7 +94,21 @@ class TestLaplacianPoint:
         got = laplacian_apply_point(p, f, x)
         assert got == pytest.approx(-dispersion(p, 2.0) * math.cos(2.0 * x), rel=1e-4)
         assert calls.count(x) == 1
-        assert len(calls) < 627174 // 2
+        assert len(calls) <= 216643 // 10
+
+    def test_gaussian_cost(self):
+        # a decaying integrand pays only the decay probe (17 points, 34
+        # calls of f) on top of the doubling blocks' 805 calls
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return math.exp(-u * u)
+
+        p = make_params(0.5, 1.0, 1.0)
+        got = laplacian_apply_point(p, f, 0.3)
+        assert got == pytest.approx(gaussian_laplacian(0.5, 0.3, p.a_delta), rel=1e-8)
+        assert len(calls) <= 805 * 11 // 10
 
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 1.5, 1.9])
     def test_gaussian_matches_spectral(self, delta):
@@ -191,6 +221,34 @@ class TestWeylMarchaud:
         for x in (0.0, 0.4):
             got = -coef * (weyl_marchaud(delta, f, x, "left") + weyl_marchaud(delta, f, x, "right"))
             assert abs(got + lam * math.cos(1.3 * x)) <= 1e-4 * lam
+
+    @given(delta=st.floats(0.05, 0.5, exclude_min=True, exclude_max=True),
+           k0=st.floats(1.0, 3.0, exclude_max=True), x=st.floats(-2.0, 2.0))
+    @example(delta=0.3, k0=1.0, x=-1.1)
+    @example(delta=0.3, k0=2.9, x=0.4)
+    def test_recombination_tight_below_half(self, delta, k0, x):
+        # both examples were refused with doubling tail blocks; measured
+        # worst 5.5e-12 of the eigenvalue with zero-aligned blocks
+        p = make_params(delta, 1.0, 1.0)
+        coef = math.gamma(1.0 - delta) / delta
+        lam = float(dispersion(p, k0))
+        f = lambda u: math.cos(k0 * u)  # noqa: E731
+        got = -coef * (weyl_marchaud(delta, f, x, "left") + weyl_marchaud(delta, f, x, "right"))
+        assert abs(got + lam * math.cos(k0 * x)) <= 1e-6 * lam
+
+
+class TestOscillatoryTail:
+    @pytest.mark.parametrize("k0", [1.0, 2.0, 2.9])
+    def test_cosine_integral_closed_form(self, k0):
+        # int_1^inf cos(k0 u)/u du = -Ci(k0)
+        got = oscillatory_tail(lambda u: math.cos(k0 * u) / u, 1.0, 1e-12)
+        assert got == pytest.approx(-sici(k0)[1], abs=1e-12)
+
+    def test_refuses_when_the_zeros_stop(self):
+        # five sign changes in the zero scan, none past u = 5
+        fn = lambda u: math.cos(3.0 * u) if u < 5.0 else u**-2  # noqa: E731
+        with pytest.raises(QuadratureNoConvergence, match="no sign change"):
+            oscillatory_tail(fn, 1.0, 1e-10)
 
 
 class TestFlux:
