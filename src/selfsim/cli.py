@@ -13,8 +13,9 @@ and commits them into --out as one staged set.  Exit codes:
 Exits other than 0 and 3 leave no file of the run, and no exit leaves torn
 or temporary files.  Options may also come from --config (one JSON object):
 flags override its values, unknown keys are rejected, and each value is
-checked like its flag.  Identical options give byte-identical files; wall
-time goes to stderr only.
+checked like its flag.  Identical options give byte-identical files; the
+time of each stage (compute: parse and handler, commit: writing the files)
+and the wall time go to stderr only.
 """
 
 from __future__ import annotations
@@ -351,11 +352,14 @@ def main(argv=None) -> int:
     try:
         spec = _spec(_build_parser().parse_args(argv))
         env = _HANDLERS[spec.command](spec)
+        computed = time.monotonic()
         commit(env, spec.out)
     except (ValidationError, NumericError, IoError) as exc:
         print(f"error: {{code: {type(exc).__name__}, message: {exc}}}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2 if isinstance(exc, NumericError) else 4
-    print(f"wall_time_s: {time.monotonic() - started:.3f}", file=sys.stderr)
+    done = time.monotonic()
+    print(f"stage_s: compute={computed - started:.3f} commit={done - computed:.3f}", file=sys.stderr)
+    print(f"wall_time_s: {done - started:.3f}", file=sys.stderr)
     return 3 if env.results.get("n_fail") else 0
 
 

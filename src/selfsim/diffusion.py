@@ -80,16 +80,13 @@ class SampleBatch:
             raise ValidationError("samples contain non-finite values")
 
     def to_csv(self, path) -> None:
-        """One column ``x``; the metadata line records delta/scale/seed.
+        """One column ``x``; the metadata line before the header records
+        delta/scale/seed.  Written by ``write_csv_atomic`` like every other
+        table."""
+        from .io import write_csv_atomic
 
-        Written atomically like every other output file.
-        """
-        from .io import atomic_write_text
-
-        lines = [f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}"]
-        lines.append("x")
-        lines.extend(map(repr, self.samples.tolist()))
-        atomic_write_text(str(path), "\n".join(lines) + "\n")
+        write_csv_atomic(str(path), ["x"], np.asarray(self.samples, dtype=np.float64).reshape(-1, 1),
+                         preamble=f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}")
 
 
 def propagator(params: MediumParams, grid: Grid1D, t: float) -> RealField:

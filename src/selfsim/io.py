@@ -8,8 +8,13 @@ wall time) enters the files.
 
 CSV tables arrive either as a 2-D float array (the grid-sized tables) or
 as a sequence of row tuples (the small ones).  Both are formatted a block
-of rows at a time, column by column, so a 2^20-row table never exists as
-2^20 row tuples; either form gives the same bytes for the same values.
+of rows at a time, column by column, and each block is streamed into the
+temp file as it is formatted, so a 2^20-row table never exists as 2^20
+row tuples or as one string; either form gives the same bytes for the
+same values.  A float array of more than one block is split into
+contiguous row ranges, one per available core: forked workers format the
+later ranges into part files beside the target while this process
+formats the first, and the parts are then appended in order.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,28 +88,32 @@ class ResultEnvelope:
         }
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text via a temp file in the target directory plus rename; the
-    file gets the mode open(path, "w") would give it, not the temp's 0600."""
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(fh)`` on a binary temp file in the target directory,
+    then rename it over ``path``; the file gets the mode open(path, "w")
+    would give it, not the temp's 0600.  OS errors become ``IoError``."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
             umask = os.umask(0)  # reading the umask means setting it; put it back
             os.umask(umask)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 os.fchmod(fd, 0o666 & ~umask)
-                fh.write(text)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
     except OSError as exc:
         raise IoError(f"failed to write {path}: {exc}") from exc
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text (UTF-8, newlines as given) atomically."""
+    _atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _format_cell(value) -> str:
@@ -125,24 +136,113 @@ def _csv_block(block, width: int, path: str) -> str:
     return "\n".join(map(",".join, zip(*columns)))
 
 
-def write_csv_atomic(path: str, header: list[str], rows) -> None:
+def _write_rows(fh, rows, lo: int, hi: int, width: int, path: str) -> None:
+    """Rows lo..hi-1 as CSV lines, streamed into fh a block at a time."""
+    for start in range(lo, hi, _CSV_BLOCK_ROWS):
+        block = rows[start:min(start + _CSV_BLOCK_ROWS, hi)]
+        fh.write((_csv_block(block, width, path) + "\n").encode("utf-8"))
+
+
+def _row_ranges(rows) -> list[tuple[int, int]]:
+    """Contiguous, block-aligned row ranges, one per worker: one per core
+    for a float array, at most one per block, and one where the platform
+    cannot fork or the rows are tuples."""
+    n_blocks = -(-len(rows) // _CSV_BLOCK_ROWS)
+    workers = 1
+    if isinstance(rows, np.ndarray) and hasattr(os, "fork"):
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cores = os.cpu_count() or 1
+        workers = max(1, min(cores, n_blocks))
+    bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [len(rows)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fork() -> int:
+    # Python >= 3.12 warns when a process with threads forks, since the
+    # child could inherit a lock that another thread held.  The child here
+    # only formats floats into its part file: it runs no BLAS, takes no
+    # lock another thread could hold, and leaves through os._exit.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=DeprecationWarning,
+                                message=r"This process .* is multi-threaded, use of fork\(\)")
+        return os.fork()
+
+
+def _format_part(fd: int, rows, lo: int, hi: int, width: int, path: str):
+    """In a forked child: write rows lo..hi-1 to fd, then exit with 0, or
+    with 1 on any failure.  os._exit flushes no buffer inherited from the
+    parent and runs none of its cleanup."""
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            _write_rows(fh, rows, lo, hi, width, path)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_ranges(fh, rows, width: int, path: str) -> None:
+    """All rows into fh: the first range here while forked children write
+    the others into part files, which are then appended in row order.  On
+    every exit no child is left running or unreaped and no part is left."""
+    (lo, hi), *others = _row_ranges(rows)
+    directory = os.path.dirname(os.path.abspath(path))
+    children = []  # [pid or None once reaped, part file, first row, end row]
+    try:
+        for part_lo, part_hi in others:
+            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
+            child = [None, part, part_lo, part_hi]
+            children.append(child)
+            try:
+                child[0] = _fork()
+                if child[0] == 0:
+                    _format_part(fd, rows, part_lo, part_hi, width, path)
+            finally:
+                os.close(fd)
+        _write_rows(fh, rows, lo, hi, width, path)
+        for child in children:
+            pid, part, part_lo, part_hi = child
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            if status != 0:
+                raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} failed "
+                              f"in a worker (exit status {os.waitstatus_to_exitcode(status)})")
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh, 1 << 20)
+    finally:
+        for pid, part, _, _ in children:
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            with contextlib.suppress(OSError):
+                os.unlink(part)
+
+
+def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = None) -> None:
     """CSV with LF endings and full round-trip float precision.
 
     ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))`` or
     a sequence of row tuples; ``len(rows)`` is the number of rows.  Rows
     are formatted a block at a time, column by column, and both forms give
-    the same bytes for the same values.  A row whose width differs from
-    the header's raises ``IoError`` before anything is written.
+    the same bytes for the same values.  ``preamble``, if given, is one
+    line written before the header.  A table whose width differs from the
+    header's raises ``IoError`` and leaves no file.
     """
     if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != len(header)):
         raise IoError(f"table shape {rows.shape} does not match header width {len(header)} in {path}")
-    chunks = [",".join(header)]
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        chunks.append(_csv_block(rows[start:start + _CSV_BLOCK_ROWS], len(header), path))
-    chunks.append("")
-    text = "\n".join(chunks)
-    del chunks  # free the block strings before the write encodes the text
-    atomic_write_text(path, text)
+
+    head = ",".join(header) + "\n"
+    if preamble is not None:
+        head = preamble + "\n" + head
+
+    def write(fh):
+        fh.write(head.encode("utf-8"))
+        _write_ranges(fh, rows, len(header), path)
+
+    _atomic_write(path, write)
 
 
 def _json_default(value):

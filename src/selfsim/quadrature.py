@@ -122,6 +122,9 @@ _MIN_SIGN_CHANGES = 4
 _BRACKET_STEPS = 64
 _HALF_CYCLES = 4000
 _WYNN_WINDOW = 24
+# the last half-cycle of the window must be smaller than its first by this
+# relative margin, far above the rounding of equal half-cycles
+_MIN_SHRINK = 1e-9
 # Doubling fallback: block count and the relative certification floor, which
 # is the honest level of that branch (see oscillatory_tail).
 _DOUBLING_BLOCKS = 36
@@ -195,9 +198,11 @@ def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0)
       mW-transformation.  The half-cycle integrals alternate, so Wynn's
       epsilon on the last 24 partial sums converges geometrically; the
       value is accepted once three consecutive extrapolants agree to
-      abs_tol, with no relative floor.  No bracket within 64 steps of a
-      quarter zero gap, or 4000 half-cycles without agreement, raise
-      QuadratureNoConvergence.
+      abs_tol, with no relative floor.  Wynn also sums divergent
+      alternating series, so agreement while the last half-cycle of the
+      window is no smaller than its first raises QuadratureNoConvergence,
+      as do no bracket within 64 steps of a quarter zero gap, or 4000
+      half-cycles without agreement.
     * Doubling fallback (decaying integrands, or too few sign changes):
       blocks [a, 2a].  A decaying fn stops once two consecutive blocks
       fall under abs_tol (tight certification).  Otherwise Wynn's epsilon
@@ -223,14 +228,23 @@ def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0)
 
     partial = closed_form + _tail_block(fn, start, zeros[0], abs_tol)
     sums: list[float] = []
+    sizes: list[float] = []
     recent: list[float] = []
     a = zeros[0]
     for n in range(1, _HALF_CYCLES + 1):
         b = zeros[n] if n < len(zeros) else _next_zero(fn, a, step)
-        partial += _tail_block(fn, a, b, abs_tol)
+        block = _tail_block(fn, a, b, abs_tol)
+        partial += block
         sums.append(partial)
+        sizes.append(abs(block))
         recent.append(wynn_epsilon(sums[-_WYNN_WINDOW:]))
         if len(recent) >= 3 and max(recent[-3:]) - min(recent[-3:]) < abs_tol:
+            window = sizes[-_WYNN_WINDOW:]
+            if window[-1] >= window[0] * (1.0 - _MIN_SHRINK):
+                # the extrapolants agree on the Abel value of a divergent sum
+                raise QuadratureNoConvergence(
+                    f"tail half-cycles from {start:g} do not shrink: the integral diverges"
+                )
             return recent[-1]
         a = b
     raise QuadratureNoConvergence(

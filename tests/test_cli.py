@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
 import shlex
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,14 @@ class TestDispersionCommand:
         assert "config_sha256" in env
         assert env["tables"] == ["dispersion.csv"]
         assert "out" not in env["config"]
+
+    def test_stage_times_on_stderr_only(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["dispersion", "--k", "1", "--out", str(out)]) == 0
+        stage, wall = capsys.readouterr().err.splitlines()[-2:]
+        assert re.fullmatch(r"stage_s: compute=\d+\.\d{3} commit=\d+\.\d{3}", stage)
+        assert re.fullmatch(r"wall_time_s: \d+\.\d{3}", wall)
+        assert not any(b"_s:" in _read(out / name) for name in os.listdir(out))
 
 
 class TestValidation:
@@ -202,6 +213,15 @@ class TestUnwritableOutput:
         assert "failed to commit" not in err  # the writer's error is not wrapped twice
         assert os.listdir(out) == []
 
+    def test_failed_csv_worker_leaves_nothing(self, monkeypatch, tmp_path, capsys):
+        _set_cores(monkeypatch, 2)
+        _fail_block(monkeypatch, RuntimeError, in_workers=True)
+        out = tmp_path / "o"
+        self._check_exit_4(capsys, ["diffusion", "--times", "1", "--n", str(2 * _BLOCK),
+                                    "--dx", "0.05", "--out", str(out)])
+        assert os.listdir(out) == []
+        _assert_no_children()
+
 
 class TestCommittedFiles:
     @pytest.mark.parametrize("argv", [
@@ -237,6 +257,29 @@ class TestDeterminism:
                          "--n", "4096", "--dx", "0.05", "--out", str(out)])
             assert code == 0
             blobs.append({f: _read(out / f) for f in sorted(os.listdir(out))})
+        assert blobs[0] == blobs[1]
+
+    def test_readme_diffusion_forks_without_warnings(self, monkeypatch, tmp_path):
+        # a fresh interpreter with two cores and DeprecationWarning as an
+        # error (Python >= 3.12 warns on fork in a threaded process) gives
+        # the files of a one-core run in this process
+        line = next(ln for ln in README.read_text().splitlines()
+                    if ln.startswith("selfsim diffusion --delta 1 "))
+        argv = shlex.split(line)[1:]
+        src = Path(io.__file__).resolve().parents[1]
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from selfsim.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv[argv.index("--out") + 1] = str(tmp_path / "forked")
+        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code, *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        _set_cores(monkeypatch, 1)
+        argv[argv.index("--out") + 1] = str(tmp_path / "here")
+        assert main(argv) == 0
+        blobs = [{f: _read(tmp_path / d / f) for f in sorted(os.listdir(tmp_path / d))}
+                 for d in ("forked", "here")]
         assert blobs[0] == blobs[1]
 
 
@@ -344,22 +387,65 @@ _SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf,
 _BLOCK = io._CSV_BLOCK_ROWS
 
 
+def _set_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fail_block(monkeypatch, exc, in_workers):
+    """Make _csv_block raise exc("forced") in the forked workers only, or
+    in this process only."""
+    here = os.getpid()
+    real = io._csv_block
+
+    def block(*args):
+        if (os.getpid() != here) == in_workers:
+            raise exc("forced")
+        return real(*args)
+
+    monkeypatch.setattr(io, "_csv_block", block)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestIoHelpers:
-    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
-    def test_array_and_rows_match_rowwise_reference(self, tmp_path, n_rows):
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        2 * _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_array_and_rows_match_rowwise_reference(self, monkeypatch, tmp_path, n_rows):
         header = ["a", "b", "c"]
         table = np.resize(np.array(_SPECIAL_FLOATS), 3 * n_rows).reshape(n_rows, 3)
         want = _rowwise_csv(header, table.tolist())
-        inputs = {
-            "array": table,
-            "numpy_rows": list(zip(*table.T)),
-            "float_rows": [tuple(row) for row in table.tolist()],
-        }
-        for name, rows in inputs.items():
-            path = tmp_path / f"{name}.csv"
-            write_csv_atomic(str(path), header, rows)
-            # compared as lines: pytest reports the first differing row cheaply
-            assert _read(path).decode().split("\n") == want.split("\n"), name
+        real_fork = os.fork
+        for cores in (1, 3):
+            _set_cores(monkeypatch, cores)
+            forks = []
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            inputs = {"array": table}
+            if cores == 1:  # row tuples take one worker whatever the core count
+                inputs["numpy_rows"] = list(zip(*table.T))
+                inputs["float_rows"] = [tuple(row) for row in table.tolist()]
+            for name, rows in inputs.items():
+                path = tmp_path / f"{name}_{cores}.csv"
+                write_csv_atomic(str(path), header, rows)
+                # compared as lines: pytest reports the first differing row cheaply
+                assert _read(path).decode().split("\n") == want.split("\n"), (name, cores)
+            # one worker per core and block
+            assert len(forks) == max(0, min(cores, -(-n_rows // _BLOCK)) - 1)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("exc, in_workers, raised", [
+        (RuntimeError, True, IoError),  # a worker exits 1
+        (KeyboardInterrupt, False, KeyboardInterrupt),  # while the workers run
+    ], ids=["worker_fails", "interrupt_here"])
+    def test_failed_range_leaves_no_file_or_child(self, monkeypatch, tmp_path, exc, in_workers, raised):
+        _set_cores(monkeypatch, 3)
+        _fail_block(monkeypatch, exc, in_workers)
+        with pytest.raises(raised):
+            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], np.zeros((3 * _BLOCK, 2)))
+        assert os.listdir(tmp_path) == []  # no .part-* or .tmp-* file
+        _assert_no_children()
 
     def test_mixed_float_and_str_rows(self, tmp_path):
         header = ["case", "status", "value", "count"]

@@ -250,6 +250,14 @@ class TestOscillatoryTail:
         with pytest.raises(QuadratureNoConvergence, match="no sign change"):
             oscillatory_tail(fn, 1.0, 1e-10)
 
+    @pytest.mark.parametrize("fn", [lambda u: math.cos(3.0 * u), lambda u: u * math.cos(3.0 * u)],
+                             ids=["cos", "u_cos"])
+    def test_refuses_divergent_integrals(self, fn):
+        # Wynn's epsilon sums the non-shrinking half-cycles to a finite
+        # (Abel) value, -0.04704 and 0.06296; the integrals diverge
+        with pytest.raises(QuadratureNoConvergence, match="do not shrink"):
+            oscillatory_tail(fn, 1.0, 1e-10)
+
 
 class TestFlux:
     def test_symmetric_density_gives_antisymmetric_flux(self, params_half, gaussian_field):
