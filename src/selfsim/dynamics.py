@@ -17,7 +17,9 @@ three evaluations:
 * one real-FFT synthesis of the symbol times the Richardson combination
   sum_j c_j e^{-eps_j |k|} of a geometric eps-ladder, i.e. the damped
   transform extrapolated to eps -> 0+ on the symbol side (the symbols
-  decay too slowly for a raw truncated transform to be trustworthy),
+  decay too slowly for a raw truncated transform to be trustworthy); the
+  weighted damping depends on the grid alone and is kept, read-only, for
+  the last grid used (one entry, 4 MB at 2^20 points),
 * a certified pointwise quadrature of the Fourier integral along a rotated
   contour, used as the high-accuracy cross-check.
 
@@ -90,10 +92,17 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     nz = w > 0.0
     sw_over[nz] = sw[nz] / w[nz]
     sw_over[~nz] = t
-    uh2 = cw * uh + sw_over * vh
-    vh2 = -w * sw * uh + cw * vh
+    # the rotated spectra are built in place, and the rotation and the input
+    # spectra are released before the inverse transforms, which set the peak
+    uh2 = cw * uh
+    uh2 += sw_over * vh
+    vh2 = -w * sw * uh
+    vh2 += cw * vh
+    del w, cw, sw, sw_over, uh, vh
+    u = np.fft.irfft(uh2, n=g.n)
+    del uh2
     return CauchyState(
-        u=RealField(g, np.fft.irfft(uh2, n=g.n)),
+        u=RealField(g, u),
         v=RealField(g, np.fft.irfft(vh2, n=g.n)),
         t=state.t + t,
     )
@@ -109,6 +118,32 @@ def energy(params: MediumParams, state: CauchyState) -> float:
 
 # --------------------------------------------------------------- FFT kernels
 
+# (n, dx) -> sum_j c_j exp(-eps_j k) on grid.k_half, read-only; one grid at a time
+_ladder_cache: dict = {}
+
+
+def _ladder_damping(grid: Grid1D, k: np.ndarray) -> np.ndarray:
+    """Richardson-weighted damping of the eps-ladder on k = grid.k_half, cached.
+
+    It depends on (n, dx) alone, so repeated syntheses on one grid reuse it;
+    the cache holds one entry (4 MB at 2^20 points) and is replaced when
+    the grid changes.
+    """
+    key = (grid.n, grid.dx)
+    damping = _ladder_cache.get(key)
+    if damping is None:
+        eps_min = 20.0 / (math.pi / grid.dx)
+        eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
+        damping = np.zeros_like(k)
+        for e_j in eps_list:
+            c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
+            damping += c_j * np.exp(-e_j * k)
+        damping.flags.writeable = False
+        _ladder_cache.clear()
+        _ladder_cache[key] = damping
+    return damping
+
+
 def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
     """Kernel of a slowly decaying even symbol(k), regularized and taken to eps -> 0+.
 
@@ -117,16 +152,12 @@ def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
     eps = 0 before a single synthesis: since synthesis is linear, this is
     the pointwise Neville extrapolation of the damped kernels, done once on
     the symbol.  The smallest eps still suppresses the Nyquist symbol:
-    eps_min * k_max = 20.
+    eps_min * k_max = 20.  The weighted damping is computed once per grid.
     """
-    eps_min = 20.0 / (math.pi / grid.dx)
-    eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
     k = grid.k_half
-    damping = np.zeros_like(k)
-    for e_j in eps_list:
-        c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
-        damping += c_j * np.exp(-e_j * k)
-    return sample_kernel(grid, symbol(k) * damping)
+    spec = symbol(k)
+    spec *= _ladder_damping(grid, k)
+    return sample_kernel(grid, spec)
 
 
 def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:

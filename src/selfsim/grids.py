@@ -13,7 +13,9 @@ on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2
   from the samples of an even symbol.
 
 Centered grids (x_min = -(n//2) dx) make the kernel phase factor the real
-sequence (-1)^j.
+sequence (-1)^j: sample_kernel negates the odd entries of one working copy
+of the symbol in place, and a complex symbol with an all-zero imaginary
+part costs one inverse transform, not two.
 """
 
 from __future__ import annotations
@@ -149,14 +151,25 @@ def apply_symbol(f: RealField, symbol_half: np.ndarray) -> RealField:
     return RealField(g, np.fft.irfft(np.fft.rfft(f.values) * symbol_half, n=g.n))
 
 
+def _shifted_irfft(grid: Grid1D, part: np.ndarray) -> np.ndarray:
+    """irfft of (-1)^j part_j, divided by dx; the caller's array is not written."""
+    spec = np.array(part, dtype=float)
+    spec[1::2] *= -1.0
+    out = np.fft.irfft(spec, n=grid.n)
+    out /= grid.dx
+    return out
+
+
 def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
     """Sample (1/2pi) int S(k) e^{ikx} dk on the grid from S(k_j), j >= 0.
 
     ``symbol_half`` holds the rfft-layout samples of an even symbol
     (S(-k) = S(k)); real symbols give real kernels, complex ones give
-    complex kernels (real and imaginary parts transformed separately).
-    Requires a centered grid so the shift phase is the real sequence
-    (-1)^j.
+    complex kernels (real and imaginary parts transformed separately; a
+    complex symbol whose imaginary part is all zero takes one transform
+    and returns an imaginary part of +0.0).  Requires a centered grid so
+    the shift phase is the real sequence (-1)^j, applied by negating the
+    odd entries of a working copy.
     """
     if not grid.is_centered:
         raise ValidationError("kernel synthesis requires a centered grid")
@@ -164,9 +177,9 @@ def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
         # the (-1)^j shift phase below is exact only for even point counts
         raise ValidationError("kernel synthesis requires an even point count")
     symbol_half = _check_symbol_half(grid, symbol_half)
-    signs = np.where(np.arange(symbol_half.size) % 2 == 0, 1.0, -1.0)
-    if np.iscomplexobj(symbol_half):
-        re = np.fft.irfft(symbol_half.real * signs, n=grid.n) / grid.dx
-        im = np.fft.irfft(symbol_half.imag * signs, n=grid.n) / grid.dx
-        return re + 1j * im
-    return np.fft.irfft(symbol_half * signs, n=grid.n) / grid.dx
+    if not np.iscomplexobj(symbol_half):
+        return _shifted_irfft(grid, symbol_half)
+    re = _shifted_irfft(grid, symbol_half.real)
+    if not symbol_half.imag.any():
+        return re + 0j
+    return re + 1j * _shifted_irfft(grid, symbol_half.imag)

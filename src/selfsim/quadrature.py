@@ -115,9 +115,15 @@ def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) 
 
 
 # Zero-aligned branch: scan [start, 32 start] on a fine grid for the zeros,
+# widening the scan 32-fold at a time while fewer than 4 sign changes show;
 # step later brackets by a quarter of the zero gap, give up after a budget.
+# Fewer than 4 sign changes over a span S put the zero gap above about S/4,
+# so 512 new points over the next 31 S still sample each gap about 4 times.
 _DECAY_PROBE_POINTS = 17
 _ZERO_SCAN_POINTS = 2049
+_WIDENED_SCAN_POINTS = 513
+_SCAN_WIDTH = 32.0
+_SCAN_LEVELS = 3
 _MIN_SIGN_CHANGES = 4
 _BRACKET_STEPS = 64
 _HALF_CYCLES = 4000
@@ -125,6 +131,11 @@ _WYNN_WINDOW = 24
 # the last half-cycle of the window must be smaller than its first by this
 # relative margin, far above the rounding of equal half-cycles
 _MIN_SHRINK = 1e-9
+# the half-cycle sizes must fall towards zero: a floor they level off at
+# above this share of the last size marks a divergent integral (measured on
+# the window at agreement: 0.02-0.09 for pure power laws, 0.42 for
+# u^-1/2 (1 + 10/u), 0.81-0.94 for cos(3u)(1 + u^-q), q = 1/2 and 1)
+_MAX_FLOOR_SHARE = 0.5
 # Doubling fallback: block count and the relative certification floor, which
 # is the honest level of that branch (see oscillatory_tail).
 _DOUBLING_BLOCKS = 36
@@ -185,6 +196,53 @@ def _next_zero(fn, zero: float, step: float) -> float:
     )
 
 
+def _scan_zeros(fn, start: float, abs_tol: float):
+    """Zeros of fn past start for the zero-aligned branch, or None.
+
+    The scan covers [start, 32 start] with 2049 points, then widens 32-fold
+    (512 more points each time, at most twice) while it holds fewer than 4
+    sign changes, so slow oscillations still get their zeros.  None means
+    take the doubling branch: fn has decayed over the last half of the
+    scanned span (the 17-point probe), or the widest scan still shows too
+    few sign changes.
+    """
+    grid: list[float] = []
+    values: list[float] = []
+    lo = start
+    for level in range(_SCAN_LEVELS):
+        hi = _SCAN_WIDTH * lo
+        probe = np.linspace(0.5 * hi, hi, _DECAY_PROBE_POINTS).tolist()
+        if max(abs(fn(u)) for u in probe) * 0.5 * hi < abs_tol:
+            return None
+        points = (np.linspace(lo, hi, _WIDENED_SCAN_POINTS).tolist()[1:] if level
+                  else np.linspace(lo, hi, _ZERO_SCAN_POINTS).tolist())
+        grid += points
+        values += [fn(u) for u in points]
+        if not all(math.isfinite(v) for v in values[-len(points):]):
+            raise QuadratureNoConvergence(f"tail integrand evaluated non-finite in the zero scan from {start:g}")
+        positive = np.array(values) > 0.0
+        changes = np.flatnonzero(positive[1:] != positive[:-1])
+        if len(changes) >= _MIN_SIGN_CHANGES:
+            return [brentq(fn, grid[i], grid[i + 1]) for i in changes]
+        lo = hi
+    return None
+
+
+def _size_floor(u, sizes) -> float:
+    """Level that the half-cycle sizes approach, from a fit s = A + B u^-q.
+
+    Three sizes at geometrically spaced u (the middle one interpolated in
+    log-log) fix A by Aitken's delta-squared: a power law gives A = 0.
+    """
+    u_mid = math.sqrt(u[0] * u[-1])
+    s_mid = math.exp(np.interp(math.log(u_mid), np.log(u), np.log(sizes)))
+    d1 = sizes[0] - s_mid
+    d2 = s_mid - sizes[-1]
+    if d1 - d2 <= 0.0:
+        return 0.0
+    return sizes[-1] - d2 * d2 / (d1 - d2)
+
+
 def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0) -> float:
     """closed_form + int_start^inf fn, fn oscillating about zero or decaying.
 
@@ -192,43 +250,41 @@ def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0)
     (the operators' f(x) tau^(-1-delta) term); the partial sums start from
     it, so the stop rule certifies the whole value.  Two branches:
 
-    * Zero-aligned (fn changes sign at least 4 times on [start, 32 start]
-      and has not decayed by 16 start): blocks run between consecutive
+    * Zero-aligned (fn changes sign at least 4 times on [start, 32 start],
+      or on a scan widened 32-fold once or twice, and has not decayed over
+      the last half of that span): blocks run between consecutive
       zeros of fn, found by brentq, as in QUADPACK's QAWF and Sidi's
       mW-transformation.  The half-cycle integrals alternate, so Wynn's
       epsilon on the last 24 partial sums converges geometrically; the
       value is accepted once three consecutive extrapolants agree to
       abs_tol, with no relative floor.  Wynn also sums divergent
-      alternating series, so agreement while the last half-cycle of the
-      window is no smaller than its first raises QuadratureNoConvergence,
-      as do no bracket within 64 steps of a quarter zero gap, or 4000
+      alternating series, so agreement raises QuadratureNoConvergence
+      while the last half-cycle of the window is no smaller than its first,
+      or while the window's sizes level off: a fit A + B u^-q through three
+      of them puts the floor A above half the last size.  One window cannot
+      tell a floor from a slow approach to a power law, so a convergent
+      tail still far from its power law at agreement (cos(3u) u^-0.2
+      (1 + 3/u) or cos(3u)/log(1 + u) from u = 1) is refused too.  So
+      are no bracket within 64 steps of a quarter zero gap, and 4000
       half-cycles without agreement.
-    * Doubling fallback (decaying integrands, or too few sign changes):
-      blocks [a, 2a].  A decaying fn stops once two consecutive blocks
-      fall under abs_tol (tight certification).  Otherwise Wynn's epsilon
-      runs on the block partial sums and stops when four extrapolants
-      agree to max(abs_tol, 1e-5 |value|).  That relative floor is the
-      honest level of this branch: past a dozen doublings a block holds
-      more oscillations than quad can subdivide, so the block values
-      carry ~1e-5 relative noise.
+    * Doubling fallback (decaying integrands, or too few sign changes on
+      the widest scan): blocks [a, 2a].  A decaying fn stops once two
+      consecutive blocks fall under abs_tol (tight certification).
+      Otherwise Wynn's epsilon runs on the block partial sums and stops
+      when four extrapolants agree to max(abs_tol, 1e-5 |value|).  That
+      relative floor is the honest level of this branch: past a dozen
+      doublings a block holds more oscillations than quad can subdivide,
+      so the block values carry ~1e-5 relative noise.
     """
-    probe = np.linspace(16.0 * start, 32.0 * start, _DECAY_PROBE_POINTS).tolist()
-    if max(abs(fn(u)) for u in probe) * 16.0 * start < abs_tol:
+    zeros = _scan_zeros(fn, start, abs_tol)
+    if zeros is None:
         return _doubling_tail(fn, start, abs_tol, closed_form)
-    grid = np.linspace(start, 32.0 * start, _ZERO_SCAN_POINTS).tolist()
-    values = np.array([fn(u) for u in grid])
-    if not np.isfinite(values).all():
-        raise QuadratureNoConvergence(f"tail integrand evaluated non-finite in the zero scan from {start:g}")
-    positive = values > 0.0
-    changes = np.flatnonzero(positive[1:] != positive[:-1])
-    if len(changes) < _MIN_SIGN_CHANGES:
-        return _doubling_tail(fn, start, abs_tol, closed_form)
-    zeros = [brentq(fn, grid[i], grid[i + 1]) for i in changes]
     step = 0.25 * float(np.median(np.diff(zeros)))
 
     partial = closed_form + _tail_block(fn, start, zeros[0], abs_tol)
     sums: list[float] = []
     sizes: list[float] = []
+    mids: list[float] = []
     recent: list[float] = []
     a = zeros[0]
     for n in range(1, _HALF_CYCLES + 1):
@@ -237,13 +293,15 @@ def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0)
         partial += block
         sums.append(partial)
         sizes.append(abs(block))
+        mids.append(0.5 * (a + b))
         recent.append(wynn_epsilon(sums[-_WYNN_WINDOW:]))
         if len(recent) >= 3 and max(recent[-3:]) - min(recent[-3:]) < abs_tol:
             window = sizes[-_WYNN_WINDOW:]
-            if window[-1] >= window[0] * (1.0 - _MIN_SHRINK):
+            if (window[-1] >= window[0] * (1.0 - _MIN_SHRINK)
+                    or _size_floor(mids[-len(window):], window) > _MAX_FLOOR_SHARE * window[-1]):
                 # the extrapolants agree on the Abel value of a divergent sum
                 raise QuadratureNoConvergence(
-                    f"tail half-cycles from {start:g} do not shrink: the integral diverges"
+                    f"tail half-cycles from {start:g} do not shrink to zero: the integral diverges"
                 )
             return recent[-1]
         a = b

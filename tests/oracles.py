@@ -6,7 +6,10 @@ integral only exists as a limit), deliberately bypassing the library's
 closed forms and engines so the two routes stay independent.  The grid
 oracle extrapolates sampled kernels in x space, the route the library's
 symbol-side eps-ladder replaces.  The Gaussian's Laplacian is a closed
-form that no library route uses.
+form that no library route uses.  The reference synthesis and Cauchy
+rotation are the straightforward forms of the library's kernel synthesis
+(a (-1)^j sign array, one transform per symbol part, a fresh damping per
+call) that its leaner versions must match bit for bit.
 """
 
 import math
@@ -92,6 +95,12 @@ def lorentzian_cdf(x, scale: float):
     return 0.5 + np.arctan(np.asarray(x) / scale) / np.pi
 
 
+def _ladder_eps(grid):
+    """The library's eps-ladder: floor 20/k_max, ratio 2, largest first."""
+    eps_min = 20.0 / (math.pi / grid.dx)
+    return [eps_min * 2.0**j for j in range(4, -1, -1)]
+
+
 def kernel_ladder_xspace(grid, symbol_half):
     """eps -> 0+ kernel of an even symbol, extrapolated in x space.
 
@@ -102,10 +111,63 @@ def kernel_ladder_xspace(grid, symbol_half):
     from selfsim.grids import sample_kernel
     from selfsim.quadrature import neville_at_zero
 
-    eps_min = 20.0 / (math.pi / grid.dx)
-    eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
+    eps_list = _ladder_eps(grid)
     fields = [sample_kernel(grid, symbol_half * np.exp(-e * grid.k_half)) for e in eps_list]
     out = neville_at_zero(eps_list, [f.real for f in fields])
     if np.iscomplexobj(symbol_half):
         out = out + 1j * neville_at_zero(eps_list, [f.imag for f in fields])
     return out
+
+
+def sample_kernel_reference(grid, symbol_half):
+    """sample_kernel by a (-1)^j sign array, two transforms for every complex
+    symbol, and division by dx into a new array."""
+    signs = np.where(np.arange(symbol_half.size) % 2 == 0, 1.0, -1.0)
+    if np.iscomplexobj(symbol_half):
+        re = np.fft.irfft(symbol_half.real * signs, n=grid.n) / grid.dx
+        im = np.fft.irfft(symbol_half.imag * signs, n=grid.n) / grid.dx
+        return re + 1j * im
+    return np.fft.irfft(symbol_half * signs, n=grid.n) / grid.dx
+
+
+def kernel_ladder_reference(grid, symbol):
+    """The library's eps-ladder synthesis with the damping built afresh."""
+    eps_list = _ladder_eps(grid)
+    k = grid.k_half
+    damping = np.zeros_like(k)
+    for e_j in eps_list:
+        c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
+        damping += c_j * np.exp(-e_j * k)
+    return sample_kernel_reference(grid, symbol(k) * damping)
+
+
+def wave_symbol_reference(params, k, t, kind):
+    """sin(omega t)/omega ("Q", limit t at k = 0) or cos(omega t) ("dQ")."""
+    from selfsim import dispersion
+
+    w = np.sqrt(dispersion(params, k))
+    if kind == "dQ":
+        return np.cos(w * t)
+    out = np.empty_like(k)
+    nz = w > 0.0
+    out[nz] = np.sin(w[nz] * t) / w[nz]
+    out[~nz] = t
+    return out
+
+
+def cauchy_evolve_reference(params, u, v, grid, t):
+    """(u, v) rotated by time t, each spectrum in one expression."""
+    from selfsim import dispersion
+
+    w = np.sqrt(dispersion(params, grid.k_half))
+    uh = np.fft.rfft(u)
+    vh = np.fft.rfft(v)
+    cw = np.cos(w * t)
+    sw = np.sin(w * t)
+    sw_over = np.empty_like(w)
+    nz = w > 0.0
+    sw_over[nz] = sw[nz] / w[nz]
+    sw_over[~nz] = t
+    uh2 = cw * uh + sw_over * vh
+    vh2 = -w * sw * uh + cw * vh
+    return np.fft.irfft(uh2, n=grid.n), np.fft.irfft(vh2, n=grid.n)

@@ -26,10 +26,18 @@ from selfsim import (
     wave_kernel_spectral,
     wave_series_terms,
 )
+from selfsim import dynamics
+from selfsim.diffusion import propagator
 from selfsim.errors import OriginSingular
 from selfsim.quadrature import neville_at_zero
 
-from oracles import kernel_ladder_xspace
+from oracles import (
+    cauchy_evolve_reference,
+    kernel_ladder_reference,
+    kernel_ladder_xspace,
+    sample_kernel_reference,
+    wave_symbol_reference,
+)
 
 # exponents drawn across the band 0 < delta < 2, clear of its endpoints
 BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
@@ -170,6 +178,53 @@ class TestSpectralKernels:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+class TestSynthesisBitIdentity:
+    """The cached ladder damping, in-place shift phase, single transform for
+    real symbols and in-place Cauchy rotation change no bit of the output."""
+
+    @given(delta=BAND, n=st.sampled_from([1 << 12, 1 << 13]), t=st.floats(0.1, 2.0))
+    @example(delta=0.5, n=1 << 12, t=1.0)
+    def test_matches_reference_on_band(self, delta, n, t):
+        p = make_params(delta, 1.0, 1.0)
+        grid = Grid1D.centered(n, 0.05)
+        k = grid.k_half
+        cases = [
+            (propagator(p, grid, t).values,
+             sample_kernel_reference(grid, np.exp(-dispersion(p, k) * t))),
+            (wave_kernel_spectral(p, grid, t).values,
+             kernel_ladder_reference(grid, lambda k: wave_symbol_reference(p, k, t, "Q"))),
+            (wave_kernel_dt_spectral(p, grid, t).values,
+             kernel_ladder_reference(grid, lambda k: wave_symbol_reference(p, k, t, "dQ"))),
+        ]
+        for omega in (0.0, 1.3):
+            cases.append((helmholtz_green(p, grid, omega, 0.1).values,
+                          kernel_ladder_reference(grid, lambda k: helmholtz_symbol(p, k, omega, 0.1))))
+        s0 = _state(grid, lambda x: np.exp(-x * x) * np.cos(2 * x), lambda x: 0.3 * np.exp(-x * x) * x)
+        s1 = cauchy_evolve(p, s0, t)
+        u_ref, v_ref = cauchy_evolve_reference(p, s0.u.values, s0.v.values, grid, t)
+        cases += [(s1.u.values, u_ref), (s1.v.values, v_ref)]
+        for got, want in cases:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_ladder_damping_is_read_only(self):
+        grid = Grid1D.centered(1 << 12, 0.05)
+        damping = dynamics._ladder_damping(grid, grid.k_half)
+        assert not damping.flags.writeable
+        with pytest.raises(ValueError):
+            damping[0] = 0.0
+
+    def test_alternating_grids_match_fresh_calls(self, params_half):
+        # the one-entry cache is replaced on every change of grid
+        grids = [Grid1D.centered(1 << 12, 0.05), Grid1D.centered(1 << 12, 0.04)]
+        got = [wave_kernel_spectral(params_half, g, 0.7).values for g in grids + grids]
+        assert len(dynamics._ladder_cache) == 1
+        for i, g in enumerate(grids + grids):
+            dynamics._ladder_cache.clear()
+            fresh = wave_kernel_spectral(params_half, g, 0.7).values
+            assert got[i].tobytes() == fresh.tobytes()
+
+
 class TestSeriesKernels:
     def test_zero_time(self, params_half):
         assert wave_kernel_series(params_half, 1.0, 0.0) == 0.0
@@ -302,6 +357,24 @@ class TestHelmholtz:
         assert sym.imag > 0.0
         conj_rel = np.conj(1.0 / (dispersion(params_half, 1.0) - (2.0 - 0.1j) ** 2))
         assert sym == pytest.approx(conj_rel, rel=1e-14)
+
+    @pytest.mark.parametrize("omega, transforms", [(0.0, 1), (1.3, 2)])
+    def test_real_symbol_takes_one_transform(self, params_half, small_grid, monkeypatch,
+                                             omega, transforms):
+        # at omega = 0 the resolvent symbol is real: one inverse transform,
+        # and an imaginary part of +0.0
+        calls = []
+        irfft = np.fft.irfft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        h = helmholtz_green(params_half, small_grid, omega, 0.1).values
+        assert len(calls) == transforms
+        if omega == 0.0:
+            assert not np.signbit(h.imag).any() and not h.imag.any()
 
     def test_static_limit(self, params_half):
         # omega = 0: eps sweep of gauge-invariant differences extrapolates

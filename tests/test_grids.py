@@ -86,3 +86,20 @@ class TestSampleKernel:
         vals = sample_kernel(g, sym)
         want = (1.0 + 0.5j) * np.exp(-g.x**2 / 4.0) / (2.0 * math.sqrt(math.pi))
         assert np.max(np.abs(vals - want)) < 1e-12
+
+    @pytest.mark.parametrize("part", [1.0, 1.0 + 0j, 1.0 + 0.5j], ids=["real", "zero_imag", "complex"])
+    def test_leaves_the_symbol_unchanged(self, part):
+        g = Grid1D.centered(512, 0.1)
+        sym = np.exp(-g.k_half**2) * part
+        before = sym.copy()
+        sample_kernel(g, sym)
+        assert sym.tobytes() == before.tobytes()
+
+    def test_complex_symbol_with_zero_imaginary_part(self):
+        # one transform: the real kernel's bits, an imaginary part of +0.0
+        g = Grid1D.centered(512, 0.1)
+        sym = np.exp(-g.k_half**2)
+        vals = sample_kernel(g, sym + 0j)
+        assert np.iscomplexobj(vals)
+        assert vals.real.tobytes() == sample_kernel(g, sym).tobytes()
+        assert not vals.imag.any() and not np.signbit(vals.imag).any()

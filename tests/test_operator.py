@@ -66,6 +66,17 @@ class TestLaplacianPoint:
         got = laplacian_apply_point(p, lambda u: math.cos(k0 * u), x)
         assert abs(got + lam * math.cos(k0 * x)) <= 1e-6 * lam
 
+    @given(delta=BAND, k0=st.floats(0.05, 1.0, exclude_max=True), x=st.floats(-2.0, 2.0))
+    @example(delta=0.3, k0=0.2, x=0.3)
+    @example(delta=0.3, k0=0.05, x=0.3)
+    def test_slow_plane_wave_eigenvalue_on_band(self, delta, k0, x):
+        # fewer than 4 zeros on [1, 32]: the widened zero scan keeps the
+        # zero-aligned blocks (doubling blocks missed by 6.6e-6 at k0 = 0.2)
+        p = make_params(delta, 1.0, 1.0)
+        lam = float(dispersion(p, k0))
+        got = laplacian_apply_point(p, lambda u: math.cos(k0 * u), x)
+        assert abs(got + lam * math.cos(k0 * x)) <= 1e-8 * lam
+
     @given(delta=BAND, x=st.floats(-2.0, 2.0))
     @example(delta=1.0169206842019496, x=0.24868894691607402)
     @example(delta=1.1342354109418162, x=0.05361628303106425)
@@ -95,6 +106,22 @@ class TestLaplacianPoint:
         assert got == pytest.approx(-dispersion(p, 2.0) * math.cos(2.0 * x), rel=1e-4)
         assert calls.count(x) == 1
         assert len(calls) <= 216643 // 10
+
+    @pytest.mark.parametrize("k0", [0.2, 0.05])
+    def test_slow_plane_wave_cost(self, k0):
+        # measured 7,337 and 6,831 calls with zero-aligned blocks after the
+        # widened scan; doubling blocks took 365,087 and 360,635
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return math.cos(k0 * u)
+
+        p = make_params(0.3, 1.0, 1.0)
+        lam = float(dispersion(p, k0))
+        got = laplacian_apply_point(p, f, 0.3)
+        assert abs(got + lam * math.cos(k0 * 0.3)) <= 1e-8 * lam
+        assert len(calls) < 20000
 
     def test_gaussian_cost(self):
         # a decaying integrand pays only the decay probe (17 points, 34
@@ -250,11 +277,15 @@ class TestOscillatoryTail:
         with pytest.raises(QuadratureNoConvergence, match="no sign change"):
             oscillatory_tail(fn, 1.0, 1e-10)
 
-    @pytest.mark.parametrize("fn", [lambda u: math.cos(3.0 * u), lambda u: u * math.cos(3.0 * u)],
-                             ids=["cos", "u_cos"])
+    @pytest.mark.parametrize("fn", [lambda u: math.cos(3.0 * u), lambda u: u * math.cos(3.0 * u),
+                                    lambda u: math.cos(3.0 * u) * (1.0 + 1.0 / u),
+                                    lambda u: math.cos(3.0 * u) * (1.0 + u**-0.5)],
+                             ids=["cos", "u_cos", "cos_1_inv_u", "cos_1_inv_sqrt_u"])
     def test_refuses_divergent_integrals(self, fn):
         # Wynn's epsilon sums the non-shrinking half-cycles to a finite
-        # (Abel) value, -0.04704 and 0.06296; the integrals diverge
+        # (Abel) value, -0.04704, 0.06296, -0.1667 and -0.1353; the
+        # integrals diverge (the last two have half-cycles that shrink
+        # towards 2/3, not towards zero)
         with pytest.raises(QuadratureNoConvergence, match="do not shrink"):
             oscillatory_tail(fn, 1.0, 1e-10)
 
