@@ -2,16 +2,18 @@
 
 Every write is atomic (temp file in the target directory, then rename) so
 re-runs never observe torn files.  Identical configurations must produce
-byte-identical outputs: floats are serialized with repr (shortest
-round-trip form), JSON keys are sorted, and nothing volatile (timestamps,
-wall time) enters the files.
+byte-identical outputs: floats are serialized in their shortest round-trip
+form, exactly as repr writes them, JSON keys are sorted, and nothing
+volatile (timestamps, wall time) enters the files.
 
 CSV tables arrive either as a 2-D float array (the grid-sized tables) or
 as a sequence of row tuples (the small ones).  Both are formatted a block
-of rows at a time, column by column, and each block is streamed into the
-temp file as it is formatted, so a 2^20-row table never exists as 2^20
-row tuples or as one string; either form gives the same bytes for the
-same values.  A float array of more than one block is split into
+of rows at a time and each block's bytes are streamed into the temp file,
+so a 2^20-row table never exists as 2^20 row tuples or as one string.  A
+float64 array's cells come from a vectorized shortest-round-trip kernel
+(``_shortest``) whose bytes equal repr's; row tuples are formatted cell by
+cell with repr, so either form gives the same bytes for the same values.
+A float array of more than one block is split into
 contiguous row ranges, one per available core: forked workers format the
 later ranges into part files beside the target while this process
 formats the first, and the parts are then appended in order.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _shortest
 from .errors import IoError
 
 __all__ = [
@@ -123,24 +125,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _csv_block(block, width: int, path: str) -> str:
-    """The lines of one block of rows, without a trailing newline."""
+def _csv_block(block, width: int, path: str) -> bytes:
+    """The CSV lines of one block of rows, each ending in a newline."""
     if isinstance(block, np.ndarray) and block.dtype == np.float64:
-        # tolist() yields Python floats, whose repr is the shortest round trip
-        columns = [map(repr, col) for col in block.T.tolist()]
-    else:
-        for row_width in map(len, block):
-            if row_width != width:
-                raise IoError(f"row width {row_width} != header width {width} in {path}")
-        columns = [map(_format_cell, col) for col in zip(*block)]
-    return "\n".join(map(",".join, zip(*columns)))
+        return _shortest.csv_bytes(block)
+    for row_width in map(len, block):
+        if row_width != width:
+            raise IoError(f"row width {row_width} != header width {width} in {path}")
+    columns = [map(_format_cell, col) for col in zip(*block)]
+    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode("utf-8")
 
 
 def _write_rows(fh, rows, lo: int, hi: int, width: int, path: str) -> None:
     """Rows lo..hi-1 as CSV lines, streamed into fh a block at a time."""
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
-        block = rows[start:min(start + _CSV_BLOCK_ROWS, hi)]
-        fh.write((_csv_block(block, width, path) + "\n").encode("utf-8"))
+        fh.write(_csv_block(rows[start:min(start + _CSV_BLOCK_ROWS, hi)], width, path))
 
 
 def _row_ranges(rows) -> list[tuple[int, int]]:
@@ -226,11 +225,13 @@ def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = 
 
     ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))`` or
     a sequence of row tuples; ``len(rows)`` is the number of rows.  Rows
-    are formatted a block at a time, column by column, and both forms give
-    the same bytes for the same values.  ``preamble``, if given, is one
-    line written before the header.  A table whose width differs from the
-    header's raises ``IoError`` and leaves no file.
+    are formatted a block at a time, and both forms give the same bytes for
+    the same values.  ``preamble``, if given, is one line written before
+    the header.  A table without columns, or whose width differs from the
+    header's, raises ``IoError`` and leaves no file.
     """
+    if not header:
+        raise IoError(f"no columns in {path}")
     if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != len(header)):
         raise IoError(f"table shape {rows.shape} does not match header width {len(header)} in {path}")
 

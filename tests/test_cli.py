@@ -435,6 +435,27 @@ class TestIoHelpers:
             assert len(forks) == max(0, min(cores, -(-n_rows // _BLOCK)) - 1)
         _assert_no_children()
 
+    def test_special_floats_in_every_range(self, monkeypatch, tmp_path):
+        # two cores: rows 0.._BLOCK-1 are formatted here, the rest in a fork
+        _set_cores(monkeypatch, 2)
+        real_fork = os.fork
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        n_rows = _BLOCK + 8
+        rng = np.random.default_rng(17)
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 300, (n_rows, 3))
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
+        for row in (0, 7, _BLOCK + 1, n_rows - 3):
+            table[row:row + 3].flat[:len(specials)] = specials
+        header = ["a", "b", "c"]
+        write_csv_atomic(str(tmp_path / "array.csv"), header, table)
+        write_csv_atomic(str(tmp_path / "rows.csv"), header, [tuple(row) for row in table.tolist()])
+        assert len(forks) == 1
+        want = _rowwise_csv(header, table.tolist()).encode()
+        assert _read(tmp_path / "array.csv") == want
+        assert _read(tmp_path / "rows.csv") == want
+        _assert_no_children()
+
     @pytest.mark.parametrize("exc, in_workers, raised", [
         (RuntimeError, True, IoError),  # a worker exits 1
         (KeyboardInterrupt, False, KeyboardInterrupt),  # while the workers run
@@ -475,6 +496,9 @@ class TestIoHelpers:
             write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], rows)
         with pytest.raises(IoError):
             write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], np.zeros((4, 3)))
+        for rows in (np.zeros((4, 0)), [()] * 4):  # no columns
+            with pytest.raises(IoError):
+                write_csv_atomic(str(tmp_path / "t.csv"), [], rows)
         assert os.listdir(tmp_path) == []
 
     def test_empty_rows_give_header_only_csv(self, tmp_path):
