@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import (
     DeltaMismatch,
@@ -251,7 +250,7 @@ def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0
         grid = Grid1D.centered(1 << 19, 0.01)
     w = propagator(params, grid, t)
     x = grid.x
-    cum = np.concatenate([[0.0], cumulative_trapezoid(w.values, x)])
+    cum = np.concatenate([[0.0], np.cumsum(_trapezoids(w.values, x))])
     cum = cum - cum[grid.n // 2] + 0.5
     xqa = np.asarray(xq, dtype=float)
     out = np.empty_like(xqa)
@@ -278,6 +277,40 @@ def ks_distance(samples: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
     )
 
 
+def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The trapezoid areas between neighbouring samples, in scipy's
+    cumulative_trapezoid and trapezoid arithmetic."""
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
+
+
+def _window(grid: Grid1D, lo: float, hi: float) -> tuple[slice, np.ndarray]:
+    """The grid points with lo <= x <= hi, as an index slice and their x,
+    bit for bit the slice of grid.x, without building grid.x: x rises with
+    the index, so the points are one contiguous range."""
+    if not lo <= hi:  # an empty window, or a NaN end
+        return slice(0, 0), np.empty(0)
+
+    def x_at(j: int) -> float:
+        return grid.x_min + grid.dx * j
+
+    q_lo, q_hi = np.clip([(lo - grid.x_min) / grid.dx, (hi - grid.x_min) / grid.dx],
+                         -1.0, float(grid.n))
+    first = max(math.ceil(q_lo), 0)
+    last = min(math.floor(q_hi), grid.n - 1)
+    # the quotients are rounded: one step at each end gives exactly the
+    # points the comparison with grid.x would select
+    if first > 0 and x_at(first - 1) >= lo:
+        first -= 1
+    elif first < grid.n and x_at(first) < lo:
+        first += 1
+    if last < grid.n - 1 and x_at(last + 1) <= hi:
+        last += 1
+    elif last >= 0 and x_at(last) > hi:
+        last -= 1
+    last = max(last, first - 1)
+    return slice(first, last + 1), grid.x_min + grid.dx * np.arange(first, last + 1)
+
+
 def truncated_moment(w: RealField, p: int, L: float) -> float:
     """int_{-L}^{L} x^p W(x) dx on the grid (trapezoid).
 
@@ -288,11 +321,11 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
         raise ValidationError(f"moment order must be 1..4, got {p}")
     if L <= 0.0:
         raise LOutOfGrid(f"window must be positive, got {L}")
-    x = w.grid.x
-    if L > -x[0] or L > x[-1]:
+    g = w.grid
+    if L > -g.x_min or L > g.x_min + g.dx * (g.n - 1):
         raise LOutOfGrid(f"window [-{L}, {L}] extends beyond the grid")
-    mask = np.abs(x) <= L
-    return float(trapezoid(x[mask] ** p * w.values[mask], x[mask]))
+    rows, x = _window(g, -L, L)
+    return float(_trapezoids(x ** p * w.values[rows], x).sum())
 
 
 def _ddx4(vals: np.ndarray, dx: float) -> np.ndarray:
@@ -323,9 +356,10 @@ def fit_tail_exponent(w: RealField, x_lo: float, x_hi: float) -> float:
     Approaches -(1 + delta) once the window sits in the single-term tail
     regime (x well beyond the scale (a_delta t)^(1/delta)).
     """
-    x = w.grid.x
-    mask = (x >= x_lo) & (x <= x_hi) & (w.values > 0.0)
-    if np.count_nonzero(mask) < 8:
+    rows, x = _window(w.grid, x_lo, x_hi)
+    vals = w.values[rows]
+    usable = vals > 0.0
+    if np.count_nonzero(usable) < 8:
         raise LOutOfGrid("tail window contains too few usable points")
-    coeffs = np.polyfit(np.log(x[mask]), np.log(w.values[mask]), 1)
+    coeffs = np.polyfit(np.log(x[usable]), np.log(vals[usable]), 1)
     return float(coeffs[0])

@@ -142,30 +142,45 @@ def _write_rows(fh, rows, lo: int, hi: int, width: int, path: str) -> None:
         fh.write(_csv_block(rows[start:min(start + _CSV_BLOCK_ROWS, hi)], width, path))
 
 
+def _fork_workers() -> int:
+    """How many processes to spread work over: one per core this process
+    may run on, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _row_ranges(rows) -> list[tuple[int, int]]:
     """Contiguous, block-aligned row ranges, one per worker: one per core
     for a float array, at most one per block, and one where the platform
     cannot fork or the rows are tuples."""
     n_blocks = -(-len(rows) // _CSV_BLOCK_ROWS)
     workers = 1
-    if isinstance(rows, np.ndarray) and hasattr(os, "fork"):
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            cores = os.cpu_count() or 1
-        workers = max(1, min(cores, n_blocks))
+    if isinstance(rows, np.ndarray):
+        workers = max(1, min(_fork_workers(), n_blocks))
     bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [len(rows)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork() -> int:
-    # Python >= 3.12 warns when a process with threads forks, since the
-    # child could inherit a lock that another thread held.  The child here
-    # only formats floats into its part file: it runs no BLAS, takes no
-    # lock another thread could hold, and leaves through os._exit.
+@contextlib.contextmanager
+def _fork_without_warning():
+    """Python >= 3.12 warns when a process with threads forks, since the
+    child could inherit a lock that another thread held.  selfsim starts
+    no thread of its own before it forks; the threads a numpy process has
+    are BLAS workers, which OpenBLAS shuts down before a fork."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", category=DeprecationWarning,
                                 message=r"This process .* is multi-threaded, use of fork\(\)")
+        yield
+
+
+def _fork() -> int:
+    # The child only formats floats into its part file and leaves through
+    # os._exit.
+    with _fork_without_warning():
         return os.fork()
 
 

@@ -9,14 +9,16 @@ symbol-side eps-ladder replaces.  The Gaussian's Laplacian is a closed
 form that no library route uses.  The reference synthesis and Cauchy
 rotation are the straightforward forms of the library's kernel synthesis
 (a (-1)^j sign array, one transform per symbol part, a fresh damping per
-call) that its leaner versions must match bit for bit.
+call) that its leaner versions must match bit for bit.  So are the
+diffusion diagnostics by a mask over the whole grid and scipy's trapezoid
+rules, against the library's windowed versions.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.special import gamma, hyp1f1
 
 
@@ -171,3 +173,27 @@ def cauchy_evolve_reference(params, u, v, grid, t):
     uh2 = cw * uh + sw_over * vh
     vh2 = -w * sw * uh + cw * vh
     return np.fft.irfft(uh2, n=grid.n), np.fft.irfft(vh2, n=grid.n)
+
+
+def truncated_moment_reference(w, p, L):
+    """int_{-L}^{L} x^p W dx: a mask over all of grid.x, scipy's trapezoid."""
+    x = w.grid.x
+    mask = np.abs(x) <= L
+    return float(trapezoid(x[mask] ** p * w.values[mask], x[mask]))
+
+
+def fit_tail_exponent_reference(w, x_lo, x_hi):
+    """Slope of log W against log x over a mask of all of grid.x; None
+    where fewer than 8 points are usable."""
+    x = w.grid.x
+    mask = (x >= x_lo) & (x <= x_hi) & (w.values > 0.0)
+    if np.count_nonzero(mask) < 8:
+        return None
+    return float(np.polyfit(np.log(x[mask]), np.log(w.values[mask]), 1)[0])
+
+
+def numeric_cdf_core_reference(w, xq):
+    """The grid core of numeric_cdf by scipy's cumulative_trapezoid."""
+    x = w.grid.x
+    cum = np.concatenate([[0.0], cumulative_trapezoid(w.values, x)])
+    return np.interp(xq, x, cum - cum[w.grid.n // 2] + 0.5)

@@ -29,7 +29,13 @@ from selfsim import (
 from selfsim.diffusion import tail_cdf_mass
 from selfsim.errors import OriginSingular, ValidationError
 
-from oracles import lorentzian_cdf, propagator_direct
+from oracles import (
+    fit_tail_exponent_reference,
+    lorentzian_cdf,
+    numeric_cdf_core_reference,
+    propagator_direct,
+    truncated_moment_reference,
+)
 
 # exponents drawn across the band 0 < delta < 2, clear of its endpoints
 BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
@@ -335,6 +341,67 @@ class TestTailExponent:
         w = propagator(params_half, grid, 1.0)
         with pytest.raises(LOutOfGrid):
             fit_tail_exponent(w, 100.0, 101.0)
+
+
+class TestWindowedDiagnostics:
+    """The diagnostics compute x on their window only; their answers must be
+    those of a mask over all of grid.x, bit for bit."""
+
+    @staticmethod
+    def _ends(x, rng, count):
+        """Window ends on grid points, one float either side of them, and
+        between them, over the whole grid and past both of its ends."""
+        picks = rng.integers(0, x.size, count)
+        on = x[picks]
+        return np.concatenate([[x[0], x[-1], x[0] - 1.0, x[-1] + 1.0], on,
+                               np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                               on + rng.uniform(0.0, 1.0, count) * (x[1] - x[0])])
+
+    @pytest.mark.parametrize("grid", [Grid1D.centered(4096, 0.037), Grid1D(-3.3, 0.01, 1000),
+                                      Grid1D(0.25, 0.013, 999)], ids=["centered", "offset", "positive"])
+    def test_equal_the_mask_algebra(self, grid):
+        # both signs, so that the fit's positivity test drops points
+        w = grid.sample(lambda x: np.cos(3.0 * x) / (1.0 + x * x))
+        x = grid.x
+        rng = np.random.default_rng(5)
+        ends = self._ends(x, rng, 40)
+        lengths = ends[(ends > 0.0) & (ends <= -x[0]) & (ends <= x[-1])]
+        lengths = np.append(lengths, min(-x[0], x[-1]))  # the whole grid, if it holds 0
+        for L in lengths[lengths > 0.0]:
+            for p in (1, 2, 3, 4):
+                assert truncated_moment(w, p, L) == truncated_moment_reference(w, p, L), (p, L)
+        # the log-log fit takes positive x only; on the positive grid the
+        # window (ends.min(), x[-1]) holds the first point
+        ends = ends[ends > 0.0]
+        sparse = 0
+        windows = list(zip(rng.permutation(ends), rng.permutation(ends)))
+        windows += [(ends.min(), x[-1]), (5e-324, np.inf), (x[-9], x[-1] + 5.0), (x[-1], np.inf),
+                    (x[-2], x[-50]), (math.nan, x[-1]), (x[-1] - 5.0, math.nan)]
+        for x_lo, x_hi in windows:
+            want = fit_tail_exponent_reference(w, x_lo, x_hi)
+            if want is None:
+                sparse += 1
+                with pytest.raises(LOutOfGrid):
+                    fit_tail_exponent(w, x_lo, x_hi)
+            else:
+                assert fit_tail_exponent(w, x_lo, x_hi) == want, (x_lo, x_hi)
+        assert 4 <= sparse < len(windows) - 4
+
+    def test_selftest_windows_on_a_large_grid(self, params_half):
+        grid = Grid1D.centered(1 << 20, 0.01)
+        w = propagator(params_half, grid, 0.1)
+        assert fit_tail_exponent(w, 50.0, 150.0) == fit_tail_exponent_reference(w, 50.0, 150.0)
+        for L in (500.0, 1000.0):
+            assert truncated_moment(w, 2, L) == truncated_moment_reference(w, 2, L)
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 1.9])
+    def test_cdf_core_equals_scipy_cumulative_trapezoid(self, delta):
+        grid = Grid1D.centered(1 << 14, 0.01)
+        p = make_params(delta, 1.0, 1.0)
+        xq = np.linspace(-20.0, 20.0, 801)
+        got = numeric_cdf(p, 1.0, xq, core_halfwidth=20.0, grid=grid)
+        want = numeric_cdf_core_reference(propagator(p, grid, 1.0), xq)
+        assert np.array_equal(got, want)
 
 
 class TestContinuity:
