@@ -21,9 +21,12 @@ and the wall time go to stderr only.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 import time
+from io import StringIO
 
 import numpy as np
 
@@ -51,14 +54,14 @@ def _flag(text) -> bool:
 
 
 def _names(text) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ValueError("expected at least one value")
+    return names
 
 
 def _floats(text) -> tuple[float, ...]:
-    values = tuple(map(float, _names(text)))
-    if not values:
-        raise ValueError("expected at least one value")
-    return values
+    return tuple(map(float, _names(text)))
 
 
 def _tail_window(text) -> tuple[float, float]:
@@ -115,11 +118,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_numbers(value) -> None:
+    """Refuse a value, or list of values, that holds a non-finite float or
+    a negative integer: every float option is a finite physical quantity
+    and every integer option a count or a seed."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError("expected finite numbers")
+        if isinstance(v, int) and v < 0:
+            raise ValueError("expected a non-negative integer")
+
+
 def _spec(args) -> argparse.Namespace:
     """The run's options: flags over config-file values over defaults.  A
     given value is checked as the text a flag would carry: ``str(value)``
-    goes through its option's converter.  ``given`` keeps the values as
-    given, for the envelope."""
+    goes through its option's converter, and numbers must be finite and
+    counts non-negative.  ``given`` keeps the values as given, for the
+    envelope."""
     given = {}
     if args.config:
         try:
@@ -140,6 +155,7 @@ def _spec(args) -> argparse.Namespace:
         if name in given:
             try:
                 value = convert(str(given[name]))
+                _check_numbers(value)
             except ValueError as exc:
                 raise ValidationError(f"invalid {name} {given[name]!r}: {exc}") from exc
         setattr(spec, name, value)
@@ -150,34 +166,35 @@ def _spec(args) -> argparse.Namespace:
 # A handler takes the spec and returns the envelope; it writes nothing.
 
 
-def _table(header, rows):
-    return lambda path: write_csv_atomic(path, header, rows)
-
-
-def _grid_table(header, columns):
+def _table(header, columns):
     # stacked only while the file is written, so no 2-D copy outlives it
     return lambda path: write_csv_atomic(path, header, np.column_stack(columns))
 
 
-def _script(*args, **kwargs):
-    text = plot_script(*args, **kwargs)
+def _text(text):
     return lambda path: atomic_write_text(path, text)
+
+
+def _script(*args, **kwargs):
+    return _text(plot_script(*args, **kwargs))
 
 
 def _cmd_dispersion(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
-    rows = [(k, float(dispersion(p, k)), dispersion_quadrature(p, k)) for k in s.k]
+    omega2 = [dispersion(p, k) for k in s.k]
+    omega2_quadrature = [dispersion_quadrature(p, k) for k in s.k]
     return ResultEnvelope("dispersion", s.given, results={"a_delta": p.a_delta}, files={
-        "dispersion.csv": _table(["k", "omega2", "omega2_quadrature"], rows),
+        "dispersion.csv": _table(["k", "omega2", "omega2_quadrature"],
+                                 [s.k, omega2, omega2_quadrature]),
     })
 
 
 def _cmd_greens_static(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
-    rows = [(x, sta.greens_static(p, x)) for x in s.x]
+    g = [sta.greens_static(p, x) for x in s.x]
     return ResultEnvelope("greens-static", s.given,
                           results={"prefactor": sta.greens_prefactor(p)}, files={
-        "greens_static.csv": _table(["x", "g"], rows),
+        "greens_static.csv": _table(["x", "g"], [s.x, g]),
         "greens_static.gp": _script("greens-static", "greens_static.csv", ["g"], loglog=True),
     })
 
@@ -188,13 +205,13 @@ def _cmd_laplacian(s) -> ResultEnvelope:
     fn = (lambda u: np.cos(s.k0 * u)) if s.function == "cos" else (lambda u: np.exp(-u * u))
     field = grid.sample(fn)
     lap = laplacian_apply_spectral(p, field)
-    table = _grid_table(["x", "field", "laplacian"], [grid.x, field.values, lap.values])
+    table = _table(["x", "field", "laplacian"], [grid.x, field.values, lap.values])
     env = ResultEnvelope("laplacian", s.given, files={"laplacian.csv": table})
     if s.pointwise > 0:
         xs = np.linspace(-2.0, 2.0, s.pointwise)
-        pw = [(x, laplacian_apply_point(p, fn, x)) for x in xs]
-        env.files["laplacian_pointwise.csv"] = _table(["x", "laplacian"], pw)
-        env.results["max_route_difference"] = max(abs(v - lap.value_near(x)) for x, v in pw)
+        pw = [laplacian_apply_point(p, fn, x) for x in xs]
+        env.files["laplacian_pointwise.csv"] = _table(["x", "laplacian"], [xs, pw])
+        env.results["max_route_difference"] = max(abs(v - lap.value_near(x)) for x, v in zip(xs, pw))
     return env
 
 
@@ -211,7 +228,7 @@ def _cmd_cauchy(s) -> ResultEnvelope:
         st = dyn.cauchy_evolve(p, state0, t)
         data.append(st.u.values)
         env.results[f"energy_t{t:g}"] = dyn.energy(p, st)
-    env.files["cauchy.csv"] = _grid_table(cols, data)
+    env.files["cauchy.csv"] = _table(cols, data)
     env.files["cauchy.gp"] = _script("cauchy", "cauchy.csv", cols[1:])
     return env
 
@@ -220,16 +237,16 @@ def _cmd_kernels(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
     kernels = (dyn.wave_kernel_series, dyn.wave_kernel_fourier,
                dyn.wave_kernel_dt_series, dyn.wave_kernel_dt_fourier)
-    rows = [(x, *(kernel(p, x, s.t) for kernel in kernels)) for x in s.x]
+    columns = [s.x] + [[kernel(p, x, s.t) for x in s.x] for kernel in kernels]
     header = ["x", "Q_series", "Q_quadrature", "dQ_series", "dQ_quadrature"]
-    return ResultEnvelope("kernels", s.given, files={"kernels.csv": _table(header, rows)})
+    return ResultEnvelope("kernels", s.given, files={"kernels.csv": _table(header, columns)})
 
 
 def _cmd_helmholtz(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
     grid = Grid1D.centered(s.n, s.dx)
     field = dyn.helmholtz_green(p, grid, s.omega, s.eps)
-    table = _grid_table(["x", "re", "im"], [grid.x, field.values.real, field.values.imag])
+    table = _table(["x", "re", "im"], [grid.x, field.values.real, field.values.imag])
     return ResultEnvelope("helmholtz", s.given, files={"helmholtz.csv": table})
 
 
@@ -245,7 +262,7 @@ def _cmd_diffusion(s) -> ResultEnvelope:
         data.append(w.values)
         env.results[f"mass_t{t:g}"] = w.mass()
         env.results[f"peak_t{t:g}"] = float(w.values.max())
-    env.files["diffusion.csv"] = _grid_table(cols, data)
+    env.files["diffusion.csv"] = _table(cols, data)
     env.files["diffusion.gp"] = _script("diffusion", "diffusion.csv", cols[1:])
     if s.tail_window:
         slope = dif.fit_tail_exponent(w, *s.tail_window)
@@ -271,20 +288,24 @@ def _cmd_mc(s) -> ResultEnvelope:
 
 def _cmd_potentials(s) -> ResultEnvelope:
     cols = ["x"] + [f"b_alpha{a:g}" for a in s.alphas]
-    rows = [[x] + [sta.riesz_kernel(a, x) for a in s.alphas] for x in s.x]
+    columns = [s.x] + [[sta.riesz_kernel(a, x) for x in s.x] for a in s.alphas]
     return ResultEnvelope("potentials", s.given, files={
-        "potentials.csv": _table(cols, rows),
+        "potentials.csv": _table(cols, columns),
         "potentials.gp": _script("potentials", "potentials.csv", cols[1:], loglog=True),
     })
 
 
 def _cmd_selftest(s) -> ResultEnvelope:
     results = run_selftest(s.cases)
-    rows = [(r.case_id, "pass" if r.passed else "FAIL", r.detail) for r in results]
+    # the only table with text: details hold commas, so quoted per RFC 4180
+    table = StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["case", "status", "detail"])
+    writer.writerows((r.case_id, "pass" if r.passed else "FAIL", r.detail) for r in results)
     return ResultEnvelope("selftest", s.given, results={
         "n_pass": sum(r.passed for r in results),
         "n_fail": sum(not r.passed for r in results),
-    }, files={"selftest.csv": _table(["case", "status", "detail"], rows)})
+    }, files={"selftest.csv": _text(table.getvalue())})
 
 
 # command: (handler, help, options)

@@ -190,6 +190,8 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
         raise TimeNonPositive(f"sampling needs t > 0, got {t}")
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     delta = params.delta
     scale = (params.a_delta * t) ** (1.0 / delta)
     n_chunks = (n + _CHUNK - 1) // _CHUNK

@@ -6,17 +6,14 @@ byte-identical outputs: floats are serialized in their shortest round-trip
 form, exactly as repr writes them, JSON keys are sorted, and nothing
 volatile (timestamps, wall time) enters the files.
 
-CSV tables arrive either as a 2-D float array (the grid-sized tables) or
-as a sequence of row tuples (the small ones).  Both are formatted a block
-of rows at a time and each block's bytes are streamed into the temp file,
-so a 2^20-row table never exists as 2^20 row tuples or as one string.  A
-float64 array's cells come from a vectorized shortest-round-trip kernel
-(``_shortest``) whose bytes equal repr's; row tuples are formatted cell by
-cell with repr, so either form gives the same bytes for the same values.
-A float array of more than one block is split into
-contiguous row ranges, one per available core: forked workers format the
-later ranges into part files beside the target while this process
-formats the first, and the parts are then appended in order.
+A CSV table is a 2-D float64 array, formatted a block of rows at a time;
+each block's bytes are streamed into the temp file, so a 2^20-row table
+never exists as one string.  Cells come from a vectorized shortest-round-
+trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
+than one block is split into contiguous row ranges, one per available
+core: forked workers format the later ranges into part files beside the
+target while this process formats the first, and the parts are then
+appended in order.
 """
 
 from __future__ import annotations
@@ -118,28 +115,10 @@ def atomic_write_text(path: str, text: str) -> None:
     _atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
-def _format_cell(value) -> str:
-    # canonicalize numpy scalars so cells carry the shortest round-trip form
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_block(block, width: int, path: str) -> bytes:
-    """The CSV lines of one block of rows, each ending in a newline."""
-    if isinstance(block, np.ndarray) and block.dtype == np.float64:
-        return _shortest.csv_bytes(block)
-    for row_width in map(len, block):
-        if row_width != width:
-            raise IoError(f"row width {row_width} != header width {width} in {path}")
-    columns = [map(_format_cell, col) for col in zip(*block)]
-    return ("\n".join(map(",".join, zip(*columns))) + "\n").encode("utf-8")
-
-
-def _write_rows(fh, rows, lo: int, hi: int, width: int, path: str) -> None:
+def _write_rows(fh, rows, lo: int, hi: int) -> None:
     """Rows lo..hi-1 as CSV lines, streamed into fh a block at a time."""
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
-        fh.write(_csv_block(rows[start:min(start + _CSV_BLOCK_ROWS, hi)], width, path))
+        fh.write(_shortest.csv_bytes(rows[start:min(start + _CSV_BLOCK_ROWS, hi)]))
 
 
 def _fork_workers() -> int:
@@ -154,13 +133,10 @@ def _fork_workers() -> int:
 
 
 def _row_ranges(rows) -> list[tuple[int, int]]:
-    """Contiguous, block-aligned row ranges, one per worker: one per core
-    for a float array, at most one per block, and one where the platform
-    cannot fork or the rows are tuples."""
+    """Contiguous, block-aligned row ranges, one per worker: one per core,
+    at most one per block, and one where the platform cannot fork."""
     n_blocks = -(-len(rows) // _CSV_BLOCK_ROWS)
-    workers = 1
-    if isinstance(rows, np.ndarray):
-        workers = max(1, min(_fork_workers(), n_blocks))
+    workers = max(1, min(_fork_workers(), n_blocks))
     bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [len(rows)]
     return list(zip(bounds, bounds[1:]))
 
@@ -184,20 +160,20 @@ def _fork() -> int:
         return os.fork()
 
 
-def _format_part(fd: int, rows, lo: int, hi: int, width: int, path: str):
+def _format_part(fd: int, rows, lo: int, hi: int):
     """In a forked child: write rows lo..hi-1 to fd, then exit with 0, or
     with 1 on any failure.  os._exit flushes no buffer inherited from the
     parent and runs none of its cleanup."""
     status = 1
     try:
         with os.fdopen(fd, "wb") as fh:
-            _write_rows(fh, rows, lo, hi, width, path)
+            _write_rows(fh, rows, lo, hi)
         status = 0
     finally:
         os._exit(status)
 
 
-def _write_ranges(fh, rows, width: int, path: str) -> None:
+def _write_ranges(fh, rows, path: str) -> None:
     """All rows into fh: the first range here while forked children write
     the others into part files, which are then appended in row order.  On
     every exit no child is left running or unreaped and no part is left."""
@@ -212,10 +188,10 @@ def _write_ranges(fh, rows, width: int, path: str) -> None:
             try:
                 child[0] = _fork()
                 if child[0] == 0:
-                    _format_part(fd, rows, part_lo, part_hi, width, path)
+                    _format_part(fd, rows, part_lo, part_hi)
             finally:
                 os.close(fd)
-        _write_rows(fh, rows, lo, hi, width, path)
+        _write_rows(fh, rows, lo, hi)
         for child in children:
             pid, part, part_lo, part_hi = child
             _, status = os.waitpid(pid, 0)
@@ -238,17 +214,16 @@ def _write_ranges(fh, rows, width: int, path: str) -> None:
 def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = None) -> None:
     """CSV with LF endings and full round-trip float precision.
 
-    ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))`` or
-    a sequence of row tuples; ``len(rows)`` is the number of rows.  Rows
-    are formatted a block at a time, and both forms give the same bytes for
-    the same values.  ``preamble``, if given, is one line written before
-    the header.  A table without columns, or whose width differs from the
-    header's, raises ``IoError`` and leaves no file.
+    ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))``,
+    formatted a block of rows at a time.  ``preamble``, if given, is one
+    line written before the header.  Any other input, or a table without
+    columns, raises ``IoError`` and leaves no file.
     """
     if not header:
         raise IoError(f"no columns in {path}")
-    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != len(header)):
-        raise IoError(f"table shape {rows.shape} does not match header width {len(header)} in {path}")
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.ndim == 2 and rows.shape[1] == len(header)):
+        raise IoError(f"rows are not a 2-D float64 array of header width {len(header)} in {path}")
 
     head = ",".join(header) + "\n"
     if preamble is not None:
@@ -256,7 +231,7 @@ def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = 
 
     def write(fh):
         fh.write(head.encode("utf-8"))
-        _write_ranges(fh, rows, len(header), path)
+        _write_ranges(fh, rows, path)
 
     _atomic_write(path, write)
 

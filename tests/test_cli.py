@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -26,8 +27,9 @@ def _read(path):
 
 
 def _csv_rows(path):
-    lines = _read(path).decode().splitlines()
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 class TestDispersionCommand:
@@ -119,6 +121,7 @@ class TestValidation:
         ("dispersion", {"delta": "abc"}),
         ("laplacian", {"n": 1024.9}),
         ("mc", {"ks": "false"}),
+        ("kernels", {"t": math.nan}),
     ])
     def test_config_values_checked_like_flags(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
@@ -155,6 +158,27 @@ class TestValidation:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "code: ValidationError" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--k", "nan"],
+        ["dispersion", "--k", "1,inf"],
+        ["greens-static", "--x", "nan"],
+        ["potentials", "--x", "nan"],
+        ["kernels", "--t", "nan"],
+        ["diffusion", "--tail-window", "50,inf"],
+        ["laplacian", "--pointwise", "-3"],
+        ["mc", "--n-samples", "-5"],
+        ["mc", "--n-samples", "1000", "--seed", "-1"],
+        ["selftest", "--cases", ","],
+    ])
+    def test_non_finite_negative_or_empty_value_exits_1_without_files(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "code: ValidationError" in errors[0]
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -437,10 +461,10 @@ class TestTailFit:
 
 
 def _rowwise_csv(header, rows):
-    """Row-by-row reference formatting: repr of every float, str otherwise."""
+    """Row-by-row reference formatting: repr of every float."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -454,17 +478,17 @@ def _set_cores(monkeypatch, n):
 
 
 def _fail_block(monkeypatch, exc, in_workers):
-    """Make _csv_block raise exc("forced") in the forked workers only, or
-    in this process only."""
+    """Make formatting a block raise exc("forced") in the forked workers
+    only, or in this process only."""
     here = os.getpid()
-    real = io._csv_block
+    real = io._shortest.csv_bytes
 
     def block(*args):
         if (os.getpid() != here) == in_workers:
             raise exc("forced")
         return real(*args)
 
-    monkeypatch.setattr(io, "_csv_block", block)
+    monkeypatch.setattr(io._shortest, "csv_bytes", block)
 
 
 def _assert_no_children():
@@ -484,15 +508,10 @@ class TestIoHelpers:
             _set_cores(monkeypatch, cores)
             forks = []
             monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-            inputs = {"array": table}
-            if cores == 1:  # row tuples take one worker whatever the core count
-                inputs["numpy_rows"] = list(zip(*table.T))
-                inputs["float_rows"] = [tuple(row) for row in table.tolist()]
-            for name, rows in inputs.items():
-                path = tmp_path / f"{name}_{cores}.csv"
-                write_csv_atomic(str(path), header, rows)
-                # compared as lines: pytest reports the first differing row cheaply
-                assert _read(path).decode().split("\n") == want.split("\n"), (name, cores)
+            path = tmp_path / f"array_{cores}.csv"
+            write_csv_atomic(str(path), header, table)
+            # compared as lines: pytest reports the first differing row cheaply
+            assert _read(path).decode().split("\n") == want.split("\n"), cores
             # one worker per core and block
             assert len(forks) == max(0, min(cores, -(-n_rows // _BLOCK)) - 1)
         _assert_no_children()
@@ -511,11 +530,8 @@ class TestIoHelpers:
             table[row:row + 3].flat[:len(specials)] = specials
         header = ["a", "b", "c"]
         write_csv_atomic(str(tmp_path / "array.csv"), header, table)
-        write_csv_atomic(str(tmp_path / "rows.csv"), header, [tuple(row) for row in table.tolist()])
         assert len(forks) == 1
-        want = _rowwise_csv(header, table.tolist()).encode()
-        assert _read(tmp_path / "array.csv") == want
-        assert _read(tmp_path / "rows.csv") == want
+        assert _read(tmp_path / "array.csv") == _rowwise_csv(header, table.tolist()).encode()
         _assert_no_children()
 
     @pytest.mark.parametrize("exc, in_workers, raised", [
@@ -530,14 +546,6 @@ class TestIoHelpers:
         assert os.listdir(tmp_path) == []  # no .part-* or .tmp-* file
         _assert_no_children()
 
-    def test_mixed_float_and_str_rows(self, tmp_path):
-        header = ["case", "status", "value", "count"]
-        rows = [("AC01", "pass", np.float64(-0.0), 3), ("AC02", "FAIL", 5e-324, np.int64(-7)),
-                ("AC03", "pass", math.nan, 0)] * (_BLOCK // 2 + 1)
-        write_csv_atomic(str(tmp_path / "t.csv"), header, rows)
-        want = _rowwise_csv(header, rows)
-        assert _read(tmp_path / "t.csv").decode().split("\n") == want.split("\n")
-
     def test_new_files_follow_umask(self, tmp_path):
         # the mode open(path, "w") gives, not the temp file's 0600
         old = os.umask(0o022)
@@ -551,20 +559,17 @@ class TestIoHelpers:
             os.umask(old)
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
-        with pytest.raises(IoError):
-            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], [(1.0,)])
-        rows = [(1.0, 2.0)] * (_BLOCK + 1) + [(1.0, 2.0, 3.0)]
-        with pytest.raises(IoError):
-            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], rows)
-        with pytest.raises(IoError):
-            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], np.zeros((4, 3)))
-        for rows in (np.zeros((4, 0)), [()] * 4):  # no columns
+        # only a 2-D float64 array of the header's width is a table
+        for rows in (np.zeros((4, 3)), np.zeros(2), np.zeros((4, 2), dtype=np.float32),
+                     np.zeros((4, 2), dtype=np.int64), [(1.0, 2.0)] * 4):
             with pytest.raises(IoError):
-                write_csv_atomic(str(tmp_path / "t.csv"), [], rows)
+                write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], rows)
+        with pytest.raises(IoError):  # no columns
+            write_csv_atomic(str(tmp_path / "t.csv"), [], np.zeros((4, 0)))
         assert os.listdir(tmp_path) == []
 
     def test_empty_rows_give_header_only_csv(self, tmp_path):
-        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], [])
+        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], np.empty((0, 2)))
         assert (tmp_path / "t.csv").read_text() == "x,value\n"
 
     def test_plot_script_references_csv(self):

@@ -47,9 +47,12 @@ class TestPropagator:
         w = propagator(params_one, grid, 1.0)
         assert w.value_near(0.0) == pytest.approx(1.0 / math.pi**2, abs=1e-8)
 
-    def test_mass_symmetry_positivity(self, params_half):
-        grid = Grid1D.centered(1 << 16, 0.02)
-        w = propagator(params_half, grid, 0.7)
+    @given(delta=BAND)
+    def test_mass_symmetry_positivity(self, delta):
+        # t puts the Nyquist symbol at e^-40, below rounding
+        p = make_params(delta, 1.0, 1.0)
+        grid = Grid1D.centered(2048, 0.05)
+        w = propagator(p, grid, 40.0 / (p.a_delta * (math.pi / 0.05) ** delta))
         assert w.mass() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(w.values[1:] - w.values[1:][::-1])) < 1e-12 * w.values.max()
         assert w.values.min() >= -1e-8 * w.values.max()
@@ -235,6 +238,9 @@ class TestSampler:
             sample_levy(params_half, 0.0, 10, 1)
         with pytest.raises(ValidationError):
             sample_levy(params_half, 1.0, 0, 1)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ValidationError):
+                sample_levy(params_half, 1.0, 10, seed)
 
     def test_csv_export(self, params_half, tmp_path):
         batch = sample_levy(params_half, 1.0, 16, 5)
