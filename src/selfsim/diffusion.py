@@ -61,6 +61,8 @@ __all__ = [
 # sampler chunking: fixed-size chunks with sub-seeds spawned from the master
 # seed, so partitioned/parallel generation reproduces the same stream
 _CHUNK = 1 << 16
+# subdivision limit of propagator_quadrature's quad calls
+_MAX_SUBDIVISIONS = 400
 
 
 @dataclass(frozen=True)
@@ -158,13 +160,13 @@ def propagator_quadrature(params: MediumParams, x: float, t: float,
             return 1j * np.exp(-a_t * (u ** d) * np.exp(1j * math.pi * d / 2.0) - u * xa)
 
         val = complex_quad(integrand, 0.0, np.inf, abs_tol=qcfg.abs_tol,
-                          limit=qcfg.max_subdivisions)
+                          limit=_MAX_SUBDIVISIONS)
         return float(val.real) / math.pi
     # direct: envelope e^{-a t k^delta} confines the mass to k ~ (30/(a t))^(1/delta)
     k_hi = (40.0 / a_t) ** (1.0 / d)
     return quad_checked(lambda k: math.exp(-a_t * k**d) * math.cos(k * xa),
                         0.0, k_hi, abs_tol=qcfg.abs_tol,
-                        limit=max(qcfg.max_subdivisions, int(20 * k_hi * xa / math.pi) + 50)) / math.pi
+                        limit=max(_MAX_SUBDIVISIONS, int(20 * k_hi * xa / math.pi) + 50)) / math.pi
 
 
 def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
@@ -356,8 +358,11 @@ def fit_tail_exponent(w: RealField, x_lo: float, x_hi: float) -> float:
     """Least-squares slope of log W against log x on [x_lo, x_hi].
 
     Approaches -(1 + delta) once the window sits in the single-term tail
-    regime (x well beyond the scale (a_delta t)^(1/delta)).
+    regime (x well beyond the scale (a_delta t)^(1/delta)).  The window
+    must satisfy 0 < x_lo < x_hi, as log x needs.
     """
+    if not 0.0 < x_lo < x_hi:
+        raise LOutOfGrid(f"tail window needs 0 < x_lo < x_hi, got ({x_lo:g}, {x_hi:g})")
     rows, x = _window(w.grid, x_lo, x_hi)
     vals = w.values[rows]
     usable = vals > 0.0

@@ -250,6 +250,11 @@ def wave_series_terms(params: MediumParams, x: float, t: float,
 
 # -------------------------------------------------- certified quadrature
 
+# relative tolerance and subdivision limit of the rotated-contour quad calls
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 400
+
+
 def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
                      qcfg: QuadratureConfig) -> float:
     """(1/pi) int_0^inf cos(kx) s(k) dk with s = sin(wt)/w or cos(wt).
@@ -272,8 +277,8 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
             s = math.cos(w * t)
         return math.cos(k * x) * s
 
-    p1 = quad_checked(direct, 0.0, k0, abs_tol=qcfg.abs_tol, rel_tol=qcfg.rel_tol,
-                      limit=qcfg.max_subdivisions)
+    p1 = quad_checked(direct, 0.0, k0, abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
+                      limit=_MAX_SUBDIVISIONS)
 
     phase = 1j * k0 * x
 
@@ -287,8 +292,8 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
         return 0.5j * (np.exp(phase + iw - u * x) + np.exp(phase - iw - u * x))
 
     p2 = quad_checked(lambda u: rotated(u).real, 0.0, np.inf,
-                      abs_tol=qcfg.abs_tol, rel_tol=qcfg.rel_tol,
-                      limit=qcfg.max_subdivisions)
+                      abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
+                      limit=_MAX_SUBDIVISIONS)
     return (p1 + p2) / math.pi
 
 

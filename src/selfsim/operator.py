@@ -39,33 +39,42 @@ __all__ = [
     "frac_derivative_spectral",
 ]
 
-# Below tau_taylor the second difference is replaced by its Taylor value
-# fpp * tau^2: direct evaluation there loses all digits to cancellation
-# (noise ~ eps_mach / tau^2) while the Taylor branch is exact to O(tau^2).
-_TAU_TAYLOR_FRACTION = 1e-3
+# The operators split their integral at tau = _TAU_SPLIT into a singular
+# inner region and a tail.  Below _TAU_TAYLOR the differences are replaced
+# by their Taylor polynomials: direct evaluation there loses all digits to
+# cancellation (noise ~ eps_mach / tau^2).
+_TAU_SPLIT = 1.0
+_TAU_TAYLOR = 1e-3 * _TAU_SPLIT
 
 
-def _fpp_richardson(f, x: float, two_fx: float, h0: float = 1e-2) -> float:
-    """Second derivative by central differences, two Richardson sweeps.
+def _second_difference(f, x: float, two_fx: float, h0: float = 1e-2) -> tuple[float, float]:
+    """The coefficients A = f''(x) and B = f''''(x)/12 of the second difference
 
+        (f(x + h) + f(x - h) - 2 f(x)) / h^2 = A + B h^2 + C h^4 + ...,
+
+    fitted through h = h0, h0/2, h0/4 (A by two Richardson sweeps).
     two_fx is the caller's 2 f(x), so f(x) is not evaluated again.
     """
     v = [(f(x + h) + f(x - h) - two_fx) / (h * h) for h in (h0, h0 / 2, h0 / 4)]
     r1 = (4.0 * v[1] - v[0]) / 3.0
     r2 = (4.0 * v[2] - v[1]) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    s = h0 * h0
+    c = ((v[0] - v[1]) - 4.0 * (v[1] - v[2])) * 64.0 / (45.0 * s * s)
+    return (16.0 * r2 - r1) / 15.0, (v[1] - v[2]) * 16.0 / (3.0 * s) - c * 5.0 * s / 16.0
 
 
 def laplacian_apply_point(params: MediumParams, f, x: float,
                           qcfg: QuadratureConfig | None = None) -> float:
     """Nonlocal Laplacian of a callable at one point, by singular quadrature.
 
-    f must be twice differentiable near x and bounded; oscillatory
-    non-decaying tails (plane waves) are summed between the integrand's
-    zeros with series acceleration.  f(x) is evaluated once.  Beyond
-    tau_split the constant part -2 f(x) tau^(-1-delta) is integrated in
-    closed form, so the tail blocks see only f(x + tau) + f(x - tau),
-    which oscillates about zero or decays.
+    f must be twice differentiable near x and smooth and bounded beyond:
+    a constant plus oscillations (plane waves, any number of them) plus a
+    decaying part.  f(x) is evaluated once.  Below tau = 1 a Taylor disc
+    and geometric panels take the singular part.  Beyond it the constant
+    part -2 f(x) tau^(-1-delta) is integrated in closed form, and
+    f(x + tau) + f(x - tau) against tau^(-1-delta) goes to the windowed
+    tail sum (``quadrature.oscillatory_tail``), which integrates the
+    windowed mean of f(x + tau) + f(x - tau) in closed form too.
     """
     qcfg = qcfg or DEFAULT_QUADRATURE
     delta = params.delta
@@ -74,13 +83,15 @@ def laplacian_apply_point(params: MediumParams, f, x: float,
     power = -1.0 - delta
     two_fx = 2.0 * f(x)
 
-    tau_t = _TAU_TAYLOR_FRACTION * qcfg.tau_split
-    inner = _fpp_richardson(f, x, two_fx) * tau_t ** (2.0 - delta) / (2.0 - delta)
+    # the Taylor disc to fourth order: near delta = 2 the tau^4 term of the
+    # second difference is still 1e-8 of the eigenvalue of cos(2.5 u)
+    fpp, quartic = _second_difference(f, x, two_fx)
+    inner = fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
+    inner += quartic * _TAU_TAYLOR ** (4.0 - delta) / (4.0 - delta)
     inner += panel_integral(lambda u: (f(x + u) + f(x - u) - two_fx) * u**power,
-                            tau_t, qcfg.tau_split, abs_tol=tol * 0.4)
-    outer = oscillatory_tail(lambda u: (f(x + u) + f(x - u)) * u**power,
-                             qcfg.tau_split, abs_tol=tol * 0.4,
-                             closed_form=-two_fx * qcfg.tau_split ** (-delta) / delta)
+                            _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4)
+    outer = oscillatory_tail(lambda u: f(x + u) + f(x - u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
+                             closed_form=-two_fx * _TAU_SPLIT ** (-delta) / delta)
     return c * (inner + outer)
 
 
@@ -125,18 +136,16 @@ def weyl_marchaud(delta: float, f, x: float, side: str,
 
     # Taylor disc to second order: the increment is -sgn f' tau - f'' tau^2/2,
     # and the quadratic term still matters at the tau_t^(2-delta) scale
-    tau_t = _TAU_TAYLOR_FRACTION * qcfg.tau_split
     h0 = 1e-3
     fp = (f(x + h0) - f(x - h0)) / (2.0 * h0)
-    fpp = _fpp_richardson(f, x, 2.0 * fx)
-    inner = -sgn * fp * tau_t ** (1.0 - delta) / (1.0 - delta)
-    inner -= 0.5 * fpp * tau_t ** (2.0 - delta) / (2.0 - delta)
+    fpp = _second_difference(f, x, 2.0 * fx)[0]
+    inner = -sgn * fp * _TAU_TAYLOR ** (1.0 - delta) / (1.0 - delta)
+    inner -= 0.5 * fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
     inner += panel_integral(lambda u: (fx - f(x + sgn * u)) * u**power,
-                            tau_t, qcfg.tau_split, abs_tol=tol * 0.4)
-    # outer: the f(x) tau^(-1-delta) part in closed form, f(x + sgn tau) by blocks
-    outer = oscillatory_tail(lambda u: -f(x + sgn * u) * u**power,
-                             qcfg.tau_split, abs_tol=tol * 0.4,
-                             closed_form=fx * qcfg.tau_split ** (-delta) / delta)
+                            _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4)
+    # outer: the f(x) tau^(-1-delta) part in closed form, f(x + sgn tau) windowed
+    outer = oscillatory_tail(lambda u: -f(x + sgn * u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
+                             closed_form=fx * _TAU_SPLIT ** (-delta) / delta)
     return coef * (inner + outer)
 
 

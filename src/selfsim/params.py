@@ -61,26 +61,13 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and splits shared by the quadrature-based operators.
+    """The absolute tolerance of the quadrature-based routes."""
 
-    ``epsilon`` seeds the geometric ladders used whenever a regularized
-    transform is evaluated by an eps -> 0+ sweep; ``tau_split`` separates
-    the singular inner region from the oscillatory/decaying outer region.
-    """
-
-    epsilon: float = 0.1
-    tau_split: float = 1.0
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 400
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise NonPositiveScale("epsilon must be > 0")
-        if self.tau_split <= 0.0:
-            raise NonPositiveScale("tau_split must be > 0")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise NonPositiveScale("tolerances must be > 0")
+        if self.abs_tol <= 0.0:
+            raise NonPositiveScale("abs_tol must be > 0")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -134,6 +121,8 @@ def dispersion(params: MediumParams, k):
 # Terms of int_0^1 (1 - cos s)/s^(1+delta) ds integrated term by term;
 # 1/(2m)! decay makes 25 terms far more than double precision needs.
 _INNER_TERMS = 25
+# subdivision limit of the cosine-weighted quad beyond s = 1
+_MAX_SUBDIVISIONS = 400
 
 
 def _dispersion_integral(delta: float, qcfg: QuadratureConfig) -> float:
@@ -149,7 +138,7 @@ def _dispersion_integral(delta: float, qcfg: QuadratureConfig) -> float:
             weight="cos",
             wvar=1.0,
             epsabs=qcfg.abs_tol * 0.01,
-            limit=qcfg.max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
         )
     if not math.isfinite(cospart) or err > 1e-6:
         raise QuadratureNoConvergence(

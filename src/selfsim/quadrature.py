@@ -3,13 +3,13 @@
 Two recurring difficulties, one routine each:
 
 * power-law singularity at 0           -> geometric panels + Taylor disc,
-* bounded oscillatory tails            -> half-cycles between the zeros of
-                                          the integrand + Wynn epsilon, or
-                                          doubling blocks + Wynn epsilon when
-                                          it decays or has too few zeros.
+* bounded tails g(u) u^power to inf    -> Gauss-Kronrod panels under a
+                                          smooth window that doubles until
+                                          two windowed sums agree.
 
-Everything is plain scipy.integrate.quad underneath; warnings are turned
-into QuadratureNoConvergence when the reported error exceeds the budget.
+The panels near 0 are plain scipy.integrate.quad, whose warnings are
+turned into QuadratureNoConvergence when the reported error exceeds the
+budget; the tail has its own 21-point Gauss-Kronrod panels.
 
 Regularized (eps -> 0+) grid transforms take their Richardson weights on
 the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
@@ -36,10 +36,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.special import erfc as _erfc
 from scipy.special import gammaln as _gammaln
 
 from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
@@ -48,7 +49,6 @@ __all__ = [
     "SeriesPolicy",
     "quad_checked",
     "neville_at_zero",
-    "wynn_epsilon",
     "panel_integral",
     "oscillatory_tail",
 ]
@@ -78,25 +78,6 @@ def neville_at_zero(xs, ys):
     return float(out) if out.ndim == 0 else out
 
 
-def wynn_epsilon(partial_sums) -> float:
-    """Wynn's epsilon acceleration of a sequence of partial sums."""
-    e_prev = [0.0] * (len(partial_sums) + 1)
-    e_curr = list(partial_sums)
-    best = partial_sums[-1]
-    for k in range(1, len(partial_sums)):
-        e_next = []
-        for i in range(len(e_curr) - 1):
-            diff = e_curr[i + 1] - e_curr[i]
-            if diff == 0.0:
-                e_next.append(e_prev[i + 1])
-            else:
-                e_next.append(e_prev[i + 1] + 1.0 / diff)
-        e_prev, e_curr = e_curr, e_next
-        if k % 2 == 0 and e_curr:
-            best = e_curr[-1]
-    return best
-
-
 def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) -> float:
     """Integral over [a, b] by adaptive quad on geometric panels from a.
 
@@ -114,200 +95,168 @@ def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) 
     return total
 
 
-# Zero-aligned branch: scan [start, 32 start] on a fine grid for the zeros,
-# widening the scan 32-fold at a time while fewer than 4 sign changes show;
-# step later brackets by a quarter of the zero gap, give up after a budget.
-# Fewer than 4 sign changes over a span S put the zero gap above about S/4,
-# so 512 new points over the next 31 S still sample each gap about 4 times.
-_DECAY_PROBE_POINTS = 17
-_ZERO_SCAN_POINTS = 2049
-_WIDENED_SCAN_POINTS = 513
-_SCAN_WIDTH = 32.0
-_SCAN_LEVELS = 3
-_MIN_SIGN_CHANGES = 4
-_BRACKET_STEPS = 64
-_HALF_CYCLES = 4000
-_WYNN_WINDOW = 24
-# the last half-cycle of the window must be smaller than its first by this
-# relative margin, far above the rounding of equal half-cycles
-_MIN_SHRINK = 1e-9
-# the half-cycle sizes must fall towards zero: a floor they level off at
-# above this share of the last size marks a divergent integral (measured on
-# the window at agreement: 0.02-0.09 for pure power laws, 0.42 for
-# u^-1/2 (1 + 10/u), 0.81-0.94 for cos(3u)(1 + u^-q), q = 1/2 and 1)
-_MAX_FLOOR_SHARE = 0.5
-# Doubling fallback: block count and the relative certification floor, which
-# is the honest level of that branch (see oscillatory_tail).
-_DOUBLING_BLOCKS = 36
-_DOUBLING_REL_FLOOR = 1e-5
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1]: the positive
+# abscissae, their Kronrod weights and the weights of the embedded 10-point
+# Gauss rule, which uses every second abscissa.
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077600525722214, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# all 21 nodes in ascending order, their Kronrod weights, and the Kronrod
+# minus Gauss weights, whose sum against the integrand is the error estimate
+_NODES = tuple(-x for x in _XK[:10]) + _XK[::-1]
+_KRONROD = _WK[:10] + _WK[::-1]
+_DIFF = tuple(w - (_WG[i // 2] if i % 2 else 0.0) for i, w in enumerate(_WK))
+_DIFF = _DIFF[:10] + _DIFF[::-1]
+
+# The window chi: 1/2 erfc(9 (u/U - 1.5)) on (U, 2U), shifted and scaled to
+# take exactly 1 at U and 0 at 2U.
+_STEEPNESS = 9.0
+_WINDOW_AT_U = 0.5 * math.erfc(-0.5 * _STEEPNESS)
+_WINDOW_AT_2U = 0.5 * math.erfc(0.5 * _STEEPNESS)
+_MAX_WINDOW = 2.0**16      # largest U, in units of start
+_GROWTH = 1.25             # largest rise of max|g| on [U, 2U] over [start, U]
+_MEAN_FLOOR = 1e-8         # windowed means below this share of max|g| are zero
+_MIN_PANEL = 1e-10         # narrowest panel, relative to its end
 
 
-def _tail_block(fn, a: float, b: float, abs_tol: float) -> float:
-    """quad of one tail block; only non-finite values are refused here."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, _err = quad(fn, a, b, epsabs=abs_tol * 0.1, epsrel=1e-11, limit=800)
-    if not math.isfinite(val):
-        raise QuadratureNoConvergence(f"tail block [{a:g}, {b:g}] evaluated non-finite")
-    return val
+def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form: float = 0.0) -> float:
+    """closed_form + int_start^inf g(u) u^power du by a smoothly windowed sum.
 
+    g is bounded: a constant, plus an oscillation about zero with any number
+    of carriers, plus a part that decays.  With a cutoff chi equal to 1 up
+    to U and falling smoothly to 0 at 2U (an erfc step), the sum
 
-def _doubling_tail(fn, start: float, abs_tol: float, closed_form: float) -> float:
-    """The fallback branch: blocks [a, 2a], decay stop or Wynn to the floor."""
-    sums: list[float] = []
-    blocks: list[float] = []
-    recent: list[float] = []
-    partial = closed_form
-    a = start
-    for _ in range(_DOUBLING_BLOCKS):
-        b = 2.0 * a
-        val = _tail_block(fn, a, b, abs_tol)
-        partial += val
-        blocks.append(val)
-        sums.append(partial)
-        if len(blocks) >= 2 and abs(blocks[-1]) < abs_tol * 0.25 and abs(blocks[-2]) < abs_tol * 0.25:
-            return partial
-        if len(sums) >= 6:
-            est = wynn_epsilon(sums)
-            recent.append(est)
-            if len(recent) >= 4:
-                spread = max(recent[-4:]) - min(recent[-4:])
-                if spread < max(abs_tol, _DOUBLING_REL_FLOOR * abs(est)):
-                    return est
-        a = b
-    raise QuadratureNoConvergence(
-        f"tail integral from {start:g} did not settle within {_DOUBLING_BLOCKS} doubling blocks"
-    )
+        int_start^U g u^power + int_U^2U (g - m) u^power chi + m int_U^inf u^power
 
+    has no integration-by-parts boundary terms, so it approaches the
+    integral faster than any power of k U for every carrier k (the windowed
+    Green function idea: Monro, Caltech thesis 2007; Bruno, Lyon,
+    Perez-Arancibia and Turc, SIAM J. Appl. Math. 76, 2016).  m is the mean
+    of g on (U, 2U) under the bump chi (1 - chi), and its tail is integrated
+    in closed form, so a constant part of g (1 + cos u) is exact too.
 
-def _next_zero(fn, zero: float, step: float) -> float:
-    """The first sign change of fn past zero, on a grid of the given step."""
-    lo = f_lo = None
-    for j in range(1, _BRACKET_STEPS + 1):
-        hi = zero + j * step
-        f_hi = fn(hi)
-        if not math.isfinite(f_hi):
-            raise QuadratureNoConvergence(f"tail integrand evaluated non-finite at {hi:g}")
-        if lo is not None and (f_hi > 0.0) != (f_lo > 0.0):
-            return brentq(fn, lo, hi)
-        lo, f_lo = hi, f_hi
-    raise QuadratureNoConvergence(
-        f"no sign change of the tail integrand within {_BRACKET_STEPS} steps past {zero:g}"
-    )
+    21-point Gauss-Kronrod panels march out from start; a panel is accepted
+    when its Kronrod-Gauss difference is at most 0.1 abs_tol h/b (width h,
+    right end b), and each g value is computed once: panels below U are
+    folded into a running sum, so each doubling of U, from 4 start up,
+    costs only the new span.  The value is accepted when two successive
+    windowed sums agree to abs_tol.  Refused with QuadratureNoConvergence:
 
+    * power >= 0, where the integral of the weight itself diverges
+      (cos(3u)/log(1 + u) from 1 is one such integral that converges);
+    * max|g| on [U, 2U] above 1.25 times max|g| on [start, U] when the sums
+      agree: the windowed sum of a growing g is an Abel value, also when the
+      integral diverges (u^1/2 cos 3u against u^-1/2).  The reference is
+      all of [start, U], not [U/2, U], because the beat of two close
+      carriers can leave one window's maximum 1.35 times the last one's;
+    * for power >= -1, a windowed mean above both 1e-8 max|g| and
+      abs_tol / int_U^2U u^power, whose integral diverges;
+    * a non-finite g value;
+    * a second panel in one doubling of U that misses its tolerance at a
+      width of 1e-10 of its position: g jumps again, or abs_tol is below
+      the rounding of g there;
+    * U beyond 2^16 start without agreement ("did not settle"), as for a g
+      that tends to its limit only like a power of u (2 + 1/u).
 
-def _scan_zeros(fn, start: float, abs_tol: float):
-    """Zeros of fn past start for the zero-aligned branch, or None.
-
-    The scan covers [start, 32 start] with 2049 points, then widens 32-fold
-    (512 more points each time, at most twice) while it holds fewer than 4
-    sign changes, so slow oscillations still get their zeros.  None means
-    take the doubling branch: fn has decayed over the last half of the
-    scanned span (the 17-point probe), or the widest scan still shows too
-    few sign changes.
+    The first such panel of a doubling is accepted: it holds a jump of g,
+    at a cost of about |jump| times its width.  g should still be smooth:
+    a jump between a panel's last node and its end is invisible to the
+    error estimate (cos 3u below 5 and u^-2 above, from 1, misses by
+    3.6e-9 at abs_tol 1e-10).
     """
-    grid: list[float] = []
+    if not start > 0.0:
+        raise ValueError(f"tail start must be > 0, got {start!r}")
+    if power >= 0.0:
+        raise QuadratureNoConvergence(f"tail weight u^{power:g} is not integrable: the integral diverges")
+    q = power + 1.0
+
+    def weight_integral(a, b):
+        return math.log(b / a) if q == 0.0 else (b**q - a**q) / q
+
+    nodes: list[float] = []
+    weights: list[float] = []
     values: list[float] = []
-    lo = start
-    for level in range(_SCAN_LEVELS):
-        hi = _SCAN_WIDTH * lo
-        probe = np.linspace(0.5 * hi, hi, _DECAY_PROBE_POINTS).tolist()
-        if max(abs(fn(u)) for u in probe) * 0.5 * hi < abs_tol:
-            return None
-        points = (np.linspace(lo, hi, _WIDENED_SCAN_POINTS).tolist()[1:] if level
-                  else np.linspace(lo, hi, _ZERO_SCAN_POINTS).tolist())
-        grid += points
-        values += [fn(u) for u in points]
-        if not all(math.isfinite(v) for v in values[-len(points):]):
-            raise QuadratureNoConvergence(f"tail integrand evaluated non-finite in the zero scan from {start:g}")
-        positive = np.array(values) > 0.0
-        changes = np.flatnonzero(positive[1:] != positive[:-1])
-        if len(changes) >= _MIN_SIGN_CHANGES:
-            return [brentq(fn, grid[i], grid[i + 1]) for i in changes]
-        lo = hi
-    return None
-
-
-def _size_floor(u, sizes) -> float:
-    """Level that the half-cycle sizes approach, from a fit s = A + B u^-q.
-
-    Three sizes at geometrically spaced u (the middle one interpolated in
-    log-log) fix A by Aitken's delta-squared: a power law gives A = 0.
-    """
-    u_mid = math.sqrt(u[0] * u[-1])
-    s_mid = math.exp(np.interp(math.log(u_mid), np.log(u), np.log(sizes)))
-    d1 = sizes[0] - s_mid
-    d2 = s_mid - sizes[-1]
-    if d1 - d2 <= 0.0:
-        return 0.0
-    return sizes[-1] - d2 * d2 / (d1 - d2)
-
-
-def oscillatory_tail(fn, start: float, abs_tol: float, closed_form: float = 0.0) -> float:
-    """closed_form + int_start^inf fn, fn oscillating about zero or decaying.
-
-    closed_form is the part of the caller's tail integral it knows exactly
-    (the operators' f(x) tau^(-1-delta) term); the partial sums start from
-    it, so the stop rule certifies the whole value.  Two branches:
-
-    * Zero-aligned (fn changes sign at least 4 times on [start, 32 start],
-      or on a scan widened 32-fold once or twice, and has not decayed over
-      the last half of that span): blocks run between consecutive
-      zeros of fn, found by brentq, as in QUADPACK's QAWF and Sidi's
-      mW-transformation.  The half-cycle integrals alternate, so Wynn's
-      epsilon on the last 24 partial sums converges geometrically; the
-      value is accepted once three consecutive extrapolants agree to
-      abs_tol, with no relative floor.  Wynn also sums divergent
-      alternating series, so agreement raises QuadratureNoConvergence
-      while the last half-cycle of the window is no smaller than its first,
-      or while the window's sizes level off: a fit A + B u^-q through three
-      of them puts the floor A above half the last size.  One window cannot
-      tell a floor from a slow approach to a power law, so a convergent
-      tail still far from its power law at agreement (cos(3u) u^-0.2
-      (1 + 3/u) or cos(3u)/log(1 + u) from u = 1) is refused too.  So
-      are no bracket within 64 steps of a quarter zero gap, and 4000
-      half-cycles without agreement.
-    * Doubling fallback (decaying integrands, or too few sign changes on
-      the widest scan): blocks [a, 2a].  A decaying fn stops once two
-      consecutive blocks fall under abs_tol (tight certification).
-      Otherwise Wynn's epsilon runs on the block partial sums and stops
-      when four extrapolants agree to max(abs_tol, 1e-5 |value|).  That
-      relative floor is the honest level of this branch: past a dozen
-      doublings a block holds more oscillations than quad can subdivide,
-      so the block values carry ~1e-5 relative noise.
-    """
-    zeros = _scan_zeros(fn, start, abs_tol)
-    if zeros is None:
-        return _doubling_tail(fn, start, abs_tol, closed_form)
-    step = 0.25 * float(np.median(np.diff(zeros)))
-
-    partial = closed_form + _tail_block(fn, start, zeros[0], abs_tol)
-    sums: list[float] = []
-    sizes: list[float] = []
-    mids: list[float] = []
-    recent: list[float] = []
-    a = zeros[0]
-    for n in range(1, _HALF_CYCLES + 1):
-        b = zeros[n] if n < len(zeros) else _next_zero(fn, a, step)
-        block = _tail_block(fn, a, b, abs_tol)
-        partial += block
-        sums.append(partial)
-        sizes.append(abs(block))
-        mids.append(0.5 * (a + b))
-        recent.append(wynn_epsilon(sums[-_WYNN_WINDOW:]))
-        if len(recent) >= 3 and max(recent[-3:]) - min(recent[-3:]) < abs_tol:
-            window = sizes[-_WYNN_WINDOW:]
-            if (window[-1] >= window[0] * (1.0 - _MIN_SHRINK)
-                    or _size_floor(mids[-len(window):], window) > _MAX_FLOOR_SHARE * window[-1]):
-                # the extrapolants agree on the Abel value of a divergent sum
+    folded = 0.0
+    big = 4.0 * start
+    a, h = start, 0.25 * start
+    prev = None
+    seen = 0.0  # max|g| on [start, U]
+    while True:
+        jumped = False
+        while a < 2.0 * big:
+            end = big if a < big else 2.0 * big
+            while True:
+                b = min(a + h, end)
+                r = 0.5 * (b - a)
+                us = [a + r + r * x for x in _NODES]
+                gs = [g(u) for u in us]
+                err = r * abs(sum(map(mul, _DIFF, [v * u**power for v, u in zip(gs, us)])))
+                tol = 0.1 * abs_tol * (b - a) / b
+                if err <= tol:
+                    break
+                if not math.isfinite(err):
+                    raise QuadratureNoConvergence(f"tail integrand evaluated non-finite on [{a:g}, {b:g}]")
+                if b - a < _MIN_PANEL * b:
+                    if jumped:
+                        raise QuadratureNoConvergence(
+                            f"tail panels near u = {a:g} miss their tolerance at width {b - a:g}: "
+                            "the integrand jumps, or abs_tol is below its rounding"
+                        )
+                    jumped = True
+                    break  # a jump of g: accepted at a cost of about |jump| (b - a)
+                h = 0.5 * (b - a)
+            nodes += us
+            values += gs
+            weights += [r * w for w in _KRONROD]
+            h = 2.0 * (b - a) if err == 0.0 else (b - a) * min(2.0, max(0.5, 0.9 * (tol / err) ** 0.05))
+            a = b
+        u, w, gv = np.array(nodes), np.array(weights), np.array(values)
+        up = u**power
+        below = u < big
+        folded += float(np.dot(w[below], gv[below] * up[below]))
+        seen = max(seen, float(np.max(np.abs(gv[below]), initial=0.0)))
+        u, w, gv, up = u[~below], w[~below], gv[~below], up[~below]
+        chi = (0.5 * _erfc(_STEEPNESS * (u / big - 1.5)) - _WINDOW_AT_2U) / (_WINDOW_AT_U - _WINDOW_AT_2U)
+        bump = w * chi * (1.0 - chi)
+        m = float(np.dot(bump, gv) / np.sum(bump))
+        peak = float(np.max(np.abs(gv)))
+        diverging = (q >= 0.0 and abs(m) > _MEAN_FLOOR * peak
+                     and abs(m) * weight_integral(big, 2.0 * big) > abs_tol)
+        # the mean's tail beyond U in closed form; where that diverges, a
+        # mean above the floor is left out, so that the rest settles and is refused
+        mean = m if q < 0.0 or diverging else 0.0
+        value = folded + float(np.dot(w * chi, (gv - mean) * up))
+        value -= mean * big**q / q if q < 0.0 else mean * weight_integral(start, big)
+        if prev is not None and abs(value - prev) <= abs_tol:
+            if peak > _GROWTH * seen:
                 raise QuadratureNoConvergence(
-                    f"tail half-cycles from {start:g} do not shrink to zero: the integral diverges"
+                    f"tail factor g from {start:g} grows (max {peak:g} on [{big:g}, {2 * big:g}], "
+                    f"{seen:g} before): the windowed sum may be the Abel value of a divergent integral"
                 )
-            return recent[-1]
-        a = b
-    raise QuadratureNoConvergence(
-        f"tail integral from {start:g} did not settle within {_HALF_CYCLES} half-cycles"
-    )
+            if diverging:
+                raise QuadratureNoConvergence(
+                    f"tail integrand from {start:g} has mean {m:g} against u^{power:g}: the integral diverges"
+                )
+            return closed_form + value
+        prev, seen = value, max(seen, peak)
+        folded += float(np.dot(w, gv * up))
+        nodes, weights, values = [], [], []
+        big *= 2.0
+        if big > _MAX_WINDOW * start:
+            raise QuadratureNoConvergence(
+                f"tail integral from {start:g} did not settle by U = {big / 2:g}"
+            )
 
 
 def complex_quad(fn, a, b, abs_tol, limit=400):

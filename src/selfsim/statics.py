@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-6
+# first regularization of constant_annihilation_check's default eps sweep
+_EPS_BASE = 0.1
 
 
 @dataclass(frozen=True)
@@ -237,16 +239,12 @@ def constant_annihilation_check(alpha: float, eps_values=None, tol_inf: float = 
     both endpoints, the upper one at X large enough that |X^-alpha / alpha|
     is below tol_inf.  The vanishing of this integral is what lets the
     kernel family act as a fractional derivative that kills constants.
-    The default sweep descends three decades from the configured
-    regularization base.
+    The default sweep descends three decades from eps = 0.1.
     """
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"check requires alpha > 0, got {alpha}")
     if eps_values is None:
-        from .params import DEFAULT_QUADRATURE
-
-        base = DEFAULT_QUADRATURE.epsilon
-        eps_values = tuple(base * 10.0**-j for j in range(4))
+        eps_values = tuple(_EPS_BASE * 10.0**-j for j in range(4))
     x_hi = (tol_inf * alpha) ** (-1.0 / alpha)
     vals = []
     for eps in eps_values:

@@ -348,6 +348,14 @@ class TestTailExponent:
         with pytest.raises(LOutOfGrid):
             fit_tail_exponent(w, 100.0, 101.0)
 
+    @pytest.mark.parametrize("window", [(-5.0, 5.0), (0.0, 50.0), (-50.0, -10.0), (50.0, 10.0)])
+    def test_window_must_be_positive(self, params_half, window):
+        # the fit takes log x, so it needs 0 < x_lo < x_hi; a window
+        # reaching x <= 0 ended in numpy's LinAlgError after LAPACK messages
+        w = propagator(params_half, Grid1D.centered(4096, 0.05), 1.0)
+        with pytest.raises(LOutOfGrid):
+            fit_tail_exponent(w, *window)
+
 
 class TestWindowedDiagnostics:
     """The diagnostics compute x on their window only; their answers must be

@@ -123,10 +123,7 @@ class TestQuadratureConfig:
     def test_defaults_valid(self):
         QuadratureConfig()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(epsilon=0.0), dict(tau_split=-1.0), dict(abs_tol=0.0), dict(rel_tol=-1e-9)],
-    )
-    def test_rejects_nonpositive(self, kwargs):
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-9])
+    def test_rejects_nonpositive(self, abs_tol):
         with pytest.raises(NonPositiveScale):
-            QuadratureConfig(**kwargs)
+            QuadratureConfig(abs_tol=abs_tol)
