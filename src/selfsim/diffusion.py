@@ -22,6 +22,7 @@ plus analytic tail series).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +40,7 @@ from .errors import (
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import (SeriesPolicy, _stable_log_terms, _stable_series, _stable_sign,
-                         complex_quad, quad_checked)
+from .quadrature import SeriesPolicy, _stable_log_terms, _stable_series, _stable_sign, quad_checked
 
 __all__ = [
     "SampleBatch",
@@ -155,13 +155,15 @@ def propagator_quadrature(params: MediumParams, x: float, t: float,
     if d < 1.0 and xa > 0.0:
         # (1/pi) Re{ i int_0^inf exp(-a t (iu)^delta - u x) du }; for d < 1 the
         # principal branch of (iu)^delta has positive real part, so the
-        # rotated integrand decays monotonically
-        def integrand(u):
-            return 1j * np.exp(-a_t * (u ** d) * np.exp(1j * math.pi * d / 2.0) - u * xa)
+        # rotated integrand decays monotonically.  Only the real part is
+        # integrated: it is the whole answer.
+        phase = cmath.exp(1j * math.pi * d / 2.0)
 
-        val = complex_quad(integrand, 0.0, np.inf, abs_tol=qcfg.abs_tol,
-                          limit=_MAX_SUBDIVISIONS)
-        return float(val.real) / math.pi
+        def integrand(u):
+            return (1j * cmath.exp(-a_t * u**d * phase - u * xa)).real
+
+        return quad_checked(integrand, 0.0, np.inf, abs_tol=qcfg.abs_tol,
+                            limit=_MAX_SUBDIVISIONS) / math.pi
     # direct: envelope e^{-a t k^delta} confines the mass to k ~ (30/(a t))^(1/delta)
     k_hi = (40.0 / a_t) ** (1.0 / d)
     return quad_checked(lambda k: math.exp(-a_t * k**d) * math.cos(k * xa),

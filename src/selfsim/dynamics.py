@@ -29,6 +29,7 @@ counterpart inverts omega^2(k) - (omega + i eps)^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -280,19 +281,29 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
     p1 = quad_checked(direct, 0.0, k0, abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
                       limit=_MAX_SUBDIVISIONS)
 
+    # constants of the rotated integrand, on Python complex numbers
     phase = 1j * k0 * x
+    half = 0.5 * delta
+    ist = 1j * s_a * t
+    ln_s = math.log(s_a)
 
-    def rotated(u):
-        lnz = np.log(k0 + 1j * u)
-        iw = 1j * s_a * t * np.exp(0.5 * delta * lnz)
-        if kind == "Q":
-            ln_denom = math.log(s_a) + 0.5 * delta * lnz
-            return 0.5 * (np.exp(phase + iw - u * x - ln_denom)
-                          - np.exp(phase - iw - u * x - ln_denom))
-        return 0.5j * (np.exp(phase + iw - u * x) + np.exp(phase - iw - u * x))
+    def rotated(u, exp=cmath.exp, log=cmath.log):
+        try:
+            lnz = log(k0 + 1j * u)
+            iw = ist * exp(half * lnz)
+            ux = u * x
+            if kind == "Q":
+                ln_denom = ln_s + half * lnz
+                return (0.5 * (exp(phase + iw - ux - ln_denom) - exp(phase - iw - ux - ln_denom))).real
+            return (0.5j * (exp(phase + iw - ux) + exp(phase - iw - ux))).real
+        except OverflowError:
+            # for t large against |x| the integrand peaks beyond float range
+            # before e^{-ux} wins.  cmath raises there; numpy's exp gives the
+            # inf or nan that makes quad_checked refuse
+            with np.errstate(all="ignore"):
+                return float(rotated(u, np.exp, np.log))
 
-    p2 = quad_checked(lambda u: rotated(u).real, 0.0, np.inf,
-                      abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
+    p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
                       limit=_MAX_SUBDIVISIONS)
     return (p1 + p2) / math.pi
 

@@ -16,7 +16,6 @@ and serves as the independent cross-check of the closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,17 +128,17 @@ def _dispersion_integral(delta: float, qcfg: QuadratureConfig) -> float:
     inner = 0.0
     for m in range(1, _INNER_TERMS + 1):
         inner += (-1.0) ** (m + 1) / (_gamma(2 * m + 1.0) * (2 * m - delta))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cospart, err = quad(
-            lambda s: s ** (-1.0 - delta),
-            1.0,
-            np.inf,
-            weight="cos",
-            wvar=1.0,
-            epsabs=qcfg.abs_tol * 0.01,
-            limit=_MAX_SUBDIVISIONS,
-        )
+    # full_output: quad returns its message instead of issuing a warning
+    cospart, err = quad(
+        lambda s: s ** (-1.0 - delta),
+        1.0,
+        np.inf,
+        weight="cos",
+        wvar=1.0,
+        epsabs=qcfg.abs_tol * 0.01,
+        limit=_MAX_SUBDIVISIONS,
+        full_output=1,
+    )[:2]
     if not math.isfinite(cospart) or err > 1e-6:
         raise QuadratureNoConvergence(
             f"oscillatory tail of the dispersion integral did not converge (err={err:g})"

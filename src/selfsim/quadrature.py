@@ -7,9 +7,9 @@ Two recurring difficulties, one routine each:
                                           smooth window that doubles until
                                           two windowed sums agree.
 
-The panels near 0 are plain scipy.integrate.quad, whose warnings are
-turned into QuadratureNoConvergence when the reported error exceeds the
-budget; the tail has its own 21-point Gauss-Kronrod panels.
+The panels near 0 are plain scipy.integrate.quad; its reported error is
+checked against the budget, and QuadratureNoConvergence raised when it is
+over.  The tail has its own 21-point Gauss-Kronrod panels.
 
 Regularized (eps -> 0+) grid transforms take their Richardson weights on
 the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
@@ -34,8 +34,9 @@ differ only in their parameters:
 from __future__ import annotations
 
 import math
-import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 
 import numpy as np
@@ -55,10 +56,13 @@ __all__ = [
 
 
 def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
-    """scipy quad that raises instead of warning when accuracy is not met."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, **kwargs)
+    """scipy quad that raises instead of warning when accuracy is not met.
+
+    With full_output, quad returns its message instead of issuing a warning,
+    so the process-wide warning filters are left alone; a warning that fn
+    itself issues reaches the caller's filters.
+    """
+    val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1, **kwargs)[:2]
     if not math.isfinite(val) or err > max(abs_tol, rel_tol * abs(val)) * 50.0:
         raise QuadratureNoConvergence(
             f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
@@ -185,8 +189,8 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
         return math.log(b / a) if q == 0.0 else (b**q - a**q) / q
 
     nodes: list[float] = []
-    weights: list[float] = []
     values: list[float] = []
+    halves: list[float] = []  # one half-width per panel
     folded = 0.0
     big = 4.0 * start
     a, h = start, 0.25 * start
@@ -199,9 +203,10 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
             while True:
                 b = min(a + h, end)
                 r = 0.5 * (b - a)
-                us = [a + r + r * x for x in _NODES]
-                gs = [g(u) for u in us]
-                err = r * abs(sum(map(mul, _DIFF, [v * u**power for v, u in zip(gs, us)])))
+                c = a + r
+                us = [c + r * x for x in _NODES]
+                gs = list(map(g, us))
+                err = r * abs(sum(map(mul, _DIFF, map(mul, gs, map(pow, us, repeat(power))))))
                 tol = 0.1 * abs_tol * (b - a) / b
                 if err <= tol:
                     break
@@ -218,15 +223,17 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
                 h = 0.5 * (b - a)
             nodes += us
             values += gs
-            weights += [r * w for w in _KRONROD]
+            halves.append(r)
             h = 2.0 * (b - a) if err == 0.0 else (b - a) * min(2.0, max(0.5, 0.9 * (tol / err) ** 0.05))
             a = b
-        u, w, gv = np.array(nodes), np.array(weights), np.array(values)
+        u, gv = np.array(nodes), np.array(values)
+        w = np.multiply.outer(halves, _KRONROD).ravel()
         up = u**power
-        below = u < big
-        folded += float(np.dot(w[below], gv[below] * up[below]))
-        seen = max(seen, float(np.max(np.abs(gv[below]), initial=0.0)))
-        u, w, gv, up = u[~below], w[~below], gv[~below], up[~below]
+        # panels never straddle U, so the nodes below it are a prefix
+        k = bisect_left(nodes, big)
+        folded += float(np.dot(w[:k], gv[:k] * up[:k]))
+        seen = max(seen, float(np.max(np.abs(gv[:k]), initial=0.0)))
+        u, w, gv, up = u[k:], w[k:], gv[k:], up[k:]
         chi = (0.5 * _erfc(_STEEPNESS * (u / big - 1.5)) - _WINDOW_AT_2U) / (_WINDOW_AT_U - _WINDOW_AT_2U)
         bump = w * chi * (1.0 - chi)
         m = float(np.dot(bump, gv) / np.sum(bump))
@@ -251,19 +258,12 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
             return closed_form + value
         prev, seen = value, max(seen, peak)
         folded += float(np.dot(w, gv * up))
-        nodes, weights, values = [], [], []
+        nodes, values, halves = [], [], []
         big *= 2.0
         if big > _MAX_WINDOW * start:
             raise QuadratureNoConvergence(
                 f"tail integral from {start:g} did not settle by U = {big / 2:g}"
             )
-
-
-def complex_quad(fn, a, b, abs_tol, limit=400):
-    """quad for complex-valued integrands (real and imaginary parts separately)."""
-    re = quad_checked(lambda u: fn(u).real, a, b, abs_tol=abs_tol, limit=limit)
-    im = quad_checked(lambda u: fn(u).imag, a, b, abs_tol=abs_tol, limit=limit)
-    return re + 1j * im
 
 
 # ------------------------------------------------------ stable-law series

@@ -11,7 +11,12 @@ rotation are the straightforward forms of the library's kernel synthesis
 (a (-1)^j sign array, one transform per symbol part, a fresh damping per
 call) that its leaner versions must match bit for bit.  So are the
 diffusion diagnostics by a mask over the whole grid and scipy's trapezoid
-rules, against the library's windowed versions.
+rules, against the library's windowed versions, and so are the pointwise
+quadratures as they were written first: the propagator as a complex
+integral (both parts integrated, the real part kept), the rotated wave
+kernel integrand on numpy complex scalars, and the windowed tail with
+per-node weights and boolean masks, each behind a quad whose warnings a
+filter silences.
 """
 
 import math
@@ -19,7 +24,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
-from scipy.special import gamma, hyp1f1
+from scipy.special import erfc, gamma, hyp1f1
 
 
 def _neville0(xs, ys):
@@ -197,3 +202,162 @@ def numeric_cdf_core_reference(w, xq):
     x = w.grid.x
     cum = np.concatenate([[0.0], cumulative_trapezoid(w.values, x)])
     return np.interp(xq, x, cum - cum[w.grid.n // 2] + 0.5)
+
+
+# ------------------------------------------- the pointwise routes, first form
+
+def outcome(call):
+    """float.hex of call(), or the type and message of what it raised."""
+    try:
+        return float(call()).hex()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return f"{type(exc).__name__}: {exc}"
+
+
+def quad_checked_reference(fn, a, b, abs_tol, rel_tol=1e-11, limit=400):
+    """quad_checked with quad's warnings silenced by a filter."""
+    from selfsim import QuadratureNoConvergence
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+    if not math.isfinite(val) or err > max(abs_tol, rel_tol * abs(val)) * 50.0:
+        raise QuadratureNoConvergence(
+            f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
+        )
+    return val
+
+
+def propagator_quadrature_reference(params, x, t, abs_tol=1e-9):
+    """propagator_quadrature for delta < 1, x != 0: the complex integral's
+    real and imaginary parts each by quad, the real part returned."""
+    a_t = params.a_delta * t
+    d = params.delta
+
+    def integrand(u):
+        return 1j * np.exp(-a_t * (u ** d) * np.exp(1j * math.pi * d / 2.0) - u * abs(x))
+
+    re = quad_checked_reference(lambda u: integrand(u).real, 0.0, np.inf, abs_tol)
+    im = quad_checked_reference(lambda u: integrand(u).imag, 0.0, np.inf, abs_tol)
+    return float((re + 1j * im).real) / math.pi
+
+
+def rotated_fourier_reference(params, x, t, kind, abs_tol=1e-9):
+    """Q ("Q") or dQ/dt ("dQ") at (x, t > 0) by the rotated-contour
+    quadrature, its integrand on numpy complex scalars."""
+    x = abs(x)
+    delta = params.delta
+    s_a = params.omega_scale
+    k0 = max(2.0, 2.0 / x)
+
+    def direct(k):
+        w = s_a * k ** (delta / 2.0)
+        if kind == "Q":
+            s = t if abs(w * t) < 1e-8 else math.sin(w * t) / w
+        else:
+            s = math.cos(w * t)
+        return math.cos(k * x) * s
+
+    p1 = quad_checked_reference(direct, 0.0, k0, abs_tol, rel_tol=1e-9)
+    phase = 1j * k0 * x
+
+    def rotated(u):
+        lnz = np.log(k0 + 1j * u)
+        iw = 1j * s_a * t * np.exp(0.5 * delta * lnz)
+        if kind == "Q":
+            ln_denom = math.log(s_a) + 0.5 * delta * lnz
+            return 0.5 * (np.exp(phase + iw - u * x - ln_denom)
+                          - np.exp(phase - iw - u * x - ln_denom))
+        return 0.5j * (np.exp(phase + iw - u * x) + np.exp(phase - iw - u * x))
+
+    p2 = quad_checked_reference(lambda u: rotated(u).real, 0.0, np.inf, abs_tol, rel_tol=1e-9)
+    return (p1 + p2) / math.pi
+
+
+def oscillatory_tail_reference(g, power, start, abs_tol, closed_form=0.0):
+    """oscillatory_tail with 21 weights kept per panel and the nodes below
+    U picked by a boolean mask."""
+    from operator import mul
+
+    from selfsim import QuadratureNoConvergence
+    from selfsim.quadrature import (_DIFF, _GROWTH, _KRONROD, _MAX_WINDOW, _MEAN_FLOOR,
+                                    _MIN_PANEL, _NODES, _STEEPNESS, _WINDOW_AT_2U, _WINDOW_AT_U)
+
+    if not start > 0.0:
+        raise ValueError(f"tail start must be > 0, got {start!r}")
+    if power >= 0.0:
+        raise QuadratureNoConvergence(f"tail weight u^{power:g} is not integrable: the integral diverges")
+    q = power + 1.0
+
+    def weight_integral(a, b):
+        return math.log(b / a) if q == 0.0 else (b**q - a**q) / q
+
+    nodes, weights, values = [], [], []
+    folded = 0.0
+    big = 4.0 * start
+    a, h = start, 0.25 * start
+    prev = None
+    seen = 0.0
+    while True:
+        jumped = False
+        while a < 2.0 * big:
+            end = big if a < big else 2.0 * big
+            while True:
+                b = min(a + h, end)
+                r = 0.5 * (b - a)
+                us = [a + r + r * x for x in _NODES]
+                gs = [g(u) for u in us]
+                err = r * abs(sum(map(mul, _DIFF, [v * u**power for v, u in zip(gs, us)])))
+                tol = 0.1 * abs_tol * (b - a) / b
+                if err <= tol:
+                    break
+                if not math.isfinite(err):
+                    raise QuadratureNoConvergence(f"tail integrand evaluated non-finite on [{a:g}, {b:g}]")
+                if b - a < _MIN_PANEL * b:
+                    if jumped:
+                        raise QuadratureNoConvergence(
+                            f"tail panels near u = {a:g} miss their tolerance at width {b - a:g}: "
+                            "the integrand jumps, or abs_tol is below its rounding"
+                        )
+                    jumped = True
+                    break
+                h = 0.5 * (b - a)
+            nodes += us
+            values += gs
+            weights += [r * w for w in _KRONROD]
+            h = 2.0 * (b - a) if err == 0.0 else (b - a) * min(2.0, max(0.5, 0.9 * (tol / err) ** 0.05))
+            a = b
+        u, w, gv = np.array(nodes), np.array(weights), np.array(values)
+        up = u**power
+        below = u < big
+        folded += float(np.dot(w[below], gv[below] * up[below]))
+        seen = max(seen, float(np.max(np.abs(gv[below]), initial=0.0)))
+        u, w, gv, up = u[~below], w[~below], gv[~below], up[~below]
+        chi = (0.5 * erfc(_STEEPNESS * (u / big - 1.5)) - _WINDOW_AT_2U) / (_WINDOW_AT_U - _WINDOW_AT_2U)
+        bump = w * chi * (1.0 - chi)
+        m = float(np.dot(bump, gv) / np.sum(bump))
+        peak = float(np.max(np.abs(gv)))
+        diverging = (q >= 0.0 and abs(m) > _MEAN_FLOOR * peak
+                     and abs(m) * weight_integral(big, 2.0 * big) > abs_tol)
+        mean = m if q < 0.0 or diverging else 0.0
+        value = folded + float(np.dot(w * chi, (gv - mean) * up))
+        value -= mean * big**q / q if q < 0.0 else mean * weight_integral(start, big)
+        if prev is not None and abs(value - prev) <= abs_tol:
+            if peak > _GROWTH * seen:
+                raise QuadratureNoConvergence(
+                    f"tail factor g from {start:g} grows (max {peak:g} on [{big:g}, {2 * big:g}], "
+                    f"{seen:g} before): the windowed sum may be the Abel value of a divergent integral"
+                )
+            if diverging:
+                raise QuadratureNoConvergence(
+                    f"tail integrand from {start:g} has mean {m:g} against u^{power:g}: the integral diverges"
+                )
+            return closed_form + value
+        prev, seen = value, max(seen, peak)
+        folded += float(np.dot(w, gv * up))
+        nodes, weights, values = [], [], []
+        big *= 2.0
+        if big > _MAX_WINDOW * start:
+            raise QuadratureNoConvergence(
+                f"tail integral from {start:g} did not settle by U = {big / 2:g}"
+            )

@@ -33,7 +33,9 @@ from oracles import (
     fit_tail_exponent_reference,
     lorentzian_cdf,
     numeric_cdf_core_reference,
+    outcome,
     propagator_direct,
+    propagator_quadrature_reference,
     truncated_moment_reference,
 )
 
@@ -145,6 +147,19 @@ class TestPropagatorSeries:
         w = propagator(params_half, grid, 1.0)
         want = propagator_series(params_half, 3.0, 1.0)
         assert w.value_near(3.0) == pytest.approx(want, rel=1e-6)
+
+
+class TestQuadratureBitIdentity:
+    def test_real_part_alone_matches_complex_quadrature(self):
+        # one quad of the real part returns every bit the complex route did
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            delta = float(rng.uniform(0.05, 0.95))
+            x = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 8.0))
+            t = float(rng.uniform(0.05, 5.0))
+            p = make_params(delta, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            assert (outcome(lambda: propagator_quadrature(p, x, t))
+                    == outcome(lambda: propagator_quadrature_reference(p, x, t))), (delta, x, t)
 
 
 class TestTailCdfMass:

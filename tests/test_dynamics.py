@@ -35,6 +35,8 @@ from oracles import (
     cauchy_evolve_reference,
     kernel_ladder_reference,
     kernel_ladder_xspace,
+    outcome,
+    rotated_fourier_reference,
     sample_kernel_reference,
     wave_symbol_reference,
 )
@@ -223,6 +225,33 @@ class TestSynthesisBitIdentity:
             dynamics._ladder_cache.clear()
             fresh = wave_kernel_spectral(params_half, g, 0.7).values
             assert got[i].tobytes() == fresh.tobytes()
+
+
+class TestFourierBitIdentity:
+    """The rotated integrand on Python complex numbers (cmath) changes no
+    bit of Q or dQ/dt, and refuses where the numpy form refused."""
+
+    def test_matches_reference_on_band(self):
+        rng = np.random.default_rng(15)
+        for _ in range(150):
+            delta = float(rng.uniform(0.05, 1.95))
+            x = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 6.0))
+            t = float(rng.uniform(-3.0, 3.0))
+            p = make_params(delta, 1.0, 1.0)
+            want_q = outcome(lambda: rotated_fourier_reference(p, x, abs(t), "Q") * math.copysign(1.0, t))
+            assert outcome(lambda: wave_kernel_fourier(p, x, t)) == want_q, (delta, x, t)
+            want_dq = outcome(lambda: rotated_fourier_reference(p, x, abs(t), "dQ"))
+            assert outcome(lambda: wave_kernel_dt_fourier(p, x, t)) == want_dq, (delta, x, t)
+
+    @pytest.mark.parametrize("kind,route", [("Q", wave_kernel_fourier), ("dQ", wave_kernel_dt_fourier)])
+    def test_overflow_is_refused_as_before(self, kind, route):
+        # t large against x: the rotated integrand passes float range, where
+        # cmath raises and numpy returned nan
+        p = make_params(1.8220583136570803, 1.0, 1.0)
+        x, t = 2.0840462259093817, 2.732423584380128
+        want = outcome(lambda: rotated_fourier_reference(p, x, t, kind))
+        assert want.startswith("QuadratureNoConvergence")
+        assert outcome(lambda: route(p, x, t)) == want
 
 
 class TestSeriesKernels:

@@ -21,10 +21,11 @@ from selfsim import (
     laplacian_apply_spectral,
     make_params,
 )
+from selfsim import operator as selfsim_operator
 from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import oscillatory_tail
 
-from oracles import frac_kernel_sweep, gaussian_laplacian
+from oracles import frac_kernel_sweep, gaussian_laplacian, oscillatory_tail_reference, outcome
 
 # exponents drawn across the band 0 < delta < 2, clear of its endpoints
 BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
@@ -294,6 +295,21 @@ class TestWeylMarchaud:
         assert abs(got + lam * math.cos(k0 * x)) <= 1e-6 * lam
 
 
+# factors g with a divergent int_1^inf g(u) du, which the tail is handed as
+# g(u) u^1/2 against u^-1/2, and (g, power) pairs whose weight or mean
+# diverges
+DIVERGENT = {
+    "cos": lambda u: math.cos(3.0 * u),
+    "u_cos": lambda u: u * math.cos(3.0 * u),
+    "cos_1_inv_u": lambda u: math.cos(3.0 * u) * (1.0 + 1.0 / u),
+    "cos_1_inv_sqrt_u": lambda u: math.cos(3.0 * u) * (1.0 + u**-0.5),
+}
+DIVERGENT_WEIGHTS = {
+    "weight_not_integrable": (lambda u: math.cos(3.0 * u) / math.log(1.0 + u), 0.0),
+    "mean_against_1_over_u": (lambda u: 1.0 + math.cos(u), -1.0),
+}
+
+
 class TestOscillatoryTail:
     @pytest.mark.parametrize("k0", [1.0, 2.0, 2.9])
     def test_cosine_integral_closed_form(self, k0):
@@ -317,10 +333,7 @@ class TestOscillatoryTail:
         got = oscillatory_tail(lambda u: math.cos(3.0 * u) * (1.0 + 3.0 / u), -0.2, 1.0, 1e-10)
         assert got == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("g", [lambda u: math.cos(3.0 * u), lambda u: u * math.cos(3.0 * u),
-                                   lambda u: math.cos(3.0 * u) * (1.0 + 1.0 / u),
-                                   lambda u: math.cos(3.0 * u) * (1.0 + u**-0.5)],
-                             ids=["cos", "u_cos", "cos_1_inv_u", "cos_1_inv_sqrt_u"])
+    @pytest.mark.parametrize("g", DIVERGENT.values(), ids=DIVERGENT.keys())
     def test_refuses_divergent_integrals(self, g):
         # the windowed sums of these integrands agree on an Abel value, but
         # the factor g(u) u^1/2 against u^-1/2 grows (u^3/2 cos 3u is refused
@@ -334,14 +347,53 @@ class TestOscillatoryTail:
         with pytest.raises(ValueError):
             oscillatory_tail(math.cos, -1.5, start, 1e-9)
 
-    @pytest.mark.parametrize("g,power", [(lambda u: math.cos(3.0 * u) / math.log(1.0 + u), 0.0),
-                                         (lambda u: 1.0 + math.cos(u), -1.0)],
-                             ids=["weight_not_integrable", "mean_against_1_over_u"])
+    @pytest.mark.parametrize("g,power", DIVERGENT_WEIGHTS.values(), ids=DIVERGENT_WEIGHTS.keys())
     def test_refuses_divergent_weights(self, g, power):
         # cos(3u)/log(1 + u) converges, but u^0 is refused whatever g is;
         # the mean 1 of 1 + cos u against 1/u diverges
         with pytest.raises(QuadratureNoConvergence, match="diverges"):
             oscillatory_tail(g, power, 1.0, 1e-10)
+
+
+class TestTailBitIdentity:
+    """The panel centre computed once, one half-width per panel and the nodes
+    below U taken as a prefix change no bit of the windowed tail, and no
+    refusal's type or message."""
+
+    INPUTS = {
+        "cos": lambda k1, k2: lambda u: math.cos(k1 * u),
+        "gaussian": lambda k1, k2: lambda u: math.exp(-u * u),
+        "two_carriers": lambda k1, k2: lambda u: math.cos(k1 * u) + math.cos(k2 * u),
+        "one_plus_cos": lambda k1, k2: lambda u: 1.0 + math.cos(k1 * u),
+    }
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_laplacian_matches_reference_on_band(self, name, monkeypatch):
+        rng = np.random.default_rng(15)
+        cases = []
+        for _ in range(30):
+            delta = float(rng.uniform(0.05, 1.95))
+            k1, k2 = (float(k) for k in rng.uniform(0.05, 3.0, 2))
+            cases.append((make_params(delta, 1.0, 1.0), self.INPUTS[name](k1, k2), float(rng.uniform(-2.0, 2.0))))
+        got = [outcome(lambda: laplacian_apply_point(p, f, x)) for p, f, x in cases]
+        monkeypatch.setattr(selfsim_operator, "oscillatory_tail", oscillatory_tail_reference)
+        assert got == [outcome(lambda: laplacian_apply_point(p, f, x)) for p, f, x in cases]
+
+    @pytest.mark.parametrize("g,power,start", [
+        *((lambda u, g=g: g(u) * u**0.5, -0.5, 1.0) for g in DIVERGENT.values()),
+        *((g, power, 1.0) for g, power in DIVERGENT_WEIGHTS.values()),
+        (math.cos, -1.5, 0.0),
+        (math.cos, -1.5, -1.0),
+        (lambda u: math.cos(2.0 * u), -1.0, 1.0),
+        (lambda u: math.cos(3.0 * u) * u * u if u < 5.0 else 1.0, -2.0, 1.0),
+        (lambda u: math.cos(3.0 * u) * (1.0 + 3.0 / u), -0.2, 1.0),
+        (lambda u: (1.0 + u * u) ** -0.25, -1.5, 1.0),
+        (lambda u: math.nan if u > 7.0 else math.cos(u), -1.0, 1.0),
+    ], ids=[*DIVERGENT, *DIVERGENT_WEIGHTS, "start_0", "start_negative", "cos", "stops_oscillating",
+            "slowly_convergent", "did_not_settle", "non_finite"])
+    def test_tail_matches_reference(self, g, power, start):
+        want = outcome(lambda: oscillatory_tail_reference(g, power, start, 1e-10))
+        assert outcome(lambda: oscillatory_tail(g, power, start, 1e-10)) == want
 
 
 class TestFlux:

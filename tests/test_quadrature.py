@@ -1,0 +1,85 @@
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from selfsim import QuadratureNoConvergence, dispersion_quadrature, make_params
+from selfsim import quadrature
+from selfsim.diffusion import propagator_quadrature
+from selfsim.dynamics import wave_kernel_dt_fourier, wave_kernel_fourier
+from selfsim.quadrature import quad_checked
+
+from oracles import quad_checked_reference
+
+
+class TestQuadChecked:
+    def test_leaves_warning_filters_alone(self):
+        # full_output makes quad return its message instead of warning, so
+        # no call reads or rewrites the process's filters, not even while
+        # the integrand runs
+        before = warnings.filters
+        contents = list(before)
+        seen = []
+
+        def f(u):
+            seen.append(warnings.filters is before)
+            return math.cos(u)
+
+        quad_checked(f, 0.0, 1.0, 1e-9)
+        with pytest.raises(QuadratureNoConvergence):
+            quad_checked(lambda u: f(200.0 * u), 0.0, 10.0, 1e-12, limit=3)
+        dispersion_quadrature(make_params(0.7, 1.0, 1.0), 2.0)
+        assert all(seen)
+        assert warnings.filters is before
+        assert warnings.filters == contents
+
+    def test_failure_raises_under_error_filter(self):
+        # quad's message is read from its return value: under an "error"
+        # filter a failed run still raises QuadratureNoConvergence, not
+        # scipy's IntegrationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureNoConvergence, match="reported error"):
+                quad_checked(lambda u: math.cos(200.0 * u), 0.0, 10.0, 1e-12, limit=3)
+
+    @pytest.mark.parametrize("fn,a,b", [(math.cos, 0.0, 1.0), (lambda u: u**-0.5, 1e-3, 1.0),
+                                        (lambda u: math.exp(-u * u), 0.0, math.inf),
+                                        (lambda u: math.cos(30.0 * u) * u**-0.8, 1e-3, 1.0)],
+                             ids=["cos", "singular", "infinite", "oscillating"])
+    def test_values_equal_filtered_quad(self, fn, a, b):
+        assert quad_checked(fn, a, b, 1e-10).hex() == quad_checked_reference(fn, a, b, 1e-10).hex()
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The (a, b) of every quad call that quad_checked makes."""
+    calls = []
+    real = quadrature.quad
+
+    def counting(fn, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return real(fn, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad", counting)
+    return calls
+
+
+class TestQuadCallCounts:
+    """Each pointwise route integrates only what its answer needs."""
+
+    @pytest.mark.parametrize("delta", [0.3, 0.75, 1.0, 1.5])
+    def test_propagator_quadrature_makes_one_call(self, quad_calls, delta):
+        # the rotated integral's real part below delta = 1, the direct
+        # cosine integral from 1 up
+        got = propagator_quadrature(make_params(delta, 1.0, 1.0), 0.7, 1.2)
+        assert np.isfinite(got)
+        assert len(quad_calls) == 1
+
+    @pytest.mark.parametrize("route", [wave_kernel_fourier, wave_kernel_dt_fourier])
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 1.8])
+    def test_wave_kernel_fourier_makes_two_calls(self, quad_calls, route, delta):
+        # [0, k0] directly and the rotated contour beyond k0
+        got = route(make_params(delta, 1.0, 1.0), 2.0, 1.0)
+        assert np.isfinite(got)
+        assert [b for _, b in quad_calls] == [2.0, math.inf]
