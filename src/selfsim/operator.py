@@ -19,7 +19,6 @@ Laplacian, and the one-sided fractional-derivative kernel with symbol
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -27,7 +26,7 @@ from scipy.special import gamma as _gamma
 from .errors import AlphaOutOfRange, DeltaOutOfRange, OriginSingular
 from .grids import RealField, apply_symbol
 from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import oscillatory_tail, panel_integral
+from .quadrature import oscillatory_tail, quad_checked
 
 __all__ = [
     "laplacian_apply_point",
@@ -45,6 +44,10 @@ __all__ = [
 # cancellation (noise ~ eps_mach / tau^2).
 _TAU_SPLIT = 1.0
 _TAU_TAYLOR = 1e-3 * _TAU_SPLIT
+# The inner region [_TAU_TAYLOR, _TAU_SPLIT] is one quad call with the
+# breakpoints 2^j _TAU_TAYLOR: QUADPACK's QAGP starts from ten geometric
+# panels, clustered toward the singular end.
+_INNER_POINTS = tuple(_TAU_TAYLOR * 2.0**j for j in range(1, 10))
 
 
 def _second_difference(f, x: float, two_fx: float, h0: float = 1e-2) -> tuple[float, float]:
@@ -70,11 +73,11 @@ def laplacian_apply_point(params: MediumParams, f, x: float,
     f must be twice differentiable near x and smooth and bounded beyond:
     a constant plus oscillations (plane waves, any number of them) plus a
     decaying part.  f(x) is evaluated once.  Below tau = 1 a Taylor disc
-    and geometric panels take the singular part.  Beyond it the constant
-    part -2 f(x) tau^(-1-delta) is integrated in closed form, and
-    f(x + tau) + f(x - tau) against tau^(-1-delta) goes to the windowed
-    tail sum (``quadrature.oscillatory_tail``), which integrates the
-    windowed mean of f(x + tau) + f(x - tau) in closed form too.
+    and one quadrature on geometric panels take the singular part.  Beyond
+    it the constant part -2 f(x) tau^(-1-delta) is integrated in closed
+    form, and f(x + tau) + f(x - tau) against tau^(-1-delta) goes to the
+    windowed tail sum (``quadrature.oscillatory_tail``), which integrates
+    the windowed mean of f(x + tau) + f(x - tau) in closed form too.
     """
     qcfg = qcfg or DEFAULT_QUADRATURE
     delta = params.delta
@@ -88,8 +91,8 @@ def laplacian_apply_point(params: MediumParams, f, x: float,
     fpp, quartic = _second_difference(f, x, two_fx)
     inner = fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
     inner += quartic * _TAU_TAYLOR ** (4.0 - delta) / (4.0 - delta)
-    inner += panel_integral(lambda u: (f(x + u) + f(x - u) - two_fx) * u**power,
-                            _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4)
+    inner += quad_checked(lambda u: (f(x + u) + f(x - u) - two_fx) * u**power,
+                          _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4, limit=200, points=_INNER_POINTS)
     outer = oscillatory_tail(lambda u: f(x + u) + f(x - u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
                              closed_form=-two_fx * _TAU_SPLIT ** (-delta) / delta)
     return c * (inner + outer)
@@ -141,15 +144,14 @@ def weyl_marchaud(delta: float, f, x: float, side: str,
     fpp = _second_difference(f, x, 2.0 * fx)[0]
     inner = -sgn * fp * _TAU_TAYLOR ** (1.0 - delta) / (1.0 - delta)
     inner -= 0.5 * fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
-    inner += panel_integral(lambda u: (fx - f(x + sgn * u)) * u**power,
-                            _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4)
+    inner += quad_checked(lambda u: (fx - f(x + sgn * u)) * u**power,
+                          _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4, limit=200, points=_INNER_POINTS)
     # outer: the f(x) tau^(-1-delta) part in closed form, f(x + sgn tau) windowed
     outer = oscillatory_tail(lambda u: -f(x + sgn * u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
                              closed_form=fx * _TAU_SPLIT ** (-delta) / delta)
     return coef * (inner + outer)
 
 
-@lru_cache(maxsize=32)
 def _flux_weights(delta: float, dx: float, n: int) -> np.ndarray:
     """Exact moments of tau^-delta against piecewise-linear fields.
 

@@ -19,15 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .errors import (
-    DeltaOutOfRange,
-    NonPositiveScale,
-    PoleError,
-    QuadratureNoConvergence,
-)
+from .errors import DeltaOutOfRange, NonPositiveScale, PoleError
+from .quadrature import quad_checked
 
 __all__ = [
     "MediumParams",
@@ -120,29 +115,15 @@ def dispersion(params: MediumParams, k):
 # Terms of int_0^1 (1 - cos s)/s^(1+delta) ds integrated term by term;
 # 1/(2m)! decay makes 25 terms far more than double precision needs.
 _INNER_TERMS = 25
-# subdivision limit of the cosine-weighted quad beyond s = 1
-_MAX_SUBDIVISIONS = 400
 
 
 def _dispersion_integral(delta: float, qcfg: QuadratureConfig) -> float:
     inner = 0.0
     for m in range(1, _INNER_TERMS + 1):
         inner += (-1.0) ** (m + 1) / (_gamma(2 * m + 1.0) * (2 * m - delta))
-    # full_output: quad returns its message instead of issuing a warning
-    cospart, err = quad(
-        lambda s: s ** (-1.0 - delta),
-        1.0,
-        np.inf,
-        weight="cos",
-        wvar=1.0,
-        epsabs=qcfg.abs_tol * 0.01,
-        limit=_MAX_SUBDIVISIONS,
-        full_output=1,
-    )[:2]
-    if not math.isfinite(cospart) or err > 1e-6:
-        raise QuadratureNoConvergence(
-            f"oscillatory tail of the dispersion integral did not converge (err={err:g})"
-        )
+    # QUADPACK's QAWF: its cosine weight makes the tail beyond s = 1 converge
+    cospart = quad_checked(lambda s: s ** (-1.0 - delta), 1.0, np.inf,
+                           abs_tol=qcfg.abs_tol * 0.01, weight="cos", wvar=1.0)
     return inner + 1.0 / delta - cospart
 
 

@@ -2,14 +2,17 @@
 
 Two recurring difficulties, one routine each:
 
-* power-law singularity at 0           -> geometric panels + Taylor disc,
+* power-law singularity at 0           -> Taylor disc + one quad_checked
+                                          call with geometric breakpoints,
 * bounded tails g(u) u^power to inf    -> Gauss-Kronrod panels under a
                                           smooth window that doubles until
                                           two windowed sums agree.
 
-The panels near 0 are plain scipy.integrate.quad; its reported error is
-checked against the budget, and QuadratureNoConvergence raised when it is
-over.  The tail has its own 21-point Gauss-Kronrod panels.
+Every library call of scipy.integrate.quad goes through quad_checked: the
+reported error is checked against the budget, and QuadratureNoConvergence
+raised when it is over.  Near 0 the operators' breakpoints 2^j 1e-3 start
+QUADPACK's QAGP on geometric panels that cluster toward the singular end.
+The tail has its own 21-point Gauss-Kronrod panels.
 
 Regularized (eps -> 0+) grid transforms take their Richardson weights on
 the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
@@ -50,7 +53,6 @@ __all__ = [
     "SeriesPolicy",
     "quad_checked",
     "neville_at_zero",
-    "panel_integral",
     "oscillatory_tail",
 ]
 
@@ -80,23 +82,6 @@ def neville_at_zero(xs, ys):
             tab[i] = (x1 * tab[i] - x0 * tab[i + 1]) / (x1 - x0)
     out = tab[0]
     return float(out) if out.ndim == 0 else out
-
-
-def panel_integral(fn, a: float, b: float, abs_tol: float, growth: float = 2.0) -> float:
-    """Integral over [a, b] by adaptive quad on geometric panels from a.
-
-    Panels [a, a*growth], [a*growth, a*growth^2], ... cluster resolution
-    toward the lower end, where the integrands handled here concentrate
-    their difficulty.
-    """
-    total = 0.0
-    lo = a
-    share = abs_tol / max(4.0, math.log(b / a) / math.log(growth) + 1.0)
-    while lo < b * (1.0 - 1e-12):
-        hi = min(growth * lo, b)
-        total += quad_checked(fn, lo, hi, abs_tol=share, limit=200)
-        lo = hi
-    return total
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21) on [-1, 1]: the positive

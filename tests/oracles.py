@@ -14,17 +14,20 @@ diffusion diagnostics by a mask over the whole grid and scipy's trapezoid
 rules, against the library's windowed versions, and so are the pointwise
 quadratures as they were written first: the propagator as a complex
 integral (both parts integrated, the real part kept), the rotated wave
-kernel integrand on numpy complex scalars, and the windowed tail with
+kernel integrand on numpy complex scalars, the windowed tail with
 per-node weights and boolean masks, each behind a quad whose warnings a
-filter silences.
+filter silences, and the operators' inner region as one checked quad call
+per geometric panel.  At delta = 1 the wave kernels have closed forms in
+Faddeeva's function, which no library route uses.
 """
 
+import cmath
 import math
 import warnings
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
-from scipy.special import erfc, gamma, hyp1f1
+from scipy.special import erfc, gamma, hyp1f1, wofz
 
 
 def _neville0(xs, ys):
@@ -95,6 +98,26 @@ def gaussian_laplacian(delta: float, x, a_delta: float):
     -a 2^delta Gamma((1+delta)/2)/sqrt(pi) 1F1((1+delta)/2; 1/2; -x^2)."""
     scale = a_delta * 2.0**delta * gamma((1.0 + delta) / 2.0) / math.sqrt(math.pi)
     return -scale * hyp1f1((1.0 + delta) / 2.0, 0.5, -np.square(x))
+
+
+def wave_kernels_delta_one(params, x: float, t: float) -> tuple[float, float]:
+    """Q and dQ/dt at delta = 1, x != 0, t >= 0, in closed form.
+
+    With c = omega_scale, alpha = c e^(i pi/4) / (2 sqrt|x|), z = alpha t
+    and Dawson's function F(z) = -i (sqrt(pi)/2) (w(z) - e^(-z^2)) (w is
+    Faddeeva's function),
+
+        Q     = (2 / (pi c sqrt|x|)) Re[e^(i pi/4) F(z)],
+        dQ/dt = (2 / (pi c sqrt|x|)) Re[e^(i pi/4) alpha (1 - 2 z F(z))].
+    """
+    c = params.omega_scale
+    root = math.sqrt(abs(x))
+    rot = cmath.exp(0.25j * math.pi)
+    alpha = c * rot / (2.0 * root)
+    z = alpha * t
+    dawson = -0.5j * math.sqrt(math.pi) * (complex(wofz(z)) - cmath.exp(-z * z))
+    front = 2.0 / (math.pi * c * root)
+    return front * (rot * dawson).real, front * (rot * alpha * (1.0 - 2.0 * z * dawson)).real
 
 
 def lorentzian_cdf(x, scale: float):
@@ -206,12 +229,12 @@ def numeric_cdf_core_reference(w, xq):
 
 # ------------------------------------------- the pointwise routes, first form
 
-def outcome(call):
-    """float.hex of call(), or the type and message of what it raised."""
+def outcome(call, message=True):
+    """float.hex of call(), or the type (and message) of what it raised."""
     try:
         return float(call()).hex()
     except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}" if message else type(exc).__name__
 
 
 def quad_checked_reference(fn, a, b, abs_tol, rel_tol=1e-11, limit=400):
@@ -226,6 +249,22 @@ def quad_checked_reference(fn, a, b, abs_tol, rel_tol=1e-11, limit=400):
             f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
         )
     return val
+
+
+def panel_integral_reference(fn, a, b, abs_tol, growth=2.0):
+    """The operators' inner region as one quad_checked call per geometric
+    panel [a, a growth], [a growth, a growth^2], ..., each with its share
+    of abs_tol."""
+    from selfsim.quadrature import quad_checked
+
+    total = 0.0
+    lo = a
+    share = abs_tol / max(4.0, math.log(b / a) / math.log(growth) + 1.0)
+    while lo < b * (1.0 - 1e-12):
+        hi = min(growth * lo, b)
+        total += quad_checked(fn, lo, hi, abs_tol=share, limit=200)
+        lo = hi
+    return total
 
 
 def propagator_quadrature_reference(params, x, t, abs_tol=1e-9):

@@ -25,7 +25,13 @@ from selfsim import operator as selfsim_operator
 from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import oscillatory_tail
 
-from oracles import frac_kernel_sweep, gaussian_laplacian, oscillatory_tail_reference, outcome
+from oracles import (
+    frac_kernel_sweep,
+    gaussian_laplacian,
+    oscillatory_tail_reference,
+    outcome,
+    panel_integral_reference,
+)
 
 # exponents drawn across the band 0 < delta < 2, clear of its endpoints
 BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
@@ -394,6 +400,46 @@ class TestTailBitIdentity:
     def test_tail_matches_reference(self, g, power, start):
         want = outcome(lambda: oscillatory_tail_reference(g, power, start, 1e-10))
         assert outcome(lambda: oscillatory_tail(g, power, start, 1e-10)) == want
+
+
+class TestInnerRegionBitIdentity:
+    """One quad call with the breakpoints 2^j 1e-3 (QUADPACK's QAGP) gives
+    the inner region bit for bit as one call per geometric panel did; where
+    either side refuses, both refuse with the same exception type."""
+
+    INPUTS = TestTailBitIdentity.INPUTS
+
+    def _cases(self, name, seed, low, high):
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(30):
+            delta = float(rng.uniform(low, high))
+            k1, k2 = (float(k) for k in rng.uniform(0.05, 3.0, 2))
+            cases.append((delta, self.INPUTS[name](k1, k2), float(rng.uniform(-2.0, 2.0))))
+        return cases
+
+    @staticmethod
+    def _outcomes(monkeypatch, call):
+        got = call()
+        monkeypatch.setattr(selfsim_operator, "quad_checked",
+                            lambda fn, a, b, abs_tol, limit, points: panel_integral_reference(fn, a, b, abs_tol))
+        return got, call()
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_laplacian_matches_reference_on_band(self, name, monkeypatch):
+        cases = self._cases(name, 16, 0.05, 1.95)
+        got, want = self._outcomes(monkeypatch, lambda: [
+            outcome(lambda: laplacian_apply_point(make_params(d, 1.0, 1.0), f, x), message=False)
+            for d, f, x in cases])
+        assert got == want
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_weyl_marchaud_matches_reference_on_band(self, name, side, monkeypatch):
+        cases = self._cases(name, 17, 0.05, 0.95)
+        got, want = self._outcomes(monkeypatch, lambda: [
+            outcome(lambda: weyl_marchaud(d, f, x, side), message=False) for d, f, x in cases])
+        assert got == want
 
 
 class TestFlux:

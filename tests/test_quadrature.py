@@ -1,10 +1,14 @@
+import importlib
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from selfsim import QuadratureNoConvergence, dispersion_quadrature, make_params
+import selfsim
+from selfsim import QuadratureNoConvergence, dispersion_quadrature, laplacian_apply_point, make_params
 from selfsim import quadrature
 from selfsim.diffusion import propagator_quadrature
 from selfsim.dynamics import wave_kernel_dt_fourier, wave_kernel_fourier
@@ -53,12 +57,12 @@ class TestQuadChecked:
 
 @pytest.fixture
 def quad_calls(monkeypatch):
-    """The (a, b) of every quad call that quad_checked makes."""
+    """The (a, b, keyword arguments) of every quad call that quad_checked makes."""
     calls = []
     real = quadrature.quad
 
     def counting(fn, a, b, *args, **kwargs):
-        calls.append((a, b))
+        calls.append((a, b, kwargs))
         return real(fn, a, b, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "quad", counting)
@@ -82,4 +86,37 @@ class TestQuadCallCounts:
         # [0, k0] directly and the rotated contour beyond k0
         got = route(make_params(delta, 1.0, 1.0), 2.0, 1.0)
         assert np.isfinite(got)
-        assert [b for _, b in quad_calls] == [2.0, math.inf]
+        assert [b for _, b, _ in quad_calls] == [2.0, math.inf]
+
+    def test_laplacian_inner_region_makes_one_call(self, quad_calls):
+        # the whole of [1e-3, 1] in one call, started on its geometric
+        # panels; the Taylor disc and the windowed tail make none
+        got = laplacian_apply_point(make_params(0.5, 1.0, 1.0), lambda u: math.cos(2.0 * u), 0.3)
+        assert np.isfinite(got)
+        assert len(quad_calls) == 1
+        a, b, kwargs = quad_calls[0]
+        assert (a, b) == (1e-3, 1.0)
+        assert list(kwargs["points"]) == [1e-3 * 2.0**j for j in range(1, 10)]
+
+    def test_dispersion_quadrature_makes_one_call(self, quad_calls):
+        assert np.isfinite(dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0))
+        assert [(a, b, kwargs["weight"]) for a, b, kwargs in quad_calls] == [(1.0, math.inf, "cos")]
+
+
+def test_dispersion_refusal_goes_through_quad_checked(monkeypatch):
+    # a quad that reports an error far over the budget is refused by
+    # quad_checked's one rule, with its message
+    monkeypatch.setattr(quadrature, "quad", lambda fn, a, b, **kwargs: (0.5, 1.0, {}))
+    with pytest.raises(QuadratureNoConvergence, match=r"quadrature on \[1, inf\] reported error 1 "):
+        dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0)
+
+
+def test_only_quadrature_binds_scipy_quad():
+    # every library QUADPACK call goes through quad_checked; the selftest
+    # keeps its own oracle, independent of the library's engines
+    binders = []
+    for info in pkgutil.iter_modules(selfsim.__path__):
+        module = importlib.import_module(f"selfsim.{info.name}")
+        if any(value is scipy.integrate.quad for value in vars(module).values()):
+            binders.append(info.name)
+    assert binders == ["quadrature", "selftest"]
