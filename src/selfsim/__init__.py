@@ -70,7 +70,6 @@ from .statics import (
     riesz_origin_integral,
     riesz_tail_integral,
 )
-from .quadrature import SeriesPolicy
 from .dynamics import (
     CauchyState,
     cauchy_evolve,

@@ -64,6 +64,19 @@ def _floats(text) -> tuple[float, ...]:
     return tuple(map(float, _names(text)))
 
 
+def _labelled_floats(text) -> tuple[float, ...]:
+    """Values that name columns or results by their %g label: two distinct
+    values may not share one, or a column repeats and a result is lost.
+    Exact repeats give equal columns and values, and are kept."""
+    values = _floats(text)
+    seen = {}
+    for v in values:
+        other = seen.setdefault(f"{v:g}", v)
+        if repr(other) != repr(v):  # repr, not !=: a nan is refused later, as non-finite
+            raise ValueError(f"{other!r} and {v!r} share the label {v:g}")
+    return values
+
+
 def _tail_window(text) -> tuple[float, float]:
     window = _floats(text)
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
@@ -202,13 +215,15 @@ def _cmd_greens_static(s) -> ResultEnvelope:
 def _cmd_laplacian(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
     grid = Grid1D.centered(s.n, s.dx)
+    xs = np.linspace(-2.0, 2.0, s.pointwise)
+    for x in xs:  # value_near reads the grid sample nearest each x: check them before any work
+        grid.index_near(x)
     fn = (lambda u: np.cos(s.k0 * u)) if s.function == "cos" else (lambda u: np.exp(-u * u))
     field = grid.sample(fn)
     lap = laplacian_apply_spectral(p, field)
     table = _table(["x", "field", "laplacian"], [grid.x, field.values, lap.values])
     env = ResultEnvelope("laplacian", s.given, files={"laplacian.csv": table})
     if s.pointwise > 0:
-        xs = np.linspace(-2.0, 2.0, s.pointwise)
         pw = [laplacian_apply_point(p, fn, x) for x in xs]
         env.files["laplacian_pointwise.csv"] = _table(["x", "laplacian"], [xs, pw])
         env.results["max_route_difference"] = max(abs(v - lap.value_near(x)) for x, v in zip(xs, pw))
@@ -326,7 +341,7 @@ _COMMANDS = {
     }),
     "cauchy": (_cmd_cauchy, "evolve a Gaussian initial displacement", {
         **_PHYSICS, **_grid(4096, 0.05),
-        "times": (_floats, (0.5, 1.0, 2.0), "comma-separated evolution times"),
+        "times": (_labelled_floats, (0.5, 1.0, 2.0), "comma-separated evolution times"),
         "k0": (float, 2.0, "carrier wavenumber of the initial displacement"),
     }),
     "kernels": (_cmd_kernels, "Cauchy kernels by series and quadrature", {
@@ -341,7 +356,7 @@ _COMMANDS = {
     }),
     "diffusion": (_cmd_diffusion, "heavy-tailed propagator profiles", {
         **_PHYSICS, **_grid(1 << 16, 0.02),
-        "times": (_floats, (0.5, 1.0, 2.0), "comma-separated times"),
+        "times": (_labelled_floats, (0.5, 1.0, 2.0), "comma-separated times"),
         "tail_window": (_tail_window, None,
                         "x_lo,x_hi window for a log-log tail fit of the last profile"),
     }),
@@ -354,7 +369,7 @@ _COMMANDS = {
     }),
     "potentials": (_cmd_potentials, "kernel family b_alpha profiles", {
         **_OUT,
-        "alphas": (_floats, (-0.5, 0.5, 1.5), "comma-separated exponents alpha"),
+        "alphas": (_labelled_floats, (-0.5, 0.5, 1.5), "comma-separated exponents alpha"),
         "x": (_floats, (0.25, 0.5, 1.0, 2.0, 4.0), "comma-separated positions"),
     }),
     "selftest": (_cmd_selftest, "run the acceptance suite", {

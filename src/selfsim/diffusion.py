@@ -39,8 +39,8 @@ from .errors import (
 )
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
-from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import SeriesPolicy, _stable_log_terms, _stable_series, _stable_sign, quad_checked
+from .params import DEFAULT_QUADRATURE, MediumParams, dispersion
+from .quadrature import _stable_log_terms, _stable_series, _stable_sign, quad_checked
 
 __all__ = [
     "SampleBatch",
@@ -116,8 +116,7 @@ def propagator_cauchy(params: MediumParams, x, t: float):
     return float(vals) if np.ndim(x) == 0 else vals
 
 
-def propagator_series(params: MediumParams, x: float, t: float,
-                      policy: SeriesPolicy | None = None) -> float:
+def propagator_series(params: MediumParams, x: float, t: float) -> float:
     """W(x, t), x != 0, by its power series; convergent only for delta < 1.
 
     W = (1/pi) sum_{n>=1} (-1)^(n-1) (n delta)!/n! sin(pi n delta / 2)
@@ -135,11 +134,10 @@ def propagator_series(params: MediumParams, x: float, t: float,
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
     ln_xi = math.log(params.a_delta * t) - params.delta * math.log(abs(x))
-    return _stable_series(params.delta, 1, 1, 1, ln_xi, -math.log(abs(x)), policy)
+    return _stable_series(params.delta, 1, 1, 1, ln_xi, -math.log(abs(x)))
 
 
-def propagator_quadrature(params: MediumParams, x: float, t: float,
-                          qcfg: QuadratureConfig | None = None) -> float:
+def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     """W(x, t) by direct quadrature of the Fourier integral (oracle grade).
 
     For delta < 1 the contour k -> iu turns the integral into a smooth,
@@ -148,7 +146,6 @@ def propagator_quadrature(params: MediumParams, x: float, t: float,
     """
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
-    qcfg = qcfg or DEFAULT_QUADRATURE
     a_t = params.a_delta * t
     d = params.delta
     xa = abs(x)
@@ -162,12 +159,12 @@ def propagator_quadrature(params: MediumParams, x: float, t: float,
         def integrand(u):
             return (1j * cmath.exp(-a_t * u**d * phase - u * xa)).real
 
-        return quad_checked(integrand, 0.0, np.inf, abs_tol=qcfg.abs_tol,
+        return quad_checked(integrand, 0.0, np.inf, abs_tol=DEFAULT_QUADRATURE.abs_tol,
                             limit=_MAX_SUBDIVISIONS) / math.pi
     # direct: envelope e^{-a t k^delta} confines the mass to k ~ (30/(a t))^(1/delta)
     k_hi = (40.0 / a_t) ** (1.0 / d)
     return quad_checked(lambda k: math.exp(-a_t * k**d) * math.cos(k * xa),
-                        0.0, k_hi, abs_tol=qcfg.abs_tol,
+                        0.0, k_hi, abs_tol=DEFAULT_QUADRATURE.abs_tol,
                         limit=max(_MAX_SUBDIVISIONS, int(20 * k_hi * xa / math.pi) + 50)) / math.pi
 
 

@@ -38,12 +38,11 @@ import numpy as np
 from .errors import EpsNonPositive, OriginSingular
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .operator import laplacian_apply_spectral
-from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import SeriesPolicy, _stable_log_terms, _stable_series, quad_checked
+from .params import DEFAULT_QUADRATURE, MediumParams, dispersion
+from .quadrature import _stable_log_terms, _stable_series, quad_checked
 
 __all__ = [
     "CauchyState",
-    "SeriesPolicy",
     "cauchy_evolve",
     "energy",
     "wave_kernel_spectral",
@@ -200,8 +199,7 @@ def _kernel_series_args(params: MediumParams, x: float, t: float, kind: str):
     return 1, ln_xi, -math.log(abs(x))
 
 
-def wave_kernel_series(params: MediumParams, x: float, t: float,
-                       policy: SeriesPolicy | None = None) -> float:
+def wave_kernel_series(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of Q(x, t), x != 0, by its entire power series.
 
     Q = -(1/pi) sum_{n>=1} (-1)^n t^(2n+1)/(2n+1)! a^n (n delta)!
@@ -214,18 +212,17 @@ def wave_kernel_series(params: MediumParams, x: float, t: float,
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
         return 0.0
-    val = _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "Q"), policy)
+    val = _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "Q"))
     return val if t > 0 else -val
 
 
-def wave_kernel_dt_series(params: MediumParams, x: float, t: float,
-                          policy: SeriesPolicy | None = None) -> float:
+def wave_kernel_dt_series(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0: same series with (2n)! weights."""
     if x == 0.0:
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
         return 0.0
-    return _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "dQ"), policy)
+    return _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "dQ"))
 
 
 def wave_series_terms(params: MediumParams, x: float, t: float,
@@ -256,8 +253,7 @@ _REL_TOL = 1e-9
 _MAX_SUBDIVISIONS = 400
 
 
-def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
-                     qcfg: QuadratureConfig) -> float:
+def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> float:
     """(1/pi) int_0^inf cos(kx) s(k) dk with s = sin(wt)/w or cos(wt).
 
     [0, k0] is integrated directly; beyond k0 the contour k = k0 + iu turns
@@ -278,7 +274,7 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
             s = math.cos(w * t)
         return math.cos(k * x) * s
 
-    p1 = quad_checked(direct, 0.0, k0, abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
+    p1 = quad_checked(direct, 0.0, k0, abs_tol=DEFAULT_QUADRATURE.abs_tol, rel_tol=_REL_TOL,
                       limit=_MAX_SUBDIVISIONS)
 
     # constants of the rotated integrand, on Python complex numbers
@@ -303,13 +299,12 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str,
             with np.errstate(all="ignore"):
                 return float(rotated(u, np.exp, np.log))
 
-    p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=qcfg.abs_tol, rel_tol=_REL_TOL,
+    p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=DEFAULT_QUADRATURE.abs_tol, rel_tol=_REL_TOL,
                       limit=_MAX_SUBDIVISIONS)
     return (p1 + p2) / math.pi
 
 
-def wave_kernel_fourier(params: MediumParams, x: float, t: float,
-                        qcfg: QuadratureConfig | None = None) -> float:
+def wave_kernel_fourier(params: MediumParams, x: float, t: float) -> float:
     """Q(x, t), x != 0, by certified quadrature of its Fourier integral.
 
     Independent of both the series and the FFT synthesis; this is the
@@ -319,24 +314,20 @@ def wave_kernel_fourier(params: MediumParams, x: float, t: float,
         raise OriginSingular("pointwise Fourier evaluation requires x != 0")
     if t == 0.0:
         return 0.0
-    qcfg = qcfg or DEFAULT_QUADRATURE
-    val = _rotated_fourier(params, x, abs(t), "Q", qcfg)
+    val = _rotated_fourier(params, x, abs(t), "Q")
     return val if t > 0 else -val
 
 
-def wave_kernel_dt_fourier(params: MediumParams, x: float, t: float,
-                           qcfg: QuadratureConfig | None = None) -> float:
+def wave_kernel_dt_fourier(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0, by the rotated-contour quadrature."""
     if x == 0.0:
         raise OriginSingular("pointwise Fourier evaluation requires x != 0")
-    qcfg = qcfg or DEFAULT_QUADRATURE
-    return _rotated_fourier(params, x, abs(t), "dQ", qcfg)
+    return _rotated_fourier(params, x, abs(t), "dQ")
 
 
 # ------------------------------------------------------------ Green's functions
 
-def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0,
-                    policy: SeriesPolicy | None = None) -> float:
+def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) -> float:
     """Causal space-time Green's function theta(t) e^{-eps t} Q(x, t).
 
     Zero for t <= 0 (Q vanishes at t = 0); the damping factor defaults to
@@ -346,7 +337,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0,
         raise EpsNonPositive(f"damping must be >= 0, got {eps}")
     if t <= 0.0:
         return 0.0
-    return math.exp(-eps * t) * wave_kernel_series(params, x, t, policy)
+    return math.exp(-eps * t) * wave_kernel_series(params, x, t)
 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):

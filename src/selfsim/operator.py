@@ -113,8 +113,7 @@ def laplacian_apply_spectral(params: MediumParams, f: RealField) -> RealField:
     return apply_symbol(f, laplacian_symbol(params, f.grid.k_half))
 
 
-def weyl_marchaud(delta: float, f, x: float, side: str,
-                  qcfg: QuadratureConfig | None = None) -> float:
+def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
     """One-sided fractional derivative of increment type, 0 < delta < 1.
 
         D u(x) = delta / Gamma(1 - delta)
@@ -129,10 +128,9 @@ def weyl_marchaud(delta: float, f, x: float, side: str,
         raise DeltaOutOfRange(f"increment derivative needs 0 < delta < 1, got {delta}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    qcfg = qcfg or DEFAULT_QUADRATURE
     sgn = -1.0 if side == "left" else 1.0
     coef = delta / _gamma(1.0 - delta)
-    tol = qcfg.abs_tol / max(coef, 1.0)
+    tol = DEFAULT_QUADRATURE.abs_tol / max(coef, 1.0)
 
     power = -1.0 - delta
     fx = f(x)

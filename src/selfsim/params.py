@@ -55,7 +55,8 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The absolute tolerance of the quadrature-based routes."""
+    """The absolute tolerance of laplacian_apply_point; the other
+    quadrature routes use DEFAULT_QUADRATURE's."""
 
     abs_tol: float = 1e-9
 
@@ -117,17 +118,17 @@ def dispersion(params: MediumParams, k):
 _INNER_TERMS = 25
 
 
-def _dispersion_integral(delta: float, qcfg: QuadratureConfig) -> float:
+def _dispersion_integral(delta: float) -> float:
     inner = 0.0
     for m in range(1, _INNER_TERMS + 1):
         inner += (-1.0) ** (m + 1) / (_gamma(2 * m + 1.0) * (2 * m - delta))
     # QUADPACK's QAWF: its cosine weight makes the tail beyond s = 1 converge
     cospart = quad_checked(lambda s: s ** (-1.0 - delta), 1.0, np.inf,
-                           abs_tol=qcfg.abs_tol * 0.01, weight="cos", wvar=1.0)
+                           abs_tol=DEFAULT_QUADRATURE.abs_tol * 0.01, weight="cos", wvar=1.0)
     return inner + 1.0 / delta - cospart
 
 
-def dispersion_quadrature(params: MediumParams, k: float, qcfg: QuadratureConfig | None = None) -> float:
+def dispersion_quadrature(params: MediumParams, k: float) -> float:
     """omega^2(k) evaluated from the defining integral instead of the closed form.
 
     Splits the integrand at s = 1: the inner part is summed exactly
@@ -135,8 +136,7 @@ def dispersion_quadrature(params: MediumParams, k: float, qcfg: QuadratureConfig
     behavior), the outer part combines the exact power tail with an
     oscillatory cosine-weighted quadrature.
     """
-    qcfg = qcfg or DEFAULT_QUADRATURE
     if k == 0.0:
         return 0.0
     base = 2.0 * (params.h**params.delta / params.zeta) * abs(k) ** params.delta
-    return base * _dispersion_integral(params.delta, qcfg)
+    return base * _dispersion_integral(params.delta)

@@ -22,10 +22,14 @@ all the Bergstroem/Feller expansion of a symmetric stable law (Feller,
 Vol. II, XVII.6),
 
     (1/pi) sum_{n>=1} (-1)^(n-1) sin(n pi delta/2)
-           Gamma(n delta + r) / Gamma(p n + q) xi^n front,
+           Gamma(n delta + r) / Gamma(p n + q) xi^n front.
 
-summed by one log-space engine under a ``SeriesPolicy``.  The callers
-differ only in their parameters:
+The wave kernels and the propagator are summed in log space by one engine,
+_stable_series, with a fixed rule: an absolute stop at 1e-14, at most 400
+terms and a ratio guard of 1e8, each refusal a SeriesBudgetExceeded.
+tail_cdf_mass adds a fixed 14 terms (delta < 1) or 4 (delta >= 1) of its
+own, with no stop rule and no refusal, so where xi is not small its value
+can leave [0, 1].  The callers differ only in their parameters:
 
     caller                   r  p  q  xi               front
     wave_kernel_series       1  2  2  a t^2/|x|^delta  t/|x|
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 
@@ -50,7 +53,6 @@ from scipy.special import gammaln as _gammaln
 from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
 
 __all__ = [
-    "SeriesPolicy",
     "quad_checked",
     "neville_at_zero",
     "oscillatory_tail",
@@ -253,29 +255,14 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
 
 # ------------------------------------------------------ stable-law series
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation contract for the stable-law power series.
-
-    The sum stops at the first term below abs_tol that is smaller than its
-    predecessor, i.e. on the decreasing side of the hump.  The stop is
-    absolute: when every term is below abs_tol the sum is its first term
-    (propagator_series at delta = 0.1, t = 1, x = 1.8e16 gives 1.32e-18
-    against a true 8.17e-19).  ratio_guard aborts runaway growth.
-    """
-
-    max_terms: int = 400
-    abs_tol: float = 1e-14
-    ratio_guard: float = 1e8
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be > 0")
-
-
-DEFAULT_SERIES = SeriesPolicy()
+# The series stops at the first term below _SERIES_ABS_TOL that is smaller
+# than its predecessor, i.e. on the decreasing side of the hump.  The stop
+# is absolute: when every term is below it the sum is its first term
+# (propagator_series at delta = 0.1, t = 1, x = 1.8e16 gives 1.32e-18
+# against a true 8.17e-19).  _SERIES_RATIO_GUARD aborts runaway growth.
+_SERIES_MAX_TERMS = 400
+_SERIES_ABS_TOL = 1e-14
+_SERIES_RATIO_GUARD = 1e8
 
 
 def _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front=0.0):
@@ -288,20 +275,17 @@ def _stable_sign(delta: float, n: int) -> float:
     return (1.0 / math.pi) * (-1.0) ** (n - 1) * math.sin(n * math.pi * delta / 2.0)
 
 
-def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float,
-                   policy: SeriesPolicy | None = None) -> float:
-    """The series at one argument, summed in log space until policy
-    (default DEFAULT_SERIES) stops it.
+def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> float:
+    """The series at one argument, summed in log space until its stop rule.
 
     Raises SeriesBudgetExceeded, with the partial sum and a tail bound, when
-    a term overflows float range, outgrows its predecessor by ratio_guard,
-    or max_terms terms do not reach abs_tol.
+    a term overflows float range, outgrows its predecessor by the ratio
+    guard, or _SERIES_MAX_TERMS terms do not reach _SERIES_ABS_TOL.
     """
-    policy = policy or DEFAULT_SERIES
     r, p, q = float(r), float(p), float(q)  # gammaln of a Python int is 5x slower
     total = 0.0
     prev_m = math.inf
-    for n in range(1, policy.max_terms + 1):
+    for n in range(1, _SERIES_MAX_TERMS + 1):
         lnm = _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front)
         if lnm > 700.0:
             # the hump exceeds float range; near delta = p the coefficient
@@ -313,15 +297,15 @@ def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float,
             )
         m = math.exp(lnm)
         total += _stable_sign(delta, n) * m
-        if m < policy.abs_tol and m < prev_m:
+        if m < _SERIES_ABS_TOL and m < prev_m:
             return total
-        if m > prev_m * policy.ratio_guard:
+        if m > prev_m * _SERIES_RATIO_GUARD:
             raise SeriesBudgetExceeded(
-                f"term ratio exceeded guard {policy.ratio_guard:g} at n = {n}",
+                f"term ratio exceeded guard {_SERIES_RATIO_GUARD:g} at n = {n}",
                 partial_sum=total, tail_bound=m,
             )
         prev_m = m
     raise SeriesBudgetExceeded(
-        f"series did not reach abs_tol = {policy.abs_tol:g} within {policy.max_terms} terms",
+        f"series did not reach abs_tol = {_SERIES_ABS_TOL:g} within {_SERIES_MAX_TERMS} terms",
         partial_sum=total, tail_bound=prev_m,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -431,14 +432,12 @@ def _outcomes(indices):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_selftest(case_ids=None, stream=None) -> list[CaseResult]:
-    """Run the acceptance cases (all, or the ids given) and report each in
-    registry order as soon as it and every case before it have finished."""
-    import sys
-
+def run_selftest(case_ids=None) -> list[CaseResult]:
+    """Run the acceptance cases (all, or the ids given) and report each on
+    stdout in registry order as soon as it and every case before it have
+    finished."""
     from .errors import ValidationError
 
-    stream = stream or sys.stdout
     wanted = set(case_ids) if case_ids else None
     if wanted:
         unknown = wanted - {c.case_id for c in CASES}
@@ -450,5 +449,5 @@ def run_selftest(case_ids=None, stream=None) -> list[CaseResult]:
         for index, (passed, detail) in zip(indices, outcomes):
             case = CASES[index]
             results.append(CaseResult(case.case_id, case.title, passed, detail))
-            stream.write(f"{'PASS' if passed else 'FAIL'} {case.case_id} {case.title}: {detail}\n")
+            sys.stdout.write(f"{'PASS' if passed else 'FAIL'} {case.case_id} {case.title}: {detail}\n")
     return results

@@ -60,8 +60,12 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-6
-# first regularization of constant_annihilation_check's default eps sweep
-_EPS_BASE = 0.1
+# poisson_solve's largest mean of the force, relative to its largest sample
+_MEAN_TOL = 1e-9
+# constant_annihilation_check's eps sweep, three decades down from 0.1, and
+# the size of |X^-alpha / alpha| at its upper end X
+_ANNIHILATION_EPS = tuple(0.1 * 10.0**-j for j in range(4))
+_ANNIHILATION_TAIL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,7 @@ def greens_static(params: MediumParams, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def poisson_solve(params: MediumParams, force: RealField, project: bool = False,
-                  mean_tol: float = 1e-9) -> RealField:
+def poisson_solve(params: MediumParams, force: RealField, project: bool = False) -> RealField:
     """Solve Lap u + f = 0 spectrally; the k = 0 mode of u is gauged to zero.
 
     The symbol 1/(a_delta |k|^delta) is singular at k = 0, so the force must
@@ -123,9 +126,9 @@ def poisson_solve(params: MediumParams, force: RealField, project: bool = False,
     g = force.grid
     scale = float(np.max(np.abs(force.values))) or 1.0
     mean = abs(float(np.sum(force.values))) / g.n
-    if mean > mean_tol * scale and not project:
+    if mean > _MEAN_TOL * scale and not project:
         raise NonZeroMeanForce(
-            f"force has mean amplitude {mean:g} (tolerance {mean_tol * scale:g}); "
+            f"force has mean amplitude {mean:g} (tolerance {_MEAN_TOL * scale:g}); "
             "enable project=True to gauge it away"
         )
     w2 = dispersion(params, g.k_half)
@@ -232,29 +235,27 @@ class AnnihilationReport:
     max_abs: float
 
 
-def constant_annihilation_check(alpha: float, eps_values=None, tol_inf: float = 1e-14) -> AnnihilationReport:
+def constant_annihilation_check(alpha: float) -> AnnihilationReport:
     """Verify Re int_0^inf dx / (eps - i x)^(alpha+1) = 0 across an eps sweep.
 
     Evaluates the closed antiderivative -(i/alpha)(eps - i x)^(-alpha) at
     both endpoints, the upper one at X large enough that |X^-alpha / alpha|
-    is below tol_inf.  The vanishing of this integral is what lets the
+    is below 1e-14.  The vanishing of this integral is what lets the
     kernel family act as a fractional derivative that kills constants.
-    The default sweep descends three decades from eps = 0.1.
+    The sweep descends three decades from eps = 0.1.
     """
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"check requires alpha > 0, got {alpha}")
-    if eps_values is None:
-        eps_values = tuple(_EPS_BASE * 10.0**-j for j in range(4))
-    x_hi = (tol_inf * alpha) ** (-1.0 / alpha)
+    x_hi = (_ANNIHILATION_TAIL * alpha) ** (-1.0 / alpha)
     vals = []
-    for eps in eps_values:
+    for eps in _ANNIHILATION_EPS:
         upper = (-1j / alpha) * (eps - 1j * x_hi) ** (-alpha)
         lower = (-1j / alpha) * complex(eps) ** (-alpha)
         vals.append(float((upper - lower).real))
     vals = tuple(vals)
     return AnnihilationReport(
         alpha=alpha,
-        eps_values=tuple(eps_values),
+        eps_values=_ANNIHILATION_EPS,
         values=vals,
         max_abs=max(abs(v) for v in vals),
     )

@@ -182,6 +182,38 @@ class TestValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, owner, name, message", [
+        # %g labels the columns u_t..., W_t... and b_alpha... and the results
+        (["cauchy", "--n", "256", "--dx", "0.1", "--times", "1.0000001,1.0000002"],
+         "cli.dyn", "cauchy_evolve", "share the label 1"),
+        (["diffusion", "--n", "256", "--dx", "0.1", "--times", "0.5,1.0000001,1.0000002"],
+         "cli.dif", "propagator", "share the label 1"),
+        (["potentials", "--alphas=0.5000001,0.5000002"],
+         "cli.sta", "riesz_kernel", "share the label 0.5"),
+        # the pointwise points reach x = +-2, outside this 64-point grid
+        (["laplacian", "--n", "64", "--dx", "0.02", "--pointwise", "3"],
+         "cli", "laplacian_apply_spectral", "x = -2.0 falls outside the grid"),
+    ])
+    def test_refused_before_numeric_work(self, monkeypatch, tmp_path, capsys, argv, owner, name, message):
+        from selfsim import cli
+
+        def boom(*args, **kwargs):
+            raise AssertionError("numeric work started")
+
+        monkeypatch.setattr(cli if owner == "cli" else getattr(cli, owner[4:]), name, boom)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "code: ValidationError" in err and message in err
+        assert not out.exists()
+
+    def test_repeated_value_keeps_its_column(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["cauchy", "--n", "256", "--dx", "0.1", "--times", "1,1", "--out", str(out)]) == 0
+        header, rows = _csv_rows(out / "cauchy.csv")
+        assert header == ["x", "u_t0", "u_t1", "u_t1"]
+        assert all(row[2] == row[3] for row in rows)
+
     def test_readme_potentials_line_runs(self, tmp_path):
         line = next(ln for ln in README.read_text().splitlines()
                     if ln.startswith("selfsim potentials"))

@@ -124,6 +124,16 @@ class TestPropagatorSeries:
     def test_vanishes_at_small_time(self, params_half):
         assert propagator_series(params_half, 3.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
 
+    def test_tiny_value_is_its_first_term(self):
+        # the stop is absolute (1e-14): when every term is below it the sum
+        # is its first term, 1.32e-18 here against a true 8.17e-19
+        p = make_params(0.1, 1.0, 1.0)
+        x = 1.8e16
+        first = math.gamma(1.1) * math.sin(0.05 * math.pi) * p.a_delta / (math.pi * x**1.1)
+        got = propagator_series(p, x, 1.0)
+        assert got == 1.3158313955408703e-18
+        assert got == pytest.approx(first, rel=1e-12)
+
     def test_matches_rotated_quadrature(self, params_half):
         for x, t in ((3.0, 1.0), (1.0, 0.5), (10.0, 2.0)):
             s = propagator_series(params_half, x, t)

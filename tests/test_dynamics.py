@@ -8,7 +8,6 @@ from selfsim import (
     CauchyState,
     EpsNonPositive,
     Grid1D,
-    SeriesPolicy,
     SeriesBudgetExceeded,
     cauchy_evolve,
     dispersion,
@@ -321,12 +320,25 @@ class TestSeriesKernels:
             wave_kernel_series(p, 0.7, 0.5)
         assert err.value.tail_bound is not None
 
-    def test_budget_exceeded_carries_partial_sum(self, params_half):
-        policy = SeriesPolicy(max_terms=3, abs_tol=1e-30)
-        with pytest.raises(SeriesBudgetExceeded) as err:
-            wave_kernel_series(params_half, 1.0, 1.0, policy)
-        assert err.value.partial_sum is not None
-        assert err.value.tail_bound is not None
+    def test_budget_exceeded_carries_partial_sum(self):
+        # 400 terms do not reach the absolute stop at 1e-14
+        with pytest.raises(SeriesBudgetExceeded, match="within 400 terms") as err:
+            wave_kernel_series(make_params(1.9, 1.0, 1.0), 0.7, 0.5)
+        assert err.value.partial_sum == pytest.approx(-1.922e173, rel=1e-3)
+        assert err.value.tail_bound == pytest.approx(3.602e174, rel=1e-3)
+
+    def test_overflowing_term_refused(self):
+        with pytest.raises(SeriesBudgetExceeded, match="overflows at n = 81") as err:
+            wave_kernel_series(make_params(0.5, 1.0, 1.0), 1e-4, 100.0)
+        assert math.isfinite(err.value.partial_sum)
+        assert err.value.tail_bound == math.inf
+
+    def test_ratio_guard_refused(self):
+        # at x = 1e-30 the second term outgrows the first by more than 1e8
+        with pytest.raises(SeriesBudgetExceeded, match=r"exceeded guard 1e\+08 at n = 2") as err:
+            wave_kernel_series(make_params(0.5, 1.0, 1.0), 1e-30, 1.0)
+        assert err.value.partial_sum == pytest.approx(-6.667e58, rel=1e-3)
+        assert err.value.tail_bound == pytest.approx(2.094e59, rel=1e-3)
 
     def test_term_ratios_decay(self, params_one):
         mags = wave_series_terms(params_one, 1.0, 1.0, kind="dQ", count=25, include_angular=False)
