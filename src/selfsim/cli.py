@@ -77,6 +77,15 @@ def _labelled_floats(text) -> tuple[float, ...]:
     return values
 
 
+def _evolution_times(text) -> tuple[float, ...]:
+    """Labelled times after the initial state, which holds the label 0."""
+    values = _labelled_floats(text)
+    for v in values:
+        if v == 0.0:  # 0 is the initial state itself, and -0.0 is the same time
+            raise ValueError(f"{v!r} is the initial state's time, labelled 0")
+    return values
+
+
 def _tail_window(text) -> tuple[float, float]:
     window = _floats(text)
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
@@ -341,7 +350,7 @@ _COMMANDS = {
     }),
     "cauchy": (_cmd_cauchy, "evolve a Gaussian initial displacement", {
         **_PHYSICS, **_grid(4096, 0.05),
-        "times": (_labelled_floats, (0.5, 1.0, 2.0), "comma-separated evolution times"),
+        "times": (_evolution_times, (0.5, 1.0, 2.0), "comma-separated nonzero evolution times"),
         "k0": (float, 2.0, "carrier wavenumber of the initial displacement"),
     }),
     "kernels": (_cmd_kernels, "Cauchy kernels by series and quadrature", {

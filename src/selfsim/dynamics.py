@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import EpsNonPositive, OriginSingular
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
-from .operator import laplacian_apply_spectral
 from .params import DEFAULT_QUADRATURE, MediumParams, dispersion
 from .quadrature import _stable_log_terms, _stable_series, quad_checked
 
@@ -109,11 +108,22 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
 
 
 def energy(params: MediumParams, state: CauchyState) -> float:
-    """Conserved energy (1/2) int (v^2 + u * (-Lap) u) dx."""
-    u = state.u.values
+    """Conserved energy (1/2) int (v^2 + u * (-Lap) u) dx.
+
+    The potential part comes from one rfft of u by Parseval:
+    sum_j u_j (-Lap u)_j = (1/n) sum_k w_k omega^2(k) |u_k|^2, where w_k = 2
+    counts each conjugate pair and w_k = 1 at k = 0 and, for even n, at the
+    Nyquist index.
+    """
+    g = state.u.grid
     v = state.v.values
-    lap_u = laplacian_apply_spectral(params, state.u).values
-    return float(0.5 * state.u.grid.dx * (np.sum(v**2) - np.sum(u * lap_u)))
+    uh = np.fft.rfft(state.u.values)
+    power = uh.real**2
+    power += uh.imag**2
+    del uh
+    power *= dispersion(params, g.k_half)
+    power[1:(g.n + 1) // 2] *= 2.0
+    return float(0.5 * g.dx * (np.sum(v**2) + np.sum(power) / g.n))
 
 
 # --------------------------------------------------------------- FFT kernels

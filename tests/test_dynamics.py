@@ -8,6 +8,7 @@ from selfsim import (
     CauchyState,
     EpsNonPositive,
     Grid1D,
+    RealField,
     SeriesBudgetExceeded,
     cauchy_evolve,
     dispersion,
@@ -28,6 +29,7 @@ from selfsim import (
 from selfsim import dynamics
 from selfsim.diffusion import propagator
 from selfsim.errors import NumericError, OriginSingular
+from selfsim.operator import laplacian_apply_spectral
 from selfsim.quadrature import neville_at_zero
 
 from oracles import (
@@ -113,6 +115,20 @@ class TestEnergy:
         for _ in range(100):
             s = cauchy_evolve(params, s, 0.04)
         assert energy(params, s) == pytest.approx(e0, rel=1e-10)
+
+    @given(delta=BAND, n=st.integers(8, 257), seed=st.integers(0, 2**32 - 1))
+    @example(delta=1.5, n=8, seed=0)
+    @example(delta=0.3, n=9, seed=1)
+    def test_parseval_form_equals_the_x_space_form(self, delta, n, seed):
+        # the one-rfft sum weights each conjugate pair twice, and k = 0 and
+        # an even grid's Nyquist index once
+        params = make_params(delta, 1.0, 1.0)
+        grid = Grid1D.centered(n, 0.1)
+        rng = np.random.default_rng(seed)
+        u, v = (RealField(grid, rng.standard_normal(n)) for _ in range(2))
+        lap_u = laplacian_apply_spectral(params, u).values
+        want = 0.5 * grid.dx * (np.sum(v.values**2) - np.sum(u.values * lap_u))
+        assert energy(params, CauchyState(u, v)) == pytest.approx(want, rel=1e-12)
 
 
 class TestSpectralKernels:

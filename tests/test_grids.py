@@ -1,11 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selfsim import Grid1D, GridTooSmall, NonPositiveScale, RealField
+from selfsim import Grid1D, GridTooSmall, NonPositiveScale, RealField, grids
 from selfsim.errors import ValidationError
 from selfsim.grids import apply_symbol, sample_kernel
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
 
 class TestGrid1D:
@@ -103,3 +110,23 @@ class TestSampleKernel:
         assert np.iscomplexobj(vals)
         assert vals.real.tobytes() == sample_kernel(g, sym).tobytes()
         assert not vals.imag.any() and not np.signbit(vals.imag).any()
+
+
+@pytest.mark.skipif(not GLIBC, reason="the allocator thresholds are set through glibc's mallopt")
+def test_repeated_transforms_reuse_resident_scratch():
+    # with glibc's adaptive thresholds each 2^20-point irfft faults its
+    # scratch in afresh, about 4,000 minor faults a call
+    code = (
+        "import resource, numpy as np, selfsim.grids\n"
+        "spec = np.fft.rfft(np.random.default_rng(0).standard_normal(1 << 20))\n"
+        "np.fft.irfft(spec, n=1 << 20)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(2):\n"
+        "    np.fft.irfft(spec, n=1 << 20)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = Path(grids.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100
