@@ -186,9 +186,6 @@ class TestValidation:
         # %g labels the columns u_t..., W_t... and b_alpha... and the results
         (["cauchy", "--n", "256", "--dx", "0.1", "--times", "1.0000001,1.0000002"],
          "cli.dyn", "cauchy_evolve", "share the label 1"),
-        # the initial state is the column u_t0 and the result energy_t0
-        (["cauchy", "--n", "256", "--dx", "0.1", "--times", "0,1"],
-         "cli.dyn", "cauchy_evolve", "the initial state's time, labelled 0"),
         (["diffusion", "--n", "256", "--dx", "0.1", "--times", "0.5,1.0000001,1.0000002"],
          "cli.dif", "propagator", "share the label 1"),
         (["potentials", "--alphas=0.5000001,0.5000002"],
@@ -196,6 +193,9 @@ class TestValidation:
         # the pointwise points reach x = +-2, outside this 64-point grid
         (["laplacian", "--n", "64", "--dx", "0.02", "--pointwise", "3"],
          "cli", "laplacian_apply_spectral", "x = -2.0 falls outside the grid"),
+        # the initial state is the column u_t0 and the result energy_t0
+        (["cauchy", "--n", "256", "--dx", "0.1", "--times", "0,1"],
+         "cli.dyn", "cauchy_evolve", "the initial state's time, labelled 0"),
     ])
     def test_refused_before_numeric_work(self, monkeypatch, tmp_path, capsys, argv, owner, name, message):
         from selfsim import cli
