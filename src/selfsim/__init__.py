@@ -46,7 +46,6 @@ from .errors import (
 from .grids import ComplexField, Grid1D, RealField
 from .params import (
     MediumParams,
-    QuadratureConfig,
     dispersion,
     dispersion_quadrature,
     factorial_ext,

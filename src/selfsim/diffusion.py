@@ -39,8 +39,8 @@ from .errors import (
 )
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
-from .params import DEFAULT_QUADRATURE, MediumParams, dispersion
-from .quadrature import _stable_log_terms, _stable_series, _stable_sign, quad_checked
+from .params import MediumParams, dispersion
+from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, _stable_sign, quad_checked
 
 __all__ = [
     "SampleBatch",
@@ -61,7 +61,7 @@ __all__ = [
 # sampler chunking: fixed-size chunks with sub-seeds spawned from the master
 # seed, so partitioned/parallel generation reproduces the same stream
 _CHUNK = 1 << 16
-# subdivision limit of propagator_quadrature's quad calls
+# least subdivision limit of propagator_quadrature's direct quad call
 _MAX_SUBDIVISIONS = 400
 
 
@@ -159,12 +159,11 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
         def integrand(u):
             return (1j * cmath.exp(-a_t * u**d * phase - u * xa)).real
 
-        return quad_checked(integrand, 0.0, np.inf, abs_tol=DEFAULT_QUADRATURE.abs_tol,
-                            limit=_MAX_SUBDIVISIONS) / math.pi
+        return quad_checked(integrand, 0.0, np.inf, abs_tol=ABS_TOL) / math.pi
     # direct: envelope e^{-a t k^delta} confines the mass to k ~ (30/(a t))^(1/delta)
     k_hi = (40.0 / a_t) ** (1.0 / d)
     return quad_checked(lambda k: math.exp(-a_t * k**d) * math.cos(k * xa),
-                        0.0, k_hi, abs_tol=DEFAULT_QUADRATURE.abs_tol,
+                        0.0, k_hi, abs_tol=ABS_TOL,
                         limit=max(_MAX_SUBDIVISIONS, int(20 * k_hi * xa / math.pi) + 50)) / math.pi
 
 
@@ -249,6 +248,8 @@ def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0
     periodic-image bias of the cumulative below ~1e-3 for the delta range
     of the acceptance checks.
     """
+    if not 0.0 < core_halfwidth < math.inf:
+        raise LOutOfGrid(f"core half-width must be finite and > 0, got {core_halfwidth}")
     if grid is None:
         grid = Grid1D.centered(1 << 19, 0.01)
     w = propagator(params, grid, t)
@@ -322,7 +323,7 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
     """
     if p not in (1, 2, 3, 4):
         raise ValidationError(f"moment order must be 1..4, got {p}")
-    if L <= 0.0:
+    if not L > 0.0:
         raise LOutOfGrid(f"window must be positive, got {L}")
     g = w.grid
     if L > -g.x_min or L > g.x_min + g.dx * (g.n - 1):

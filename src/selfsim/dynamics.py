@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import EpsNonPositive, OriginSingular
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
-from .params import DEFAULT_QUADRATURE, MediumParams, dispersion
-from .quadrature import _stable_log_terms, _stable_series, quad_checked
+from .params import MediumParams, dispersion
+from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, quad_checked
 
 __all__ = [
     "CauchyState",
@@ -258,9 +258,8 @@ def wave_series_terms(params: MediumParams, x: float, t: float,
 
 # -------------------------------------------------- certified quadrature
 
-# relative tolerance and subdivision limit of the rotated-contour quad calls
+# relative tolerance of the rotated-contour quad calls
 _REL_TOL = 1e-9
-_MAX_SUBDIVISIONS = 400
 
 
 def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> float:
@@ -284,8 +283,7 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> flo
             s = math.cos(w * t)
         return math.cos(k * x) * s
 
-    p1 = quad_checked(direct, 0.0, k0, abs_tol=DEFAULT_QUADRATURE.abs_tol, rel_tol=_REL_TOL,
-                      limit=_MAX_SUBDIVISIONS)
+    p1 = quad_checked(direct, 0.0, k0, abs_tol=ABS_TOL, rel_tol=_REL_TOL)
 
     # constants of the rotated integrand, on Python complex numbers
     phase = 1j * k0 * x
@@ -309,8 +307,7 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> flo
             with np.errstate(all="ignore"):
                 return float(rotated(u, np.exp, np.log))
 
-    p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=DEFAULT_QUADRATURE.abs_tol, rel_tol=_REL_TOL,
-                      limit=_MAX_SUBDIVISIONS)
+    p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=ABS_TOL, rel_tol=_REL_TOL)
     return (p1 + p2) / math.pi
 
 
@@ -343,8 +340,8 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
     Zero for t <= 0 (Q vanishes at t = 0); the damping factor defaults to
     the undamped limit eps = 0.
     """
-    if eps < 0.0:
-        raise EpsNonPositive(f"damping must be >= 0, got {eps}")
+    if eps < 0.0 or not math.isfinite(eps):
+        raise EpsNonPositive(f"damping must be finite and >= 0, got {eps}")
     if t <= 0.0:
         return 0.0
     return math.exp(-eps * t) * wave_kernel_series(params, x, t)
@@ -352,8 +349,8 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2)."""
-    if eps <= 0.0:
-        raise EpsNonPositive(f"helmholtz damping must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise EpsNonPositive(f"helmholtz damping must be finite and > 0, got {eps}")
     return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
 
 

@@ -43,7 +43,8 @@ __all__ = [
     "commit",
 ]
 
-# rows formatted per block: bounds the per-row Python objects alive at once
+# rows per CSV block: bounds the bytes of one formatted block, and is the
+# unit of the row ranges that forked workers write
 _CSV_BLOCK_ROWS = 1 << 15
 
 

@@ -23,10 +23,10 @@ import math
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import AlphaOutOfRange, DeltaOutOfRange, OriginSingular
+from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular
 from .grids import RealField, apply_symbol
-from .params import DEFAULT_QUADRATURE, MediumParams, QuadratureConfig, dispersion
-from .quadrature import oscillatory_tail, quad_checked
+from .params import MediumParams, dispersion
+from .quadrature import ABS_TOL, singular_integral
 
 __all__ = [
     "laplacian_apply_point",
@@ -37,18 +37,6 @@ __all__ = [
     "frac_kernel_y",
     "frac_derivative_spectral",
 ]
-
-# The operators split their integral at tau = _TAU_SPLIT into a singular
-# inner region and a tail.  Below _TAU_TAYLOR the differences are replaced
-# by their Taylor polynomials: direct evaluation there loses all digits to
-# cancellation (noise ~ eps_mach / tau^2).
-_TAU_SPLIT = 1.0
-_TAU_TAYLOR = 1e-3 * _TAU_SPLIT
-# The inner region [_TAU_TAYLOR, _TAU_SPLIT] is one quad call with the
-# breakpoints 2^j _TAU_TAYLOR: QUADPACK's QAGP starts from ten geometric
-# panels, clustered toward the singular end.
-_INNER_POINTS = tuple(_TAU_TAYLOR * 2.0**j for j in range(1, 10))
-
 
 def _second_difference(f, x: float, two_fx: float, h0: float = 1e-2) -> tuple[float, float]:
     """The coefficients A = f''(x) and B = f''''(x)/12 of the second difference
@@ -66,36 +54,25 @@ def _second_difference(f, x: float, two_fx: float, h0: float = 1e-2) -> tuple[fl
     return (16.0 * r2 - r1) / 15.0, (v[1] - v[2]) * 16.0 / (3.0 * s) - c * 5.0 * s / 16.0
 
 
-def laplacian_apply_point(params: MediumParams, f, x: float,
-                          qcfg: QuadratureConfig | None = None) -> float:
+def laplacian_apply_point(params: MediumParams, f, x: float, abs_tol: float = ABS_TOL) -> float:
     """Nonlocal Laplacian of a callable at one point, by singular quadrature.
 
     f must be twice differentiable near x and smooth and bounded beyond:
     a constant plus oscillations (plane waves, any number of them) plus a
-    decaying part.  f(x) is evaluated once.  Below tau = 1 a Taylor disc
-    and one quadrature on geometric panels take the singular part.  Beyond
-    it the constant part -2 f(x) tau^(-1-delta) is integrated in closed
-    form, and f(x + tau) + f(x - tau) against tau^(-1-delta) goes to the
-    windowed tail sum (``quadrature.oscillatory_tail``), which integrates
-    the windowed mean of f(x + tau) + f(x - tau) in closed form too.
+    decaying part.  f(x) is evaluated once.  ``quadrature.singular_integral``
+    integrates g(tau) = f(x + tau) + f(x - tau) with the shift -2 f(x): a
+    fourth-order Taylor disc and one quadrature on geometric panels below
+    tau = 1, the windowed tail sum beyond.  abs_tol must lie in (0, inf).
     """
-    qcfg = qcfg or DEFAULT_QUADRATURE
+    if not 0.0 < abs_tol < math.inf:
+        raise NonPositiveScale(f"abs_tol must lie in (0, inf), got {abs_tol!r}")
     delta = params.delta
-    c = params.h**delta / params.zeta
-    tol = qcfg.abs_tol / max(c, 1.0)
-    power = -1.0 - delta
     two_fx = 2.0 * f(x)
-
     # the Taylor disc to fourth order: near delta = 2 the tau^4 term of the
     # second difference is still 1e-8 of the eigenvalue of cos(2.5 u)
     fpp, quartic = _second_difference(f, x, two_fx)
-    inner = fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
-    inner += quartic * _TAU_TAYLOR ** (4.0 - delta) / (4.0 - delta)
-    inner += quad_checked(lambda u: (f(x + u) + f(x - u) - two_fx) * u**power,
-                          _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4, limit=200, points=_INNER_POINTS)
-    outer = oscillatory_tail(lambda u: f(x + u) + f(x - u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
-                             closed_form=-two_fx * _TAU_SPLIT ** (-delta) / delta)
-    return c * (inner + outer)
+    return singular_integral(lambda u: f(x + u) + f(x - u), -two_fx, ((fpp, 2.0), (quartic, 4.0)),
+                             delta, abs_tol, params.h**delta / params.zeta)
 
 
 def laplacian_symbol(params: MediumParams, k) -> np.ndarray:
@@ -129,25 +106,15 @@ def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     sgn = -1.0 if side == "left" else 1.0
-    coef = delta / _gamma(1.0 - delta)
-    tol = DEFAULT_QUADRATURE.abs_tol / max(coef, 1.0)
-
-    power = -1.0 - delta
     fx = f(x)
-
     # Taylor disc to second order: the increment is -sgn f' tau - f'' tau^2/2,
-    # and the quadratic term still matters at the tau_t^(2-delta) scale
+    # and the quadratic term still matters at the disc's radius; f' by a
+    # central difference of step h0
     h0 = 1e-3
     fp = (f(x + h0) - f(x - h0)) / (2.0 * h0)
     fpp = _second_difference(f, x, 2.0 * fx)[0]
-    inner = -sgn * fp * _TAU_TAYLOR ** (1.0 - delta) / (1.0 - delta)
-    inner -= 0.5 * fpp * _TAU_TAYLOR ** (2.0 - delta) / (2.0 - delta)
-    inner += quad_checked(lambda u: (fx - f(x + sgn * u)) * u**power,
-                          _TAU_TAYLOR, _TAU_SPLIT, abs_tol=tol * 0.4, limit=200, points=_INNER_POINTS)
-    # outer: the f(x) tau^(-1-delta) part in closed form, f(x + sgn tau) windowed
-    outer = oscillatory_tail(lambda u: -f(x + sgn * u), power, _TAU_SPLIT, abs_tol=tol * 0.4,
-                             closed_form=fx * _TAU_SPLIT ** (-delta) / delta)
-    return coef * (inner + outer)
+    return singular_integral(lambda u: -f(x + sgn * u), fx, ((-sgn * fp, 1.0), (-fpp / 2.0, 2.0)),
+                             delta, ABS_TOL, delta / _gamma(1.0 - delta))
 
 
 def _flux_weights(delta: float, dx: float, n: int) -> np.ndarray:

@@ -22,11 +22,10 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DeltaOutOfRange, NonPositiveScale, PoleError
-from .quadrature import quad_checked
+from .quadrature import ABS_TOL, quad_checked
 
 __all__ = [
     "MediumParams",
-    "QuadratureConfig",
     "make_params",
     "factorial_ext",
     "dispersion",
@@ -51,21 +50,6 @@ class MediumParams:
     def omega_scale(self) -> float:
         """sqrt(a_delta): frequency scale of the |k|^(delta/2) root."""
         return math.sqrt(self.a_delta)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """The absolute tolerance of laplacian_apply_point; the other
-    quadrature routes use DEFAULT_QUADRATURE's."""
-
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise NonPositiveScale("abs_tol must be > 0")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def make_params(delta: float, h: float, zeta: float) -> MediumParams:
@@ -124,7 +108,7 @@ def _dispersion_integral(delta: float) -> float:
         inner += (-1.0) ** (m + 1) / (_gamma(2 * m + 1.0) * (2 * m - delta))
     # QUADPACK's QAWF: its cosine weight makes the tail beyond s = 1 converge
     cospart = quad_checked(lambda s: s ** (-1.0 - delta), 1.0, np.inf,
-                           abs_tol=DEFAULT_QUADRATURE.abs_tol * 0.01, weight="cos", wvar=1.0)
+                           abs_tol=ABS_TOL * 0.01, weight="cos", wvar=1.0)
     return inner + 1.0 / delta - cospart
 
 

@@ -8,11 +8,17 @@ Two recurring difficulties, one routine each:
                                           smooth window that doubles until
                                           two windowed sums agree.
 
+singular_integral joins the two into the pointwise form of the power-kernel
+convolution, int_0^inf (g(u) + shift) u^(-1-delta) du, which both operators
+of ``selfsim.operator`` evaluate.
+
 Every library call of scipy.integrate.quad goes through quad_checked: the
 reported error is checked against the budget, and QuadratureNoConvergence
-raised when it is over.  Near 0 the operators' breakpoints 2^j 1e-3 start
-QUADPACK's QAGP on geometric panels that cluster toward the singular end.
-The tail has its own 21-point Gauss-Kronrod panels.
+raised when it is over.  Near 0 the breakpoints 2^j 1e-3 start QUADPACK's
+QAGP on geometric panels that cluster toward the singular end.  The tail
+has its own 21-point Gauss-Kronrod panels.  ABS_TOL is the absolute
+tolerance the library's routes pass; laplacian_apply_point alone lets its
+caller set another.
 
 Regularized (eps -> 0+) grid transforms take their Richardson weights on
 the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
@@ -53,10 +59,14 @@ from scipy.special import gammaln as _gammaln
 from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
 
 __all__ = [
+    "ABS_TOL",
     "quad_checked",
     "neville_at_zero",
     "oscillatory_tail",
+    "singular_integral",
 ]
+
+ABS_TOL = 1e-9
 
 
 def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
@@ -251,6 +261,36 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
             raise QuadratureNoConvergence(
                 f"tail integral from {start:g} did not settle by U = {big / 2:g}"
             )
+
+
+# singular_integral's split: the Taylor disc (0, _DISC), one QAGP call on
+# [_DISC, 1] started on the geometric panels between _POINTS, the tail from 1
+_DISC = 1e-3
+_POINTS = tuple(_DISC * 2.0**j for j in range(1, 10))
+
+
+def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, scale: float) -> float:
+    """scale * int_0^inf (g(u) + shift) u^(-1-delta) du, 0 < delta < 2.
+
+    g is bounded, and near 0 g(u) + shift is the sum of c u^p over the
+    (c, p) pairs of ``taylor``, each p > delta, to the order that matters
+    below 1e-3.  Three parts, each to 0.4 abs_tol / max(scale, 1):
+
+    * (0, 1e-3): the Taylor terms in closed form; direct evaluation there
+      loses every digit to the cancellation in g(u) + shift;
+    * [1e-3, 1]: one quad_checked call with the breakpoints 2^j 1e-3;
+    * (1, inf): oscillatory_tail of g, and shift's tail, shift / delta, in
+      closed form.
+    """
+    tol = abs_tol / max(scale, 1.0)
+    power = -1.0 - delta
+    inner = -0.0  # the exact additive identity: inner is bit for bit the first term
+    for c, p in taylor:
+        inner += c * _DISC ** (p - delta) / (p - delta)
+    inner += quad_checked(lambda u: (g(u) + shift) * u**power, _DISC, 1.0,
+                          abs_tol=tol * 0.4, limit=200, points=_POINTS)
+    outer = oscillatory_tail(g, power, 1.0, abs_tol=tol * 0.4, closed_form=shift / delta)
+    return scale * (inner + outer)
 
 
 # ------------------------------------------------------ stable-law series

@@ -151,8 +151,8 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
         raise ExcludedAlpha(f"alpha = {alpha:g} lies in the excluded negative-odd set")
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    if eps < 0.0:
-        raise AlphaOutOfRange(f"eps must be >= 0, got {eps}")
+    if eps < 0.0 or not math.isfinite(eps):
+        raise AlphaOutOfRange(f"eps must be finite and >= 0, got {eps}")
     if eps > 0.0:
         fe = factorial_ext(alpha)
         z = xa + 1j * eps

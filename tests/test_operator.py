@@ -10,8 +10,8 @@ from selfsim import (
     AlphaOutOfRange,
     DeltaOutOfRange,
     Grid1D,
+    NonPositiveScale,
     OriginSingular,
-    QuadratureConfig,
     QuadratureNoConvergence,
     dispersion,
     flux_apply,
@@ -21,7 +21,7 @@ from selfsim import (
     laplacian_apply_spectral,
     make_params,
 )
-from selfsim import operator as selfsim_operator
+from selfsim import quadrature
 from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import oscillatory_tail
 
@@ -36,13 +36,22 @@ from oracles import (
 # exponents drawn across the band 0 < delta < 2, clear of its endpoints
 BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
 
-TIGHT = QuadratureConfig(abs_tol=1e-11)
+TIGHT = 1e-11
 
 
 class TestLaplacianPoint:
     def test_annihilates_constants(self, params_half):
         val = laplacian_apply_point(params_half, lambda u: 3.7, 0.4)
         assert abs(val) < 1e-10
+
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_abs_tol(self, params_half, abs_tol):
+        # refused before f is evaluated; accepted, an infinite tolerance
+        # would give -5.649 for cos(2u) at x = 0.3, where the answer is -5.851
+        calls = []
+        with pytest.raises(NonPositiveScale, match="abs_tol"):
+            laplacian_apply_point(params_half, lambda u: calls.append(u) or math.cos(2.0 * u), 0.3, abs_tol)
+        assert calls == []
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("x", [0.0, 0.3])
@@ -382,7 +391,7 @@ class TestTailBitIdentity:
             k1, k2 = (float(k) for k in rng.uniform(0.05, 3.0, 2))
             cases.append((make_params(delta, 1.0, 1.0), self.INPUTS[name](k1, k2), float(rng.uniform(-2.0, 2.0))))
         got = [outcome(lambda: laplacian_apply_point(p, f, x)) for p, f, x in cases]
-        monkeypatch.setattr(selfsim_operator, "oscillatory_tail", oscillatory_tail_reference)
+        monkeypatch.setattr(quadrature, "oscillatory_tail", oscillatory_tail_reference)
         assert got == [outcome(lambda: laplacian_apply_point(p, f, x)) for p, f, x in cases]
 
     @pytest.mark.parametrize("g,power,start", [
@@ -421,8 +430,16 @@ class TestInnerRegionBitIdentity:
     @staticmethod
     def _outcomes(monkeypatch, call):
         got = call()
-        monkeypatch.setattr(selfsim_operator, "quad_checked",
-                            lambda fn, a, b, abs_tol, limit, points: panel_integral_reference(fn, a, b, abs_tol))
+        real = quadrature.quad_checked
+
+        def per_panel(fn, a, b, abs_tol, points=None, **kwargs):
+            # only the breakpointed inner region is replaced: the reference
+            # calls quad_checked itself, once per panel, without points
+            if points is None:
+                return real(fn, a, b, abs_tol, **kwargs)
+            return panel_integral_reference(fn, a, b, abs_tol)
+
+        monkeypatch.setattr(quadrature, "quad_checked", per_panel)
         return got, call()
 
     @pytest.mark.parametrize("name", INPUTS)

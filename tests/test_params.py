@@ -7,7 +7,6 @@ from selfsim import (
     DeltaOutOfRange,
     NonPositiveScale,
     PoleError,
-    QuadratureConfig,
     dispersion,
     dispersion_quadrature,
     factorial_ext,
@@ -118,12 +117,3 @@ class TestDispersionQuadrature:
         p = make_params(delta, 1.0, 1.0)
         assert dispersion_quadrature(p, k) == pytest.approx(dispersion(p, k), rel=1e-6)
 
-
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        QuadratureConfig()
-
-    @pytest.mark.parametrize("abs_tol", [0.0, -1e-9])
-    def test_rejects_nonpositive(self, abs_tol):
-        with pytest.raises(NonPositiveScale):
-            QuadratureConfig(abs_tol=abs_tol)

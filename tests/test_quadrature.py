@@ -12,6 +12,7 @@ from selfsim import QuadratureNoConvergence, dispersion_quadrature, laplacian_ap
 from selfsim import quadrature
 from selfsim.diffusion import propagator_quadrature
 from selfsim.dynamics import wave_kernel_dt_fourier, wave_kernel_fourier
+from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import quad_checked
 
 from oracles import quad_checked_reference
@@ -88,15 +89,25 @@ class TestQuadCallCounts:
         assert np.isfinite(got)
         assert [b for _, b, _ in quad_calls] == [2.0, math.inf]
 
-    def test_laplacian_inner_region_makes_one_call(self, quad_calls):
+    @staticmethod
+    def _assert_one_inner_call(quad_calls):
         # the whole of [1e-3, 1] in one call, started on its geometric
         # panels; the Taylor disc and the windowed tail make none
-        got = laplacian_apply_point(make_params(0.5, 1.0, 1.0), lambda u: math.cos(2.0 * u), 0.3)
-        assert np.isfinite(got)
         assert len(quad_calls) == 1
         a, b, kwargs = quad_calls[0]
         assert (a, b) == (1e-3, 1.0)
         assert list(kwargs["points"]) == [1e-3 * 2.0**j for j in range(1, 10)]
+
+    def test_laplacian_inner_region_makes_one_call(self, quad_calls):
+        got = laplacian_apply_point(make_params(0.5, 1.0, 1.0), lambda u: math.cos(2.0 * u), 0.3)
+        assert np.isfinite(got)
+        self._assert_one_inner_call(quad_calls)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_weyl_marchaud_inner_region_makes_one_call(self, quad_calls, side):
+        got = weyl_marchaud(0.5, lambda u: math.cos(2.0 * u), 0.3, side)
+        assert np.isfinite(got)
+        self._assert_one_inner_call(quad_calls)
 
     def test_dispersion_quadrature_makes_one_call(self, quad_calls):
         assert np.isfinite(dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0))
