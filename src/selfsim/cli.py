@@ -189,8 +189,10 @@ def _spec(args) -> argparse.Namespace:
 
 
 def _table(header, columns):
-    # stacked only while the file is written, so no 2-D copy outlives it
-    return lambda path: write_csv_atomic(path, header, np.column_stack(columns))
+    # a Grid1D column stands for its x: the x and the 2-D stack are built only
+    # while the file is written, so no handler holds them across its transforms
+    return lambda path: write_csv_atomic(
+        path, header, np.column_stack([c.x if isinstance(c, Grid1D) else c for c in columns]))
 
 
 def _text(text):
@@ -230,7 +232,7 @@ def _cmd_laplacian(s) -> ResultEnvelope:
     fn = (lambda u: np.cos(s.k0 * u)) if s.function == "cos" else (lambda u: np.exp(-u * u))
     field = grid.sample(fn)
     lap = laplacian_apply_spectral(p, field)
-    table = _table(["x", "field", "laplacian"], [grid.x, field.values, lap.values])
+    table = _table(["x", "field", "laplacian"], [grid, field.values, lap.values])
     env = ResultEnvelope("laplacian", s.given, files={"laplacian.csv": table})
     if s.pointwise > 0:
         pw = [laplacian_apply_point(p, fn, x) for x in xs]
@@ -247,7 +249,7 @@ def _cmd_cauchy(s) -> ResultEnvelope:
     state0 = dyn.CauchyState(u0, v0)
     env = ResultEnvelope("cauchy", s.given, results={"energy_t0": dyn.energy(p, state0)})
     cols = ["x", "u_t0"] + [f"u_t{t:g}" for t in s.times]
-    data = [grid.x, u0.values]
+    data = [grid, u0.values]
     for t in s.times:
         st = dyn.cauchy_evolve(p, state0, t)
         data.append(st.u.values)
@@ -270,7 +272,7 @@ def _cmd_helmholtz(s) -> ResultEnvelope:
     p = make_params(s.delta, s.h, s.zeta)
     grid = Grid1D.centered(s.n, s.dx)
     field = dyn.helmholtz_green(p, grid, s.omega, s.eps)
-    table = _table(["x", "re", "im"], [grid.x, field.values.real, field.values.imag])
+    table = _table(["x", "re", "im"], [grid, field.values.real, field.values.imag])
     return ResultEnvelope("helmholtz", s.given, files={"helmholtz.csv": table})
 
 
@@ -279,7 +281,7 @@ def _cmd_diffusion(s) -> ResultEnvelope:
     grid = Grid1D.centered(s.n, s.dx)
     env = ResultEnvelope("diffusion", s.given)
     cols = ["x"] + [f"W_t{t:g}" for t in s.times]
-    data = [grid.x]
+    data = [grid]
     w = None
     for t in s.times:
         w = dif.propagator(p, grid, t)

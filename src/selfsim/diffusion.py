@@ -244,14 +244,18 @@ def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0
 
     Inside |x| <= core_halfwidth the cumulative trapezoid of the FFT
     propagator is interpolated (anchored at CDF(0) = 1/2 by symmetry);
-    beyond, the tail series takes over.  The default grid keeps the
-    periodic-image bias of the cumulative below ~1e-3 for the delta range
-    of the acceptance checks.
+    beyond, the tail series takes over.  The core must lie on the grid.
+    The default grid keeps the periodic-image bias of the cumulative below
+    ~1e-3 for the delta range of the acceptance checks.
     """
     if not 0.0 < core_halfwidth < math.inf:
         raise LOutOfGrid(f"core half-width must be finite and > 0, got {core_halfwidth}")
     if grid is None:
         grid = Grid1D.centered(1 << 19, 0.01)
+    # beyond the grid, np.interp would clamp the cumulative at its edge
+    # instead of handing off to the tail series
+    if core_halfwidth > -grid.x_min or core_halfwidth > grid.x_min + grid.dx * (grid.n - 1):
+        raise LOutOfGrid(f"core [-{core_halfwidth}, {core_halfwidth}] extends beyond the grid")
     w = propagator(params, grid, t)
     x = grid.x
     cum = np.concatenate([[0.0], np.cumsum(_trapezoids(w.values, x))])

@@ -54,11 +54,16 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+try:
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):  # no C library to load by name
+    _LIBC = None
+
+
 def _keep_fft_scratch_resident() -> None:
     """Raise glibc's mmap and trim thresholds; see the module docstring."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    mallopt = getattr(_LIBC, "mallopt", None)
+    if mallopt is None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
@@ -66,6 +71,17 @@ def _keep_fft_scratch_resident() -> None:
     # which a trim threshold alone would switch off
     if mallopt(_M_MMAP_THRESHOLD, 64 << 20):
         mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+def _trim_free_heap() -> None:
+    """Hand the free heap back to the kernel (glibc's malloc_trim(0)); where
+    the C library has no malloc_trim, nothing."""
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is None:
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 _keep_fft_scratch_resident()

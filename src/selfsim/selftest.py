@@ -31,7 +31,7 @@ from scipy.special import gamma as _gamma
 from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
-from .grids import Grid1D
+from .grids import Grid1D, _trim_free_heap
 from .io import _fork_without_warning, _fork_workers
 from .operator import laplacian_apply_point, laplacian_apply_spectral
 from .params import dispersion, dispersion_quadrature, factorial_ext, make_params
@@ -395,6 +395,17 @@ def _run_case(index: int) -> tuple[bool, str]:
         return False, str(exc)
 
 
+def _start_worker() -> None:
+    """Pool initializer.  A worker ignores ^C: this process stops it on any
+    exit, once the cases it runs have finished.  It also trims the free heap
+    its fork inherited (grids keeps up to 128 MiB resident), so the pages it
+    writes there are not each faulted in and copied."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _trim_free_heap()
+
+
 def _outcomes(indices):
     """_run_case of each index, in the order given, each yielded once it and
     every case before it have finished.  With two cores and two cases or
@@ -405,14 +416,11 @@ def _outcomes(indices):
         yield from map(_run_case, indices)
         return
     import multiprocessing
-    import signal
     from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # workers ignore ^C: this process stops them on any exit, once the
-    # cases they run have finished
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+                               initializer=_start_worker)
     try:
         futures = []
         with _fork_without_warning():

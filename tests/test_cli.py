@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,36 @@ class TestDiffusionCommand:
         env = json.loads((out / "diffusion.json").read_text())
         assert env["results"]["mass_t1"] == pytest.approx(1.0, abs=1e-12)
         assert (out / "diffusion.gp").exists()
+
+    def test_no_grid_x_alive_across_transforms(self, monkeypatch, tmp_path):
+        # a table's x column is built when its file is written, so no
+        # n-point x is held while a propagator or an evolution runs
+        from selfsim import diffusion, dynamics
+        from selfsim.grids import Grid1D
+
+        real_x, built, called = Grid1D.x.fget, [], []
+
+        def x(grid):
+            arr = real_x(grid)
+            built.append(weakref.ref(arr))
+            return arr
+
+        def checked(real):
+            def call(*args, **kwargs):
+                assert all(ref() is None for ref in built), "a grid.x is still alive"
+                called.append(real.__name__)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Grid1D, "x", property(x))
+        monkeypatch.setattr(diffusion, "propagator", checked(diffusion.propagator))
+        monkeypatch.setattr(dynamics, "cauchy_evolve", checked(dynamics.cauchy_evolve))
+        for argv in (["diffusion", "--times", "0.5,1", "--n", "4096"],
+                     ["cauchy", "--times", "0.5,1", "--n", "1024"]):
+            built.clear()
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+            assert built  # the x column, and grid.sample's own x, were built
+        assert called == ["propagator"] * 2 + ["cauchy_evolve"] * 2
 
 
 class TestMcCommand:

@@ -286,6 +286,15 @@ class TestNumericCdf:
         want = lorentzian_cdf(xq, params_one.a_delta)
         assert np.max(np.abs(got - want)) < 1e-3
 
+    def test_core_beyond_the_grid_is_refused(self, params_one):
+        # half-width 20.48: a core of 100 would clamp the cumulative at the
+        # grid's edge (0.99994 at x = 30, where the Lorentzian CDF is 0.96679)
+        grid = Grid1D.centered(4096, 0.01)
+        with pytest.raises(LOutOfGrid):
+            numeric_cdf(params_one, 1.0, 30.0, core_halfwidth=100.0, grid=grid)
+        got = numeric_cdf(params_one, 1.0, 30.0, core_halfwidth=10.0, grid=grid)
+        assert got == pytest.approx(lorentzian_cdf(30.0, params_one.a_delta), abs=1e-4)
+
     def test_center_and_monotonicity(self, params_half):
         xq = np.linspace(-80.0, 80.0, 401)
         vals = numeric_cdf(params_half, 1.0, xq)
