@@ -358,8 +358,13 @@ def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float
     """Frequency-domain Green's function on a centered grid.
 
     Inverse transform of the resolvent symbol, synthesized with the same
-    eps-ladder as the time-domain kernels.  At omega = 0 the real part
-    converges (eps -> 0+, after gauging the k = 0 mode) to the static
-    Green's function.
+    eps-ladder as the time-domain kernels.  At omega = 0 the symbol is real
+    (one transform) and the kernel converges (eps -> 0+, after gauging the
+    k = 0 mode) to the static Green's function.
     """
-    return ComplexField(grid, _kernel_ladder(grid, lambda k: helmholtz_symbol(params, k, omega, eps)))
+
+    def symbol(k):
+        resolvent = helmholtz_symbol(params, k, omega, eps)
+        return resolvent.real if omega == 0.0 else resolvent
+
+    return ComplexField(grid, _kernel_ladder(grid, symbol))

@@ -14,8 +14,8 @@ on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2
 
 Centered grids (x_min = -(n//2) dx) make the kernel phase factor the real
 sequence (-1)^j: sample_kernel negates the odd entries of one working copy
-of the symbol in place, and a complex symbol with an all-zero imaginary
-part costs one inverse transform, not two.
+of the symbol in place; a real symbol costs one inverse transform, a
+complex one two.
 
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
@@ -28,7 +28,8 @@ glibc 2.36).  With both set, freed blocks under
 it is trimmed, so repeated transforms on one grid reuse resident pages.
 Both are set or neither: either one alone switches the adaptive rule off
 and faults more than the defaults do.  Where the C library has no
-mallopt (not glibc), nothing is set.
+mallopt (not glibc), nothing is set.  A worker of io's fork pool hands
+the free heap it inherits back to the kernel before its first job.
 """
 
 from __future__ import annotations
@@ -73,17 +74,6 @@ def _keep_fft_scratch_resident() -> None:
         mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
-def _trim_free_heap() -> None:
-    """Hand the free heap back to the kernel (glibc's malloc_trim(0)); where
-    the C library has no malloc_trim, nothing."""
-    trim = getattr(_LIBC, "malloc_trim", None)
-    if trim is None:
-        return
-    trim.argtypes = (ctypes.c_size_t,)
-    trim.restype = ctypes.c_int
-    trim(0)
-
-
 _keep_fft_scratch_resident()
 
 
@@ -98,6 +88,10 @@ class Grid1D:
     def __post_init__(self):
         if self.dx <= 0.0 or not np.isfinite(self.dx):
             raise NonPositiveScale(f"dx must be > 0, got {self.dx}")
+        if not np.isfinite(self.x_min):
+            raise ValidationError(f"x_min must be finite, got {self.x_min}")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < MIN_POINTS:
             raise GridTooSmall(f"need at least {MIN_POINTS} points, got {self.n}")
 
@@ -130,7 +124,8 @@ class Grid1D:
 
     def index_near(self, x: float) -> int:
         """Index of the grid point closest to x."""
-        j = int(round((x - self.x_min) / self.dx))
+        offset = (x - self.x_min) / self.dx
+        j = int(round(offset)) if np.isfinite(offset) else -1
         if not 0 <= j < self.n:
             raise ValidationError(f"x = {x} falls outside the grid")
         return j
@@ -215,11 +210,9 @@ def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
 
     ``symbol_half`` holds the rfft-layout samples of an even symbol
     (S(-k) = S(k)); real symbols give real kernels, complex ones give
-    complex kernels (real and imaginary parts transformed separately; a
-    complex symbol whose imaginary part is all zero takes one transform
-    and returns an imaginary part of +0.0).  Requires a centered grid so
-    the shift phase is the real sequence (-1)^j, applied by negating the
-    odd entries of a working copy.
+    complex kernels (real and imaginary parts transformed separately).
+    Requires a centered grid so the shift phase is the real sequence
+    (-1)^j, applied by negating the odd entries of a working copy.
     """
     if not grid.is_centered:
         raise ValidationError("kernel synthesis requires a centered grid")
@@ -229,7 +222,4 @@ def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
     symbol_half = _check_symbol_half(grid, symbol_half)
     if not np.iscomplexobj(symbol_half):
         return _shifted_irfft(grid, symbol_half)
-    re = _shifted_irfft(grid, symbol_half.real)
-    if not symbol_half.imag.any():
-        return re + 0j
-    return re + 1j * _shifted_irfft(grid, symbol_half.imag)
+    return _shifted_irfft(grid, symbol_half.real) + 1j * _shifted_irfft(grid, symbol_half.imag)

@@ -11,14 +11,15 @@ each block's bytes are streamed into the temp file, so a 2^20-row table
 never exists as one string.  Cells come from a vectorized shortest-round-
 trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
 than one block is split into contiguous row ranges, one per available
-core: forked workers format the later ranges into part files beside the
-target while this process formats the first, and the parts are then
-appended in order.
+core: the workers of one fork pool (``_fork_pool``, which also runs the
+selftest) format the later ranges into part files beside the target
+while this process formats the first; the parts are appended in order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -142,72 +143,101 @@ def _row_ranges(rows) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-@contextlib.contextmanager
-def _fork_without_warning():
-    """Python >= 3.12 warns when a process with threads forks, since the
-    child could inherit a lock that another thread held.  selfsim starts
-    no thread of its own before it forks; the threads a numpy process has
-    are BLAS workers, which OpenBLAS shuts down before a fork."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=DeprecationWarning,
-                                message=r"This process .* is multi-threaded, use of fork\(\)")
-        yield
-
-
-def _fork() -> int:
-    # The child only formats floats into its part file and leaves through
-    # os._exit.
-    with _fork_without_warning():
-        return os.fork()
-
-
-def _format_part(fd: int, rows, lo: int, hi: int):
-    """In a forked child: write rows lo..hi-1 to fd, then exit with 0, or
-    with 1 on any failure.  os._exit flushes no buffer inherited from the
-    parent and runs none of its cleanup."""
-    status = 1
+def _trim_free_heap() -> None:
+    """Hand the free heap back to the kernel (glibc's malloc_trim(0)); where
+    the C library has no malloc_trim, nothing."""
     try:
-        with os.fdopen(fd, "wb") as fh:
-            _write_rows(fh, rows, lo, hi)
-        status = 0
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # no such C library call
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+_pool_state = None  # in a pool worker: the state its pool was started with
+
+
+def _start_worker(state) -> None:
+    """Pool initializer.  A worker ignores ^C: the pool's owner stops it on
+    any exit, once the job it runs has finished.  It trims the free heap
+    its fork inherited (grids keeps up to 128 MiB resident), so the pages
+    it writes there are not each faulted in and copied."""
+    global _pool_state
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _trim_free_heap()
+    _pool_state = state
+
+
+@contextlib.contextmanager
+def _fork_pool(fn, jobs, state=None):
+    """Futures of fn(*job) for each job, in order, run on forked workers:
+    one per core, at most one per job.  A worker's jobs read ``state`` as
+    ``_pool_state``; the fork inherits it, so it is never pickled.  A job
+    that could not be submitted because a worker had died holds that
+    BrokenProcessPool.  On every exit the jobs not started are cancelled
+    and every worker has finished and is reaped."""
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(min(_fork_workers(), len(jobs)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(state,))
+    try:
+        futures = []
+        # The workers fork at the first submit.  Python >= 3.12 warns when a
+        # process with threads forks: the child could inherit a lock another
+        # thread held.  selfsim starts no thread before it forks; a numpy
+        # process's threads are BLAS workers, which OpenBLAS stops first.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", category=DeprecationWarning,
+                                    message=r"This process .* is multi-threaded, use of fork\(\)")
+            for job in jobs:
+                try:
+                    future = pool.submit(fn, *job)
+                except BrokenProcessPool as exc:
+                    future = Future()
+                    future.set_exception(exc)
+                futures.append(future)
+        yield futures
     finally:
-        os._exit(status)
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _format_part(lo: int, hi: int, part: str) -> None:
+    """In a pool worker: rows lo..hi-1 of the pool's table into part."""
+    with open(part, "wb") as fh:
+        _write_rows(fh, _pool_state, lo, hi)
 
 
 def _write_ranges(fh, rows, path: str) -> None:
-    """All rows into fh: the first range here while forked children write
-    the others into part files, which are then appended in row order.  On
-    every exit no child is left running or unreaped and no part is left."""
+    """All rows into fh: the first range here while pool workers write the
+    others into part files, which are then appended in row order.  On every
+    exit no part is left."""
     (lo, hi), *others = _row_ranges(rows)
+    if not others:
+        _write_rows(fh, rows, lo, hi)
+        return
     directory = os.path.dirname(os.path.abspath(path))
-    children = []  # [pid or None once reaped, part file, first row, end row]
+    jobs = []  # (first row, end row, part file)
     try:
         for part_lo, part_hi in others:
             fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
-            child = [None, part, part_lo, part_hi]
-            children.append(child)
-            try:
-                child[0] = _fork()
-                if child[0] == 0:
-                    _format_part(fd, rows, part_lo, part_hi)
-            finally:
-                os.close(fd)
-        _write_rows(fh, rows, lo, hi)
-        for child in children:
-            pid, part, part_lo, part_hi = child
-            _, status = os.waitpid(pid, 0)
-            child[0] = None
-            if status != 0:
-                raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} failed "
-                              f"in a worker (exit status {os.waitstatus_to_exitcode(status)})")
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, fh, 1 << 20)
+            os.close(fd)
+            jobs.append((part_lo, part_hi, part))
+        with _fork_pool(_format_part, jobs, rows) as futures:
+            _write_rows(fh, rows, lo, hi)
+            for (part_lo, part_hi, part), future in zip(jobs, futures):
+                try:
+                    future.result()
+                except Exception as exc:  # the job raised, or its worker died
+                    raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} "
+                                  f"failed in a worker: {exc}") from exc
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh, 1 << 20)
     finally:
-        for pid, part, _, _ in children:
-            if pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for _, _, part in jobs:
             with contextlib.suppress(OSError):
                 os.unlink(part)
 

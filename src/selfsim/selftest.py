@@ -6,10 +6,10 @@ tolerance.  ``run_selftest`` prints one pass/fail line per case and
 returns the collected results; the CLI maps any failure to exit code 3.
 
 The cases are independent, so ``run_selftest`` runs them side by side on
-forked workers, one per available core, and writes each line in registry
-order as soon as that case and every case before it have finished.  With
-one core, one case, or no ``os.fork``, they run one after another in this
-process.  Either way each case does the same arithmetic, so the lines are
+io's fork pool, one worker per available core, and writes each line in
+registry order as soon as that case and every case before it have
+finished.  With one core, one case, or no ``os.fork``, they run one after
+another in this process.  Either way each case does the same arithmetic, so the lines are
 the same.  The suite is desk scale; most of its time goes to the 2^20-
 and 2^21-point transforms of AC06 and AC09.
 """
@@ -31,8 +31,8 @@ from scipy.special import gamma as _gamma
 from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
-from .grids import Grid1D, _trim_free_heap
-from .io import _fork_without_warning, _fork_workers
+from .grids import Grid1D
+from .io import _fork_pool, _fork_workers
 from .operator import laplacian_apply_point, laplacian_apply_spectral
 from .params import dispersion, dispersion_quadrature, factorial_ext, make_params
 from .quadrature import neville_at_zero
@@ -395,49 +395,22 @@ def _run_case(index: int) -> tuple[bool, str]:
         return False, str(exc)
 
 
-def _start_worker() -> None:
-    """Pool initializer.  A worker ignores ^C: this process stops it on any
-    exit, once the cases it runs have finished.  It also trims the free heap
-    its fork inherited (grids keeps up to 128 MiB resident), so the pages it
-    writes there are not each faulted in and copied."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _trim_free_heap()
-
-
 def _outcomes(indices):
     """_run_case of each index, in the order given, each yielded once it and
     every case before it have finished.  With two cores and two cases or
-    more, forked workers, one per core, run the cases side by side; a fork
-    inherits CASES as they stand, so only the index crosses to a worker."""
-    workers = min(_fork_workers(), len(indices))
-    if workers < 2:
+    more, io's fork pool runs the cases side by side; a fork inherits CASES
+    as they stand, so only the index crosses to a worker."""
+    if min(_fork_workers(), len(indices)) < 2:
         yield from map(_run_case, indices)
         return
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker)
-    try:
-        futures = []
-        with _fork_without_warning():
-            for index in indices:
-                try:
-                    future = pool.submit(_run_case, index)
-                except BrokenProcessPool as exc:  # a worker died while cases were submitted
-                    future = Future()
-                    future.set_exception(exc)
-                futures.append(future)
+    with _fork_pool(_run_case, [(index,) for index in indices]) as futures:
         for future in futures:
             try:
                 yield future.result()
             except BrokenProcessPool:
                 yield False, "a worker process died before this case finished"
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_selftest(case_ids=None) -> list[CaseResult]:

@@ -557,6 +557,11 @@ def _fail_block(monkeypatch, exc, in_workers):
     monkeypatch.setattr(io._shortest, "csv_bytes", block)
 
 
+def _exit_1(message):
+    """Passed to _fail_block as the exception: the worker leaves without raising."""
+    os._exit(1)
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -601,9 +606,10 @@ class TestIoHelpers:
         _assert_no_children()
 
     @pytest.mark.parametrize("exc, in_workers, raised", [
-        (RuntimeError, True, IoError),  # a worker exits 1
+        (RuntimeError, True, IoError),  # a worker's job raises
         (KeyboardInterrupt, False, KeyboardInterrupt),  # while the workers run
-    ], ids=["worker_fails", "interrupt_here"])
+        (_exit_1, True, IoError),  # a worker dies
+    ], ids=["worker_fails", "interrupt_here", "worker_dies"])
     def test_failed_range_leaves_no_file_or_child(self, monkeypatch, tmp_path, exc, in_workers, raised):
         _set_cores(monkeypatch, 3)
         _fail_block(monkeypatch, exc, in_workers)

@@ -35,6 +35,23 @@ class TestGrid1D:
         with pytest.raises(ValidationError):
             g.index_near(100.0)
 
+    def test_non_finite_origin_refused(self):
+        for x_min in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                Grid1D(x_min, 0.5, 16)
+
+    def test_non_integral_point_count_refused(self):
+        for make in (lambda: Grid1D.centered(16.5, 0.5), lambda: Grid1D(0.0, 0.5, 16.0)):
+            with pytest.raises(ValidationError):
+                make()
+        assert Grid1D.centered(np.int64(16), 0.5).x.size == 16
+
+    def test_index_near_non_finite(self):
+        g = Grid1D.centered(16, 0.5)
+        for x in (math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(ValidationError):
+                g.index_near(x)
+
     def test_wavenumber_layout(self):
         g = Grid1D.centered(32, 0.5)
         assert g.k[0] == 0.0
@@ -103,7 +120,7 @@ class TestSampleKernel:
         assert sym.tobytes() == before.tobytes()
 
     def test_complex_symbol_with_zero_imaginary_part(self):
-        # one transform: the real kernel's bits, an imaginary part of +0.0
+        # the real kernel's bits, an imaginary part of +0.0
         g = Grid1D.centered(512, 0.1)
         sym = np.exp(-g.k_half**2)
         vals = sample_kernel(g, sym + 0j)
