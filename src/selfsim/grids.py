@@ -12,10 +12,19 @@ on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2
 * sample_kernel() synthesizes (1/2pi) int S(k) exp(i k x) dk on the grid
   from the samples of an even symbol.
 
-Centered grids (x_min = -(n//2) dx) make the kernel phase factor the real
-sequence (-1)^j: sample_kernel negates the odd entries of one working copy
-of the symbol in place; a real symbol costs one inverse transform, a
-complex one two.
+On a centered grid (x_min = -(n//2) dx) the kernel of an even symbol is
+even, and its samples K[M +- j] (M = n//2) are y_j/(n dx), y the type-I
+cosine transform of the M + 1 symbol samples.  While M is a multiple of 4
+above 2^15, sample_kernel splits that transform in two: the even y are
+the same transform of x_m + x_{M-m} (M/2 + 1 points, split again), the odd
+y a type-III cosine transform of x_m - x_{M-m} (M/2 points), done by one
+real FFT of M/2 points after a unit twiddle (Makhoul 1980; FFTW's split
+of REDFT00).  It writes y_M..y_0 into the lower half of the output and
+mirrors them, so the kernel is exactly even, and the transforms cover
+about half the points of one n-point transform.  Every other grid,
+n <= 2^16 included, takes one n-point inverse transform of the symbol
+with its odd entries negated (the shift phase (-1)^j) and keeps those
+bits.  A real symbol costs one synthesis, a complex one two.
 
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
@@ -205,21 +214,75 @@ def _shifted_irfft(grid: Grid1D, part: np.ndarray) -> np.ndarray:
     return out
 
 
+def _splits(m: int) -> bool:
+    """Whether the cosine transform of m + 1 points is split (see the module docstring)."""
+    return m % 4 == 0 and m > 1 << 15
+
+
+def _twiddles(count: int, m: int, scale: float) -> np.ndarray:
+    """scale * e^{i pi k/m} for k < count, as products of a coarse and a fine table."""
+    fine = np.exp((1j * np.pi / m) * np.arange(1 << (count.bit_length() // 2)))
+    coarse = np.exp((1j * np.pi * fine.size / m) * np.arange(-(-count // fine.size)))
+    coarse *= scale
+    return np.multiply.outer(coarse, fine).ravel()[:count]
+
+
+def _dct1(x: np.ndarray, out: np.ndarray, tw: np.ndarray, scale: float) -> None:
+    """out[j] = scale (x_0 + (-1)^j x_M + 2 sum_{0<m<M} x_m cos(pi m j/M)), j = 0..M.
+
+    M = x.size - 1 and tw[k] = scale e^{i pi k/M}.  Split, the even
+    outputs are this transform of x_m + x_{M-m} and the odd ones one real
+    FFT of M/2 points (see the module docstring); otherwise one real FFT
+    of 2M points.
+    """
+    m = x.size - 1
+    if not _splits(m):
+        np.multiply(np.fft.irfft(x, n=2 * m, norm="forward")[: m + 1], scale, out=out)
+        return
+    half, quarter = m // 2, m // 4
+    # w_k = tw_k (z_k - i z_{half-k}) with z_j = x_j - x_{m-j}: its real FFT
+    # holds the outputs 4j + 1 in order and 4j + 3 in reverse
+    w = np.empty(quarter + 1, dtype=complex)
+    np.subtract(x[: quarter + 1], x[m : m - quarter - 1 : -1], out=w.real)
+    np.subtract(x[half : half + quarter + 1], x[half : quarter - 1 : -1], out=w.imag)
+    w *= tw[: quarter + 1]
+    v = np.fft.irfft(w, n=half, norm="forward")
+    del w
+    out[1::4] = v[:quarter]
+    out[3::4] = v[: quarter - 1 : -1]
+    del v
+    _dct1(x[: half + 1] + x[m : half - 1 : -1], out[::2], tw[::2], scale)
+
+
+def _even_kernel(grid: Grid1D, part: np.ndarray) -> np.ndarray:
+    """Kernel of one real part of an even symbol on a centered, even grid."""
+    n, m = grid.n, grid.n // 2
+    if not _splits(m):
+        return _shifted_irfft(grid, part)
+    scale = 1.0 / (n * grid.dx)
+    out = np.empty(n)
+    # y_j is K[m - j] for j = 0..m, and K[m + j] = K[m - j]
+    _dct1(np.asarray(part, dtype=float), out[m::-1], _twiddles(m // 4 + 1, m, scale), scale)
+    out[m + 1 :] = out[m - 1 : 0 : -1]
+    return out
+
+
 def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
     """Sample (1/2pi) int S(k) e^{ikx} dk on the grid from S(k_j), j >= 0.
 
     ``symbol_half`` holds the rfft-layout samples of an even symbol
     (S(-k) = S(k)); real symbols give real kernels, complex ones give
-    complex kernels (real and imaginary parts transformed separately).
-    Requires a centered grid so the shift phase is the real sequence
-    (-1)^j, applied by negating the odd entries of a working copy.
+    complex kernels (real and imaginary parts synthesized separately).
+    Requires a centered grid with an even point count; see the module
+    docstring for the split cosine transform and its base case.  The
+    caller's array is not written.
     """
     if not grid.is_centered:
         raise ValidationError("kernel synthesis requires a centered grid")
     if grid.n % 2:
-        # the (-1)^j shift phase below is exact only for even point counts
+        # the (-1)^j shift phase and the mirror are exact only for even point counts
         raise ValidationError("kernel synthesis requires an even point count")
     symbol_half = _check_symbol_half(grid, symbol_half)
     if not np.iscomplexobj(symbol_half):
-        return _shifted_irfft(grid, symbol_half)
-    return _shifted_irfft(grid, symbol_half.real) + 1j * _shifted_irfft(grid, symbol_half.imag)
+        return _even_kernel(grid, symbol_half)
+    return _even_kernel(grid, symbol_half.real) + 1j * _even_kernel(grid, symbol_half.imag)

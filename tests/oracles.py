@@ -8,9 +8,10 @@ oracle extrapolates sampled kernels in x space, the route the library's
 symbol-side eps-ladder replaces.  The Gaussian's Laplacian is a closed
 form that no library route uses.  The reference synthesis and Cauchy
 rotation are the straightforward forms of the library's kernel synthesis
-(a (-1)^j sign array, one transform per symbol part, a fresh damping per
-call) that its leaner versions must match bit for bit.  So are the
-diffusion diagnostics by a mask over the whole grid and scipy's trapezoid
+(a (-1)^j sign array, one n-point transform per symbol part, a fresh
+damping per call) that its leaner versions must match bit for bit; where
+sample_kernel splits its cosine transform, to 2e-15 of the peak.  So are
+the diffusion diagnostics by a mask over the whole grid and scipy's trapezoid
 rules, against the library's windowed versions, and so are the pointwise
 quadratures as they were written first: the propagator as a complex
 integral (both parts integrated, the real part kept), the rotated wave
@@ -160,15 +161,20 @@ def sample_kernel_reference(grid, symbol_half):
     return np.fft.irfft(symbol_half * signs, n=grid.n) / grid.dx
 
 
-def kernel_ladder_reference(grid, symbol):
-    """The library's eps-ladder synthesis with the damping built afresh."""
+def ladder_damping_reference(grid):
+    """The eps-ladder's Richardson-weighted damping on grid.k_half, built afresh."""
     eps_list = _ladder_eps(grid)
     k = grid.k_half
     damping = np.zeros_like(k)
     for e_j in eps_list:
         c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
         damping += c_j * np.exp(-e_j * k)
-    return sample_kernel_reference(grid, symbol(k) * damping)
+    return damping
+
+
+def kernel_ladder_reference(grid, symbol):
+    """The library's eps-ladder synthesis with the damping built afresh."""
+    return sample_kernel_reference(grid, symbol(grid.k_half) * ladder_damping_reference(grid))
 
 
 def wave_symbol_reference(params, k, t, kind):

@@ -7,10 +7,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from selfsim import Grid1D, GridTooSmall, NonPositiveScale, RealField, grids
+from selfsim import (
+    Grid1D,
+    GridTooSmall,
+    NonPositiveScale,
+    RealField,
+    dispersion,
+    grids,
+    helmholtz_symbol,
+    make_params,
+)
 from selfsim.errors import ValidationError
 from selfsim.grids import apply_symbol, sample_kernel
+
+from oracles import ladder_damping_reference, sample_kernel_reference, wave_symbol_reference
+
+# exponents drawn across the band 0 < delta < 2, clear of its endpoints
+BAND = st.floats(0.05, 1.95, exclude_min=True, exclude_max=True)
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
@@ -127,6 +142,41 @@ class TestSampleKernel:
         assert np.iscomplexobj(vals)
         assert vals.real.tobytes() == sample_kernel(g, sym).tobytes()
         assert not vals.imag.any() and not np.signbit(vals.imag).any()
+
+    @staticmethod
+    def _symbols(grid, delta):
+        """The propagator's symbol, a ladder-damped wave symbol and a Helmholtz resolvent."""
+        p = make_params(delta, 1.0, 1.0)
+        k = grid.k_half
+        return [np.exp(-dispersion(p, k) * 0.5),
+                wave_symbol_reference(p, k, 0.7, "Q") * ladder_damping_reference(grid),
+                helmholtz_symbol(p, k, 1.3, 0.1)]
+
+    @given(delta=BAND, n=st.sampled_from([1 << 17, 1 << 18, 3 << 17]))
+    @example(delta=0.5, n=1 << 17)
+    @example(delta=1.0, n=1 << 18)
+    @example(delta=1.5, n=3 << 17)
+    def test_split_transform_matches_reference_on_band(self, delta, n):
+        # above 2^16 points the cosine transform is split: no longer the
+        # reference's bits, but within rounding of them and exactly even
+        grid = Grid1D.centered(n, 0.01)
+        m = n // 2
+        for sym in self._symbols(grid, delta):
+            before = sym.copy()
+            got = sample_kernel(grid, sym)
+            want = sample_kernel_reference(grid, sym)
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+            assert got[m + 1:].tobytes() == got[m - 1:0:-1].tobytes()
+            assert sym.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 17) + 4, (1 << 18) + 2])
+    def test_base_case_keeps_the_reference_bits(self, n):
+        # the largest grid README's defaults use, and half-lengths that
+        # are not multiples of 4, take one n-point transform
+        grid = Grid1D.centered(n, 0.01)
+        for sym in self._symbols(grid, 0.7):
+            assert sample_kernel(grid, sym).tobytes() == sample_kernel_reference(grid, sym).tobytes()
 
 
 @pytest.mark.skipif(not GLIBC, reason="the allocator thresholds are set through glibc's mallopt")
