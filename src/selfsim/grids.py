@@ -14,17 +14,17 @@ on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2
 
 On a centered grid (x_min = -(n//2) dx) the kernel of an even symbol is
 even, and its samples K[M +- j] (M = n//2) are y_j/(n dx), y the type-I
-cosine transform of the M + 1 symbol samples.  While M is a multiple of 4
-above 2^15, sample_kernel splits that transform in two: the even y are
-the same transform of x_m + x_{M-m} (M/2 + 1 points, split again), the odd
-y a type-III cosine transform of x_m - x_{M-m} (M/2 points), done by one
-real FFT of M/2 points after a unit twiddle (Makhoul 1980; FFTW's split
-of REDFT00).  It writes y_M..y_0 into the lower half of the output and
-mirrors them, so the kernel is exactly even, and the transforms cover
-about half the points of one n-point transform.  Every other grid,
-n <= 2^16 included, takes one n-point inverse transform of the symbol
-with its odd entries negated (the shift phase (-1)^j) and keeps those
-bits.  A real symbol costs one synthesis, a complex one two.
+cosine transform of the M + 1 symbol samples.  sample_kernel writes
+y_M..y_0 into the lower half of the output and mirrors them, on every
+grid, so every kernel is exactly even.  The transform is one real FFT of
+n points, except that while M is a multiple of 4 above 2^15 it is split
+in two: the even y are the same transform of x_m + x_{M-m} (M/2 + 1
+points, split again), the odd y a type-III cosine transform of
+x_m - x_{M-m} (M/2 points), done by one real FFT of M/2 points after a
+unit twiddle (Makhoul 1980; FFTW's split of REDFT00).  Split, the
+transforms cover about half the points of one n-point transform.  A real
+symbol costs one synthesis, a complex one two, written into the real and
+imaginary parts of the one output.
 
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
@@ -160,7 +160,7 @@ class RealField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, "values").astype(float))
+        object.__setattr__(self, "values", np.asarray(_check_values(self.grid, self.values, "values"), dtype=float))
 
     def mass(self) -> float:
         """Discrete integral sum(values) * dx."""
@@ -178,7 +178,7 @@ class ComplexField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, "values").astype(complex))
+        object.__setattr__(self, "values", np.asarray(_check_values(self.grid, self.values, "values"), dtype=complex))
 
     def value_near(self, x: float) -> complex:
         return complex(self.values[self.grid.index_near(x)])
@@ -205,15 +205,6 @@ def apply_symbol(f: RealField, symbol_half: np.ndarray) -> RealField:
     return RealField(g, np.fft.irfft(np.fft.rfft(f.values) * symbol_half, n=g.n))
 
 
-def _shifted_irfft(grid: Grid1D, part: np.ndarray) -> np.ndarray:
-    """irfft of (-1)^j part_j, divided by dx; the caller's array is not written."""
-    spec = np.array(part, dtype=float)
-    spec[1::2] *= -1.0
-    out = np.fft.irfft(spec, n=grid.n)
-    out /= grid.dx
-    return out
-
-
 def _splits(m: int) -> bool:
     """Whether the cosine transform of m + 1 points is split (see the module docstring)."""
     return m % 4 == 0 and m > 1 << 15
@@ -227,13 +218,13 @@ def _twiddles(count: int, m: int, scale: float) -> np.ndarray:
     return np.multiply.outer(coarse, fine).ravel()[:count]
 
 
-def _dct1(x: np.ndarray, out: np.ndarray, tw: np.ndarray, scale: float) -> None:
+def _dct1(x: np.ndarray, out: np.ndarray, tw: np.ndarray | None, scale: float) -> None:
     """out[j] = scale (x_0 + (-1)^j x_M + 2 sum_{0<m<M} x_m cos(pi m j/M)), j = 0..M.
 
-    M = x.size - 1 and tw[k] = scale e^{i pi k/M}.  Split, the even
-    outputs are this transform of x_m + x_{M-m} and the odd ones one real
-    FFT of M/2 points (see the module docstring); otherwise one real FFT
-    of 2M points.
+    M = x.size - 1 and tw[k] = scale e^{i pi k/M} (None where the
+    transform does not split).  Split, the even outputs are this transform
+    of x_m + x_{M-m} and the odd ones one real FFT of M/2 points (see the
+    module docstring); otherwise one real FFT of 2M points.
     """
     m = x.size - 1
     if not _splits(m):
@@ -254,35 +245,34 @@ def _dct1(x: np.ndarray, out: np.ndarray, tw: np.ndarray, scale: float) -> None:
     _dct1(x[: half + 1] + x[m : half - 1 : -1], out[::2], tw[::2], scale)
 
 
-def _even_kernel(grid: Grid1D, part: np.ndarray) -> np.ndarray:
-    """Kernel of one real part of an even symbol on a centered, even grid."""
-    n, m = grid.n, grid.n // 2
-    if not _splits(m):
-        return _shifted_irfft(grid, part)
-    scale = 1.0 / (n * grid.dx)
-    out = np.empty(n)
-    # y_j is K[m - j] for j = 0..m, and K[m + j] = K[m - j]
-    _dct1(np.asarray(part, dtype=float), out[m::-1], _twiddles(m // 4 + 1, m, scale), scale)
-    out[m + 1 :] = out[m - 1 : 0 : -1]
-    return out
-
-
 def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):
     """Sample (1/2pi) int S(k) e^{ikx} dk on the grid from S(k_j), j >= 0.
 
     ``symbol_half`` holds the rfft-layout samples of an even symbol
     (S(-k) = S(k)); real symbols give real kernels, complex ones give
-    complex kernels (real and imaginary parts synthesized separately).
-    Requires a centered grid with an even point count; see the module
-    docstring for the split cosine transform and its base case.  The
-    caller's array is not written.
+    complex kernels, whose real and imaginary parts are synthesized
+    separately into the one output.  Requires a centered grid with an
+    even point count; see the module docstring for the cosine transform
+    and its split.  The kernel is exactly even, and the caller's array
+    is not written.
     """
     if not grid.is_centered:
         raise ValidationError("kernel synthesis requires a centered grid")
     if grid.n % 2:
-        # the (-1)^j shift phase and the mirror are exact only for even point counts
+        # the mirror K[M + j] = K[M - j] covers the grid only for even point counts
         raise ValidationError("kernel synthesis requires an even point count")
     symbol_half = _check_symbol_half(grid, symbol_half)
-    if not np.iscomplexobj(symbol_half):
-        return _even_kernel(grid, symbol_half)
-    return _even_kernel(grid, symbol_half.real) + 1j * _even_kernel(grid, symbol_half.imag)
+    n, m = grid.n, grid.n // 2
+    scale = 1.0 / (n * grid.dx)
+    # the output before the twiddles: built after them, it lands above their
+    # block once freed, and the heap of a 2^20 synthesis peaks 2 MB higher
+    out = np.empty(n, dtype=complex if np.iscomplexobj(symbol_half) else float)
+    tw = _twiddles(m // 4 + 1, m, scale) if _splits(m) else None
+    parts = [(symbol_half.real, out.real)]
+    if np.iscomplexobj(symbol_half):
+        parts.append((symbol_half.imag, out.imag))
+    for part, kernel in parts:
+        # y_j is K[m - j] for j = 0..m, and K[m + j] = K[m - j]
+        _dct1(np.asarray(part, dtype=float), kernel[m::-1], tw, scale)
+        kernel[m + 1 :] = kernel[m - 1 : 0 : -1]
+    return out

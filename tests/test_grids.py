@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from selfsim import (
+    ComplexField,
     Grid1D,
     GridTooSmall,
     NonPositiveScale,
@@ -86,6 +87,16 @@ class TestFields:
         with pytest.raises(ValidationError):
             RealField(g, vals)
 
+    def test_values_of_the_right_dtype_are_kept(self):
+        g = Grid1D.centered(16, 0.5)
+        a = np.linspace(-1.0, 1.0, 16)
+        assert RealField(g, a).values is a
+        z = a * (1.0 - 0.5j)
+        assert ComplexField(g, z).values is z
+        single = RealField(g, a.astype(np.float32)).values
+        assert single.dtype == np.float64
+        assert single.tobytes() == a.astype(np.float32).astype(np.float64).tobytes()
+
     def test_mass_is_discrete_integral(self):
         g = Grid1D.centered(512, 0.05)
         f = g.sample(lambda x: np.exp(-x * x))
@@ -143,6 +154,17 @@ class TestSampleKernel:
         assert vals.real.tobytes() == sample_kernel(g, sym).tobytes()
         assert not vals.imag.any() and not np.signbit(vals.imag).any()
 
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 17], ids=["whole", "split"])
+    def test_complex_symbol_parts_are_the_real_kernels(self, n):
+        # each part is written through a strided view of the one output
+        g = Grid1D.centered(n, 0.01)
+        p = make_params(0.7, 1.0, 1.0)
+        a = np.exp(-dispersion(p, g.k_half) * 0.5)
+        b = wave_symbol_reference(p, g.k_half, 0.7, "Q") * ladder_damping_reference(g)
+        vals = sample_kernel(g, a + 1j * b)
+        assert vals.real.tobytes() == sample_kernel(g, a).tobytes()
+        assert vals.imag.tobytes() == sample_kernel(g, b).tobytes()
+
     @staticmethod
     def _symbols(grid, delta):
         """The propagator's symbol, a ladder-damped wave symbol and a Helmholtz resolvent."""
@@ -152,13 +174,19 @@ class TestSampleKernel:
                 wave_symbol_reference(p, k, 0.7, "Q") * ladder_damping_reference(grid),
                 helmholtz_symbol(p, k, 1.3, 0.1)]
 
-    @given(delta=BAND, n=st.sampled_from([1 << 17, 1 << 18, 3 << 17]))
+    @given(delta=BAND, n=st.sampled_from([1 << 12, 1 << 16, 1 << 17, (1 << 17) + 4,
+                                           1 << 18, (1 << 18) + 2, 3 << 17]))
     @example(delta=0.5, n=1 << 17)
     @example(delta=1.0, n=1 << 18)
     @example(delta=1.5, n=3 << 17)
+    @example(delta=0.7, n=1 << 16)
+    @example(delta=0.7, n=(1 << 17) + 4)
+    @example(delta=0.7, n=(1 << 18) + 2)
     def test_split_transform_matches_reference_on_band(self, delta, n):
-        # above 2^16 points the cosine transform is split: no longer the
-        # reference's bits, but within rounding of them and exactly even
+        # one cosine transform, split above 2^16 points while n/2 is a
+        # multiple of 4 and whole otherwise, written once and mirrored:
+        # within rounding of the reference's n-point transform, and
+        # exactly even on every grid
         grid = Grid1D.centered(n, 0.01)
         m = n // 2
         for sym in self._symbols(grid, delta):
@@ -172,11 +200,19 @@ class TestSampleKernel:
 
     @pytest.mark.parametrize("n", [1 << 16, (1 << 17) + 4, (1 << 18) + 2])
     def test_base_case_keeps_the_reference_bits(self, n):
-        # the largest grid README's defaults use, and half-lengths that
-        # are not multiples of 4, take one n-point transform
+        # the largest grid README's defaults use, and half-lengths that are
+        # not multiples of 4, take the whole cosine transform: the bits of
+        # one unshifted n-point irfft of the symbol, centred and mirrored
         grid = Grid1D.centered(n, 0.01)
+        m = n // 2
+        scale = 1.0 / (n * grid.dx)
         for sym in self._symbols(grid, 0.7):
-            assert sample_kernel(grid, sym).tobytes() == sample_kernel_reference(grid, sym).tobytes()
+            got = sample_kernel(grid, sym)
+            parts = [(sym.real, got.real)] + ([(sym.imag, got.imag)] if np.iscomplexobj(sym) else [])
+            for part, kernel in parts:
+                y = np.fft.irfft(np.array(part, dtype=float), n=n, norm="forward")[: m + 1] * scale
+                assert kernel[m::-1].tobytes() == y.tobytes()
+                assert kernel[m + 1:].tobytes() == y[1:m].tobytes()
 
 
 @pytest.mark.skipif(not GLIBC, reason="the allocator thresholds are set through glibc's mallopt")
