@@ -1,24 +1,25 @@
 """Shortest round-trip decimal text of float64 arrays, byte-identical to repr.
 
-``csv_bytes(block)`` turns a 2-D float64 array into CSV lines (``,`` between
-cells, ``\\n`` after each row) whose cells are exactly ``repr(float(x))``,
-with no Python code per value.  The digits come from Schubfach (Giulietti,
-*The Schubfach way to render doubles*, 2020; the reference implementation is
-Java's ``DoubleToDecimal``): the shortest decimal inside the rounding
-interval of each double, the closest one (ties to even) when several are
-that short, computed with 64-bit integer arithmetic alone.  That is the
-decimal David Gay's ``dtoa`` gives ``repr``.  Two departures from Java
-make it so: no two-digit minimum (Java skips the one-digit-shorter
-candidates below ``s = 100`` and rescales the tiniest subnormals by 10, so
-it prints ``4.9E-324`` where ``repr`` prints ``5e-324``), and Python's
-layout: fixed notation for decimal exponents ``-4 <= E < 16`` with ``.0``
-on integral values, ``d[.ddd]e±XX`` otherwise, and ``-0.0``, ``nan``,
-``inf``, ``-inf``.
+``csv_bytes(columns)`` turns equal-length 1-D float64 arrays into CSV lines
+(``,`` between cells, ``\\n`` after each row) whose cells are exactly
+``repr(float(x))``, with no Python code per value.  The digits come from
+Schubfach (Giulietti, *The Schubfach way to render doubles*, 2020; the
+reference implementation is Java's ``DoubleToDecimal``): the shortest
+decimal inside the rounding interval of each double, the closest one (ties
+to even) when several are that short, computed with 64-bit integer
+arithmetic alone.  That is the decimal David Gay's ``dtoa`` gives
+``repr``.  Two departures from Java make it so: no two-digit minimum (Java
+skips the one-digit-shorter candidates below ``s = 100`` and rescales the
+tiniest subnormals by 10, so it prints ``4.9E-324`` where ``repr`` prints
+``5e-324``), and Python's layout: fixed notation for decimal exponents
+``-4 <= E < 16`` with ``.0`` on integral values, ``d[.ddd]e±XX``
+otherwise, and ``-0.0``, ``nan``, ``inf``, ``-inf``.
 
 Each value's text is assembled in four little-endian 64-bit lanes (an
 8-byte prefix, 18 bytes of digits with the point inserted, 6 bytes of
-suffix and separator) with NUL bytes where a part is shorter, and the NULs
-are dropped from each chunk's bytes in one pass.
+suffix and separator) with NUL bytes where a part is shorter, a chunk of
+rows in one ``(rows, width, 4)`` array written a column at a time; the
+NULs are dropped from each chunk's bytes in one pass.
 
 Unsigned and signed integer arrays never meet in one operation: numpy
 promotes a ``uint64``/``int64`` pair to float64, under the legacy
@@ -46,7 +47,8 @@ _K_MIN, _K_MAX = -324, 292
 _FIXED_LO, _FIXED_HI = -4, 15  # repr's fixed notation: -4 <= E <= 15
 _NO_DOT = 17                   # dot-position index meaning "no point"
 
-# values formatted per vectorized pass; bounds the temporaries alive at once
+# rows formatted per chunk, a column per vectorized pass; bounds the
+# temporaries alive at once
 _CHUNK = 1 << 13
 
 
@@ -180,11 +182,11 @@ def _decimals(mag, tables):
     return f, k
 
 
-def _lanes(x, sep, tables) -> np.ndarray:
-    """(len(x), 4) little-endian lanes holding repr's text of each value of
-    the 1-D float64 array x and its separator byte from ``sep``, with NUL
-    bytes where a part of the text is shorter than its lanes."""
-    n = len(x)
+def _lanes(x, sep, tables, lanes) -> None:
+    """Into ``lanes``, ``(len(x), 4)`` little-endian uint64: repr's text of
+    each value of the 1-D float64 array x and the separator byte ``sep``
+    after it, with NUL bytes where a part of the text is shorter than its
+    lanes."""
     bits = x.view(np.uint64)
     neg = (bits >> _U(63)).astype(np.intp)
     mag = bits & ~_SIGN
@@ -237,7 +239,6 @@ def _lanes(x, sep, tables) -> np.ndarray:
     d1 &= tables.keep[1][shown]
     d2 &= tables.keep[2][shown]
     before, after, point = tables.before, tables.after, tables.point
-    lanes = np.empty((n, 4), dtype="<u8")
     lanes[:, 0] = tables.prefix[neg * 5 + lead]
     lanes[:, 1] = (d0 & before[0][dot]) | ((d0 << _U(8)) & after[0][dot]) | point[0][dot]
     lanes[:, 2] = ((d1 & before[1][dot]) | (((d1 << _U(8)) | (d0 >> _U(56))) & after[1][dot])
@@ -251,21 +252,20 @@ def _lanes(x, sep, tables) -> np.ndarray:
         lanes[rows, 1] = np.where(is_nan, _U(int.from_bytes(b"nan", "little")),
                                   _U(int.from_bytes(b"inf", "little")))
         lanes[rows, 2] = _U(0)
-        lanes[rows, 3] = sep[rows] << _U(16)
-    return lanes
+        lanes[rows, 3] = sep << _U(16)
 
 
-def csv_bytes(block: np.ndarray) -> bytes:
-    """CSV lines of a 2-D float64 array: each cell as repr gives it, ``,``
-    between cells and ``\\n`` after each row, the last row included."""
+def csv_bytes(columns) -> bytes:
+    """CSV lines of equal-length 1-D float64 arrays, one per column (strided
+    views too): each cell as repr gives it, ``,`` between cells and ``\\n``
+    after each row, the last row included."""
     tables = _tables()
-    n_rows, width = block.shape
-    rows_per_chunk = max(1, _CHUNK // width)
-    seps = np.full((rows_per_chunk, width), ord(","), dtype=np.uint64)
-    seps[:, -1] = ord("\n")
+    width, n_rows = len(columns), len(columns[0])
     parts = []
-    for lo in range(0, n_rows, rows_per_chunk):
-        chunk = np.ascontiguousarray(block[lo:lo + rows_per_chunk], dtype=np.float64)
-        lanes = _lanes(chunk.ravel(), seps[:len(chunk)].ravel(), tables)
+    for lo in range(0, n_rows, _CHUNK):
+        hi = min(lo + _CHUNK, n_rows)
+        lanes = np.empty((hi - lo, width, 4), dtype="<u8")
+        for j, column in enumerate(columns):
+            _lanes(column[lo:hi], _U(ord("\n" if j == width - 1 else ",")), tables, lanes[:, j])
         parts.append(lanes.tobytes().translate(None, b"\0"))
     return b"".join(parts)

@@ -189,10 +189,10 @@ def _spec(args) -> argparse.Namespace:
 
 
 def _table(header, columns):
-    # a Grid1D column stands for its x: the x and the 2-D stack are built only
-    # while the file is written, so no handler holds them across its transforms
-    return lambda path: write_csv_atomic(
-        path, header, np.column_stack([c.x if isinstance(c, Grid1D) else c for c in columns]))
+    # a Grid1D column stands for its x, built only while the file is written so
+    # no handler holds it across its transforms; no 2-D copy of the table is made
+    return lambda path: write_csv_atomic(path, header, *(
+        c.x if isinstance(c, Grid1D) else np.asarray(c, dtype=np.float64) for c in columns))
 
 
 def _text(text):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,7 @@ class SampleBatch:
         table."""
         from .io import write_csv_atomic
 
-        write_csv_atomic(str(path), ["x"], np.asarray(self.samples, dtype=np.float64).reshape(-1, 1),
+        write_csv_atomic(str(path), ["x"], np.asarray(self.samples, dtype=np.float64),
                          preamble=f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}")
 
 
@@ -294,29 +295,17 @@ def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _window(grid: Grid1D, lo: float, hi: float) -> tuple[slice, np.ndarray]:
     """The grid points with lo <= x <= hi, as an index slice and their x,
     bit for bit the slice of grid.x, without building grid.x: x rises with
-    the index, so the points are one contiguous range."""
+    the index, so the points are one contiguous range, found by bisection
+    on grid.x's own arithmetic."""
     if not lo <= hi:  # an empty window, or a NaN end
         return slice(0, 0), np.empty(0)
 
     def x_at(j: int) -> float:
         return grid.x_min + grid.dx * j
 
-    q_lo, q_hi = np.clip([(lo - grid.x_min) / grid.dx, (hi - grid.x_min) / grid.dx],
-                         -1.0, float(grid.n))
-    first = max(math.ceil(q_lo), 0)
-    last = min(math.floor(q_hi), grid.n - 1)
-    # the quotients are rounded: one step at each end gives exactly the
-    # points the comparison with grid.x would select
-    if first > 0 and x_at(first - 1) >= lo:
-        first -= 1
-    elif first < grid.n and x_at(first) < lo:
-        first += 1
-    if last < grid.n - 1 and x_at(last + 1) <= hi:
-        last += 1
-    elif last >= 0 and x_at(last) > hi:
-        last -= 1
-    last = max(last, first - 1)
-    return slice(first, last + 1), grid.x_min + grid.dx * np.arange(first, last + 1)
+    first = bisect_left(range(grid.n), lo, key=x_at)
+    end = bisect_right(range(grid.n), hi, key=x_at)
+    return slice(first, end), grid.x_min + grid.dx * np.arange(first, end)
 
 
 def truncated_moment(w: RealField, p: int, L: float) -> float:

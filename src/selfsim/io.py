@@ -6,7 +6,8 @@ byte-identical outputs: floats are serialized in their shortest round-trip
 form, exactly as repr writes them, JSON keys are sorted, and nothing
 volatile (timestamps, wall time) enters the files.
 
-A CSV table is a 2-D float64 array, formatted a block of rows at a time;
+A CSV table is its columns, equal-length 1-D float64 arrays that are never
+stacked into one 2-D copy.  It is formatted a block of rows at a time, and
 each block's bytes are streamed into the temp file, so a 2^20-row table
 never exists as one string.  Cells come from a vectorized shortest-round-
 trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
@@ -117,10 +118,11 @@ def atomic_write_text(path: str, text: str) -> None:
     _atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
-def _write_rows(fh, rows, lo: int, hi: int) -> None:
+def _write_rows(fh, columns, lo: int, hi: int) -> None:
     """Rows lo..hi-1 as CSV lines, streamed into fh a block at a time."""
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
-        fh.write(_shortest.csv_bytes(rows[start:min(start + _CSV_BLOCK_ROWS, hi)]))
+        block = slice(start, min(start + _CSV_BLOCK_ROWS, hi))
+        fh.write(_shortest.csv_bytes([column[block] for column in columns]))
 
 
 def _fork_workers() -> int:
@@ -134,12 +136,12 @@ def _fork_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _row_ranges(rows) -> list[tuple[int, int]]:
+def _row_ranges(n_rows: int) -> list[tuple[int, int]]:
     """Contiguous, block-aligned row ranges, one per worker: one per core,
     at most one per block, and one where the platform cannot fork."""
-    n_blocks = -(-len(rows) // _CSV_BLOCK_ROWS)
+    n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
     workers = max(1, min(_fork_workers(), n_blocks))
-    bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [len(rows)]
+    bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [n_rows]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -206,18 +208,18 @@ def _fork_pool(fn, jobs, state=None):
 
 
 def _format_part(lo: int, hi: int, part: str) -> None:
-    """In a pool worker: rows lo..hi-1 of the pool's table into part."""
+    """In a pool worker: rows lo..hi-1 of the pool's columns into part."""
     with open(part, "wb") as fh:
         _write_rows(fh, _pool_state, lo, hi)
 
 
-def _write_ranges(fh, rows, path: str) -> None:
+def _write_ranges(fh, columns, path: str) -> None:
     """All rows into fh: the first range here while pool workers write the
     others into part files, which are then appended in row order.  On every
     exit no part is left."""
-    (lo, hi), *others = _row_ranges(rows)
+    (lo, hi), *others = _row_ranges(len(columns[0]))
     if not others:
-        _write_rows(fh, rows, lo, hi)
+        _write_rows(fh, columns, lo, hi)
         return
     directory = os.path.dirname(os.path.abspath(path))
     jobs = []  # (first row, end row, part file)
@@ -226,8 +228,8 @@ def _write_ranges(fh, rows, path: str) -> None:
             fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
             os.close(fd)
             jobs.append((part_lo, part_hi, part))
-        with _fork_pool(_format_part, jobs, rows) as futures:
-            _write_rows(fh, rows, lo, hi)
+        with _fork_pool(_format_part, jobs, columns) as futures:
+            _write_rows(fh, columns, lo, hi)
             for (part_lo, part_hi, part), future in zip(jobs, futures):
                 try:
                     future.result()
@@ -242,19 +244,21 @@ def _write_ranges(fh, rows, path: str) -> None:
                 os.unlink(part)
 
 
-def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = None) -> None:
+def write_csv_atomic(path: str, header: list[str], *columns, preamble: str | None = None) -> None:
     """CSV with LF endings and full round-trip float precision.
 
-    ``rows`` is a 2-D float64 array of shape ``(n_rows, len(header))``,
+    ``columns`` are one 1-D float64 array per header name, all of one
+    length (strided views, such as the parts of a complex array, too),
     formatted a block of rows at a time.  ``preamble``, if given, is one
     line written before the header.  Any other input, or a table without
     columns, raises ``IoError`` and leaves no file.
     """
     if not header:
         raise IoError(f"no columns in {path}")
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
-            and rows.ndim == 2 and rows.shape[1] == len(header)):
-        raise IoError(f"rows are not a 2-D float64 array of header width {len(header)} in {path}")
+    if not (len(columns) == len(header)
+            and all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+                    and len(c) == len(columns[0]) for c in columns)):
+        raise IoError(f"columns are not {len(header)} 1-D float64 arrays of one length in {path}")
 
     head = ",".join(header) + "\n"
     if preamble is not None:
@@ -262,7 +266,7 @@ def write_csv_atomic(path: str, header: list[str], rows, preamble: str | None = 
 
     def write(fh):
         fh.write(head.encode("utf-8"))
-        _write_ranges(fh, rows, path)
+        _write_ranges(fh, columns, path)
 
     _atomic_write(path, write)
 

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -580,7 +581,7 @@ class TestIoHelpers:
             forks = []
             monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
             path = tmp_path / f"array_{cores}.csv"
-            write_csv_atomic(str(path), header, table)
+            write_csv_atomic(str(path), header, *table.T)
             # compared as lines: pytest reports the first differing row cheaply
             assert _read(path).decode().split("\n") == want.split("\n"), cores
             # one worker per core and block
@@ -600,10 +601,52 @@ class TestIoHelpers:
         for row in (0, 7, _BLOCK + 1, n_rows - 3):
             table[row:row + 3].flat[:len(specials)] = specials
         header = ["a", "b", "c"]
-        write_csv_atomic(str(tmp_path / "array.csv"), header, table)
+        write_csv_atomic(str(tmp_path / "array.csv"), header, *table.T)
         assert len(forks) == 1
         assert _read(tmp_path / "array.csv") == _rowwise_csv(header, table.tolist()).encode()
         _assert_no_children()
+
+    def test_strided_columns_match_rowwise_reference(self, monkeypatch, tmp_path):
+        # the parts of a complex array and a [::2] view, as the handlers pass them
+        n_rows = 2 * _BLOCK + 8
+        rng = np.random.default_rng(29)
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 300, (n_rows, 3))
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
+        for row in (0, 7, _BLOCK + 1, 2 * _BLOCK + 2, n_rows - 3):  # every row range
+            table[row:row + 3].flat[:len(specials)] = specials
+        z = np.empty(n_rows, dtype=np.complex128)
+        z.real, z.imag = table[:, 0], table[:, 1]
+        every_other = np.repeat(table[:, 2], 2)[::2]
+        columns = (z.real, z.imag, every_other)
+        assert not any(c.flags.c_contiguous for c in columns)
+        header = ["re", "im", "v"]
+        want = _rowwise_csv(header, table.tolist()).encode()
+        real_fork = os.fork
+        for cores in (1, 3):
+            _set_cores(monkeypatch, cores)
+            forks = []
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            path = tmp_path / f"strided_{cores}.csv"
+            write_csv_atomic(str(path), header, *columns)
+            assert _read(path) == want, cores
+            assert len(forks) == cores - 1
+        _assert_no_children()
+
+    def test_table_is_written_without_a_stacked_copy(self, monkeypatch, tmp_path):
+        # one core: every row is formatted in this process, where tracemalloc sees it
+        from selfsim import cli
+
+        _set_cores(monkeypatch, 1)
+        columns = [np.arange(1 << 20, dtype=np.float64), np.full(1 << 20, 0.5)]
+        write = cli._table(["a", "b"], columns)
+        tracemalloc.start()
+        try:
+            write(str(tmp_path / "t.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(c.nbytes for c in columns) / 2
+        assert _read(tmp_path / "t.csv").endswith(b"1048575.0,0.5\n")
 
     @pytest.mark.parametrize("exc, in_workers, raised", [
         (RuntimeError, True, IoError),  # a worker's job raises
@@ -614,7 +657,7 @@ class TestIoHelpers:
         _set_cores(monkeypatch, 3)
         _fail_block(monkeypatch, exc, in_workers)
         with pytest.raises(raised):
-            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], np.zeros((3 * _BLOCK, 2)))
+            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], *np.zeros((3 * _BLOCK, 2)).T)
         assert os.listdir(tmp_path) == []  # no .part-* or .tmp-* file
         _assert_no_children()
 
@@ -631,17 +674,18 @@ class TestIoHelpers:
             os.umask(old)
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
-        # only a 2-D float64 array of the header's width is a table
-        for rows in (np.zeros((4, 3)), np.zeros(2), np.zeros((4, 2), dtype=np.float32),
-                     np.zeros((4, 2), dtype=np.int64), [(1.0, 2.0)] * 4):
+        # only one 1-D float64 array per header name, all of one length, is a table
+        a = np.zeros(4)
+        for columns in ((a,), (a, a, a), (a, np.zeros(3)), (a, a.astype(np.float32)),
+                        (a, a.astype(np.int64)), (a, np.zeros((4, 1))), (a, [0.0] * 4)):
             with pytest.raises(IoError):
-                write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], rows)
+                write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], *columns)
         with pytest.raises(IoError):  # no columns
-            write_csv_atomic(str(tmp_path / "t.csv"), [], np.zeros((4, 0)))
+            write_csv_atomic(str(tmp_path / "t.csv"), [])
         assert os.listdir(tmp_path) == []
 
     def test_empty_rows_give_header_only_csv(self, tmp_path):
-        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], np.empty((0, 2)))
+        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "value"], *np.empty((0, 2)).T)
         assert (tmp_path / "t.csv").read_text() == "x,value\n"
 
     def test_plot_script_references_csv(self):

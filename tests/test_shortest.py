@@ -20,7 +20,7 @@ def _assert_matches_repr(values, width=4):
     bits = x.view(np.uint64)
     x = np.concatenate([x, (bits + np.uint64(1)).view(np.float64), (bits - np.uint64(1)).view(np.float64)])
     x = np.concatenate([x, np.zeros(-len(x) % width)]).reshape(-1, width)
-    got, want = csv_bytes(x), _repr_csv(x)
+    got, want = csv_bytes(x.T), _repr_csv(x)
     if got != want:
         cells = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
         assert got == want, [pair for pair in cells if pair[0] != pair[1]][:5]
@@ -51,14 +51,14 @@ def test_powers_of_ten():
 
 
 def test_smallest_subnormals():
-    assert csv_bytes(np.array([[5e-324, 1e-323, 5e-323]])) == b"5e-324,1e-323,5e-323\n"
+    assert csv_bytes(np.array([[5e-324, 1e-323, 5e-323]]).T) == b"5e-324,1e-323,5e-323\n"
     _assert_matches_repr(np.arange(1, 4097, dtype=np.uint64).view(np.float64))
 
 
 def test_notation_boundaries():
     # fixed notation holds for decimal exponents -4 <= E < 16
     x = np.array([[1e-05, 0.0001, 9999999999999998.0, 1e16]])
-    assert csv_bytes(x) == b"1e-05,0.0001,9999999999999998.0,1e+16\n"
+    assert csv_bytes(x.T) == b"1e-05,0.0001,9999999999999998.0,1e+16\n"
     _assert_matches_repr([1e-05, 0.0001, 9.99999e-05, 0.000123, 9999999999999998.0, 1e16,
                           123456789012345.6, 1e15, 1e100, 1e-100, 1.5e300, -2.5e-300])
 
@@ -69,14 +69,14 @@ def test_integers_and_specials():
     ints += rng.integers(-2**60, 2**60, size=4096).astype(np.float64).tolist()
     _assert_matches_repr(ints)
     specials = np.array([[0.0, -0.0, math.nan, math.inf, -math.inf, -math.nan]])
-    assert csv_bytes(specials) == b"0.0,-0.0,nan,inf,-inf,nan\n"
+    assert csv_bytes(specials.T) == b"0.0,-0.0,nan,inf,-inf,nan\n"
 
 
 def test_layout_of_rows_and_strided_blocks():
     table = np.arange(12.0).reshape(3, 4) * 0.1
-    assert csv_bytes(table[:, :1]) == b"0.0\n0.4\n0.8\n"
-    assert csv_bytes(table.T[::2]) == _repr_csv(table.T[::2])
-    assert csv_bytes(np.zeros((0, 3))) == b""
+    assert csv_bytes(table[:, :1].T) == b"0.0\n0.4\n0.8\n"
+    assert csv_bytes(table.T[::2].T) == _repr_csv(table.T[::2])
+    assert csv_bytes(np.zeros((0, 3)).T) == b""
 
 
 @settings(max_examples=200)
