@@ -86,6 +86,15 @@ def _evolution_times(text) -> tuple[float, ...]:
     return values
 
 
+def _propagator_times(text) -> tuple[float, ...]:
+    """Labelled times of the propagator, which exists for t > 0 only."""
+    values = _labelled_floats(text)
+    for v in values:
+        if v <= 0.0:  # a nan is refused later, as non-finite
+            raise ValueError(f"{v!r} is not a positive time")
+    return values
+
+
 def _tail_window(text) -> tuple[float, float]:
     window = _floats(text)
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
@@ -156,7 +165,9 @@ def _spec(args) -> argparse.Namespace:
     given value is checked as the text a flag would carry: ``str(value)``
     goes through its option's converter, and numbers must be finite and
     counts non-negative.  ``given`` keeps the values as given, for the
-    envelope."""
+    envelope.  A command with physics options gets its medium as
+    ``params``, and one with grid options its centered ``grid``, built
+    here once so that a bad medium or grid is refused before any work."""
     given = {}
     if args.config:
         try:
@@ -181,6 +192,10 @@ def _spec(args) -> argparse.Namespace:
             except ValueError as exc:
                 raise ValidationError(f"invalid {name} {given[name]!r}: {exc}") from exc
         setattr(spec, name, value)
+    if "delta" in options:
+        spec.params = make_params(spec.delta, spec.h, spec.zeta)
+    if "n" in options:
+        spec.grid = Grid1D.centered(spec.n, spec.dx)
     return spec
 
 
@@ -204,87 +219,76 @@ def _script(*args, **kwargs):
 
 
 def _cmd_dispersion(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    omega2 = [dispersion(p, k) for k in s.k]
-    omega2_quadrature = [dispersion_quadrature(p, k) for k in s.k]
-    return ResultEnvelope("dispersion", s.given, results={"a_delta": p.a_delta}, files={
+    omega2 = [dispersion(s.params, k) for k in s.k]
+    omega2_quadrature = [dispersion_quadrature(s.params, k) for k in s.k]
+    return ResultEnvelope("dispersion", s.given, results={"a_delta": s.params.a_delta}, files={
         "dispersion.csv": _table(["k", "omega2", "omega2_quadrature"],
                                  [s.k, omega2, omega2_quadrature]),
     })
 
 
 def _cmd_greens_static(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    g = [sta.greens_static(p, x) for x in s.x]
+    g = [sta.greens_static(s.params, x) for x in s.x]
     return ResultEnvelope("greens-static", s.given,
-                          results={"prefactor": sta.greens_prefactor(p)}, files={
+                          results={"prefactor": sta.greens_prefactor(s.params)}, files={
         "greens_static.csv": _table(["x", "g"], [s.x, g]),
         "greens_static.gp": _script("greens-static", "greens_static.csv", ["g"], loglog=True),
     })
 
 
 def _cmd_laplacian(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    grid = Grid1D.centered(s.n, s.dx)
     xs = np.linspace(-2.0, 2.0, s.pointwise)
     for x in xs:  # value_near reads the grid sample nearest each x: check them before any work
-        grid.index_near(x)
+        s.grid.index_near(x)
     fn = (lambda u: np.cos(s.k0 * u)) if s.function == "cos" else (lambda u: np.exp(-u * u))
-    field = grid.sample(fn)
-    lap = laplacian_apply_spectral(p, field)
-    table = _table(["x", "field", "laplacian"], [grid, field.values, lap.values])
+    field = s.grid.sample(fn)
+    lap = laplacian_apply_spectral(s.params, field)
+    table = _table(["x", "field", "laplacian"], [s.grid, field.values, lap.values])
     env = ResultEnvelope("laplacian", s.given, files={"laplacian.csv": table})
     if s.pointwise > 0:
-        pw = [laplacian_apply_point(p, fn, x) for x in xs]
+        pw = [laplacian_apply_point(s.params, fn, x) for x in xs]
         env.files["laplacian_pointwise.csv"] = _table(["x", "laplacian"], [xs, pw])
         env.results["max_route_difference"] = max(abs(v - lap.value_near(x)) for x, v in zip(xs, pw))
     return env
 
 
 def _cmd_cauchy(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    grid = Grid1D.centered(s.n, s.dx)
-    u0 = grid.sample(lambda x: np.exp(-x * x) * np.cos(s.k0 * x))
-    v0 = grid.sample(lambda x: np.zeros_like(x))
+    u0 = s.grid.sample(lambda x: np.exp(-x * x) * np.cos(s.k0 * x))
+    v0 = s.grid.sample(lambda x: np.zeros_like(x))
     state0 = dyn.CauchyState(u0, v0)
-    env = ResultEnvelope("cauchy", s.given, results={"energy_t0": dyn.energy(p, state0)})
+    env = ResultEnvelope("cauchy", s.given, results={"energy_t0": dyn.energy(s.params, state0)})
     cols = ["x", "u_t0"] + [f"u_t{t:g}" for t in s.times]
-    data = [grid, u0.values]
+    data = [s.grid, u0.values]
     for t in s.times:
-        st = dyn.cauchy_evolve(p, state0, t)
+        st = dyn.cauchy_evolve(s.params, state0, t)
         data.append(st.u.values)
-        env.results[f"energy_t{t:g}"] = dyn.energy(p, st)
+        env.results[f"energy_t{t:g}"] = dyn.energy(s.params, st)
     env.files["cauchy.csv"] = _table(cols, data)
     env.files["cauchy.gp"] = _script("cauchy", "cauchy.csv", cols[1:])
     return env
 
 
 def _cmd_kernels(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
     kernels = (dyn.wave_kernel_series, dyn.wave_kernel_fourier,
                dyn.wave_kernel_dt_series, dyn.wave_kernel_dt_fourier)
-    columns = [s.x] + [[kernel(p, x, s.t) for x in s.x] for kernel in kernels]
+    columns = [s.x] + [[kernel(s.params, x, s.t) for x in s.x] for kernel in kernels]
     header = ["x", "Q_series", "Q_quadrature", "dQ_series", "dQ_quadrature"]
     return ResultEnvelope("kernels", s.given, files={"kernels.csv": _table(header, columns)})
 
 
 def _cmd_helmholtz(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    grid = Grid1D.centered(s.n, s.dx)
-    field = dyn.helmholtz_green(p, grid, s.omega, s.eps)
-    table = _table(["x", "re", "im"], [grid, field.values.real, field.values.imag])
+    field = dyn.helmholtz_green(s.params, s.grid, s.omega, s.eps)
+    table = _table(["x", "re", "im"], [s.grid, field.values.real, field.values.imag])
     return ResultEnvelope("helmholtz", s.given, files={"helmholtz.csv": table})
 
 
 def _cmd_diffusion(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    grid = Grid1D.centered(s.n, s.dx)
     env = ResultEnvelope("diffusion", s.given)
     cols = ["x"] + [f"W_t{t:g}" for t in s.times]
-    data = [grid]
+    data = [s.grid]
     w = None
     for t in s.times:
-        w = dif.propagator(p, grid, t)
+        w = dif.propagator(s.params, s.grid, t)
         data.append(w.values)
         env.results[f"mass_t{t:g}"] = w.mass()
         env.results[f"peak_t{t:g}"] = float(w.values.max())
@@ -293,21 +297,20 @@ def _cmd_diffusion(s) -> ResultEnvelope:
     if s.tail_window:
         slope = dif.fit_tail_exponent(w, *s.tail_window)
         env.results["tail_slope"] = slope
-        env.results["tail_slope_expected"] = -(1.0 + p.delta)
+        env.results["tail_slope_expected"] = -(1.0 + s.params.delta)
         env.files["diffusion_tail.gp"] = _script("diffusion", "diffusion.csv", cols[1:],
                                                  loglog=True, annotations={"fitted_slope": slope})
     return env
 
 
 def _cmd_mc(s) -> ResultEnvelope:
-    p = make_params(s.delta, s.h, s.zeta)
-    batch = dif.sample_levy(p, s.t, s.n_samples, s.seed)
+    batch = dif.sample_levy(s.params, s.t, s.n_samples, s.seed)
     env = ResultEnvelope("mc", s.given, seed=s.seed,
                          results={"scale": batch.scale, "n_samples": s.n_samples},
                          files={"samples.csv": batch.to_csv})
     if s.ks:
         samples = np.sort(batch.samples)
-        cdf = dif.numeric_cdf(p, s.t, samples)
+        cdf = dif.numeric_cdf(s.params, s.t, samples)
         env.results["ks_distance"] = dif.ks_distance(samples, cdf)
     return env
 
@@ -367,7 +370,7 @@ _COMMANDS = {
     }),
     "diffusion": (_cmd_diffusion, "heavy-tailed propagator profiles", {
         **_PHYSICS, **_grid(1 << 16, 0.02),
-        "times": (_labelled_floats, (0.5, 1.0, 2.0), "comma-separated times"),
+        "times": (_propagator_times, (0.5, 1.0, 2.0), "comma-separated positive times"),
         "tail_window": (_tail_window, None,
                         "x_lo,x_hi window for a log-log tail fit of the last profile"),
     }),

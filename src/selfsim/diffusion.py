@@ -59,8 +59,8 @@ __all__ = [
     "ks_distance",
 ]
 
-# sampler chunking: fixed-size chunks with sub-seeds spawned from the master
-# seed, so partitioned/parallel generation reproduces the same stream
+# sampler chunking: fixed-size chunks, each drawn from its own sub-seed
+# spawned from the master seed; the chunked sub-seeds define the stream
 _CHUNK = 1 << 16
 # least subdivision limit of propagator_quadrature's direct quad call
 _MAX_SUBDIVISIONS = 400
@@ -184,8 +184,8 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
 
     Trigonometric transform of a uniform angle and an exponential mixture;
     the empirical characteristic function converges to
-    e^{-a_delta |k|^delta t}.  Chunked generation with spawned sub-seeds
-    keeps the stream reproducible under partitioning.
+    e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
+    sub-seed spawned from ``seed``, define the stream.
     """
     if t <= 0.0:
         raise TimeNonPositive(f"sampling needs t > 0, got {t}")
@@ -255,8 +255,7 @@ def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0
         grid = Grid1D.centered(1 << 19, 0.01)
     # beyond the grid, np.interp would clamp the cumulative at its edge
     # instead of handing off to the tail series
-    if core_halfwidth > -grid.x_min or core_halfwidth > grid.x_min + grid.dx * (grid.n - 1):
-        raise LOutOfGrid(f"core [-{core_halfwidth}, {core_halfwidth}] extends beyond the grid")
+    _check_covers(grid, core_halfwidth, "core")
     w = propagator(params, grid, t)
     x = grid.x
     cum = np.concatenate([[0.0], np.cumsum(_trapezoids(w.values, x))])
@@ -292,6 +291,12 @@ def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.diff(x) * (y[1:] + y[:-1]) / 2.0
 
 
+def _check_covers(grid: Grid1D, L: float, what: str) -> None:
+    """Refuse a span [-L, L], named ``what``, that extends beyond the grid."""
+    if L > -grid.x_min or L > grid.x_min + grid.dx * (grid.n - 1):
+        raise LOutOfGrid(f"{what} [-{L}, {L}] extends beyond the grid")
+
+
 def _window(grid: Grid1D, lo: float, hi: float) -> tuple[slice, np.ndarray]:
     """The grid points with lo <= x <= hi, as an index slice and their x,
     bit for bit the slice of grid.x, without building grid.x: x rises with
@@ -318,10 +323,8 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
         raise ValidationError(f"moment order must be 1..4, got {p}")
     if not L > 0.0:
         raise LOutOfGrid(f"window must be positive, got {L}")
-    g = w.grid
-    if L > -g.x_min or L > g.x_min + g.dx * (g.n - 1):
-        raise LOutOfGrid(f"window [-{L}, {L}] extends beyond the grid")
-    rows, x = _window(g, -L, L)
+    _check_covers(w.grid, L, "window")
+    rows, x = _window(w.grid, -L, L)
     return float(_trapezoids(x ** p * w.values[rows], x).sum())
 
 

@@ -18,8 +18,9 @@ three evaluations:
   sum_j c_j e^{-eps_j |k|} of a geometric eps-ladder, i.e. the damped
   transform extrapolated to eps -> 0+ on the symbol side (the symbols
   decay too slowly for a raw truncated transform to be trustworthy); the
-  weighted damping depends on the grid alone and is kept, read-only, for
-  the last grid used (one entry, 4 MB at 2^20 points),
+  weighted damping depends on the grid alone and is kept, read-only, by
+  functools.lru_cache for the last grid used (one entry, 4 MB at 2^20
+  points),
 * a certified pointwise quadrature of the Fourier integral along a rotated
   contour, used as the high-accuracy cross-check.
 
@@ -30,6 +31,7 @@ counterpart inverts omega^2(k) - (omega + i eps)^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,11 +61,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CauchyState:
-    """Displacement and velocity fields on a shared grid at time t."""
+    """Displacement and velocity fields on a shared grid."""
 
     u: RealField
     v: RealField
-    t: float = 0.0
 
     def __post_init__(self):
         if self.u.grid != self.v.grid:
@@ -72,6 +73,15 @@ class CauchyState:
 
 def _omega(params: MediumParams, k: np.ndarray) -> np.ndarray:
     return np.sqrt(dispersion(params, k))
+
+
+def _sin_over(w: np.ndarray, sw: np.ndarray, t: float) -> np.ndarray:
+    """sin(w t)/w from w and sw = sin(w t), with its w = 0 limit t."""
+    out = np.empty_like(w)
+    nz = w > 0.0
+    out[nz] = sw[nz] / w[nz]
+    out[~nz] = t
+    return out
 
 
 def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyState:
@@ -87,10 +97,7 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     vh = np.fft.rfft(state.v.values)
     cw = np.cos(w * t)
     sw = np.sin(w * t)
-    sw_over = np.empty_like(w)
-    nz = w > 0.0
-    sw_over[nz] = sw[nz] / w[nz]
-    sw_over[~nz] = t
+    sw_over = _sin_over(w, sw, t)
     # the rotated spectra are built in place, and the rotation and the input
     # spectra are released before the inverse transforms, which set the peak
     uh2 = cw * uh
@@ -100,11 +107,7 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     del w, cw, sw, sw_over, uh, vh
     u = np.fft.irfft(uh2, n=g.n)
     del uh2
-    return CauchyState(
-        u=RealField(g, u),
-        v=RealField(g, np.fft.irfft(vh2, n=g.n)),
-        t=state.t + t,
-    )
+    return CauchyState(u=RealField(g, u), v=RealField(g, np.fft.irfft(vh2, n=g.n)))
 
 
 def energy(params: MediumParams, state: CauchyState) -> float:
@@ -128,29 +131,21 @@ def energy(params: MediumParams, state: CauchyState) -> float:
 
 # --------------------------------------------------------------- FFT kernels
 
-# (n, dx) -> sum_j c_j exp(-eps_j k) on grid.k_half, read-only; one grid at a time
-_ladder_cache: dict = {}
+@functools.lru_cache(maxsize=1)
+def _ladder_damping(grid: Grid1D) -> np.ndarray:
+    """sum_j c_j exp(-eps_j k) on k = grid.k_half, read-only.
 
-
-def _ladder_damping(grid: Grid1D, k: np.ndarray) -> np.ndarray:
-    """Richardson-weighted damping of the eps-ladder on k = grid.k_half, cached.
-
-    It depends on (n, dx) alone, so repeated syntheses on one grid reuse it;
-    the cache holds one entry (4 MB at 2^20 points) and is replaced when
-    the grid changes.
+    It depends on the grid alone, so repeated syntheses on one grid reuse
+    it; the cache holds one grid (4 MB at 2^20 points).
     """
-    key = (grid.n, grid.dx)
-    damping = _ladder_cache.get(key)
-    if damping is None:
-        eps_min = 20.0 / (math.pi / grid.dx)
-        eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
-        damping = np.zeros_like(k)
-        for e_j in eps_list:
-            c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
-            damping += c_j * np.exp(-e_j * k)
-        damping.flags.writeable = False
-        _ladder_cache.clear()
-        _ladder_cache[key] = damping
+    k = grid.k_half
+    eps_min = 20.0 / (math.pi / grid.dx)
+    eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
+    damping = np.zeros_like(k)
+    for e_j in eps_list:
+        c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
+        damping += c_j * np.exp(-e_j * k)
+    damping.flags.writeable = False
     return damping
 
 
@@ -164,9 +159,9 @@ def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
     the symbol.  The smallest eps still suppresses the Nyquist symbol:
     eps_min * k_max = 20.  The weighted damping is computed once per grid.
     """
-    k = grid.k_half
-    spec = symbol(k)
-    spec *= _ladder_damping(grid, k)
+    damping = _ladder_damping(grid)
+    spec = symbol(grid.k_half)
+    spec *= damping
     return sample_kernel(grid, spec)
 
 
@@ -181,11 +176,7 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
 
     def sym(k):
         w = _omega(params, k)
-        out = np.empty_like(k)
-        nz = w > 0.0
-        out[nz] = np.sin(w[nz] * t) / w[nz]
-        out[~nz] = t
-        return out
+        return _sin_over(w, np.sin(w * t), t)
 
     return RealField(grid, _kernel_ladder(grid, sym))
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular
 from .grids import RealField, apply_symbol
-from .params import MediumParams, dispersion
+from .params import MediumParams, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
 
 __all__ = [
@@ -114,7 +113,7 @@ def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
     fp = (f(x + h0) - f(x - h0)) / (2.0 * h0)
     fpp = _second_difference(f, x, 2.0 * fx)[0]
     return singular_integral(lambda u: -f(x + sgn * u), fx, ((-sgn * fp, 1.0), (-fpp / 2.0, 2.0)),
-                             delta, ABS_TOL, delta / _gamma(1.0 - delta))
+                             delta, ABS_TOL, delta / factorial_ext(-delta))
 
 
 def _flux_weights(delta: float, dx: float, n: int) -> np.ndarray:
@@ -175,19 +174,19 @@ def frac_kernel_y(alpha: float, x: float, eps: float = 0.0) -> float:
     for integer alpha (off the origin), reproducing the localized
     integer-order derivatives.
     """
-    if alpha <= -1.0:
-        raise AlphaOutOfRange(f"kernel defined for alpha > -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise AlphaOutOfRange(f"kernel defined for finite alpha > -1, got {alpha}")
     if eps < 0.0 or not math.isfinite(eps):
         raise AlphaOutOfRange(f"eps must be >= 0, got {eps}")
     if eps > 0.0:
         z = complex(x, eps)
         val = (1j ** (2.0 * alpha + 1.0)) / z ** (alpha + 1.0)
-        return float(_gamma(alpha + 1.0) / math.pi * val.real)
+        return float(factorial_ext(alpha) / math.pi * val.real)
     if x == 0.0:
         raise OriginSingular("eps = 0 evaluation requires x != 0")
     if x < 0.0 or float(alpha).is_integer():
         return 0.0
-    return float(-_gamma(alpha + 1.0) / math.pi * x ** (-alpha - 1.0) * math.sin(math.pi * alpha))
+    return float(-factorial_ext(alpha) / math.pi * x ** (-alpha - 1.0) * math.sin(math.pi * alpha))
 
 
 def frac_derivative_spectral(alpha: float, f: RealField) -> RealField:

@@ -131,8 +131,8 @@ _MEAN_FLOOR = 1e-8         # windowed means below this share of max|g| are zero
 _MIN_PANEL = 1e-10         # narrowest panel, relative to its end
 
 
-def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form: float = 0.0) -> float:
-    """closed_form + int_start^inf g(u) u^power du by a smoothly windowed sum.
+def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
+    """int_start^inf g(u) u^power du by a smoothly windowed sum.
 
     g is bounded: a constant, plus an oscillation about zero with any number
     of carriers, plus a part that decays.  With a cutoff chi equal to 1 up
@@ -252,7 +252,7 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float, closed_form:
                 raise QuadratureNoConvergence(
                     f"tail integrand from {start:g} has mean {m:g} against u^{power:g}: the integral diverges"
                 )
-            return closed_form + value
+            return value
         prev, seen = value, max(seen, peak)
         folded += float(np.dot(w, gv * up))
         nodes, values, halves = [], [], []
@@ -279,8 +279,8 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
     * (0, 1e-3): the Taylor terms in closed form; direct evaluation there
       loses every digit to the cancellation in g(u) + shift;
     * [1e-3, 1]: one quad_checked call with the breakpoints 2^j 1e-3;
-    * (1, inf): oscillatory_tail of g, and shift's tail, shift / delta, in
-      closed form.
+    * (1, inf): shift's tail, shift / delta, in closed form, plus
+      oscillatory_tail of g.
     """
     tol = abs_tol / max(scale, 1.0)
     power = -1.0 - delta
@@ -289,7 +289,7 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
         inner += c * _DISC ** (p - delta) / (p - delta)
     inner += quad_checked(lambda u: (g(u) + shift) * u**power, _DISC, 1.0,
                           abs_tol=tol * 0.4, limit=200, points=_POINTS)
-    outer = oscillatory_tail(g, power, 1.0, abs_tol=tol * 0.4, closed_form=shift / delta)
+    outer = shift / delta + oscillatory_tail(g, power, 1.0, abs_tol=tol * 0.4)
     return scale * (inner + outer)
 
 

@@ -319,7 +319,7 @@ def rotated_fourier_reference(params, x, t, kind, abs_tol=1e-9):
     return (p1 + p2) / math.pi
 
 
-def oscillatory_tail_reference(g, power, start, abs_tol, closed_form=0.0):
+def oscillatory_tail_reference(g, power, start, abs_tol):
     """oscillatory_tail with 21 weights kept per panel and the nodes below
     U picked by a boolean mask."""
     from operator import mul
@@ -397,7 +397,7 @@ def oscillatory_tail_reference(g, power, start, abs_tol, closed_form=0.0):
                 raise QuadratureNoConvergence(
                     f"tail integrand from {start:g} has mean {m:g} against u^{power:g}: the integral diverges"
                 )
-            return closed_form + value
+            return value
         prev, seen = value, max(seen, peak)
         folded += float(np.dot(w, gv * up))
         nodes, weights, values = [], [], []

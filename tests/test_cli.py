@@ -198,6 +198,10 @@ class TestValidation:
         # the initial state is the column u_t0 and the result energy_t0
         (["cauchy", "--n", "256", "--dx", "0.1", "--times", "0,1"],
          "cli.dyn", "cauchy_evolve", "the initial state's time, labelled 0"),
+        # the propagator exists for t > 0 only; refused before the first
+        # time's 2^20-point transform
+        (["diffusion", "--times", "1,-1", "--n", "1048576", "--dx", "0.01"],
+         "cli.dif", "propagator", "-1.0 is not a positive time"),
     ])
     def test_refused_before_numeric_work(self, monkeypatch, tmp_path, capsys, argv, owner, name, message):
         from selfsim import cli
@@ -211,6 +215,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "code: ValidationError" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("delta", "2", "DeltaOutOfRange, message: delta must lie strictly inside (0, 2), got 2.0"),
+        ("n", "4", "GridTooSmall, message: need at least 8 points, got 4"),
+        ("dx", "0", "NonPositiveScale, message: dx must be > 0, got 0.0"),
+    ])
+    def test_bad_medium_or_grid_refused_before_the_handler(self, monkeypatch, tmp_path, capsys,
+                                                           flag, value, message):
+        from selfsim import cli
+
+        commands = [c for c, (_, _, options) in cli._COMMANDS.items() if flag in options]
+        reached = []
+        for command in commands:
+            monkeypatch.setitem(cli._HANDLERS, command, reached.append)
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, f"--{flag}", value, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {{code: {message}}}\n"
+            assert not out.exists()
+        assert len(commands) == (8 if flag == "delta" else 4) and not reached
 
     def test_repeated_value_keeps_its_column(self, tmp_path):
         out = tmp_path / "o"

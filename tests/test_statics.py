@@ -272,11 +272,16 @@ class TestConstantAnnihilation:
 
 # each refused with the error class of its finite bad values; accepted,
 # eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
-# (greens_retarded), L = nan a zero moment, a negative core half-width a nan CDF
+# (greens_retarded), L = nan a zero moment, a negative core half-width a nan
+# CDF, alpha = inf a math domain or division error and alpha = nan a nan kernel
 @pytest.mark.parametrize("call,error", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), AlphaOutOfRange),
     (lambda p: frac_kernel_y(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
+    (lambda p: frac_kernel_y(math.inf, 1.0), AlphaOutOfRange),
+    (lambda p: frac_kernel_y(math.inf, 1.0, eps=0.1), AlphaOutOfRange),
+    (lambda p: frac_kernel_y(math.nan, 1.0), AlphaOutOfRange),
+    (lambda p: frac_kernel_y(math.nan, 1.0, eps=0.1), AlphaOutOfRange),
     (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.nan), EpsNonPositive),
     (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.inf), EpsNonPositive),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive),
@@ -284,7 +289,9 @@ class TestConstantAnnihilation:
     (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid),
     (lambda p: numeric_cdf(p, 1.0, 0.0, core_halfwidth=-5.0), LOutOfGrid),
     (lambda p: numeric_cdf(p, 1.0, 0.0, core_halfwidth=math.nan), LOutOfGrid),
-], ids=["riesz_eps_nan", "riesz_eps_inf", "frac_kernel_eps_nan", "greens_eps_nan", "greens_eps_inf",
+], ids=["riesz_eps_nan", "riesz_eps_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
+        "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
+        "greens_eps_nan", "greens_eps_inf",
         "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan", "cdf_core_negative", "cdf_core_nan"])
 def test_non_finite_and_negative_parameters_are_refused(params_half, call, error):
     with pytest.raises(error):
