@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsNonPositive, OriginSingular
+from .errors import EpsNonPositive, OriginSingular, check_finite
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .params import MediumParams, dispersion
 from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, quad_checked
@@ -209,6 +209,7 @@ def wave_kernel_series(params: MediumParams, x: float, t: float) -> float:
     (convolution with initial data is done spectrally, never by sampling
     the series at x = 0).
     """
+    check_finite(x=x, t=t)
     if x == 0.0:
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
@@ -219,6 +220,7 @@ def wave_kernel_series(params: MediumParams, x: float, t: float) -> float:
 
 def wave_kernel_dt_series(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0: same series with (2n)! weights."""
+    check_finite(x=x, t=t)
     if x == 0.0:
         raise OriginSingular("series kernel is defined for x != 0")
     if t == 0.0:
@@ -308,6 +310,7 @@ def wave_kernel_fourier(params: MediumParams, x: float, t: float) -> float:
     Independent of both the series and the FFT synthesis; this is the
     reference evaluation of the spectral representation.
     """
+    check_finite(x=x, t=t)
     if x == 0.0:
         raise OriginSingular("pointwise Fourier evaluation requires x != 0")
     if t == 0.0:
@@ -318,6 +321,7 @@ def wave_kernel_fourier(params: MediumParams, x: float, t: float) -> float:
 
 def wave_kernel_dt_fourier(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0, by the rotated-contour quadrature."""
+    check_finite(x=x, t=t)
     if x == 0.0:
         raise OriginSingular("pointwise Fourier evaluation requires x != 0")
     return _rotated_fourier(params, x, abs(t), "dQ")
@@ -331,6 +335,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
     Zero for t <= 0 (Q vanishes at t = 0); the damping factor defaults to
     the undamped limit eps = 0.
     """
+    check_finite(x=x, t=t)
     if eps < 0.0 or not math.isfinite(eps):
         raise EpsNonPositive(f"damping must be finite and >= 0, got {eps}")
     if t <= 0.0:

@@ -5,6 +5,8 @@ failures (non-convergence, budget exhaustion) derive from ``NumericError``.
 Both share the ``SelfsimError`` base so callers can catch everything at once.
 """
 
+import math
+
 
 class SelfsimError(Exception):
     """Base class for all selfsim errors."""
@@ -78,6 +80,13 @@ class NegativeTime(ValidationError):
 
 class LOutOfGrid(ValidationError):
     """Truncation window extends beyond the sampled grid."""
+
+
+def check_finite(**values) -> None:
+    """Raise ValidationError naming the first argument that is not finite."""
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val!r}")
 
 
 class IoError(SelfsimError, OSError):

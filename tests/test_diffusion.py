@@ -27,7 +27,7 @@ from selfsim import (
     truncated_moment,
 )
 from selfsim.diffusion import tail_cdf_mass
-from selfsim.errors import OriginSingular, ValidationError
+from selfsim.errors import NumericError, OriginSingular, ValidationError
 
 from oracles import (
     fit_tail_exponent_reference,
@@ -170,6 +170,46 @@ class TestQuadratureBitIdentity:
             p = make_params(delta, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
             assert (outcome(lambda: propagator_quadrature(p, x, t))
                     == outcome(lambda: propagator_quadrature_reference(p, x, t))), (delta, x, t)
+
+
+class TestQuadratureRay:
+    """From delta = 1 up, propagator_quadrature integrates along the ray at
+    angle pi/(4 delta); at x = 0 it takes the Gamma form."""
+
+    @staticmethod
+    def _bergstroem(p, x, t, terms=10):
+        # (1/pi) sum_n (-1)^(n-1) Gamma(n delta + 1)/n! sin(n pi delta/2)
+        # (a t)^n x^(-n delta - 1), asymptotic for delta > 1 (Feller, Vol.
+        # II, XVII.6); its 10th term is below 1e-20 at both points
+        d = p.delta
+        return sum((-1) ** (n - 1) * math.sin(n * math.pi * d / 2.0)
+                   * math.exp(math.lgamma(n * d + 1.0) - math.lgamma(n + 1.0)
+                              + n * math.log(p.a_delta * t) - (n * d + 1.0) * math.log(x))
+                   for n in range(1, terms + 1)) / math.pi
+
+    @pytest.mark.parametrize("delta,x,t", [(1.4788722586074652, 266.6423961593377, 1.273018458753433),
+                                           (1.1918465787624493, 592.6630907685352, 0.37371659917898126)])
+    def test_far_tail_matches_bergstroem_series(self, delta, x, t):
+        # the real line cut at (40/(a t))^(1/delta) was off by 1.7e-9 and
+        # 1.5e-9 here; the ray is off by 2.0e-13 and 7.9e-14
+        p = make_params(delta, 1.0, 1.0)
+        assert propagator_quadrature(p, x, t) == pytest.approx(self._bergstroem(p, x, t), abs=1e-9)
+
+    @given(delta=st.floats(1.0, 2.0, exclude_max=True), a_t=st.floats(0.1, 10.0))
+    def test_origin_limit_is_gamma_form(self, delta, a_t):
+        # the ray's value next to the origin meets the closed form at x = 0,
+        # where W itself moves by under 1e-12 of W; measured worst 3.0e-10
+        # (at delta = 1.046) over 600 uniform draws
+        p = make_params(delta, 1.0, 1.0)
+        t = a_t / p.a_delta
+        near = propagator_quadrature(p, 1e-6 * a_t ** (1.0 / delta), t)
+        assert near == pytest.approx(propagator_quadrature(p, 0.0, t), abs=1e-9)
+
+    def test_origin_beyond_float_range_refused(self):
+        # Gamma(21) (a t)^(-20) / pi is about e^880 at a t = 1e-18
+        p = make_params(0.05, 1.0, 1.0)
+        with pytest.raises(NumericError, match="beyond float range"):
+            propagator_quadrature(p, 0.0, 1e-18 / p.a_delta)
 
 
 class TestTailCdfMass:

@@ -8,10 +8,22 @@ import pytest
 import scipy.integrate
 
 import selfsim
-from selfsim import QuadratureNoConvergence, dispersion_quadrature, laplacian_apply_point, make_params
+from selfsim import (
+    QuadratureNoConvergence,
+    ValidationError,
+    dispersion_quadrature,
+    laplacian_apply_point,
+    make_params,
+)
 from selfsim import quadrature
-from selfsim.diffusion import propagator_quadrature
-from selfsim.dynamics import wave_kernel_dt_fourier, wave_kernel_fourier
+from selfsim.diffusion import propagator_quadrature, propagator_series
+from selfsim.dynamics import (
+    greens_retarded,
+    wave_kernel_dt_fourier,
+    wave_kernel_dt_series,
+    wave_kernel_fourier,
+    wave_kernel_series,
+)
 from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import quad_checked
 
@@ -70,16 +82,51 @@ def quad_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def quad_evals(monkeypatch):
+    """A list of one item: the integrand evaluations of every quad call that
+    quad_checked makes."""
+    evals = [0]
+    real = quadrature.quad
+
+    def counting(fn, a, b, *args, **kwargs):
+        def counted(u):
+            evals[0] += 1
+            return fn(u)
+
+        return real(counted, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad", counting)
+    return evals
+
+
 class TestQuadCallCounts:
     """Each pointwise route integrates only what its answer needs."""
 
     @pytest.mark.parametrize("delta", [0.3, 0.75, 1.0, 1.5])
     def test_propagator_quadrature_makes_one_call(self, quad_calls, delta):
-        # the rotated integral's real part below delta = 1, the direct
-        # cosine integral from 1 up
+        # the real part of the integral along one ray: the imaginary axis
+        # below delta = 1, the ray at angle pi/(4 delta) from 1 up
         got = propagator_quadrature(make_params(delta, 1.0, 1.0), 0.7, 1.2)
         assert np.isfinite(got)
         assert len(quad_calls) == 1
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 1.5])
+    def test_propagator_at_origin_makes_no_call(self, quad_calls, delta):
+        # W(0, t) = Gamma(1 + 1/delta) (a t)^(-1/delta) / pi in closed form
+        p = make_params(delta, 1.0, 1.0)
+        got = propagator_quadrature(p, 0.0, 1.2)
+        assert quad_calls == []
+        assert got == pytest.approx(
+            math.gamma(1.0 + 1.0 / delta) * (p.a_delta * 1.2) ** (-1.0 / delta) / math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("delta,x", [(1.05, 2000.0), (1.5, 500.0)])
+    def test_propagator_far_tail_evaluations(self, quad_evals, delta, x):
+        # the ray at pi/(4 delta) decays at every |x|: 255 and 225
+        # evaluations, where the real line cut at (40/(a t))^(1/delta) took
+        # 38,493 and 5,733
+        assert np.isfinite(propagator_quadrature(make_params(delta, 1.0, 1.0), x, 1.0))
+        assert quad_evals[0] <= 1000
 
     @pytest.mark.parametrize("route", [wave_kernel_fourier, wave_kernel_dt_fourier])
     @pytest.mark.parametrize("delta", [0.3, 1.0, 1.8])
@@ -112,6 +159,19 @@ class TestQuadCallCounts:
     def test_dispersion_quadrature_makes_one_call(self, quad_calls):
         assert np.isfinite(dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0))
         assert [(a, b, kwargs["weight"]) for a, b, kwargs in quad_calls] == [(1.0, math.inf, "cos")]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("arg", ["x", "t"])
+@pytest.mark.parametrize("route", [propagator_series, propagator_quadrature, wave_kernel_series,
+                                   wave_kernel_dt_series, wave_kernel_fourier, wave_kernel_dt_fourier,
+                                   greens_retarded])
+def test_pointwise_routes_refuse_non_finite_arguments(quad_calls, route, arg, bad):
+    # one refusal for every route, before any quadrature starts
+    args = {"x": 1.0, "t": 1.0, arg: bad}
+    with pytest.raises(ValidationError, match=f"{arg} must be finite"):
+        route(make_params(0.5, 1.0, 1.0), args["x"], args["t"])
+    assert quad_calls == []
 
 
 def test_dispersion_refusal_goes_through_quad_checked(monkeypatch):
