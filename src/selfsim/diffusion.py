@@ -43,7 +43,7 @@ from .errors import (
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import MediumParams, dispersion
-from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, _stable_sign, quad_checked
+from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, _stable_sign, image_series, quad_checked
 
 __all__ = [
     "SampleBatch",
@@ -91,18 +91,31 @@ class SampleBatch:
                          preamble=f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}")
 
 
-def propagator(params: MediumParams, grid: Grid1D, t: float) -> RealField:
+def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = False) -> RealField:
     """W(., t) sampled on a centered grid by FFT of e^{-omega^2(k) t}.
 
     The symbol decays stretched-exponentially, so no damping ladder is
-    needed; choose dx small enough that the Nyquist symbol is negligible
-    and the grid long enough that the periodic images of the heavy tail
-    are below tolerance.  Discrete mass is exactly 1.
+    needed; choose dx small enough that the Nyquist symbol is negligible.
+    The synthesis is the periodic kernel sum_m W(x + m L), whose discrete
+    mass is exactly 1; its images of the |x|^(-1-delta) tail fall off only
+    like L^(-1-delta).  With ``line`` they are subtracted in closed form
+    (quadrature.image_series), which leaves the infinite-line samples,
+    mass 1 - P(|X| >= L/2), and raises SeriesBudgetExceeded where the tail
+    series has not settled at |x| = L/2 (for delta >= 1, where L/2 does
+    not span many scales (a t)^(1/delta)).
     """
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
     sym = np.exp(-dispersion(params, grid.k_half) * t)
-    return RealField(grid, sample_kernel(grid, sym))
+    values = sample_kernel(grid, sym)
+    if line:
+        m = grid.n // 2
+        # x = -j dx at index m - j, so u = x/L = -j/n; the kernel is even
+        images = image_series(params.delta, 1, 1, 1, math.log(params.a_delta * t),
+                              grid.length, np.arange(m + 1) / grid.n)
+        values[m::-1] -= images
+        values[m + 1 :] = values[m - 1 : 0 : -1]
+    return RealField(grid, values)
 
 
 def propagator_cauchy(params: MediumParams, x, t: float):
@@ -244,20 +257,27 @@ def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0
                 grid: Grid1D | None = None):
     """CDF of W(., t) at query points: grid core plus analytic tail.
 
-    Inside |x| <= core_halfwidth the cumulative trapezoid of the FFT
-    propagator is interpolated (anchored at CDF(0) = 1/2 by symmetry);
-    beyond, the tail series takes over.  The core must lie on the grid.
-    The default grid keeps the periodic-image bias of the cumulative below
-    ~1e-3 for the delta range of the acceptance checks.
+    Inside |x| <= core_halfwidth the cumulative trapezoid of the
+    infinite-line propagator (``propagator(..., line=True)``) is
+    interpolated (anchored at CDF(0) = 1/2 by symmetry); beyond, the tail
+    series takes over.  The core must lie on the grid.  The default grid
+    has dx = 0.01 and the fewest points, a power of 2 up to 2^19, whose
+    half-width covers the core and the reach the image series needs at
+    |x| = L/2: for delta >= 1, where it is asymptotic, 32 scales
+    (a t)^(1/delta); below 1, one scale, so that no term outgrows the first.
     """
     if not 0.0 < core_halfwidth < math.inf:
         raise LOutOfGrid(f"core half-width must be finite and > 0, got {core_halfwidth}")
     if grid is None:
-        grid = Grid1D.centered(1 << 19, 0.01)
+        d, dx, n = params.delta, 0.01, 1 << 10
+        ln_reach = math.log(params.a_delta * t) / d + (math.log(32.0) if d >= 1.0 else 0.0)
+        while n < 1 << 19 and ((n // 2 - 1) * dx < core_halfwidth or math.log(n // 2 * dx) < ln_reach):
+            n *= 2
+        grid = Grid1D.centered(n, dx)
     # beyond the grid, np.interp would clamp the cumulative at its edge
     # instead of handing off to the tail series
     _check_covers(grid, core_halfwidth, "core")
-    w = propagator(params, grid, t)
+    w = propagator(params, grid, t, line=True)
     x = grid.x
     cum = np.concatenate([[0.0], np.cumsum(_trapezoids(w.values, x))])
     cum = cum - cum[grid.n // 2] + 0.5

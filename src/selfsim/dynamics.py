@@ -345,22 +345,25 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2)."""
+    _check_damping(eps)
+    return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
+
+
+def _check_damping(eps: float) -> None:
     if not 0.0 < eps < math.inf:
         raise EpsNonPositive(f"helmholtz damping must be finite and > 0, got {eps}")
-    return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
 
 
 def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float) -> ComplexField:
     """Frequency-domain Green's function on a centered grid.
 
     Inverse transform of the resolvent symbol, synthesized with the same
-    eps-ladder as the time-domain kernels.  At omega = 0 the symbol is real
-    (one transform) and the kernel converges (eps -> 0+, after gauging the
-    k = 0 mode) to the static Green's function.
+    eps-ladder as the time-domain kernels.  At omega = 0 the symbol is the
+    real 1/(omega^2(k) + eps^2), built in float (one transform), and the
+    kernel converges (eps -> 0+, after gauging the k = 0 mode) to the
+    static Green's function.
     """
-
-    def symbol(k):
-        resolvent = helmholtz_symbol(params, k, omega, eps)
-        return resolvent.real if omega == 0.0 else resolvent
-
-    return ComplexField(grid, _kernel_ladder(grid, symbol))
+    if omega != 0.0:
+        return ComplexField(grid, _kernel_ladder(grid, lambda k: helmholtz_symbol(params, k, omega, eps)))
+    _check_damping(eps)
+    return ComplexField(grid, _kernel_ladder(grid, lambda k: 1.0 / (dispersion(params, k) + eps * eps)))

@@ -1,8 +1,12 @@
 """Uniform grids, sampled fields, and the one spectral path.
 
 Periodic spectral approximation of operators defined on the infinite line:
-the caller is responsible for choosing a grid wide enough that wrap-around
-contamination in the region of interest is below tolerance (a "guard band").
+a kernel synthesized on a grid of length L is the periodic sum of its
+images, sum_m K(x + m L), and the |x|^(-1-delta) tails make the images
+fall off only like L^(-1-delta).  The caller chooses a grid wide enough
+that this wrap-around is below tolerance where it reads (a "guard band"),
+or, for the propagator, subtracts the images in closed form
+(``propagator(..., line=True)``, by ``quadrature.image_series``).
 
 Every spectral capability is one multiplication by a symbol S(k) sampled
 on the nonnegative wavenumbers k_j = 2*pi*j/(n*dx), j = 0..n//2

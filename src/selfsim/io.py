@@ -11,8 +11,9 @@ stacked into one 2-D copy.  It is formatted a block of rows at a time, and
 each block's bytes are streamed into the temp file, so a 2^20-row table
 never exists as one string.  Cells come from a vectorized shortest-round-
 trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
-than one block is split into contiguous row ranges, one per available
-core: the workers of one fork pool (``_fork_pool``, which also runs the
+than one block and more than 2^18 cells (rows x columns) is split into
+contiguous row ranges, one per available core and per started 2^18
+cells: the workers of one fork pool (``_fork_pool``, which also runs the
 selftest) format the later ranges into part files beside the target
 while this process formats the first; the parts are appended in order.
 """
@@ -48,6 +49,12 @@ __all__ = [
 # rows per CSV block: bounds the bytes of one formatted block, and is the
 # unit of the row ranges that forked workers write
 _CSV_BLOCK_ROWS = 1 << 15
+# cells (rows x columns) per CSV worker: a table of up to 2^18 cells is
+# formatted in this process, where the fork costs more than it saves
+# (medians of 11 alternating writes beside a 120 MB heap, 2-core x86-64:
+# 65536 x 4 cells took 68 ms here against 75 forked, 131072 x 3 took 135
+# against 90)
+_CSV_CELLS_PER_WORKER = 1 << 18
 
 
 def canonical_config(config: dict) -> dict:
@@ -136,11 +143,12 @@ def _fork_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _row_ranges(n_rows: int) -> list[tuple[int, int]]:
+def _row_ranges(n_rows: int, n_columns: int) -> list[tuple[int, int]]:
     """Contiguous, block-aligned row ranges, one per worker: one per core,
-    at most one per block, and one where the platform cannot fork."""
+    at most one per block and per started 2^18 cells, and one where the
+    platform cannot fork."""
     n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
-    workers = max(1, min(_fork_workers(), n_blocks))
+    workers = max(1, min(_fork_workers(), n_blocks, -(-n_rows * n_columns // _CSV_CELLS_PER_WORKER)))
     bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [n_rows]
     return list(zip(bounds, bounds[1:]))
 
@@ -217,7 +225,7 @@ def _write_ranges(fh, columns, path: str) -> None:
     """All rows into fh: the first range here while pool workers write the
     others into part files, which are then appended in row order.  On every
     exit no part is left."""
-    (lo, hi), *others = _row_ranges(len(columns[0]))
+    (lo, hi), *others = _row_ranges(len(columns[0]), len(columns))
     if not others:
         _write_rows(fh, columns, lo, hi)
         return

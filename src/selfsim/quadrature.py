@@ -42,6 +42,11 @@ can leave [0, 1].  The callers differ only in their parameters:
     wave_kernel_dt_series    1  2  1  a t^2/|x|^delta  1/|x|
     propagator_series        1  1  1  a t/|x|^delta    1/|x|
     tail_cdf_mass            0  1  1  a t/x^delta      1
+
+image_series sums such a tail (front 1/|y|) over the periodic images of a
+centered grid, |y| >= L/2, as one even power series in x/L whose
+coefficients are Riemann zeta values; the propagator's infinite-line
+samples subtract it from the periodic synthesis.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc as _erfc
 from scipy.special import gammaln as _gammaln
+from scipy.special import zeta as _zeta
 
 from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
 
@@ -64,6 +70,7 @@ __all__ = [
     "neville_at_zero",
     "oscillatory_tail",
     "singular_integral",
+    "image_series",
 ]
 
 ABS_TOL = 1e-9
@@ -303,6 +310,7 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
 _SERIES_MAX_TERMS = 400
 _SERIES_ABS_TOL = 1e-14
 _SERIES_RATIO_GUARD = 1e8
+_EPSILON = float(np.finfo(float).eps)
 
 
 def _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front=0.0):
@@ -349,3 +357,81 @@ def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> floa
         f"series did not reach abs_tol = {_SERIES_ABS_TOL:g} within {_SERIES_MAX_TERMS} terms",
         partial_sum=total, tail_bound=prev_m,
     )
+
+
+def image_series(delta: float, r, p, q, ln_c: float, length: float, u: np.ndarray) -> np.ndarray:
+    """sum_{m != 0} K(x + m L) at x = u L, |u| <= 1/2, for a kernel whose
+    tail is the stable series with xi = c/|y|^delta and front 1/|y|,
+
+        K(y) = sum_n sign_n Gamma(n delta + r)/Gamma(p n + q) c^n |y|^(-s_n),   s_n = n delta + 1.
+
+    The images sit at |y| >= L/2, and over the lattice each power is an
+    even power series in u (the binomial series of (1 +- u/m)^(-s), summed
+    over m by the Riemann zeta function; DLMF 25.11):
+
+        sum_{m != 0} |x + m L|^(-s) = 2 L^(-s) sum_k C(s + 2k - 1, 2k) zeta(s + 2k) u^(2k).
+
+    The coefficients of u^(2k) are summed over n, and the one series in u^2
+    is evaluated by Horner's rule, one pass over u per power kept.  Both
+    sums stop by _stable_series' rule on the term magnitudes at |u| = 1/2,
+    where every power is largest (in n, L^(-s) [zeta(s, 1/2) + zeta(s, 3/2)];
+    in k, the coefficient times 4^(-k)), with the stop 1e-14 taken relative
+    to the first of them where that exceeds 1.  For delta < 1 the series in
+    n converges at every |y|; from 1 up it is asymptotic and settles only
+    where L/2 spans many scales c^(1/delta).  SeriesBudgetExceeded is
+    raised, and nothing is corrected, where it does not settle, and where
+    the magnitudes summed are so far above that stop that their rounding
+    exceeds it: L/2 far inside the scale, where the terms cancel.
+    """
+    r, p, q = float(r), float(p), float(q)
+    ln_len = math.log(length)
+    ln_coef, signs = [], []
+    prev_m = math.inf
+    hump = 0.0  # the sum of the magnitudes, whose rounding the sum carries
+    for n in range(1, _SERIES_MAX_TERMS + 1):
+        s = n * delta + 1.0
+        ln_coef.append(_stable_log_terms(delta, n, r, p, q, ln_c) - s * ln_len)
+        signs.append(_stable_sign(delta, n))
+        lnm = ln_coef[-1] + math.log(_zeta(s, 0.5) + _zeta(s, 1.5))
+        if lnm > 700.0:
+            raise SeriesBudgetExceeded(
+                f"image term overflows at n = {n}: L/2 spans too few scales for the tail series "
+                f"at delta = {delta:g}", partial_sum=None, tail_bound=math.inf,
+            )
+        m = math.exp(lnm)
+        if n == 1:
+            tol = _SERIES_ABS_TOL * max(1.0, m)
+        hump += m
+        if m < tol and m < prev_m:
+            break
+        if m > prev_m * _SERIES_RATIO_GUARD:
+            raise SeriesBudgetExceeded(f"image term ratio exceeded guard {_SERIES_RATIO_GUARD:g} at n = {n}",
+                                       partial_sum=None, tail_bound=m)
+        prev_m = m
+    else:
+        raise SeriesBudgetExceeded(f"image series did not reach {tol:g} at |x| = L/2 within "
+                                   f"{_SERIES_MAX_TERMS} terms", partial_sum=None, tail_bound=prev_m)
+    if hump * _EPSILON > tol:
+        raise SeriesBudgetExceeded(f"image terms cancel across a hump of {hump:g}: their rounding "
+                                   f"exceeds {tol:g}; L/2 is far inside the scale", partial_sum=None, tail_bound=hump)
+    s = np.arange(1, len(ln_coef) + 1) * delta + 1.0
+    # C(s + 2k - 1, 2k) = Gamma(s + 2k) / (Gamma(2k + 1) Gamma(s))
+    ln_coef, signs = np.array(ln_coef) - _gammaln(s), np.array(signs)
+    coefs = []
+    prev_m = math.inf
+    for k in range(_SERIES_MAX_TERMS):
+        terms = np.exp(ln_coef + _gammaln(s + 2 * k) - _gammaln(2 * k + 1.0)) * _zeta(s + 2 * k)
+        coefs.append(2.0 * float(np.dot(signs, terms)))
+        m = 2.0 * float(np.sum(terms)) * 0.25**k
+        if m < tol and m < prev_m:
+            break
+        prev_m = m
+    else:
+        raise SeriesBudgetExceeded(f"image series in u did not reach {tol:g} within {_SERIES_MAX_TERMS} terms",
+                                   partial_sum=None, tail_bound=prev_m)
+    u2 = np.square(u)
+    out = np.full_like(u2, coefs[-1])
+    for a in coefs[-2::-1]:
+        out *= u2
+        out += a
+    return out

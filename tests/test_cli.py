@@ -301,6 +301,7 @@ class TestUnwritableOutput:
 
     def test_failed_csv_worker_leaves_nothing(self, monkeypatch, tmp_path, capsys):
         _set_cores(monkeypatch, 2)
+        _fork_small_tables(monkeypatch)
         _fail_block(monkeypatch, RuntimeError, in_workers=True)
         out = tmp_path / "o"
         self._check_exit_4(capsys, ["diffusion", "--times", "1", "--n", str(2 * _BLOCK),
@@ -353,7 +354,9 @@ class TestDeterminism:
                     if ln.startswith("selfsim diffusion --delta 1 "))
         argv = shlex.split(line)[1:]
         src = Path(io.__file__).resolve().parents[1]
+        # its 2^18-cell table is formatted in process unless the cell threshold is lowered
         code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "import selfsim.io; selfsim.io._CSV_CELLS_PER_WORKER = 1; "
                 "from selfsim.cli import main; sys.exit(main(sys.argv[1:]))")
         argv[argv.index("--out") + 1] = str(tmp_path / "forked")
         done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code, *argv],
@@ -504,7 +507,9 @@ class TestSelftestCommand:
         # as test_readme_diffusion_forks_without_warnings, for the selftest's pool
         argv = ["selftest", "--cases", "AC09,AC12"]
         src = Path(io.__file__).resolve().parents[1]
+        # its 2^18-cell table is formatted in process unless the cell threshold is lowered
         code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "import selfsim.io; selfsim.io._CSV_CELLS_PER_WORKER = 1; "
                 "from selfsim.cli import main; sys.exit(main(sys.argv[1:]))")
         done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code,
                                *argv, "--out", str(tmp_path / "forked")],
@@ -568,6 +573,11 @@ def _set_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _fork_small_tables(monkeypatch):
+    """Fork CSV workers by block count alone, so small tables take the forked path."""
+    monkeypatch.setattr(io, "_CSV_CELLS_PER_WORKER", 1)
+
+
 def _fail_block(monkeypatch, exc, in_workers):
     """Make formatting a block raise exc("forced") in the forked workers
     only, or in this process only."""
@@ -599,6 +609,7 @@ class TestIoHelpers:
         header = ["a", "b", "c"]
         table = np.resize(np.array(_SPECIAL_FLOATS), 3 * n_rows).reshape(n_rows, 3)
         want = _rowwise_csv(header, table.tolist())
+        _fork_small_tables(monkeypatch)
         real_fork = os.fork
         for cores in (1, 3):
             _set_cores(monkeypatch, cores)
@@ -612,9 +623,29 @@ class TestIoHelpers:
             assert len(forks) == max(0, min(cores, -(-n_rows // _BLOCK)) - 1)
         _assert_no_children()
 
+    @pytest.mark.parametrize("n_rows, n_columns, forks", [
+        (io._CSV_CELLS_PER_WORKER // 4, 4, 0),  # 2^18 cells, 2 blocks: in process
+        (io._CSV_CELLS_PER_WORKER, 1, 0),  # 2^18 cells, 8 blocks: in process
+        (io._CSV_CELLS_PER_WORKER // 4 + _BLOCK, 4, 1),  # just over: one worker more
+        (3 * io._CSV_CELLS_PER_WORKER // 2, 2, 2),  # 3 x 2^18 cells: three ranges
+    ])
+    def test_tables_fork_by_cell_count(self, monkeypatch, tmp_path, n_rows, n_columns, forks):
+        # at most one worker per started 2^18 cells, whatever the block count
+        _set_cores(monkeypatch, 4)
+        real_fork = os.fork
+        seen = []
+        monkeypatch.setattr(os, "fork", lambda: seen.append(1) or real_fork())
+        columns = [np.full(n_rows, 0.5 + j) for j in range(n_columns)]
+        write_csv_atomic(str(tmp_path / "t.csv"), [f"c{j}" for j in range(n_columns)], *columns)
+        assert len(seen) == forks
+        row = ",".join(repr(0.5 + j) for j in range(n_columns))
+        assert _read(tmp_path / "t.csv").endswith(f"\n{row}\n".encode())
+        _assert_no_children()
+
     def test_special_floats_in_every_range(self, monkeypatch, tmp_path):
         # two cores: rows 0.._BLOCK-1 are formatted here, the rest in a fork
         _set_cores(monkeypatch, 2)
+        _fork_small_tables(monkeypatch)
         real_fork = os.fork
         forks = []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -645,6 +676,7 @@ class TestIoHelpers:
         assert not any(c.flags.c_contiguous for c in columns)
         header = ["re", "im", "v"]
         want = _rowwise_csv(header, table.tolist()).encode()
+        _fork_small_tables(monkeypatch)
         real_fork = os.fork
         for cores in (1, 3):
             _set_cores(monkeypatch, cores)
@@ -679,6 +711,7 @@ class TestIoHelpers:
     ], ids=["worker_fails", "interrupt_here", "worker_dies"])
     def test_failed_range_leaves_no_file_or_child(self, monkeypatch, tmp_path, exc, in_workers, raised):
         _set_cores(monkeypatch, 3)
+        _fork_small_tables(monkeypatch)
         _fail_block(monkeypatch, exc, in_workers)
         with pytest.raises(raised):
             write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], *np.zeros((3 * _BLOCK, 2)).T)

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, strategies as st
+from scipy.special import zeta
 
 import selfsim
 from selfsim import (
@@ -98,6 +100,25 @@ def quad_evals(monkeypatch):
 
     monkeypatch.setattr(quadrature, "quad", counting)
     return evals
+
+
+class TestImageSeries:
+    @given(delta=st.floats(0.05, 1.95), c=st.floats(0.1, 10.0), u=st.floats(0.0, 0.5))
+    @example(delta=1.0, c=math.pi, u=0.5)
+    def test_matches_hurwitz_zeta_lattice_sums(self, delta, c, u):
+        # sum_n sign_n Gamma(n delta + 1)/n! c^n L^(-s) [zeta(s, 1 + u) + zeta(s, 1 - u)],
+        # s = n delta + 1, term by term, with L/2 = 64 scales c^(1/delta);
+        # the sums in n and in u^2 each stop below 1e-14, the engine's absolute stop
+        length = 128.0 * c ** (1.0 / delta)
+        got = float(quadrature.image_series(delta, 1, 1, 1, math.log(c), length, np.array([u]))[0])
+        want = 0.0
+        for n in range(1, 200):
+            s = n * delta + 1.0
+            magnitude = math.exp(math.lgamma(s) - math.lgamma(n + 1.0) + n * math.log(c) - s * math.log(length))
+            if magnitude < 1e-30:
+                break
+            want += quadrature._stable_sign(delta, n) * magnitude * (zeta(s, 1.0 + u) + zeta(s, 1.0 - u))
+        assert got == pytest.approx(want, rel=1e-13, abs=2e-14)
 
 
 class TestQuadCallCounts:
