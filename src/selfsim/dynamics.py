@@ -3,7 +3,11 @@ frequency-domain Green's functions, and the conserved energy.
 
 The equation of motion d^2 u / dt^2 = Lap u diagonalizes in Fourier space,
 so the evolution of (u, v) is an exact mode-by-mode rotation with
-frequency omega(k) = sqrt(a_delta) |k|^(delta/2).  The solution kernels
+frequency omega(k) = sqrt(a_delta) |k|^(delta/2).  The state stays in k
+between steps: a CauchyState built from fields keeps the rfft spectrum of
+u once taken, cauchy_evolve returns the rotated spectra, energy reads them
+by Parseval, and the fields are transformed back only when read.  The
+solution kernels
 
     Q(x, t)    = (1/2pi) int e^{ikx} sin(omega t)/omega dk   (velocity kernel)
     dQ/dt      = (1/2pi) int e^{ikx} cos(omega t) dk         (displacement kernel)
@@ -33,11 +37,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsNonPositive, OriginSingular, check_finite
+from .errors import EpsNonPositive, OriginSingular, ValidationError, check_finite
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .params import MediumParams, dispersion
 from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, quad_checked
@@ -59,16 +62,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CauchyState:
-    """Displacement and velocity fields on a shared grid."""
+    """Displacement u and velocity v on one grid, held in x or in k.
 
-    u: RealField
-    v: RealField
+    ``CauchyState(u, v)`` holds the two fields.  The rfft spectrum of u is
+    taken when ``energy`` or ``cauchy_evolve`` first needs it and is kept;
+    the one of v is taken on each use, not kept.  A state that
+    ``cauchy_evolve`` returns holds the two rotated spectra, and ``.u`` and
+    ``.v`` each run one irfft on first read and keep the field.  The state
+    reads its fields when it first needs them: do not change their values
+    in place afterwards.
+    """
 
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("u and v must share one grid")
+    __slots__ = ("_grid", "_u", "_v", "_uh", "_vh")
+
+    def __init__(self, u: RealField, v: RealField):
+        if u.grid != v.grid:
+            raise ValidationError("u and v must share one grid")
+        self._grid, self._u, self._v, self._uh, self._vh = u.grid, u, v, None, None
+
+    @classmethod
+    def _from_spectra(cls, grid: Grid1D, uh: np.ndarray, vh: np.ndarray) -> CauchyState:
+        state = cls.__new__(cls)
+        state._grid, state._u, state._v, state._uh, state._vh = grid, None, None, uh, vh
+        return state
+
+    @property
+    def u(self) -> RealField:
+        """Displacement field."""
+        if self._u is None:
+            self._u = RealField(self._grid, np.fft.irfft(self._uh, n=self._grid.n))
+        return self._u
+
+    @property
+    def v(self) -> RealField:
+        """Velocity field."""
+        if self._v is None:
+            self._v = RealField(self._grid, np.fft.irfft(self._vh, n=self._grid.n))
+        return self._v
+
+    def _u_spectrum(self) -> np.ndarray:
+        if self._uh is None:
+            self._uh = np.fft.rfft(self._u.values)
+        return self._uh
+
+    def _v_spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self._v.values) if self._vh is None else self._vh
 
 
 def _omega(params: MediumParams, k: np.ndarray) -> np.ndarray:
@@ -89,44 +128,47 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
 
     Mode k advances by (cos wt, sin wt / w; -w sin wt, cos wt); the k = 0
     mode uses the analytic limit u + t v.  Energy is conserved to rounding
-    and evolving by t then -t returns the input state.
+    and evolving by t then -t returns the input state.  The result holds
+    the rotated spectra: evolving it again, or taking its energy, needs no
+    transform.
     """
-    g = state.u.grid
+    g = state._grid
+    uh = state._u_spectrum()
+    vh = state._v_spectrum()
     w = _omega(params, g.k_half)
-    uh = np.fft.rfft(state.u.values)
-    vh = np.fft.rfft(state.v.values)
     cw = np.cos(w * t)
     sw = np.sin(w * t)
-    sw_over = _sin_over(w, sw, t)
-    # the rotated spectra are built in place, and the rotation and the input
-    # spectra are released before the inverse transforms, which set the peak
     uh2 = cw * uh
-    uh2 += sw_over * vh
+    uh2 += _sin_over(w, sw, t) * vh
     vh2 = -w * sw * uh
     vh2 += cw * vh
-    del w, cw, sw, sw_over, uh, vh
-    u = np.fft.irfft(uh2, n=g.n)
-    del uh2
-    return CauchyState(u=RealField(g, u), v=RealField(g, np.fft.irfft(vh2, n=g.n)))
+    return CauchyState._from_spectra(g, uh2, vh2)
 
 
 def energy(params: MediumParams, state: CauchyState) -> float:
     """Conserved energy (1/2) int (v^2 + u * (-Lap) u) dx.
 
-    The potential part comes from one rfft of u by Parseval:
+    The potential part comes from the spectrum of u by Parseval:
     sum_j u_j (-Lap u)_j = (1/n) sum_k w_k omega^2(k) |u_k|^2, where w_k = 2
     counts each conjugate pair and w_k = 1 at k = 0 and, for even n, at the
-    Nyquist index.
+    Nyquist index.  The kinetic part is taken from v in the form the state
+    holds: the x-space sum of v^2 for a state built from fields, and
+    (1/n) sum_k w_k |v_k|^2, in the same sum, for one that holds spectra.
+    Neither needs a transform beyond the kept spectrum of u.
     """
-    g = state.u.grid
-    v = state.v.values
-    uh = np.fft.rfft(state.u.values)
+    g = state._grid
+    uh = state._u_spectrum()
     power = uh.real**2
     power += uh.imag**2
-    del uh
     power *= dispersion(params, g.k_half)
+    if state._vh is None:
+        kinetic = np.sum(state._v.values**2)
+    else:
+        kinetic = 0.0
+        power += state._vh.real**2
+        power += state._vh.imag**2
     power[1:(g.n + 1) // 2] *= 2.0
-    return float(0.5 * g.dx * (np.sum(v**2) + np.sum(power) / g.n))
+    return float(0.5 * g.dx * (kinetic + np.sum(power) / g.n))
 
 
 # --------------------------------------------------------------- FFT kernels
@@ -240,7 +282,7 @@ def wave_series_terms(params: MediumParams, x: float, t: float,
     carry the decay law.
     """
     if kind not in ("Q", "dQ"):
-        raise ValueError("kind must be 'Q' or 'dQ'")
+        raise ValidationError("kind must be 'Q' or 'dQ'")
     q, ln_xi, ln_front = _kernel_series_args(params, x, t, kind)
     n = np.arange(1, count + 1, dtype=float)
     mags = np.exp(_stable_log_terms(params.delta, n, 1, 2, q, ln_xi, ln_front))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular
+from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError
 from .grids import RealField, apply_symbol
 from .params import MediumParams, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
@@ -103,7 +103,7 @@ def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"increment derivative needs 0 < delta < 1, got {delta}")
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     sgn = -1.0 if side == "left" else 1.0
     fx = f(x)
     # Taylor disc to second order: the increment is -sgn f' tau - f'' tau^2/2,

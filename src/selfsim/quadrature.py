@@ -62,7 +62,7 @@ from scipy.special import erfc as _erfc
 from scipy.special import gammaln as _gammaln
 from scipy.special import zeta as _zeta
 
-from .errors import QuadratureNoConvergence, SeriesBudgetExceeded
+from .errors import QuadratureNoConvergence, SeriesBudgetExceeded, ValidationError
 
 __all__ = [
     "ABS_TOL",
@@ -184,7 +184,7 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     3.6e-9 at abs_tol 1e-10).
     """
     if not start > 0.0:
-        raise ValueError(f"tail start must be > 0, got {start!r}")
+        raise ValidationError(f"tail start must be > 0, got {start!r}")
     if power >= 0.0:
         raise QuadratureNoConvergence(f"tail weight u^{power:g} is not integrable: the integral diverges")
     q = power + 1.0

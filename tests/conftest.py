@@ -42,3 +42,25 @@ def small_grid():
 @pytest.fixture
 def gaussian_field(small_grid):
     return small_grid.sample(lambda x: np.exp(-x * x))
+
+
+# numpy.fft's transforms, forward and inverse
+_FFTS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2", "irfft2",
+         "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The name of every numpy.fft transform called, in call order."""
+    calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in _FFTS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls

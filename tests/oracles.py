@@ -324,12 +324,12 @@ def oscillatory_tail_reference(g, power, start, abs_tol):
     U picked by a boolean mask."""
     from operator import mul
 
-    from selfsim import QuadratureNoConvergence
+    from selfsim import QuadratureNoConvergence, ValidationError
     from selfsim.quadrature import (_DIFF, _GROWTH, _KRONROD, _MAX_WINDOW, _MEAN_FLOOR,
                                     _MIN_PANEL, _NODES, _STEEPNESS, _WINDOW_AT_2U, _WINDOW_AT_U)
 
     if not start > 0.0:
-        raise ValueError(f"tail start must be > 0, got {start!r}")
+        raise ValidationError(f"tail start must be > 0, got {start!r}")
     if power >= 0.0:
         raise QuadratureNoConvergence(f"tail weight u^{power:g} is not integrable: the integral diverges")
     q = power + 1.0

@@ -223,6 +223,12 @@ class TestPropagatorSeries:
         assert propagator_series(p, 1.0, t) == pytest.approx(
             propagator_quadrature(p, 1.0, t), rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="quad's error estimate on the ray misses an integrand "
+                       "that lives in u < 1/|x|: 2.19e-11 against 4.67e-6, without refusing")
+    def test_quadrature_matches_series_thousands_of_units_out(self, params_half):
+        assert propagator_quadrature(params_half, 7984.0, 4.0) == pytest.approx(
+            propagator_series(params_half, 7984.0, 4.0), rel=1e-8)
+
     def test_matches_grid_propagator_far_field(self, params_half):
         # long tuned grid so the periodic images of the heavy tail stay
         # below the 1e-6 comparison level at |x| = 3
@@ -416,12 +422,12 @@ class TestNumericCdf:
         assert vals[0] > 0.0 and vals[-1] < 1.0
 
     @staticmethod
-    def _handoff_jumps(delta):
-        """CDF step at t = 1, in the direction of increasing x, across x = -c
+    def _handoff_jumps(delta, t=1.0):
+        """CDF step at time t, in the direction of increasing x, across x = -c
         and x = +c: from the last core point (|x| = c) to the first tail point."""
         c = 25.0
         xq = np.array([np.nextafter(-c, -np.inf), -c, c, np.nextafter(c, np.inf)])
-        v = numeric_cdf(make_params(delta, 1.0, 1.0), 1.0, xq, core_halfwidth=c)
+        v = numeric_cdf(make_params(delta, 1.0, 1.0), t, xq, core_halfwidth=c)
         return v[1] - v[0], v[3] - v[2]
 
     @given(delta=st.floats(0.5, 1.95, exclude_max=True))
@@ -434,6 +440,12 @@ class TestNumericCdf:
     def test_continuous_at_core_tail_handoff_small_delta(self):
         # the infinite-line core meets the tail series within 1.5e-5 here
         for jump in self._handoff_jumps(0.3):
+            assert abs(jump) <= 1e-3
+
+    @pytest.mark.xfail(strict=True, reason="tail_cdf_mass sums 4 asymptotic terms at |x| = 25, "
+                       "under 4 scales (a t)^(1/delta) out at delta = 1.95, t = 2: the CDF jumps 3.35e-3")
+    def test_continuous_at_core_tail_handoff_at_a_later_time(self):
+        for jump in self._handoff_jumps(1.95, 2.0):
             assert abs(jump) <= 1e-3
 
     @pytest.mark.xfail(strict=True, reason="tail_cdf_mass sums a fixed 14 terms, far from "

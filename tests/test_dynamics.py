@@ -28,9 +28,9 @@ from selfsim import (
 )
 from selfsim import dynamics
 from selfsim.diffusion import propagator
-from selfsim.errors import NumericError, OriginSingular
-from selfsim.operator import laplacian_apply_spectral
-from selfsim.quadrature import neville_at_zero
+from selfsim.errors import NumericError, OriginSingular, SelfsimError
+from selfsim.operator import laplacian_apply_spectral, weyl_marchaud
+from selfsim.quadrature import neville_at_zero, oscillatory_tail
 
 from oracles import (
     cauchy_evolve_reference,
@@ -83,6 +83,17 @@ class TestCauchyEvolve:
         assert np.max(np.abs(back.u.values - s0.u.values)) < 1e-10
         assert np.max(np.abs(back.v.values - s0.v.values)) < 1e-10
 
+    @given(delta=BAND, t1=st.floats(-3.0, 3.0), t2=st.floats(-3.0, 3.0))
+    @example(delta=1.5, t1=0.7, t2=-2.1)
+    def test_semigroup(self, delta, t1, t2, small_grid):
+        # the spectra stay in k between the two steps: no round trip in x
+        params = make_params(delta, 1.0, 1.0)
+        s0 = _state(small_grid, lambda x: np.exp(-x * x) * np.cos(3 * x), lambda x: np.exp(-x * x / 2))
+        two = cauchy_evolve(params, cauchy_evolve(params, s0, t1), t2)
+        one = cauchy_evolve(params, s0, t1 + t2)
+        for got, want in [(two.u.values, one.u.values), (two.v.values, one.v.values)]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(s0.u.values))
+
     def test_grid_mismatch_rejected(self, small_grid):
         other = Grid1D.centered(1024, 0.05)
         with pytest.raises(ValueError):
@@ -129,6 +140,80 @@ class TestEnergy:
         lap_u = laplacian_apply_spectral(params, u).values
         want = 0.5 * grid.dx * (np.sum(v.values**2) - np.sum(u.values * lap_u))
         assert energy(params, CauchyState(u, v)) == pytest.approx(want, rel=1e-12)
+
+    @given(delta=BAND, n=st.integers(8, 257), seed=st.integers(0, 2**32 - 1), t=st.floats(-3.0, 3.0))
+    @example(delta=1.5, n=8, seed=0, t=1.0)
+    @example(delta=0.3, n=9, seed=1, t=-0.4)
+    def test_evolved_energy_equals_the_x_space_form_of_its_fields(self, delta, n, seed, t):
+        # the evolved state holds spectra: its kinetic part is taken by Parseval
+        params = make_params(delta, 1.0, 1.0)
+        grid = Grid1D.centered(n, 0.1)
+        rng = np.random.default_rng(seed)
+        s = cauchy_evolve(params, CauchyState(*(RealField(grid, rng.standard_normal(n)) for _ in range(2))), t)
+        u, v = s.u.values, s.v.values
+        lap_u = laplacian_apply_spectral(params, s.u).values
+        want = 0.5 * grid.dx * (np.sum(v**2) - np.sum(u * lap_u))
+        assert energy(params, s) == pytest.approx(want, rel=1e-12)
+
+
+class TestSpectralState:
+    """A state built from fields keeps the spectrum of u once taken; one that
+    cauchy_evolve returns holds spectra and transforms a field back only
+    when it is first read."""
+
+    def test_energy_evolve_energy_takes_two_forward_transforms(self, params_half, small_grid, fft_calls):
+        s0 = _state(small_grid, lambda x: np.exp(-x * x), lambda x: np.sin(x) * np.exp(-x * x))
+        energy(params_half, s0)
+        s1 = cauchy_evolve(params_half, s0, 0.5)
+        energy(params_half, s1)
+        assert fft_calls == ["rfft", "rfft"]
+
+    def test_spectral_steps_take_no_transform(self, params_half, small_grid, fft_calls):
+        s = cauchy_evolve(params_half, _state(small_grid, lambda x: np.exp(-x * x), lambda x: 0.0 * x), 0.1)
+        del fft_calls[:]
+        for _ in range(5):
+            energy(params_half, s)
+            s = cauchy_evolve(params_half, s, 0.1)
+        assert fft_calls == []
+
+    def test_each_field_is_transformed_back_once(self, params_half, small_grid, fft_calls):
+        s0 = _state(small_grid, lambda x: np.exp(-x * x), lambda x: np.sin(x) * np.exp(-x * x))
+        s1 = cauchy_evolve(params_half, s0, 0.5)
+        del fft_calls[:]
+        assert s1.u is s1.u
+        assert fft_calls == ["irfft"]
+        assert s1.v is s1.v
+        assert fft_calls == ["irfft", "irfft"]
+        # a field once read does not move energy or the next step to x space
+        energy(params_half, s1)
+        cauchy_evolve(params_half, s1, 0.5)
+        assert fft_calls == ["irfft", "irfft"]
+
+    def test_building_a_state_takes_no_transform(self, small_grid, fft_calls):
+        s0 = _state(small_grid, lambda x: np.exp(-x * x), lambda x: 0.0 * x)
+        assert s0.u.grid == s0.v.grid
+        assert fft_calls == []
+
+    def test_fields_are_read_only_attributes(self, params_half, small_grid):
+        s0 = _state(small_grid, lambda x: np.exp(-x * x), lambda x: 0.0 * x)
+        for s in (s0, cauchy_evolve(params_half, s0, 0.5)):
+            with pytest.raises(AttributeError):
+                s.u = s0.u
+
+
+class TestTypedRefusals:
+    """Refusals of bad input are SelfsimErrors (ValidationErrors), which
+    callers can catch with every other selfsim error."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: CauchyState(Grid1D.centered(8, 0.1).sample(np.cos), Grid1D.centered(16, 0.1).sample(np.cos)),
+        lambda: wave_series_terms(make_params(0.5, 1.0, 1.0), 1.0, 1.0, kind="P"),
+        lambda: weyl_marchaud(0.5, math.cos, 0.3, "up"),
+        lambda: oscillatory_tail(math.cos, -1.5, 0.0, 1e-10),
+    ], ids=["cauchy_state_grids", "wave_series_terms_kind", "weyl_marchaud_side", "oscillatory_tail_start"])
+    def test_is_a_selfsim_error(self, call):
+        with pytest.raises(SelfsimError):
+            call()
 
 
 class TestSpectralKernels:
