@@ -82,8 +82,7 @@ for delta in (0.5, 1.5):
     batch = sample_levy(pmc, t=1.0, n=50_000, seed=12345)
     s = np.sort(batch.samples)
     grid_cdf = Grid1D.centered(1 << 19, 0.01) if delta < 1 else Grid1D.centered(1 << 17, 0.005)
-    core = 25.0 if delta < 1 else 12.0
-    cdf = numeric_cdf(pmc, 1.0, s, core_halfwidth=core, grid=grid_cdf)
+    cdf = numeric_cdf(pmc, 1.0, s, grid=grid_cdf)
     print(f"  delta={delta}: scale={batch.scale:.4f}  KS distance={ks_distance(s, cdf):.4f}")
 
 try:

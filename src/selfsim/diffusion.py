@@ -36,6 +36,7 @@ from .errors import (
     NegativeTime,
     NumericError,
     OriginSingular,
+    SeriesBudgetExceeded,
     TimeNonPositive,
     ValidationError,
     check_finite,
@@ -43,7 +44,8 @@ from .errors import (
 from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import MediumParams, dispersion
-from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, _stable_sign, image_series, quad_checked
+from .quadrature import (ABS_TOL, _series_terms, _stable_log_terms, _stable_series, _stable_sign, image_series,
+                         quad_checked)
 
 __all__ = [
     "SampleBatch",
@@ -153,10 +155,14 @@ def propagator_series(params: MediumParams, x: float, t: float) -> float:
 
 
 def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
-    """W(x, t) by quadrature along the ray k = u e^{i theta} (oracle grade).
+    """W(x, t) by quadrature along the ray k = c u e^{i theta} (oracle grade).
 
-    theta = pi/2 below delta = 1, and pi/(4 delta), the middle of the sector
-    where Re k^delta > 0, from 1 up: e^{-a t k^delta} and e^{ik|x|} both decay.
+    theta = pi/2 below delta = 1/2, and pi/(4 delta), the middle of the
+    sector where Re k^delta > 0, from 1/2 up: e^{-a t k^delta} and e^{ik|x|}
+    both decay, also near delta = 1, where on the imaginary axis the first
+    barely does.  c puts the integrand's width at u ~ 1: 1/|x| beyond the
+    scale (a t)^(1/delta), inside it 1/scale on the ray and 1 on the axis
+    (for small delta, u^delta decays too slowly for the wider span).
     At x = 0, W = Gamma(1 + 1/delta) (a t)^(-1/delta) / pi in closed form.
     """
     check_finite(x=x, t=t)
@@ -170,16 +176,19 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
         except OverflowError:
             raise NumericError(f"W(0, t) = e^{ln_w:g}/pi is beyond float range") from None
     a_t = params.a_delta * t
+    ln_scale = math.log(a_t) / d
+    c = 1.0 / abs(x) if math.log(abs(x)) > ln_scale else math.exp(-ln_scale) if d >= 0.5 else 1.0
     # e^{i theta} is exactly 1j on the imaginary axis; the real part is the whole answer
-    theta = math.pi / 2.0 if d < 1.0 else math.pi / (4.0 * d)
-    rot = 1j if d < 1.0 else cmath.exp(1j * theta)
+    theta = math.pi / 2.0 if d < 0.5 else math.pi / (4.0 * d)
+    rot = 1j if d < 0.5 else cmath.exp(1j * theta)
     phase = cmath.exp(1j * d * theta)
-    ixa = 1j * rot * abs(x)
+    a_tc = a_t * c**d
+    ixa = 1j * rot * abs(x) * c
 
     def integrand(u):
-        return (rot * cmath.exp(-a_t * u**d * phase + u * ixa)).real
+        return (rot * cmath.exp(-a_tc * u**d * phase + u * ixa)).real
 
-    return quad_checked(integrand, 0.0, np.inf, abs_tol=ABS_TOL) / math.pi
+    return c * quad_checked(integrand, 0.0, np.inf, abs_tol=ABS_TOL) / math.pi
 
 
 def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
@@ -231,64 +240,65 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     return SampleBatch(delta=delta, scale=scale, seed=seed, samples=scale * out)
 
 
-# Terms summed by tail_cdf_mass, for delta < 1 and delta >= 1.  Below 1
-# the series converges and 14 terms hold once x is a few scales out; from
-# 1 up it is asymptotic, and optimal truncation keeps its leading 4.
-_TAIL_TERMS = (14, 4)
-
-
 def tail_cdf_mass(params: MediumParams, x, t: float):
-    """P(X > x) for x >> scale, term-by-term integral of the tail series.
+    """P(X > x), x > 0, by the term-by-term integral of the tail series.
 
-    Its x-derivative is minus the propagator series.  Convergent for
-    delta < 1; for delta >= 1 the same expression is the asymptotic
-    expansion and only its leading terms are summed (optimal truncation),
-    accurate once x is a few scales out.
+    Its x-derivative is minus the propagator series.  The series engine's
+    stop rule takes the terms at the smallest x, where each is largest, and
+    the same terms are summed at every x; x = +inf gives 0.  Convergent for
+    delta < 1, but far inside the scale (a t)^(1/delta) its terms cancel;
+    from 1 up the expansion is asymptotic.  SeriesBudgetExceeded is raised
+    where the series does not settle at the smallest x, or where the
+    rounding of the terms summed there exceeds ABS_TOL.
     """
+    if not 0.0 < t < math.inf:
+        raise TimeNonPositive(f"tail mass defined for finite t > 0, got {t}")
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa > 0.0):
+        raise ValidationError("tail mass needs x > 0")
     d = params.delta
-    terms = _TAIL_TERMS[d >= 1.0]
-    ln_xi = math.log(params.a_delta * t) - d * np.log(np.asarray(x, dtype=float))
-    tot = sum(_stable_sign(d, n) * np.exp(_stable_log_terms(d, n, 0, 1, 1, ln_xi))
-              for n in range(1, terms + 1))
+    ln_xi = math.log(params.a_delta * t) - d * np.log(xa)
+    top = float(np.max(ln_xi, initial=-math.inf))
+    mags = _series_terms(d, lambda n: _stable_log_terms(d, n, 0.0, 1.0, 1.0, top))[1]
+    if (hump := sum(mags)) * math.ulp(1.0) > ABS_TOL:
+        raise SeriesBudgetExceeded(f"tail terms cancel across a hump of {hump:g}: their rounding exceeds "
+                                   f"{ABS_TOL:g}; x = {float(xa.min()):g} is far inside the scale", tail_bound=hump)
+    tot = sum(_stable_sign(d, n) * np.exp(_stable_log_terms(d, n, 0.0, 1.0, 1.0, ln_xi))
+              for n in range(1, len(mags) + 1))
     return float(tot) if np.ndim(x) == 0 else tot
 
 
-def numeric_cdf(params: MediumParams, t: float, xq, core_halfwidth: float = 25.0,
-                grid: Grid1D | None = None):
+def numeric_cdf(params: MediumParams, t: float, xq, grid: Grid1D | None = None):
     """CDF of W(., t) at query points: grid core plus analytic tail.
 
-    Inside |x| <= core_halfwidth the cumulative trapezoid of the
+    Up to the grid's last point the cumulative trapezoid of the
     infinite-line propagator (``propagator(..., line=True)``) is
-    interpolated (anchored at CDF(0) = 1/2 by symmetry); beyond, the tail
-    series takes over.  The core must lie on the grid.  The default grid
-    has dx = 0.01 and the fewest points, a power of 2 up to 2^19, whose
-    half-width covers the core and the reach the image series needs at
-    |x| = L/2: for delta >= 1, where it is asymptotic, 32 scales
-    (a t)^(1/delta); below 1, one scale, so that no term outgrows the first.
+    interpolated (anchored at CDF(0) = 1/2 by symmetry); beyond it
+    tail_cdf_mass takes over, whose series the line propagator has settled
+    at |x| = L/2.  The default grid has dx = 0.01 and the fewest points, a
+    power of 2 up to 2^19, whose half-width is at least 25 and covers the
+    reach the image series needs at |x| = L/2: for delta >= 1, where it is
+    asymptotic, 32 scales (a t)^(1/delta); below 1, one scale, so that no
+    term outgrows the first.
     """
-    if not 0.0 < core_halfwidth < math.inf:
-        raise LOutOfGrid(f"core half-width must be finite and > 0, got {core_halfwidth}")
+    if not 0.0 < t < math.inf:
+        raise TimeNonPositive(f"CDF defined for finite t > 0, got {t}")
     if grid is None:
         d, dx, n = params.delta, 0.01, 1 << 10
         ln_reach = math.log(params.a_delta * t) / d + (math.log(32.0) if d >= 1.0 else 0.0)
-        while n < 1 << 19 and ((n // 2 - 1) * dx < core_halfwidth or math.log(n // 2 * dx) < ln_reach):
+        while n < 1 << 19 and ((n // 2 - 1) * dx < 25.0 or math.log(n // 2 * dx) < ln_reach):
             n *= 2
         grid = Grid1D.centered(n, dx)
-    # beyond the grid, np.interp would clamp the cumulative at its edge
-    # instead of handing off to the tail series
-    _check_covers(grid, core_halfwidth, "core")
     w = propagator(params, grid, t, line=True)
     x = grid.x
     cum = np.concatenate([[0.0], np.cumsum(_trapezoids(w.values, x))])
     cum = cum - cum[grid.n // 2] + 0.5
     xqa = np.asarray(xq, dtype=float)
     out = np.empty_like(xqa)
-    hi = xqa > core_halfwidth
-    lo = xqa < -core_halfwidth
-    mid = ~(hi | lo)
-    out[mid] = np.interp(xqa[mid], x, cum)
-    out[hi] = 1.0 - tail_cdf_mass(params, xqa[hi], t)
-    out[lo] = tail_cdf_mass(params, -xqa[lo], t)
+    far = np.abs(xqa) > x[-1]
+    out[~far] = np.interp(xqa[~far], x, cum)
+    tail = tail_cdf_mass(params, np.abs(xqa[far]), t)
+    out[far] = np.where(xqa[far] > 0.0, 1.0 - tail, tail)
     return float(out) if np.ndim(xq) == 0 else out
 
 
@@ -310,12 +320,6 @@ def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The trapezoid areas between neighbouring samples, in scipy's
     cumulative_trapezoid and trapezoid arithmetic."""
     return np.diff(x) * (y[1:] + y[:-1]) / 2.0
-
-
-def _check_covers(grid: Grid1D, L: float, what: str) -> None:
-    """Refuse a span [-L, L], named ``what``, that extends beyond the grid."""
-    if L > -grid.x_min or L > grid.x_min + grid.dx * (grid.n - 1):
-        raise LOutOfGrid(f"{what} [-{L}, {L}] extends beyond the grid")
 
 
 def _window(grid: Grid1D, lo: float, hi: float) -> tuple[slice, np.ndarray]:
@@ -344,7 +348,8 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
         raise ValidationError(f"moment order must be 1..4, got {p}")
     if not L > 0.0:
         raise LOutOfGrid(f"window must be positive, got {L}")
-    _check_covers(w.grid, L, "window")
+    if L > -w.grid.x_min or L > w.grid.x_min + w.grid.dx * (w.grid.n - 1):
+        raise LOutOfGrid(f"window [-{L}, {L}] extends beyond the grid")
     rows, x = _window(w.grid, -L, L)
     return float(_trapezoids(x ** p * w.values[rows], x).sum())
 

@@ -30,12 +30,13 @@ Vol. II, XVII.6),
     (1/pi) sum_{n>=1} (-1)^(n-1) sin(n pi delta/2)
            Gamma(n delta + r) / Gamma(p n + q) xi^n front.
 
-The wave kernels and the propagator are summed in log space by one engine,
-_stable_series, with a fixed rule: an absolute stop at 1e-14, at most 400
-terms and a ratio guard of 1e8, each refusal a SeriesBudgetExceeded.
-tail_cdf_mass adds a fixed 14 terms (delta < 1) or 4 (delta >= 1) of its
-own, with no stop rule and no refusal, so where xi is not small its value
-can leave [0, 1].  The callers differ only in their parameters:
+Every such sum runs on one guarded term loop, _series_terms: the terms in
+log space, a stop at the first term below 1e-14 that is smaller than its
+predecessor, a ratio guard of 1e8, a refusal of a term beyond float range
+and at most 400 terms, each a SeriesBudgetExceeded.  A tail sum beyond some
+|x| (tail_cdf_mass at its smallest x, image_series below at |u| = 1/2) takes
+its terms where each is largest and refuses terms that cancel across a hump
+far above its tolerance.  The callers differ only in their parameters:
 
     caller                   r  p  q  xi               front
     wave_kernel_series       1  2  2  a t^2/|x|^delta  t/|x|
@@ -310,7 +311,6 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
 _SERIES_MAX_TERMS = 400
 _SERIES_ABS_TOL = 1e-14
 _SERIES_RATIO_GUARD = 1e8
-_EPSILON = float(np.finfo(float).eps)
 
 
 def _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front=0.0):
@@ -323,18 +323,21 @@ def _stable_sign(delta: float, n: int) -> float:
     return (1.0 / math.pi) * (-1.0) ** (n - 1) * math.sin(n * math.pi * delta / 2.0)
 
 
-def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> float:
-    """The series at one argument, summed in log space until its stop rule.
-
-    Raises SeriesBudgetExceeded, with the partial sum and a tail bound, when
-    a term overflows float range, outgrows its predecessor by the ratio
-    guard, or _SERIES_MAX_TERMS terms do not reach _SERIES_ABS_TOL.
+def _series_terms(delta: float, log_term, relative: bool = False) -> tuple[float, list[float]]:
+    """The one term loop of every stable-law series: the terms of magnitude
+    e^log_term(n), n = 1, 2, ..., with their angular factors, up to the
+    stop, 1e-14, or with ``relative`` 1e-14 times the first magnitude where
+    that exceeds 1.  Returns the sum and the magnitudes summed.  Raises
+    SeriesBudgetExceeded, with the partial sum and a tail bound, when a term
+    overflows float range, outgrows its predecessor by the ratio guard, or
+    _SERIES_MAX_TERMS terms do not reach the stop.
     """
-    r, p, q = float(r), float(p), float(q)  # gammaln of a Python int is 5x slower
     total = 0.0
+    mags: list[float] = []
+    tol = _SERIES_ABS_TOL
     prev_m = math.inf
     for n in range(1, _SERIES_MAX_TERMS + 1):
-        lnm = _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front)
+        lnm = log_term(n)
         if lnm > 700.0:
             # the hump exceeds float range; near delta = p the coefficient
             # decay (pn)^-(p-delta) sets in far too late for this argument
@@ -344,9 +347,12 @@ def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> floa
                 partial_sum=total, tail_bound=math.inf,
             )
         m = math.exp(lnm)
+        if relative and n == 1:
+            tol *= max(1.0, m)
         total += _stable_sign(delta, n) * m
-        if m < _SERIES_ABS_TOL and m < prev_m:
-            return total
+        mags.append(m)
+        if m < tol and m < prev_m:
+            return total, mags
         if m > prev_m * _SERIES_RATIO_GUARD:
             raise SeriesBudgetExceeded(
                 f"term ratio exceeded guard {_SERIES_RATIO_GUARD:g} at n = {n}",
@@ -354,9 +360,15 @@ def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> floa
             )
         prev_m = m
     raise SeriesBudgetExceeded(
-        f"series did not reach abs_tol = {_SERIES_ABS_TOL:g} within {_SERIES_MAX_TERMS} terms",
+        f"series did not reach {tol:g} within {_SERIES_MAX_TERMS} terms",
         partial_sum=total, tail_bound=prev_m,
     )
+
+
+def _stable_series(delta: float, r, p, q, ln_xi: float, ln_front: float) -> float:
+    """The series at one argument, summed in log space by the stop rule."""
+    r, p, q = float(r), float(p), float(q)  # gammaln of a Python int is 5x slower
+    return _series_terms(delta, lambda n: _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front))[0]
 
 
 def image_series(delta: float, r, p, q, ln_c: float, length: float, u: np.ndarray) -> np.ndarray:
@@ -373,7 +385,7 @@ def image_series(delta: float, r, p, q, ln_c: float, length: float, u: np.ndarra
 
     The coefficients of u^(2k) are summed over n, and the one series in u^2
     is evaluated by Horner's rule, one pass over u per power kept.  Both
-    sums stop by _stable_series' rule on the term magnitudes at |u| = 1/2,
+    sums stop by the series engine's rule on the term magnitudes at |u| = 1/2,
     where every power is largest (in n, L^(-s) [zeta(s, 1/2) + zeta(s, 3/2)];
     in k, the coefficient times 4^(-k)), with the stop 1e-14 taken relative
     to the first of them where that exceeds 1.  For delta < 1 the series in
@@ -385,38 +397,22 @@ def image_series(delta: float, r, p, q, ln_c: float, length: float, u: np.ndarra
     """
     r, p, q = float(r), float(p), float(q)
     ln_len = math.log(length)
-    ln_coef, signs = [], []
-    prev_m = math.inf
-    hump = 0.0  # the sum of the magnitudes, whose rounding the sum carries
-    for n in range(1, _SERIES_MAX_TERMS + 1):
+    ln_coef = []
+
+    def log_term(n):
         s = n * delta + 1.0
         ln_coef.append(_stable_log_terms(delta, n, r, p, q, ln_c) - s * ln_len)
-        signs.append(_stable_sign(delta, n))
-        lnm = ln_coef[-1] + math.log(_zeta(s, 0.5) + _zeta(s, 1.5))
-        if lnm > 700.0:
-            raise SeriesBudgetExceeded(
-                f"image term overflows at n = {n}: L/2 spans too few scales for the tail series "
-                f"at delta = {delta:g}", partial_sum=None, tail_bound=math.inf,
-            )
-        m = math.exp(lnm)
-        if n == 1:
-            tol = _SERIES_ABS_TOL * max(1.0, m)
-        hump += m
-        if m < tol and m < prev_m:
-            break
-        if m > prev_m * _SERIES_RATIO_GUARD:
-            raise SeriesBudgetExceeded(f"image term ratio exceeded guard {_SERIES_RATIO_GUARD:g} at n = {n}",
-                                       partial_sum=None, tail_bound=m)
-        prev_m = m
-    else:
-        raise SeriesBudgetExceeded(f"image series did not reach {tol:g} at |x| = L/2 within "
-                                   f"{_SERIES_MAX_TERMS} terms", partial_sum=None, tail_bound=prev_m)
-    if hump * _EPSILON > tol:
+        return ln_coef[-1] + math.log(_zeta(s, 0.5) + _zeta(s, 1.5))
+
+    mags = _series_terms(delta, log_term, relative=True)[1]
+    tol = _SERIES_ABS_TOL * max(1.0, mags[0])
+    if (hump := sum(mags)) * math.ulp(1.0) > tol:
         raise SeriesBudgetExceeded(f"image terms cancel across a hump of {hump:g}: their rounding "
-                                   f"exceeds {tol:g}; L/2 is far inside the scale", partial_sum=None, tail_bound=hump)
-    s = np.arange(1, len(ln_coef) + 1) * delta + 1.0
+                                   f"exceeds {tol:g}; L/2 is far inside the scale", tail_bound=hump)
+    signs = np.array([_stable_sign(delta, n) for n in range(1, len(mags) + 1)])
+    s = np.arange(1, len(mags) + 1) * delta + 1.0
     # C(s + 2k - 1, 2k) = Gamma(s + 2k) / (Gamma(2k + 1) Gamma(s))
-    ln_coef, signs = np.array(ln_coef) - _gammaln(s), np.array(signs)
+    ln_coef = np.array(ln_coef) - _gammaln(s)
     coefs = []
     prev_m = math.inf
     for k in range(_SERIES_MAX_TERMS):

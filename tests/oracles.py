@@ -19,7 +19,8 @@ kernel integrand on numpy complex scalars, the windowed tail with
 per-node weights and boolean masks, each behind a quad whose warnings a
 filter silences, and the operators' inner region as one checked quad call
 per geometric panel.  At delta = 1 the wave kernels have closed forms in
-Faddeeva's function, which no library route uses.
+Faddeeva's function, which no library route uses, and the stable CDF is
+scipy's levy_stable.
 """
 
 import cmath
@@ -124,6 +125,19 @@ def wave_kernels_delta_one(params, x: float, t: float) -> tuple[float, float]:
 def lorentzian_cdf(x, scale: float):
     """Exact CDF of the scale-s Lorentzian: 1/2 + arctan(x/s)/pi."""
     return 0.5 + np.arctan(np.asarray(x) / scale) / np.pi
+
+
+def stable_cdf_reference(params, t, x):
+    """CDF of the symmetric stable law with characteristic function
+    e^{-a |k|^delta t}: scipy's levy_stable at scale (a t)^(1/delta), and
+    the Lorentzian at delta = 1.  scipy.stats is imported here only, so that
+    no library import pays for it."""
+    scale = (params.a_delta * t) ** (1.0 / params.delta)
+    if params.delta == 1.0:
+        return lorentzian_cdf(x, scale)
+    from scipy.stats import levy_stable
+
+    return levy_stable.cdf(np.asarray(x, dtype=float) / scale, params.delta, 0.0)
 
 
 def _ladder_eps(grid):

@@ -431,6 +431,14 @@ class TestMcCommand:
         assert header[1] == "x"
         assert len(header) == 1002
 
+    def test_ks_where_the_scale_outgrows_the_grid(self, tmp_path):
+        # the law's scale is about 9,000 and the default grid's half-width
+        # 2,621: with the tail read beyond a fixed |x| = 25 the KS distance was 0.362
+        out = tmp_path / "o"
+        assert main(["mc", "--delta", "0.3", "--t", "2", "--n-samples", "100000", "--seed", "1",
+                     "--ks", "--out", str(out)]) == 0
+        assert json.loads((out / "mc.json").read_text())["results"]["ks_distance"] < 0.01
+
 
 class TestKernelsCommand:
     def test_series_and_quadrature_columns_agree(self, tmp_path):
@@ -530,6 +538,17 @@ class TestSelftestCommand:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+    def test_importing_the_cli_loads_no_scipy_stats(self):
+        # scipy.stats takes about 0.9 s to import; the stable CDF oracle of
+        # the tests uses it, and no library route may
+        src = Path(io.__file__).resolve().parents[1]
+        code = "import sys, selfsim.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestTailFit:

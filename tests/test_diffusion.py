@@ -34,9 +34,9 @@ from oracles import (
     fit_tail_exponent_reference,
     lorentzian_cdf,
     numeric_cdf_core_reference,
-    outcome,
     propagator_direct,
     propagator_quadrature_reference,
+    stable_cdf_reference,
     truncated_moment_reference,
 )
 
@@ -100,11 +100,8 @@ class TestLinePropagator:
         m = n // 2
         if delta == 1.0:
             assert np.max(np.abs(w.values - propagator_cauchy(p, grid.x, t))) <= 1e-12
-        # the ray quadrature is absolute to ABS_TOL; it is read up to 8 scales
-        # (at most about 1e3 here): thousands out it returns about 0 (2e-11
-        # against 4.7e-6 at delta = 0.5, t = 4, x = 7984)
-        for r in (0.0, 0.5, 2.0, 8.0):
-            j = min(m + round(r * scale / grid.dx), n - 1)
+        # the ray quadrature is absolute to ABS_TOL, out to the grid's edge
+        for j in [min(m + round(r * scale / grid.dx), n - 1) for r in (0.0, 0.5, 2.0, 8.0)] + [n - 1]:
             assert abs(w.values[j] - propagator_quadrature(p, float(grid.x[j]), t)) <= ABS_TOL
         if delta < 1.0:
             # from two scales out the series terms fall at least like 2^(-n delta)
@@ -223,11 +220,21 @@ class TestPropagatorSeries:
         assert propagator_series(p, 1.0, t) == pytest.approx(
             propagator_quadrature(p, 1.0, t), rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="quad's error estimate on the ray misses an integrand "
-                       "that lives in u < 1/|x|: 2.19e-11 against 4.67e-6, without refusing")
     def test_quadrature_matches_series_thousands_of_units_out(self, params_half):
-        assert propagator_quadrature(params_half, 7984.0, 4.0) == pytest.approx(
-            propagator_series(params_half, 7984.0, 4.0), rel=1e-8)
+        # the integrand lives in u < 1/|x| there; scaled by 1/|x| it is found
+        # (2.19e-11 against 4.67e-6 before, without refusing)
+        for x in (7984.0, 20000.0):
+            assert propagator_quadrature(params_half, x, 4.0) == pytest.approx(
+                propagator_series(params_half, x, 4.0), rel=1e-8)
+
+    @pytest.mark.parametrize("delta", [0.995, 0.998, 0.999])
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.01])
+    def test_quadrature_answers_just_below_one(self, delta, x):
+        # on the imaginary axis e^{-a t k^delta} barely decays near delta = 1,
+        # and quad refused all of these; the ray at pi/(4 delta) answers
+        p = make_params(delta, 1.0, 1.0)
+        got = propagator_quadrature(p, x, 1.0)
+        assert got == pytest.approx(propagator_quadrature(p, 0.0, 1.0), rel=1e-3)
 
     def test_matches_grid_propagator_far_field(self, params_half):
         # long tuned grid so the periodic images of the heavy tail stay
@@ -240,19 +247,20 @@ class TestPropagatorSeries:
 
 class TestQuadratureBitIdentity:
     def test_real_part_alone_matches_complex_quadrature(self):
-        # one quad of the real part returns every bit the complex route did
+        # one quad of the real part, on the ray and scaled, against the complex
+        # route on the imaginary axis unscaled, each to ABS_TOL
         rng = np.random.default_rng(15)
         for _ in range(200):
             delta = float(rng.uniform(0.05, 0.95))
             x = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 8.0))
             t = float(rng.uniform(0.05, 5.0))
             p = make_params(delta, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-            assert (outcome(lambda: propagator_quadrature(p, x, t))
-                    == outcome(lambda: propagator_quadrature_reference(p, x, t))), (delta, x, t)
+            assert propagator_quadrature(p, x, t) == pytest.approx(
+                propagator_quadrature_reference(p, x, t), abs=ABS_TOL), (delta, x, t)
 
 
 class TestQuadratureRay:
-    """From delta = 1 up, propagator_quadrature integrates along the ray at
+    """From delta = 1/2 up, propagator_quadrature integrates along the ray at
     angle pi/(4 delta); at x = 0 it takes the Gamma form."""
 
     @staticmethod
@@ -270,15 +278,16 @@ class TestQuadratureRay:
                                            (1.1918465787624493, 592.6630907685352, 0.37371659917898126)])
     def test_far_tail_matches_bergstroem_series(self, delta, x, t):
         # the real line cut at (40/(a t))^(1/delta) was off by 1.7e-9 and
-        # 1.5e-9 here; the ray is off by 2.0e-13 and 7.9e-14
+        # 1.5e-9 here, the unscaled ray by 2.0e-13 and 7.9e-14; the ray scaled
+        # by 1/|x| is off by 1.1e-15 and 6.2e-16
         p = make_params(delta, 1.0, 1.0)
         assert propagator_quadrature(p, x, t) == pytest.approx(self._bergstroem(p, x, t), abs=1e-9)
 
     @given(delta=st.floats(1.0, 2.0, exclude_max=True), a_t=st.floats(0.1, 10.0))
     def test_origin_limit_is_gamma_form(self, delta, a_t):
         # the ray's value next to the origin meets the closed form at x = 0,
-        # where W itself moves by under 1e-12 of W; measured worst 3.0e-10
-        # (at delta = 1.046) over 600 uniform draws
+        # where W itself moves by under 1e-12 of W; measured worst 1.7e-11
+        # over 600 uniform draws (3.0e-10 on the unscaled ray)
         p = make_params(delta, 1.0, 1.0)
         t = a_t / p.a_delta
         near = propagator_quadrature(p, 1e-6 * a_t ** (1.0 / delta), t)
@@ -295,15 +304,42 @@ class TestTailCdfMass:
     @given(delta=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))
     def test_derivative_is_propagator_series(self, delta):
         # -d/dx P(X > x) = W(x): the r = 0 series differentiated term by
-        # term is the propagator series; at xi = a t/x^delta = 0.1 the 14
-        # terms hold (measured worst 9e-9 on 60 exponents; at xi = 1 the
-        # truncation shows, up to 6e-2)
+        # term is the propagator series, at xi = a t/x^delta = 0.1; each call
+        # sums the terms the stop rule takes at its x, and the central
+        # difference leaves about 1e-8 relative
         p = make_params(delta, 1.0, 1.0)
         for x in (30.0, 100.0):
             t = 0.1 * x**delta / p.a_delta
             h = 1e-4 * x
             slope = (tail_cdf_mass(p, x + h, t) - tail_cdf_mass(p, x - h, t)) / (2.0 * h)
             assert -slope == pytest.approx(propagator_series(p, x, t), rel=1e-6)
+
+    @given(delta=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))
+    @example(delta=0.1)
+    def test_tail_is_a_probability_inside_the_scale(self, delta):
+        # at x = 30, xi = a t/x^delta at the edge of the convergence domain
+        # halved, up to 8: a fixed 14 terms gave -3.24 at delta = 0.1
+        p = make_params(delta, 1.0, 1.0)
+        t = min(8.0, 2.0 ** (-(delta - 0.75) / 0.1)) * 30.0**delta / p.a_delta
+        vals = tail_cdf_mass(p, np.array([30.0, 60.0, 1e6]), t)
+        assert np.all((vals > 0.0) & (vals < 0.5)) and np.all(np.diff(vals) < 0.0)
+
+    @pytest.mark.parametrize("delta,scales", [(1.0, 0.5), (1.5, 0.5), (1.95, 0.5), (0.1, 1e-13)])
+    def test_refused_inside_the_scale(self, delta, scales):
+        # from delta = 1 up the expansion is asymptotic, and inside the scale
+        # its terms grow from the first; below 1 it converges, but far inside
+        # its terms cancel (at delta = 0.1, xi = 20 the sum was -2.4e6)
+        p = make_params(delta, 1.0, 1.0)
+        with pytest.raises(SeriesBudgetExceeded):
+            tail_cdf_mass(p, scales * p.a_delta ** (1.0 / delta), 1.0)
+        # thirty scales out the same series settles, and the Lorentzian agrees
+        got = tail_cdf_mass(p, 30.0 * p.a_delta ** (1.0 / delta), 1.0)
+        if delta == 1.0:
+            assert got == pytest.approx(1.0 - lorentzian_cdf(30.0 * p.a_delta, p.a_delta), rel=1e-12)
+
+    def test_empty_query_and_infinity(self, params_half):
+        assert tail_cdf_mass(params_half, np.array([]), 1.0).shape == (0,)
+        assert tail_cdf_mass(params_half, math.inf, 1.0) == 0.0
 
 
 class TestDiffuse:
@@ -400,19 +436,18 @@ class TestSampler:
 class TestNumericCdf:
     def test_against_lorentzian(self, params_one):
         xq = np.array([-40.0, -5.0, -1.0, 0.0, 2.0, 8.0, 60.0])
-        got = numeric_cdf(params_one, 1.0, xq, core_halfwidth=20.0,
-                          grid=Grid1D.centered(1 << 18, 0.01))
+        got = numeric_cdf(params_one, 1.0, xq, grid=Grid1D.centered(1 << 18, 0.01))
         want = lorentzian_cdf(xq, params_one.a_delta)
         assert np.max(np.abs(got - want)) < 1e-3
 
-    def test_core_beyond_the_grid_is_refused(self, params_one):
-        # half-width 20.48: a core of 100 would clamp the cumulative at the
-        # grid's edge (0.99994 at x = 30, where the Lorentzian CDF is 0.96679)
+    def test_tail_takes_over_at_the_grids_last_point(self, params_one):
+        # half-width 20.48: beyond the last point, 20.47, the tail series
+        # answers, where the cumulative would clamp at the grid's edge
         grid = Grid1D.centered(4096, 0.01)
-        with pytest.raises(LOutOfGrid):
-            numeric_cdf(params_one, 1.0, 30.0, core_halfwidth=100.0, grid=grid)
-        got = numeric_cdf(params_one, 1.0, 30.0, core_halfwidth=10.0, grid=grid)
-        assert got == pytest.approx(lorentzian_cdf(30.0, params_one.a_delta), abs=1e-4)
+        xq = np.array([-30.0, -20.47, 20.47, 30.0, 1e8])
+        got = numeric_cdf(params_one, 1.0, xq, grid=grid)
+        assert np.max(np.abs(got - lorentzian_cdf(xq, params_one.a_delta))) < 1e-4
+        assert got[3] == pytest.approx(lorentzian_cdf(30.0, params_one.a_delta), rel=1e-12)
 
     def test_center_and_monotonicity(self, params_half):
         xq = np.linspace(-80.0, 80.0, 401)
@@ -422,37 +457,82 @@ class TestNumericCdf:
         assert vals[0] > 0.0 and vals[-1] < 1.0
 
     @staticmethod
-    def _handoff_jumps(delta, t=1.0):
-        """CDF step at time t, in the direction of increasing x, across x = -c
-        and x = +c: from the last core point (|x| = c) to the first tail point."""
-        c = 25.0
+    def _handoff(delta, t):
+        """The hand-off points of the default grid at time t, the last point
+        c and the next float beyond it on either side, and the CDF there:
+        the grid has dx = 0.01 and the fewest points (a power of 2 up to 2^19)
+        whose half-width is at least 25 and covers the image series' reach."""
+        p = make_params(delta, 1.0, 1.0)
+        reach = (p.a_delta * t) ** (1.0 / delta) * (32.0 if delta >= 1.0 else 1.0)
+        n = 1 << 10
+        while n < 1 << 19 and ((n // 2 - 1) * 0.01 < 25.0 or n // 2 * 0.01 < reach):
+            n *= 2
+        c = (n // 2 - 1) * 0.01
         xq = np.array([np.nextafter(-c, -np.inf), -c, c, np.nextafter(c, np.inf)])
-        v = numeric_cdf(make_params(delta, 1.0, 1.0), t, xq, core_halfwidth=c)
-        return v[1] - v[0], v[3] - v[2]
+        return p, xq, numeric_cdf(p, t, xq)
+
+    @classmethod
+    def _handoff_jumps(cls, delta, times=(0.5, 1.0, 2.0, 4.0)):
+        """CDF steps, in the direction of increasing x, across x = -c and x = +c
+        at each time: from the last core point to the first tail point."""
+        for t in times:
+            v = cls._handoff(delta, t)[2]
+            yield from (v[1] - v[0], v[3] - v[2])
 
     @given(delta=st.floats(0.5, 1.95, exclude_max=True))
     @example(delta=0.5)
     def test_continuous_at_core_tail_handoff(self, delta):
-        # largest jump measured on the band is 9.2e-5, at delta = 1.949
+        # at the grid's last point the line propagator has settled the same
+        # series; the largest jump measured on the band is 3.6e-11
         for jump in self._handoff_jumps(delta):
-            assert abs(jump) <= 1e-3
+            assert abs(jump) <= 1e-9
 
     def test_continuous_at_core_tail_handoff_small_delta(self):
-        # the infinite-line core meets the tail series within 1.5e-5 here
         for jump in self._handoff_jumps(0.3):
-            assert abs(jump) <= 1e-3
+            assert abs(jump) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="tail_cdf_mass sums 4 asymptotic terms at |x| = 25, "
-                       "under 4 scales (a t)^(1/delta) out at delta = 1.95, t = 2: the CDF jumps 3.35e-3")
     def test_continuous_at_core_tail_handoff_at_a_later_time(self):
-        for jump in self._handoff_jumps(1.95, 2.0):
-            assert abs(jump) <= 1e-3
+        # at |x| = 25, under 4 scales out, a fixed 4 tail terms jumped 3.35e-3 here
+        for jump in self._handoff_jumps(1.95, (2.0,)):
+            assert abs(jump) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason="tail_cdf_mass sums a fixed 14 terms, far from "
-                       "converged at delta = 0.1, t = 0.5, |x| = 30: the CDF leaves [0, 1]")
+    @given(delta=st.floats(0.25, 1.9), t=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    @example(delta=1.0, t=2.0)
+    @example(delta=1.9, t=2.0)
+    def test_matches_levy_stable_across_the_handoff(self, delta, t):
+        # at the grid's last point, and at |x| = 25, where a fixed-term tail
+        # took over before (off by 1.7e-3 at delta = 1.9, t = 2)
+        p, xq, got = self._handoff(delta, t)
+        assert np.max(np.abs(got - stable_cdf_reference(p, t, xq))) <= 1e-6
+        xq = np.array([-25.0, np.nextafter(-25.0, 0.0), np.nextafter(25.0, 0.0), 25.0, 25.5])
+        assert np.max(np.abs(numeric_cdf(p, t, xq) - stable_cdf_reference(p, t, xq))) <= 1e-6
+
     def test_tail_values_are_probabilities_at_small_delta(self):
-        vals = numeric_cdf(make_params(0.1, 1.0, 1.0), 0.5, [-30.0, 30.0])
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        # a fixed 14 tail terms gave [-0.984, 1.984] here; the values are
+        # within 1e-10 of levy_stable's
+        p = make_params(0.1, 1.0, 1.0)
+        vals = numeric_cdf(p, 0.5, [-30.0, 30.0])
+        assert np.max(np.abs(vals - stable_cdf_reference(p, 0.5, np.array([-30.0, 30.0])))) <= 1e-9
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda p: numeric_cdf(p, 0.0, 1.0), TimeNonPositive),
+        (lambda p: numeric_cdf(p, -1.0, 1.0), TimeNonPositive),
+        (lambda p: numeric_cdf(p, math.inf, 1.0), TimeNonPositive),
+        (lambda p: numeric_cdf(p, math.nan, 1.0), TimeNonPositive),
+        (lambda p: tail_cdf_mass(p, 5.0, 0.0), TimeNonPositive),
+        (lambda p: tail_cdf_mass(p, 5.0, math.inf), TimeNonPositive),
+        (lambda p: tail_cdf_mass(p, 0.0, 1.0), ValidationError),
+        (lambda p: tail_cdf_mass(p, -5.0, 1.0), ValidationError),
+        (lambda p: tail_cdf_mass(p, np.array([5.0, math.nan]), 1.0), ValidationError),
+    ], ids=["cdf_t_zero", "cdf_t_negative", "cdf_t_inf", "cdf_t_nan", "tail_t_zero", "tail_t_inf",
+            "tail_x_zero", "tail_x_negative", "tail_x_nan"])
+    def test_bad_arguments_are_refused_before_any_work(self, params_half, fft_calls, call, error):
+        # t must be finite and > 0, and the tail mass needs x > 0 (+inf gives
+        # 0); a math domain error, a nan with a RuntimeWarning, or a 2^19-point
+        # grid ending in SeriesBudgetExceeded answered these before
+        with pytest.raises(error):
+            call(params_half)
+        assert fft_calls == []
 
     def test_ks_distance_of_exact_uniform(self):
         u = (np.arange(1, 101) - 0.5) / 100.0
@@ -571,7 +651,7 @@ class TestWindowedDiagnostics:
         grid = Grid1D.centered(1 << 14, 0.01)
         p = make_params(delta, 1.0, 1.0)
         xq = np.linspace(-20.0, 20.0, 801)
-        got = numeric_cdf(p, 1.0, xq, core_halfwidth=20.0, grid=grid)
+        got = numeric_cdf(p, 1.0, xq, grid=grid)
         want = numeric_cdf_core_reference(propagator(p, grid, 1.0, line=True), xq)
         assert np.array_equal(got, want)
 

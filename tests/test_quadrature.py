@@ -127,7 +127,7 @@ class TestQuadCallCounts:
     @pytest.mark.parametrize("delta", [0.3, 0.75, 1.0, 1.5])
     def test_propagator_quadrature_makes_one_call(self, quad_calls, delta):
         # the real part of the integral along one ray: the imaginary axis
-        # below delta = 1, the ray at angle pi/(4 delta) from 1 up
+        # below delta = 1/2, the ray at angle pi/(4 delta) from 1/2 up
         got = propagator_quadrature(make_params(delta, 1.0, 1.0), 0.7, 1.2)
         assert np.isfinite(got)
         assert len(quad_calls) == 1
@@ -143,9 +143,9 @@ class TestQuadCallCounts:
 
     @pytest.mark.parametrize("delta,x", [(1.05, 2000.0), (1.5, 500.0)])
     def test_propagator_far_tail_evaluations(self, quad_evals, delta, x):
-        # the ray at pi/(4 delta) decays at every |x|: 255 and 225
-        # evaluations, where the real line cut at (40/(a t))^(1/delta) took
-        # 38,493 and 5,733
+        # the ray at pi/(4 delta), scaled by 1/|x|, decays at every |x|: 255
+        # and 375 evaluations, where the real line cut at (40/(a t))^(1/delta)
+        # took 38,493 and 5,733
         assert np.isfinite(propagator_quadrature(make_params(delta, 1.0, 1.0), x, 1.0))
         assert quad_evals[0] <= 1000
 

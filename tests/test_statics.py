@@ -26,7 +26,6 @@ from selfsim import (
     laplacian_apply_spectral,
     laplacian_power_kernel,
     make_params,
-    numeric_cdf,
     poisson_solve,
     riesz_kernel,
     riesz_origin_integral,
@@ -272,8 +271,8 @@ class TestConstantAnnihilation:
 
 # each refused with the error class of its finite bad values; accepted,
 # eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
-# (greens_retarded), L = nan a zero moment, a negative core half-width a nan
-# CDF, alpha = inf a math domain or division error and alpha = nan a nan kernel
+# (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
+# division error and alpha = nan a nan kernel
 @pytest.mark.parametrize("call,error", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), AlphaOutOfRange),
@@ -287,12 +286,10 @@ class TestConstantAnnihilation:
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive),
     (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid),
-    (lambda p: numeric_cdf(p, 1.0, 0.0, core_halfwidth=-5.0), LOutOfGrid),
-    (lambda p: numeric_cdf(p, 1.0, 0.0, core_halfwidth=math.nan), LOutOfGrid),
 ], ids=["riesz_eps_nan", "riesz_eps_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
         "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
         "greens_eps_nan", "greens_eps_inf",
-        "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan", "cdf_core_negative", "cdf_core_nan"])
+        "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan"])
 def test_non_finite_and_negative_parameters_are_refused(params_half, call, error):
     with pytest.raises(error):
         call(params_half)
