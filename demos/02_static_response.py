@@ -4,9 +4,8 @@ regularized |k|^alpha kernel family.
 The displacement under a unit point force is the power law
 g0 |x|^(delta-1); a localized force distribution therefore produces the
 same far field as its total force concentrated at a point.  The kernel
-family b_alpha generalizes the point source: positive orders keep one
-sign everywhere yet integrate to zero, the origin holding exactly
-compensating mass.
+family b_alpha generalizes the point source: localized at even integer
+orders, nonlocal power laws otherwise, with closed-form tail integrals.
 
 Run:  python demos/02_static_response.py
 """
@@ -17,14 +16,12 @@ import numpy as np
 
 from selfsim import (
     Grid1D,
-    constant_annihilation_check,
     greens_prefactor,
     greens_static,
     laplacian_power_kernel,
     make_params,
     poisson_solve,
     riesz_kernel,
-    riesz_origin_integral,
     riesz_tail_integral,
 )
 
@@ -67,16 +64,11 @@ for n in (-1, 1, 2):
     print(f"  n={n:+d}: value at x=1: {laplacian_power_kernel(p, n, 1.0):+.6f}")
 
 # ----------------------------------------------------------------------
-# Head/tail compensation: the origin stores the balancing mass.
+# Tail integrals int_a^inf b_alpha dx: they scale as a^(-alpha).
 # ----------------------------------------------------------------------
-print("\nhead + tail integrals of b_alpha (they cancel exactly)")
+print("\ntail integrals of b_alpha beyond the cut a")
 for alpha, a in ((0.5, 0.5), (0.5, 2.0), (1.5, 1.0)):
-    head = riesz_origin_integral(alpha, a)
-    tail = riesz_tail_integral(alpha, a)
-    print(f"  alpha={alpha}, cut={a}: head={head:+.6f}  tail={tail:+.6f}  sum={head + tail:+.1e}")
-
-report = constant_annihilation_check(1.5)
-print(f"\nconstant annihilation sweep at alpha=1.5: max |integral| = {report.max_abs:.1e}")
+    print(f"  alpha={alpha}, cut={a}: tail={riesz_tail_integral(alpha, a):+.6f}")
 
 try:
     import matplotlib.pyplot as plt

@@ -59,14 +59,11 @@ from .operator import (
     laplacian_apply_spectral,
 )
 from .statics import (
-    PotentialExponent,
-    constant_annihilation_check,
     greens_prefactor,
     greens_static,
     laplacian_power_kernel,
     poisson_solve,
     riesz_kernel,
-    riesz_origin_integral,
     riesz_tail_integral,
 )
 from .dynamics import (

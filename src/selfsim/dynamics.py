@@ -21,10 +21,13 @@ three evaluations:
 * one real-FFT synthesis of the symbol times the Richardson combination
   sum_j c_j e^{-eps_j |k|} of a geometric eps-ladder, i.e. the damped
   transform extrapolated to eps -> 0+ on the symbol side (the symbols
-  decay too slowly for a raw truncated transform to be trustworthy); the
-  weighted damping depends on the grid alone and is kept, read-only, by
-  functools.lru_cache for the last grid used (one entry, 4 MB at 2^20
-  points),
+  decay too slowly for a raw truncated transform); the weighted damping
+  depends on the grid alone and is kept, read-only, by functools.lru_cache
+  for the last grid used (one entry, 4 MB at 2^20 points).  Near the
+  origin it is no pointwise route: the damping suppresses the stationary
+  wavenumber k* that carries the kernel there, and the relative error
+  reaches 2; it was 2e-2 or less only where 20 dx k* / pi < 0.02 (README,
+  Numerical notes),
 * a certified pointwise quadrature of the Fourier integral along a rotated
   contour, used as the high-accuracy cross-check.
 
@@ -211,9 +214,9 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
     """Velocity kernel Q(., t) sampled on a centered grid.
 
     FFT synthesis of sin(omega t)/omega with the eps-ladder Richardson
-    weights applied to the symbol.  Accuracy is set by the grid: the
-    ladder floor scales with the Nyquist wavenumber and periodic images
-    decay like |x|^(-1-delta) of the grid length.
+    weights applied to the symbol.  Periodic images decay like
+    |x|^(-1-delta) of the grid length; near the origin the error does not
+    fall with dx (see the module docstring).
     """
 
     def sym(k):

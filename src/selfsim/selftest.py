@@ -140,7 +140,7 @@ def _ac04_cauchy_kernels():
             sd = dyn.wave_kernel_dt_series(pd, x, t)
             fd = dyn.wave_kernel_dt_fourier(pd, x, t)
             worst = max(worst, abs(sd - fd) / abs(sd))
-    _check(worst < 1e-6, f"series vs spectral kernel rel {worst:.2e} >= 1e-6")
+    _check(worst < 1e-6, f"series vs Fourier quadrature kernel rel {worst:.2e} >= 1e-6")
     rng = np.random.default_rng(11)
     gridE = Grid1D.centered(2048, 0.05)
     u0 = gridE.sample(lambda x: np.exp(-(x**2)) * np.cos(3.0 * x))
@@ -153,7 +153,7 @@ def _ac04_cauchy_kernels():
         drift = max(drift, abs(dyn.energy(p, state) - e0) / e0)
     _check(drift < 1e-10, f"energy drift {drift:.2e} >= 1e-10 over 100 steps")
     return (
-        f"Q(.,0)=0 exact; mass(dQ/dt)={mass!r} (tol 1e-9); series-vs-spectral rel "
+        f"Q(.,0)=0 exact; mass(dQ/dt)={mass!r} (tol 1e-9); series vs Fourier quadrature rel "
         f"{worst:.2e} (tol 1e-6); energy drift {drift:.2e} (tol 1e-10)"
     )
 
@@ -284,15 +284,11 @@ def _ac11_potentials():
     for alpha in (0, 2, 4):
         _check(sta.riesz_kernel(float(alpha), 1.3) == 0.0,
                f"alpha={alpha}: even-integer kernel not localized")
-    worst_comp = 0.0
     worst_osc = 0.0
     for alpha in (0.5, 1.5):
         for a in (0.5, 1.0, 2.0):
-            i_val = sta.riesz_tail_integral(alpha, a)
-            j_val = sta.riesz_origin_integral(alpha, a)
-            worst_comp = max(worst_comp, abs(i_val + j_val))
-            worst_osc = max(worst_osc, abs(j_val - _j_oscillatory_oracle(alpha, a)))
-    _check(worst_comp < 1e-12, f"head+tail compensation off by {worst_comp:.2e}")
+            head = -sta.riesz_tail_integral(alpha, a)  # int_0^a b_alpha dx
+            worst_osc = max(worst_osc, abs(head - _j_oscillatory_oracle(alpha, a)))
     _check(worst_osc < 1e-4, f"oscillatory confirmation off by {worst_osc:.2e}")
     worst_branch = 0.0
     for alpha in (-1.5, -2.5, -3.4):
@@ -303,8 +299,8 @@ def _ac11_potentials():
         worst_branch = max(worst_branch, abs(closed - reflected))
     _check(worst_branch < 1e-12, f"alpha < -1 branch mismatch {worst_branch:.2e}")
     return (
-        f"symmetry & localization exact; compensation {worst_comp:.1e} (tol 1e-12); "
-        f"oscillatory check {worst_osc:.1e} (tol 1e-4); continuation branch {worst_branch:.1e}"
+        f"symmetry & localization exact; oscillatory check {worst_osc:.1e} (tol 1e-4); "
+        f"continuation branch {worst_branch:.1e}"
     )
 
 
@@ -375,7 +371,7 @@ CASES = [
     SelftestCase("AC01", "dispersion closed form vs quadrature", _ac01_dispersion),
     SelftestCase("AC02", "eigenfunction identity (spectral + quadrature)", _ac02_eigenfunction),
     SelftestCase("AC03", "static transform identity and Poisson round trip", _ac03_static_roundtrip),
-    SelftestCase("AC04", "Cauchy kernels, series vs spectral, energy", _ac04_cauchy_kernels),
+    SelftestCase("AC04", "Cauchy kernels, series vs Fourier quadrature, energy", _ac04_cauchy_kernels),
     SelftestCase("AC05", "retarded Green's function causality", _ac05_retarded_causality),
     SelftestCase("AC06", "Helmholtz limit recovers the static response", _ac06_helmholtz_static),
     SelftestCase("AC07", "delta = 1 propagator equals the Lorentzian", _ac07_cauchy_profile),

@@ -19,16 +19,15 @@ generalize the delta function (alpha = 0) and its even derivatives
 Laplacians of a point source and the static Green's function are both
 members.  For alpha < -1 the divergent transform is replaced by the
 regularized definition, which lands on the same closed form with the
-extended factorial; negative odd integers stay excluded.  Although each
-b_alpha with alpha > 0 keeps one sign for all x != 0, its integral
-vanishes: the head integral over (0, a) exactly compensates the tail over
-(a, inf), the origin carrying compensating oscillatory mass.
+extended factorial; negative odd integers stay excluded.  Each b_alpha
+with alpha > 0 keeps one sign for all x != 0, yet its integral vanishes:
+the tail over (a, inf), riesz_tail_integral, is balanced by an equal and
+opposite integral over (0, a), the origin carrying oscillatory mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -46,49 +45,17 @@ from .params import MediumParams, dispersion, factorial_ext
 
 __all__ = [
     "POLE_GUARD",
-    "PotentialExponent",
     "greens_static",
     "greens_prefactor",
     "poisson_solve",
     "riesz_kernel",
     "laplacian_power_kernel",
-    "delta_weight_at_origin",
     "riesz_tail_integral",
-    "riesz_origin_integral",
-    "constant_annihilation_check",
-    "AnnihilationReport",
 ]
 
 POLE_GUARD = 1e-6
 # poisson_solve's largest mean of the force, relative to its largest sample
 _MEAN_TOL = 1e-9
-# constant_annihilation_check's eps sweep, three decades down from 0.1, and
-# the size of |X^-alpha / alpha| at its upper end X
-_ANNIHILATION_EPS = tuple(0.1 * 10.0**-j for j in range(4))
-_ANNIHILATION_TAIL = 1e-14
-
-
-@dataclass(frozen=True)
-class PotentialExponent:
-    """Exponent of the b_alpha family with its derived exclusion flags."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise AlphaOutOfRange(f"alpha must be finite, got {self.alpha!r}")
-
-    @property
-    def localized(self) -> bool:
-        """Even integer alpha >= 0: the kernel vanishes for every x != 0."""
-        a = self.alpha
-        return a >= 0.0 and float(a).is_integer() and int(a) % 2 == 0
-
-    @property
-    def excluded(self) -> bool:
-        """Negative odd integers, poles of the regularized continuation."""
-        a = self.alpha
-        return a <= -1.0 and float(a).is_integer() and int(-a) % 2 == 1
 
 
 def greens_prefactor(params: MediumParams) -> float:
@@ -146,8 +113,10 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     alpha >= 0 are localized (zero for x != 0); negative odd integers are
     excluded.
     """
-    spec = PotentialExponent(alpha)
-    if spec.excluded:
+    if not math.isfinite(alpha):
+        raise AlphaOutOfRange(f"alpha must be finite, got {alpha!r}")
+    integral = float(alpha).is_integer()
+    if integral and alpha <= -1.0 and int(-alpha) % 2 == 1:
         raise ExcludedAlpha(f"alpha = {alpha:g} lies in the excluded negative-odd set")
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -164,7 +133,7 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
                 f"b_alpha carries a distributional part at x = 0 for alpha = {alpha:g}"
             )
         # alpha < -1: continuous zero; -1 < alpha < 0: integrable divergence
-    if spec.localized:
+    if integral and alpha >= 0.0 and int(alpha) % 2 == 0:
         vals = np.zeros_like(xa)
         return 0.0 if scalar else vals
     fe = factorial_ext(alpha)
@@ -177,9 +146,11 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
     """Smooth part of the n-th Laplacian power applied to a point source.
 
     Equals a_delta^n * b_{n delta}(x); n = -1 recovers the static Green's
-    function, n = 0 is the point source itself (zero smooth part plus the
-    unit mass at the origin reported by :func:`delta_weight_at_origin`),
-    and n >= 1 gives -(a_delta^n/pi) sin(pi n delta/2) (n delta)! |x|^(-n delta - 1).
+    function, n = 0 is the point source itself (zero smooth part), and
+    n >= 1 gives -(a_delta^n/pi) sin(pi n delta/2) (n delta)! |x|^(-n delta - 1).
+    The point mass at x = 0 is left out: it is 1 for n = 0 and 0 for every
+    other n, whose structure at the origin is oscillatory and is never
+    sampled on a grid (convolutions against it are done spectrally).
     """
     if not isinstance(n, (int, np.integer)):
         raise AlphaOutOfRange(f"n must be an integer, got {n!r}")
@@ -197,16 +168,6 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
     return vals
 
 
-def delta_weight_at_origin(n: int) -> float:
-    """Weight of the point mass at x = 0 omitted by laplacian_power_kernel.
-
-    Only the n = 0 member carries unit mass there; higher powers carry
-    origin-concentrated oscillatory structure that is never sampled on a
-    grid (convolutions against it are done spectrally).
-    """
-    return 1.0 if n == 0 else 0.0
-
-
 def riesz_tail_integral(alpha: float, a: float) -> float:
     """int_a^inf b_alpha(x) dx = -(Gamma(alpha)/pi) a^(-alpha) sin(pi alpha / 2), alpha > 0."""
     if alpha <= 0.0:
@@ -214,48 +175,3 @@ def riesz_tail_integral(alpha: float, a: float) -> float:
     if a <= 0.0:
         raise NonPositiveA(f"cut point must be > 0, got {a}")
     return -(_gamma(alpha) / math.pi) * a ** (-alpha) * math.sin(math.pi * alpha / 2.0)
-
-
-def riesz_origin_integral(alpha: float, a: float) -> float:
-    """int_0^a b_alpha(x) dx; exactly compensates the tail: head + tail = 0.
-
-    Diverges like a^(-alpha) as a -> 0+: the origin stores infinitely more
-    compensating mass than a point mass would.
-    """
-    return -riesz_tail_integral(alpha, a)
-
-
-@dataclass(frozen=True)
-class AnnihilationReport:
-    """Result of the constant-annihilation sweep for one exponent."""
-
-    alpha: float
-    eps_values: tuple
-    values: tuple
-    max_abs: float
-
-
-def constant_annihilation_check(alpha: float) -> AnnihilationReport:
-    """Verify Re int_0^inf dx / (eps - i x)^(alpha+1) = 0 across an eps sweep.
-
-    Evaluates the closed antiderivative -(i/alpha)(eps - i x)^(-alpha) at
-    both endpoints, the upper one at X large enough that |X^-alpha / alpha|
-    is below 1e-14.  The vanishing of this integral is what lets the
-    kernel family act as a fractional derivative that kills constants.
-    The sweep descends three decades from eps = 0.1.
-    """
-    if alpha <= 0.0:
-        raise AlphaOutOfRange(f"check requires alpha > 0, got {alpha}")
-    x_hi = (_ANNIHILATION_TAIL * alpha) ** (-1.0 / alpha)
-    vals = []
-    for eps in _ANNIHILATION_EPS:
-        upper = (-1j / alpha) * (eps - 1j * x_hi) ** (-alpha)
-        lower = (-1j / alpha) * complex(eps) ** (-alpha)
-        vals.append(float((upper - lower).real))
-    vals = tuple(vals)
-    return AnnihilationReport(
-        alpha=alpha,
-        eps_values=_ANNIHILATION_EPS,
-        values=vals,
-        max_abs=max(abs(v) for v in vals),
-    )

@@ -16,8 +16,7 @@ from selfsim import (
     NonPositiveA,
     NonZeroMeanForce,
     OriginSingular,
-    PotentialExponent,
-    constant_annihilation_check,
+    PoleError,
     frac_kernel_y,
     greens_prefactor,
     greens_retarded,
@@ -28,11 +27,9 @@ from selfsim import (
     make_params,
     poisson_solve,
     riesz_kernel,
-    riesz_origin_integral,
     riesz_tail_integral,
     truncated_moment,
 )
-from selfsim.statics import delta_weight_at_origin
 
 from oracles import greens_fourier, riesz_kernel_sweep
 
@@ -108,7 +105,8 @@ class TestPoissonSolve:
 
 class TestRieszKernel:
     def test_even_integers_localized(self):
-        assert riesz_kernel(2.0, 1.3) == 0.0
+        for alpha in (0, 2, 4, 0.0, 2.0, 4.0):
+            assert riesz_kernel(alpha, 1.3) == 0.0
         assert riesz_kernel(0.0, 0.4) == 0.0
         assert riesz_kernel(4.0, -2.0) == 0.0
 
@@ -140,7 +138,7 @@ class TestRieszKernel:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_excluded_exponents(self):
-        for alpha in (-1.0, -3.0, -5.0):
+        for alpha in (-1, -3, -5, -1.0, -3.0, -5.0):
             with pytest.raises(ExcludedAlpha):
                 riesz_kernel(alpha, 1.0)
 
@@ -155,10 +153,11 @@ class TestRieszKernel:
         assert errs[1] < errs[0] < 0.1
 
     def test_exponent_flags(self):
-        assert PotentialExponent(2.0).localized
-        assert not PotentialExponent(2.0).excluded
-        assert PotentialExponent(-3.0).excluded
-        assert not PotentialExponent(0.5).localized
+        # a negative even integer is not in the excluded set: its refusal is
+        # the extended factorial's pole, for an int as for a float
+        for alpha in (-2, -2.0):
+            with pytest.raises(PoleError):
+                riesz_kernel(alpha, 1.3)
 
 
 class TestLaplacianPowerKernel:
@@ -178,8 +177,6 @@ class TestLaplacianPowerKernel:
 
     def test_zero_power_smooth_part_and_token(self, params_half):
         assert laplacian_power_kernel(params_half, 0, 0.7) == 0.0
-        assert delta_weight_at_origin(0) == 1.0
-        assert delta_weight_at_origin(1) == 0.0
 
     def test_homogeneity(self, params_half):
         p = params_half
@@ -200,17 +197,10 @@ class TestLaplacianPowerKernel:
 
 class TestCompensationIntegrals:
     def test_frozen_half_order(self):
-        assert riesz_origin_integral(0.5, 1.0) == pytest.approx(0.3989422804014327, rel=1e-12)
         assert riesz_tail_integral(0.5, 1.0) == pytest.approx(-0.3989422804014327, rel=1e-12)
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.5])
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-    def test_head_and_tail_compensate(self, alpha, a):
-        assert riesz_tail_integral(alpha, a) + riesz_origin_integral(alpha, a) == 0.0
 
     def test_even_order_vanishes(self):
         assert riesz_tail_integral(2.0, 3.0) == pytest.approx(0.0, abs=1e-16)
-        assert riesz_origin_integral(2.0, 3.0) == pytest.approx(0.0, abs=1e-16)
 
     def test_cut_point_scaling(self):
         for alpha in (0.5, 1.2):
@@ -218,7 +208,8 @@ class TestCompensationIntegrals:
             assert ratio == pytest.approx(2.0 ** (-alpha), rel=1e-13)
 
     def test_origin_integral_diverges_toward_zero_cut(self):
-        vals = [abs(riesz_origin_integral(0.5, a)) for a in (1.0, 0.1, 0.01)]
+        # the head int_0^a b_alpha dx = -tail grows without bound as a -> 0+
+        vals = [abs(riesz_tail_integral(0.5, a)) for a in (1.0, 0.1, 0.01)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_validation(self):
@@ -229,12 +220,6 @@ class TestCompensationIntegrals:
 
 
 class TestNormalizationTrichotomy:
-    def test_positive_order_total_integral_vanishes(self):
-        # head + tail = half the full integral = 0 for alpha > 0
-        for alpha in (0.5, 1.5, 2.5):
-            total = riesz_origin_integral(alpha, 0.7) + riesz_tail_integral(alpha, 0.7)
-            assert total == 0.0
-
     def test_zero_order_regularized_mass_tends_to_one(self):
         # eps > 0 kernel at alpha = 0 is the Poisson family: mass -> 1
         g = Grid1D.centered(1 << 15, 0.01)
@@ -257,18 +242,6 @@ class TestNormalizationTrichotomy:
         assert vals[2] > 2.0 * vals[0]
 
 
-class TestConstantAnnihilation:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_sweep_stays_near_zero(self, alpha):
-        report = constant_annihilation_check(alpha)
-        assert report.max_abs < 1e-8
-        assert len(report.values) == len(report.eps_values)
-
-    def test_validation(self):
-        with pytest.raises(AlphaOutOfRange):
-            constant_annihilation_check(0.0)
-
-
 # each refused with the error class of its finite bad values; accepted,
 # eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
 # (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
@@ -276,6 +249,9 @@ class TestConstantAnnihilation:
 @pytest.mark.parametrize("call,error", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), AlphaOutOfRange),
+    (lambda p: riesz_kernel(math.nan, 1.0), AlphaOutOfRange),
+    (lambda p: riesz_kernel(math.inf, 1.0), AlphaOutOfRange),
+    (lambda p: riesz_kernel(-math.inf, 1.0), AlphaOutOfRange),
     (lambda p: frac_kernel_y(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
     (lambda p: frac_kernel_y(math.inf, 1.0), AlphaOutOfRange),
     (lambda p: frac_kernel_y(math.inf, 1.0, eps=0.1), AlphaOutOfRange),
@@ -286,7 +262,8 @@ class TestConstantAnnihilation:
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive),
     (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid),
-], ids=["riesz_eps_nan", "riesz_eps_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
+], ids=["riesz_eps_nan", "riesz_eps_inf", "riesz_alpha_nan", "riesz_alpha_inf",
+        "riesz_alpha_minus_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
         "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
         "greens_eps_nan", "greens_eps_inf",
         "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan"])
