@@ -41,9 +41,9 @@ from .errors import (
     ValidationError,
     check_finite,
 )
-from .grids import Grid1D, RealField, apply_symbol, sample_kernel
+from .grids import Grid1D, RealField, _sample_symbol, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
-from .params import MediumParams, dispersion
+from .params import MediumParams, _dispersion_into
 from .quadrature import (ABS_TOL, _series_terms, _stable_log_terms, _stable_series, _stable_sign, image_series,
                          quad_checked)
 
@@ -93,6 +93,19 @@ class SampleBatch:
                          preamble=f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}")
 
 
+def _heat_symbol(params: MediumParams, t: float):
+    """symbol(k, out) writing e^{-omega^2(k) t} into out (see grids.apply_symbol)."""
+    a, delta = params.a_delta, params.delta
+
+    def symbol(k, out):
+        _dispersion_into(a, delta, k, out)
+        np.negative(out, out=out)
+        out *= t
+        np.exp(out, out=out)
+
+    return symbol
+
+
 def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = False) -> RealField:
     """W(., t) sampled on a centered grid by FFT of e^{-omega^2(k) t}.
 
@@ -108,8 +121,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
     """
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
-    sym = np.exp(-dispersion(params, grid.k_half) * t)
-    values = sample_kernel(grid, sym)
+    values = sample_kernel(grid, _sample_symbol(_heat_symbol(params, t), grid.k_half))
     if line:
         m = grid.n // 2
         # x = -j dx at index m - j, so u = x/L = -j/n; the kernel is even
@@ -199,7 +211,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     """
     if t < 0.0:
         raise NegativeTime(f"diffusion is irreversible; got t = {t}")
-    return apply_symbol(rho0, np.exp(-dispersion(params, rho0.grid.k_half) * t))
+    return apply_symbol(rho0, _heat_symbol(params, t))
 
 
 def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatch:

@@ -44,8 +44,8 @@ import math
 import numpy as np
 
 from .errors import EpsNonPositive, OriginSingular, ValidationError, check_finite
-from .grids import ComplexField, Grid1D, RealField, sample_kernel
-from .params import MediumParams, dispersion
+from .grids import ComplexField, Grid1D, RealField, _beside, _by_halves, _sample_symbol, sample_kernel
+from .params import MediumParams, _dispersion_into, dispersion
 from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, quad_checked
 
 __all__ = [
@@ -113,17 +113,33 @@ class CauchyState:
         return np.fft.rfft(self._v.values) if self._vh is None else self._vh
 
 
-def _omega(params: MediumParams, k: np.ndarray) -> np.ndarray:
-    return np.sqrt(dispersion(params, k))
+def _omega_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) -> None:
+    """out = omega(k) = sqrt(omega^2(k)), with numpy only."""
+    _dispersion_into(a_delta, delta, k, out)
+    np.sqrt(out, out=out)
 
 
-def _sin_over(w: np.ndarray, sw: np.ndarray, t: float) -> np.ndarray:
-    """sin(w t)/w from w and sw = sin(w t), with its w = 0 limit t."""
-    out = np.empty_like(w)
-    nz = w > 0.0
-    out[nz] = sw[nz] / w[nz]
-    out[~nz] = t
+def _sin_over(w: np.ndarray, sw: np.ndarray, t: float, out: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """sin(w t)/w into out from w and sw = sin(w t), with its w = 0 limit t;
+    out may be sw, and the boolean nz is overwritten."""
+    np.greater(w, 0.0, out=nz)
+    np.divide(sw, w, out=out, where=nz)
+    np.logical_not(nz, out=nz)
+    np.copyto(out, t, where=nz)
     return out
+
+
+def _rotate(t: float, w, cw, sw, uh, vh, uh2, vh2, ratio, product, nz) -> None:
+    """cauchy_evolve's rotation of (uh, vh) into (uh2, vh2), elementwise;
+    w and the work arrays ratio, product and nz are overwritten."""
+    np.multiply(cw, uh, out=uh2)
+    np.multiply(_sin_over(w, sw, t, ratio, nz), vh, out=product)
+    uh2 += product
+    np.negative(w, out=w)
+    w *= sw
+    np.multiply(w, uh, out=vh2)
+    np.multiply(cw, vh, out=product)
+    vh2 += product
 
 
 def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyState:
@@ -133,18 +149,25 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     mode uses the analytic limit u + t v.  Energy is conserved to rounding
     and evolving by t then -t returns the input state.  The result holds
     the rotated spectra: evolving it again, or taking its energy, needs no
-    transform.
+    transform.  The frequencies and their cos and sin are computed beside
+    the spectra of u and v, and the rotation by halves (grids._beside).
     """
     g = state._grid
-    uh = state._u_spectrum()
-    vh = state._v_spectrum()
-    w = _omega(params, g.k_half)
-    cw = np.cos(w * t)
-    sw = np.sin(w * t)
-    uh2 = cw * uh
-    uh2 += _sin_over(w, sw, t) * vh
-    vh2 = -w * sw * uh
-    vh2 += cw * vh
+    k = g.k_half
+    w, cw, sw = np.empty_like(k), np.empty_like(k), np.empty_like(k)
+    a, delta = params.a_delta, params.delta
+
+    def frequencies():
+        _omega_into(a, delta, k, w)
+        np.multiply(w, t, out=cw)
+        np.sin(cw, out=sw)
+        np.cos(cw, out=cw)
+
+    uh, vh = _beside(frequencies, lambda: (state._u_spectrum(), state._v_spectrum()), k.size)
+    del k
+    uh2, vh2, product = np.empty_like(uh), np.empty_like(vh), np.empty_like(uh)
+    _by_halves(functools.partial(_rotate, t), w, cw, sw, uh, vh, uh2, vh2,
+               np.empty_like(w), product, np.empty(w.shape, dtype=bool))
     return CauchyState._from_spectra(g, uh2, vh2)
 
 
@@ -157,21 +180,36 @@ def energy(params: MediumParams, state: CauchyState) -> float:
     Nyquist index.  The kinetic part is taken from v in the form the state
     holds: the x-space sum of v^2 for a state built from fields, and
     (1/n) sum_k w_k |v_k|^2, in the same sum, for one that holds spectra.
-    Neither needs a transform beyond the kept spectrum of u.
+    Neither needs a transform beyond the kept spectrum of u.  omega^2 is
+    computed beside that transform, and the power terms by halves
+    (grids._beside); every sum is taken whole.
     """
     g = state._grid
-    uh = state._u_spectrum()
-    power = uh.real**2
-    power += uh.imag**2
-    power *= dispersion(params, g.k_half)
+    k = g.k_half
+    omega2 = np.empty_like(k)
+    a, delta = params.a_delta, params.delta
+    uh = _beside(lambda: _dispersion_into(a, delta, k, omega2), state._u_spectrum, k.size)
+    del k
+    power, work = np.empty_like(omega2), np.empty_like(omega2)
     if state._vh is None:
         kinetic = np.sum(state._v.values**2)
+        _by_halves(_spectral_power, uh, omega2, power, work)
     else:
         kinetic = 0.0
-        power += state._vh.real**2
-        power += state._vh.imag**2
+        _by_halves(_spectral_power, uh, omega2, power, work, state._vh)
     power[1:(g.n + 1) // 2] *= 2.0
     return float(0.5 * g.dx * (kinetic + np.sum(power) / g.n))
+
+
+def _spectral_power(uh, omega2, power, work, vh=None) -> None:
+    """power = omega^2 |u_k|^2, plus |v_k|^2 where vh is given, elementwise;
+    work is overwritten."""
+    np.square(uh.real, out=power)
+    power += np.square(uh.imag, out=work)
+    power *= omega2
+    if vh is not None:
+        power += np.square(vh.real, out=work)
+        power += np.square(vh.imag, out=work)
 
 
 # --------------------------------------------------------------- FFT kernels
@@ -183,19 +221,25 @@ def _ladder_damping(grid: Grid1D) -> np.ndarray:
     It depends on the grid alone, so repeated syntheses on one grid reuse
     it; the cache holds one grid (4 MB at 2^20 points).
     """
-    k = grid.k_half
     eps_min = 20.0 / (math.pi / grid.dx)
     eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
-    damping = np.zeros_like(k)
-    for e_j in eps_list:
-        c_j = math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)
-        damping += c_j * np.exp(-e_j * k)
+    weights = [(e_j, math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)) for e_j in eps_list]
+
+    def ladder(k, out, work):
+        out.fill(0.0)
+        for e_j, c_j in weights:
+            np.multiply(k, -e_j, out=work)
+            np.exp(work, out=work)
+            work *= c_j
+            out += work
+
+    damping = _sample_symbol(ladder, grid.k_half, scratch=(float,))
     damping.flags.writeable = False
     return damping
 
 
-def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
-    """Kernel of a slowly decaying even symbol(k), regularized and taken to eps -> 0+.
+def _kernel_ladder(grid: Grid1D, symbol, dtype=float, scratch=()) -> np.ndarray:
+    """Kernel of a slowly decaying even symbol, regularized and taken to eps -> 0+.
 
     The damped symbols S(k) e^{-eps_j k} on a geometric eps-ladder are
     combined with the Lagrange weights c_j of polynomial extrapolation to
@@ -203,11 +247,17 @@ def _kernel_ladder(grid: Grid1D, symbol) -> np.ndarray:
     the pointwise Neville extrapolation of the damped kernels, done once on
     the symbol.  The smallest eps still suppresses the Nyquist symbol:
     eps_min * k_max = 20.  The weighted damping is computed once per grid.
+    symbol(k, out, *work) writes S(k) into out, of ``dtype``, with numpy
+    only, and may overwrite work arrays of the dtypes ``scratch`` names; the
+    damped symbol is evaluated by halves (grids._sample_symbol).
     """
-    damping = _ladder_damping(grid)
-    spec = symbol(grid.k_half)
-    spec *= damping
-    return sample_kernel(grid, spec)
+
+    def damped(k, damping, out, *work):
+        symbol(k, out, *work)
+        out *= damping
+
+    return sample_kernel(grid, _sample_symbol(damped, grid.k_half, _ladder_damping(grid),
+                                              dtype=dtype, scratch=scratch))
 
 
 def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
@@ -219,11 +269,15 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
     fall with dx (see the module docstring).
     """
 
-    def sym(k):
-        w = _omega(params, k)
-        return _sin_over(w, np.sin(w * t), t)
+    a, delta = params.a_delta, params.delta
 
-    return RealField(grid, _kernel_ladder(grid, sym))
+    def symbol(k, out, w, nz):
+        _omega_into(a, delta, k, w)
+        np.multiply(w, t, out=out)
+        np.sin(out, out=out)
+        _sin_over(w, out, t, out, nz)
+
+    return RealField(grid, _kernel_ladder(grid, symbol, scratch=(float, bool)))
 
 
 def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
@@ -232,7 +286,14 @@ def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> Rea
     The origin sample carries the mollified point mass (width ~ ladder
     floor); off-origin samples extrapolate to the smooth part.
     """
-    return RealField(grid, _kernel_ladder(grid, lambda k: np.cos(_omega(params, k) * t)))
+    a, delta = params.a_delta, params.delta
+
+    def symbol(k, out):
+        _omega_into(a, delta, k, out)
+        out *= t
+        np.cos(out, out=out)
+
+    return RealField(grid, _kernel_ladder(grid, symbol))
 
 
 # ------------------------------------------------------------ series kernels
@@ -408,7 +469,24 @@ def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float
     kernel converges (eps -> 0+, after gauging the k = 0 mode) to the
     static Green's function.
     """
-    if omega != 0.0:
-        return ComplexField(grid, _kernel_ladder(grid, lambda k: helmholtz_symbol(params, k, omega, eps)))
     _check_damping(eps)
-    return ComplexField(grid, _kernel_ladder(grid, lambda k: 1.0 / (dispersion(params, k) + eps * eps)))
+    a, delta = params.a_delta, params.delta
+    if omega != 0.0:
+        shift = (omega + 1j * eps) ** 2
+
+        def resolvent(k, out):
+            # helmholtz_symbol's 1 / (omega^2(k) - shift), in place
+            _dispersion_into(a, delta, k, out.real)
+            out.imag = 0.0
+            out -= shift
+            np.divide(1.0, out, out=out)
+
+        return ComplexField(grid, _kernel_ladder(grid, resolvent, complex))
+    shift = eps * eps
+
+    def static(k, out):
+        _dispersion_into(a, delta, k, out)
+        out += shift
+        np.divide(1.0, out, out=out)
+
+    return ComplexField(grid, _kernel_ladder(grid, static))

@@ -30,24 +30,49 @@ transforms cover about half the points of one n-point transform.  A real
 symbol costs one synthesis, a complex one two, written into the real and
 imaginary parts of the one output.
 
+Around the transforms, a spectral call spreads its elementwise work over
+two cores: the caller and one helper thread, which the call starts and
+joins before it returns (_beside), so no thread outlives it.  A symbol
+is evaluated by halves, one half on each thread, into one preallocated
+array (_by_halves); apply_symbol evaluates a symbol given as a function
+on the helper while the caller takes the forward transform, and the
+spectrum times the symbol by halves.  Only elementwise work is split:
+every FFT and every sum runs on the caller with the inputs it would have
+alone, so every output bit is the same with the helper on or off.  The
+helper calls numpy only, on arrays the caller hands it, and never a
+selfsim function, an FFT or Grid1D.k/k_half (a tracer that wraps those
+needs no locks).  Nor does it allocate an array: every array it writes,
+work arrays included, is allocated by the caller before the helper
+starts, so that the caller's heap holds the same blocks in the same
+places whichever thread runs first (see below).  The helper is off below
+_HELPER_MIN wavenumbers (2^17; the CLI's default 2^16-point grids never
+split), where the process may run on one core only, and in a worker of
+io's fork pool, which has a worker per core already.
+
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
 With glibc's adaptive defaults, the scratch of every large transform is
 handed back to the kernel after the call and faulted in again, page by
 page, by the next one (about 4,000 minor faults per 2^20-point irfft,
 some 10 ms of a 25-30 ms transform on a 2-core x86-64 machine with
-glibc 2.36).  With both set, freed blocks under
-64 MiB stay in the heap, and up to 128 MiB of free heap is kept before
-it is trimmed, so repeated transforms on one grid reuse resident pages.
-Both are set or neither: either one alone switches the adaptive rule off
-and faults more than the defaults do.  Where the C library has no
-mallopt (not glibc), nothing is set.  A worker of io's fork pool hands
-the free heap it inherits back to the kernel before its first job.
+glibc 2.36).  With both set, freed blocks under 64 MiB stay in the heap,
+and up to 128 MiB of free heap is kept before it is trimmed, so repeated
+transforms on one grid reuse resident pages.  Both are set or neither:
+either one alone switches the adaptive rule off and faults more than the
+defaults do.  Where the C library has no mallopt (not glibc), nothing is
+set.  A worker of io's fork pool hands the free heap it inherits back to
+the kernel before its first job.  glibc gives the helper thread an arena
+of its own, where only its few small allocations (ufunc buffers, thread
+state) land.  M_ARENA_MAX = 1 would put those on the caller's heap in
+whatever order the two threads run, and 1 to 3 in 10 runs of the fields
+benchmark then peaked 4 MB higher (214 against 210 MB on that machine).
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +91,18 @@ MIN_POINTS = 8
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+
+# Below this many values a spectral call does all its elementwise work on
+# the caller.  Starting and joining a thread costs about 0.1 ms; on a
+# 2-core x86-64 machine, with every call split, propagator and
+# wave_kernel_dt_spectral on 2^16 + 1 wavenumbers ran 23-25% slower than
+# alone, while from 2^17 + 1 wavenumbers on, with this bound, every
+# spectral route ran 3-31% faster
+_HELPER_MIN = 1 << 17
+# Halves split at a multiple of this many values, so that each half starts
+# on a 64-byte line, as the whole array does
+_HALF_ALIGN = 64
+_helper_off = False  # True in a worker of io's fork pool (io._start_worker)
 
 
 try:
@@ -88,6 +125,79 @@ def _keep_fft_scratch_resident() -> None:
 
 
 _keep_fft_scratch_resident()
+
+
+def _helper_on(size: int) -> bool:
+    """Whether elementwise work on ``size`` values goes half to a helper
+    thread: not below _HELPER_MIN values, not in a fork-pool worker, and
+    not where this process may run on one core only."""
+    if _helper_off or size < _HELPER_MIN:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _beside(side, main, size: int):
+    """Run side() on a helper thread while main() runs here; main()'s result.
+
+    side calls numpy only, on arrays the caller hands it (see the module
+    docstring), under the caller's floating-point error state.  The helper
+    is joined before this returns, also when either function raises.  With
+    the helper off (``_helper_on(size)`` false) side() runs here, first.
+    """
+    if not _helper_on(size):
+        side()
+        return main()
+    errors = np.geterr()
+    raised = []
+
+    def run():
+        try:
+            with np.errstate(**errors):
+                side()
+        except BaseException as exc:  # re-raised on the caller
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, name="selfsim-helper")
+    try:
+        helper.start()
+    except RuntimeError:  # no thread to be had: all of it here
+        side()
+        return main()
+    try:
+        result = main()
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
+    return result
+
+
+def _by_halves(fn, *arrays) -> None:
+    """fn(*parts) on the first and the second half of equally long arrays,
+    one half on the helper (see _beside); fn(*arrays) once with it off.
+
+    fn must be elementwise: each output value depends on the input values
+    at its own index only, so every value is the same either way.
+    """
+    size = len(arrays[0])
+    if not _helper_on(size):
+        fn(*arrays)
+        return
+    mid = size // 2 // _HALF_ALIGN * _HALF_ALIGN
+    _beside(lambda: fn(*(a[mid:] for a in arrays)), lambda: fn(*(a[:mid] for a in arrays)), size)
+
+
+def _sample_symbol(symbol, k: np.ndarray, *arrays, dtype=float, scratch=()) -> np.ndarray:
+    """S(k) by halves (_by_halves): ``symbol(k, *arrays, out, *work)`` writes
+    S(k) into out, a new array of ``dtype``, with numpy only; ``work`` are
+    arrays of the dtypes ``scratch`` names, allocated here with out, which
+    it may overwrite."""
+    out = np.empty(k.shape, dtype=dtype)
+    _by_halves(symbol, k, *arrays, out, *(np.empty(k.shape, dtype=d) for d in scratch))
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,16 +307,30 @@ def _check_symbol_half(grid: Grid1D, symbol_half) -> np.ndarray:
     return symbol_half
 
 
-def apply_symbol(f: RealField, symbol_half: np.ndarray) -> RealField:
+def apply_symbol(f: RealField, symbol_half) -> RealField:
     """Inverse transform of S(k) * transform(f), S sampled on grid.k_half.
 
     S must be Hermitian (S(-k) = conj S(k)), so the output is real and the
     nonnegative half of the spectrum determines it.  The x_min phases
-    cancel for diagonal multipliers.
+    cancel for diagonal multipliers.  ``symbol_half`` holds the samples,
+    or is a function ``symbol(k, out)`` that writes a real S(k) into out
+    with numpy only; it is then evaluated beside the forward transform, on
+    the helper thread where that is on (see the module docstring).
     """
     g = f.grid
-    symbol_half = _check_symbol_half(g, symbol_half)
-    return RealField(g, np.fft.irfft(np.fft.rfft(f.values) * symbol_half, n=g.n))
+    if callable(symbol_half):
+        k = g.k_half
+        symbol = np.empty_like(k)
+        spectrum = _beside(lambda: symbol_half(k, symbol), lambda: np.fft.rfft(f.values), k.size)
+        del k
+    else:
+        symbol = _check_symbol_half(g, symbol_half)
+        spectrum = np.fft.rfft(f.values)
+    _by_halves(np.multiply, spectrum, symbol, spectrum)
+    # freed before the inverse transform, whose output can then take the
+    # block the wavenumbers and the symbol held
+    del symbol
+    return RealField(g, np.fft.irfft(spectrum, n=g.n))
 
 
 def _splits(m: int) -> bool:
@@ -222,31 +346,59 @@ def _twiddles(count: int, m: int, scale: float) -> np.ndarray:
     return np.multiply.outer(coarse, fine).ravel()[:count]
 
 
+def _odd_input(x: np.ndarray, tw: np.ndarray, w: np.ndarray) -> None:
+    """w_k = tw_k (z_k - i z_{M/2-k}), k = 0..M/4, with z_j = x_j - x_{M-j},
+    into w: its real FFT of M/2 points holds the odd outputs of _dct1."""
+    m = x.size - 1
+    half, quarter = m // 2, m // 4
+    np.subtract(x[: quarter + 1], x[m : m - quarter - 1 : -1], out=w.real)
+    np.subtract(x[half : half + quarter + 1], x[half : quarter - 1 : -1], out=w.imag)
+    w *= tw[: quarter + 1]
+
+
+def _place_odd(v: np.ndarray, out: np.ndarray) -> None:
+    """The outputs 4j + 1 of _dct1, held by v in order, and 4j + 3, in reverse."""
+    quarter = v.size // 2
+    out[1::4] = v[:quarter]
+    out[3::4] = v[: quarter - 1 : -1]
+
+
 def _dct1(x: np.ndarray, out: np.ndarray, tw: np.ndarray | None, scale: float) -> None:
     """out[j] = scale (x_0 + (-1)^j x_M + 2 sum_{0<m<M} x_m cos(pi m j/M)), j = 0..M.
 
     M = x.size - 1 and tw[k] = scale e^{i pi k/M} (None where the
     transform does not split).  Split, the even outputs are this transform
     of x_m + x_{M-m} and the odd ones one real FFT of M/2 points (see the
-    module docstring); otherwise one real FFT of 2M points.
+    module docstring); otherwise one real FFT of 2M points.  While a split
+    level's real FFT runs here, the helper (_beside) places the odd outputs
+    of the level before, and folds x into the next level's input and builds
+    that level's FFT input from it, into arrays allocated here.
     """
+    odd = None  # the level before's odd outputs, and the output they go into
+    w = None
+    if _splits(x.size - 1):
+        w = np.empty((x.size - 1) // 4 + 1, dtype=complex)
+        _odd_input(x, tw, w)
+    while w is not None:
+        m = x.size - 1
+        half = m // 2
+        even = np.empty(half + 1)
+        w_next = np.empty(half // 4 + 1, dtype=complex) if _splits(half) else None
+
+        def fold():
+            if odd is not None:
+                _place_odd(*odd)
+            np.add(x[: half + 1], x[m : half - 1 : -1], out=even)
+            if w_next is not None:
+                _odd_input(even, tw[::2], w_next)
+
+        v = _beside(fold, lambda: np.fft.irfft(w, n=half, norm="forward"), x.size)
+        x, w, odd = even, w_next, (v, out)
+        out, tw = out[::2], tw[::2]
+    if odd is not None:
+        _place_odd(*odd)
     m = x.size - 1
-    if not _splits(m):
-        np.multiply(np.fft.irfft(x, n=2 * m, norm="forward")[: m + 1], scale, out=out)
-        return
-    half, quarter = m // 2, m // 4
-    # w_k = tw_k (z_k - i z_{half-k}) with z_j = x_j - x_{m-j}: its real FFT
-    # holds the outputs 4j + 1 in order and 4j + 3 in reverse
-    w = np.empty(quarter + 1, dtype=complex)
-    np.subtract(x[: quarter + 1], x[m : m - quarter - 1 : -1], out=w.real)
-    np.subtract(x[half : half + quarter + 1], x[half : quarter - 1 : -1], out=w.imag)
-    w *= tw[: quarter + 1]
-    v = np.fft.irfft(w, n=half, norm="forward")
-    del w
-    out[1::4] = v[:quarter]
-    out[3::4] = v[: quarter - 1 : -1]
-    del v
-    _dct1(x[: half + 1] + x[m : half - 1 : -1], out[::2], tw[::2], scale)
+    np.multiply(np.fft.irfft(x, n=2 * m, norm="forward")[: m + 1], scale, out=out)
 
 
 def sample_kernel(grid: Grid1D, symbol_half: np.ndarray):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, _shortest
+from . import __version__, _shortest, grids
 from .errors import IoError
 
 __all__ = [
@@ -172,10 +172,12 @@ def _start_worker(state) -> None:
     """Pool initializer.  A worker ignores ^C: the pool's owner stops it on
     any exit, once the job it runs has finished.  It trims the free heap
     its fork inherited (grids keeps up to 128 MiB resident), so the pages
-    it writes there are not each faulted in and copied."""
+    it writes there are not each faulted in and copied.  Its spectral calls
+    start no helper thread: the pool already has a worker per core."""
     global _pool_state
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _trim_free_heap()
+    grids._helper_off = True
     _pool_state = state
 
 
@@ -198,8 +200,9 @@ def _fork_pool(fn, jobs, state=None):
         futures = []
         # The workers fork at the first submit.  Python >= 3.12 warns when a
         # process with threads forks: the child could inherit a lock another
-        # thread held.  selfsim starts no thread before it forks; a numpy
-        # process's threads are BLAS workers, which OpenBLAS stops first.
+        # thread held.  No selfsim thread outlives a spectral call (grids
+        # joins its helper before the call returns), so none runs here; a
+        # numpy process's threads are BLAS workers, which OpenBLAS stops first.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=DeprecationWarning,
                                     message=r"This process .* is multi-threaded, use of fork\(\)")

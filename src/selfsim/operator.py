@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError
 from .grids import RealField, apply_symbol
-from .params import MediumParams, dispersion, factorial_ext
+from .params import MediumParams, _dispersion_into, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
 
 __all__ = [
@@ -86,7 +86,13 @@ def laplacian_apply_spectral(params: MediumParams, f: RealField) -> RealField:
     wide enough that wrap-around at the measurement window is below
     tolerance.
     """
-    return apply_symbol(f, laplacian_symbol(params, f.grid.k_half))
+    a, delta = params.a_delta, params.delta
+
+    def symbol(k, out):
+        _dispersion_into(a, delta, k, out)
+        np.negative(out, out=out)
+
+    return apply_symbol(f, symbol)
 
 
 def weyl_marchaud(delta: float, f, x: float, side: str) -> float:

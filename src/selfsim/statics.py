@@ -19,7 +19,10 @@ generalize the delta function (alpha = 0) and its even derivatives
 Laplacians of a point source and the static Green's function are both
 members.  For alpha < -1 the divergent transform is replaced by the
 regularized definition, which lands on the same closed form with the
-extended factorial; negative odd integers stay excluded.  Each b_alpha
+extended factorial; negative odd integers stay excluded.  At a negative
+even integer alpha = -2m the extended factorial has a pole that
+sin(pi alpha / 2) cancels, and b_{-2m}(x) = (-1)^m |x|^(2m-1) / (2 (2m-1)!)
+is the limit (b_{-2}(x) = -|x|/2).  Each b_alpha
 with alpha > 0 keeps one sign for all x != 0, yet its integral vanishes:
 the tail over (a, inf), riesz_tail_integral, is balanced by an equal and
 opposite integral over (0, a), the origin carrying oscillatory mass.
@@ -39,9 +42,10 @@ from .errors import (
     NonPositiveA,
     NonZeroMeanForce,
     OriginSingular,
+    PoleError,
 )
 from .grids import RealField, apply_symbol
-from .params import MediumParams, dispersion, factorial_ext
+from .params import MediumParams, _dispersion_into, factorial_ext
 
 __all__ = [
     "POLE_GUARD",
@@ -98,9 +102,15 @@ def poisson_solve(params: MediumParams, force: RealField, project: bool = False)
             f"force has mean amplitude {mean:g} (tolerance {_MEAN_TOL * scale:g}); "
             "enable project=True to gauge it away"
         )
-    w2 = dispersion(params, g.k_half)
-    inverse = np.zeros_like(w2)
-    inverse[1:] = 1.0 / w2[1:]
+    a, delta = params.a_delta, params.delta
+
+    def inverse(k, out):
+        _dispersion_into(a, delta, k, out)
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, out, out=out)
+        if k[0] == 0.0:  # the zero-mean gauge: k = 0 is only ever the first wavenumber
+            out[0] = 0.0
+
     return apply_symbol(force, inverse)
 
 
@@ -111,18 +121,24 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     (|x| + i eps)^(alpha+1)]; eps = 0 gives its limit, the closed form
     -(alpha!/pi) |x|^(-alpha-1) sin(pi alpha / 2).  Even integers
     alpha >= 0 are localized (zero for x != 0); negative odd integers are
-    excluded.
+    excluded.  At a negative even integer -2m the closed form takes its
+    finite limit (-1)^m |x|^(2m-1) / (2 (2m-1)!), while the damped
+    transform has a pole there and raises PoleError.
     """
     if not math.isfinite(alpha):
         raise AlphaOutOfRange(f"alpha must be finite, got {alpha!r}")
     integral = float(alpha).is_integer()
     if integral and alpha <= -1.0 and int(-alpha) % 2 == 1:
         raise ExcludedAlpha(f"alpha = {alpha:g} lies in the excluded negative-odd set")
+    negative_even = integral and alpha <= -2.0
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.isscalar(x) or np.ndim(x) == 0
     if eps < 0.0 or not math.isfinite(eps):
         raise AlphaOutOfRange(f"eps must be finite and >= 0, got {eps}")
     if eps > 0.0:
+        if negative_even:
+            raise PoleError(f"the damped transform (eps = {eps:g}) has a pole at alpha = {alpha:g}; "
+                            "only its eps = 0 limit is finite")
         fe = factorial_ext(alpha)
         z = xa + 1j * eps
         vals = (fe / math.pi) * (1j ** (alpha + 1.0) / z ** (alpha + 1.0)).real
@@ -136,6 +152,10 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     if integral and alpha >= 0.0 and int(alpha) % 2 == 0:
         vals = np.zeros_like(xa)
         return 0.0 if scalar else vals
+    if negative_even:
+        m = int(-alpha) // 2
+        vals = (-1) ** m * xa ** (2 * m - 1) / (2.0 * _gamma(2.0 * m))
+        return float(vals) if scalar else vals
     fe = factorial_ext(alpha)
     with np.errstate(divide="ignore"):
         vals = -(fe / math.pi) * xa ** (-alpha - 1.0) * math.sin(math.pi * alpha / 2.0)

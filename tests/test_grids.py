@@ -1,8 +1,11 @@
+import contextlib
+import inspect
 import math
 import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,20 @@ from selfsim import (
     grids,
     helmholtz_symbol,
     make_params,
+)
+from selfsim import (
+    CauchyState,
+    cauchy_evolve,
+    diffuse,
+    dynamics,
+    energy,
+    helmholtz_green,
+    io,
+    laplacian_apply_spectral,
+    poisson_solve,
+    propagator,
+    wave_kernel_dt_spectral,
+    wave_kernel_spectral,
 )
 from selfsim.errors import ValidationError
 from selfsim.grids import apply_symbol, sample_kernel
@@ -249,3 +266,143 @@ def test_repeated_transforms_reuse_resident_scratch():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 100
+
+
+# ------------------------------------------------------------- helper thread
+
+HAS_AFFINITY = hasattr(os, "sched_setaffinity")
+
+
+@pytest.fixture(scope="module")
+def parity_grid():
+    # 2^17 + 1 wavenumbers: the smallest grid on which the helper runs
+    return Grid1D.centered(1 << 18, 0.01)
+
+
+@contextlib.contextmanager
+def _one_core():
+    """A context in which this process may run on one core only, so that
+    every spectral call keeps all its work on the caller."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cores)
+
+
+ROUTES = ["propagator", "diffuse", "laplacian_apply_spectral", "poisson_solve", "cauchy_evolve+energy",
+          "wave_kernel_spectral", "wave_kernel_dt_spectral", "helmholtz_green omega = 0",
+          "helmholtz_green omega > 0"]
+
+
+def _routes(grid):
+    """Each spectral route of ROUTES on grid, as a function returning its output values."""
+    p = make_params(0.7, 1.3, 0.8)
+    f = grid.sample(lambda x: np.exp(-x * x) * np.cos(1.7 * x))
+    force = grid.sample(lambda x: np.exp(-(x - 0.5) ** 2) - np.exp(-(x + 0.5) ** 2))
+
+    def cauchy():
+        state = CauchyState(f, force)
+        e0 = energy(p, state)
+        moved = cauchy_evolve(p, state, 0.9)
+        return np.concatenate([[e0, energy(p, moved)], moved.u.values, moved.v.values])
+
+    return dict(zip(ROUTES, [
+        # at t = 0.01 the symbol is 0.5 or more up to the Nyquist wavenumber
+        lambda: propagator(p, grid, 0.01).values,
+        lambda: diffuse(p, f, 0.6).values,
+        lambda: laplacian_apply_spectral(p, f).values,
+        lambda: poisson_solve(p, force, project=True).values,
+        cauchy,
+        lambda: wave_kernel_spectral(p, grid, 0.9).values,
+        lambda: wave_kernel_dt_spectral(p, grid, 0.9).values,
+        lambda: helmholtz_green(p, grid, 0.0, 0.2).values,
+        lambda: helmholtz_green(p, grid, 1.3, 0.1).values,
+    ]))
+
+
+@pytest.mark.skipif(not HAS_AFFINITY, reason="the helper is forced off through the process's affinity")
+class TestHelperParity:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_same_bits_on_one_core(self, parity_grid, route):
+        run = _routes(parity_grid)[route]
+        threads = threading.active_count()
+        dynamics._ladder_damping.cache_clear()
+        spread = run()
+        assert threading.active_count() == threads
+        with _one_core():
+            assert not grids._helper_on(parity_grid.n // 2 + 1)
+            dynamics._ladder_damping.cache_clear()
+            alone = run()
+        assert threading.active_count() == threads
+        assert spread.tobytes() == alone.tobytes()
+
+    def test_helper_runs_where_it_can(self, parity_grid):
+        size = parity_grid.n // 2 + 1
+        assert grids._helper_on(size) == (len(os.sched_getaffinity(0)) > 1)
+        assert not grids._helper_on(grids._HELPER_MIN - 1)
+
+
+def test_helper_calls_no_transform_no_wavenumbers_no_public_function(parity_grid, monkeypatch):
+    # a tracer may wrap each of these; its state is not thread-safe, so
+    # every call must come from the caller's thread
+    callers = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            callers.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    monkeypatch.setattr(Grid1D, "k_half", property(recording(vars(Grid1D)["k_half"].fget)))
+    # every binding of every public selfsim function, in every selfsim module
+    wrapped = {}
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("selfsim.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if (inspect.isfunction(value) and not attr.startswith("_")
+                    and value.__module__.startswith("selfsim.")):
+                monkeypatch.setattr(module, attr, wrapped.setdefault(id(value), recording(value)))
+    for run in _routes(parity_grid).values():
+        run()
+    assert callers and set(callers) == {threading.current_thread()}
+
+
+def _threads_started_by_diffuse(n: int):
+    """In a pool worker: how many threads a spectral call starts, and whether the helper is on."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting(self):
+        started.append(self.name)
+        real_start(self)
+
+    threading.Thread.start = counting
+    try:
+        grid = Grid1D.centered(n, 0.01)
+        diffuse(make_params(0.8, 1.0, 1.0), grid.sample(lambda x: np.exp(-x * x)), 0.5)
+    finally:
+        threading.Thread.start = real_start
+    return len(started), grids._helper_on(n // 2 + 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_pool_worker_starts_no_thread():
+    with io._fork_pool(_threads_started_by_diffuse, [(1 << 18,)]) as futures:
+        assert futures[0].result(timeout=120) == (0, False)
+
+
+def test_no_thread_to_be_had_runs_all_on_the_caller(parity_grid, monkeypatch):
+    p = make_params(0.8, 1.0, 1.0)
+    f = parity_grid.sample(lambda x: np.exp(-x * x))
+    want = diffuse(p, f, 0.5).values
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert diffuse(p, f, 0.5).values.tobytes() == want.tobytes()

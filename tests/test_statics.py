@@ -153,11 +153,27 @@ class TestRieszKernel:
         assert errs[1] < errs[0] < 0.1
 
     def test_exponent_flags(self):
-        # a negative even integer is not in the excluded set: its refusal is
-        # the extended factorial's pole, for an int as for a float
+        # a negative even integer is not in the excluded set: at eps = 0 it
+        # gives the finite limit, b_{-2}(x) = -|x|/2, for an int as for a
+        # float; the damped transform has a pole there and refuses
         for alpha in (-2, -2.0):
-            with pytest.raises(PoleError):
-                riesz_kernel(alpha, 1.3)
+            assert riesz_kernel(alpha, 1.3) == pytest.approx(-0.65, rel=1e-15)
+            with pytest.raises(PoleError, match="damped transform"):
+                riesz_kernel(alpha, 1.0, eps=0.1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_negative_even_limit_between_neighbours(self, m):
+        # (-1)^m |x|^(2m-1) / (2 (2m-1)!), the limit of the closed form at
+        # alpha -> -2m from either side
+        for x in (0.7, 1.3, 2.5):
+            got = riesz_kernel(-2 * m, x)
+            below, above = riesz_kernel(-2 * m - 1e-6, x), riesz_kernel(-2 * m + 1e-6, x)
+            assert got == pytest.approx((-1) ** m * x ** (2 * m - 1) / (2 * math.factorial(2 * m - 1)), rel=1e-14)
+            assert got == pytest.approx(below, rel=1e-5)
+            assert got == pytest.approx(above, rel=1e-5)
+            # the first-order terms of the two neighbours cancel
+            assert got == pytest.approx(0.5 * (below + above), rel=1e-9)
+        assert np.array_equal(riesz_kernel(-2 * m, np.array([-1.3, 1.3])), np.full(2, riesz_kernel(-2 * m, 1.3)))
 
 
 class TestLaplacianPowerKernel:
