@@ -119,6 +119,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
     series has not settled at |x| = L/2 (for delta >= 1, where L/2 does
     not span many scales (a t)^(1/delta)).
     """
+    check_finite(t=t)
     if t <= 0.0:
         raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
     values = sample_kernel(grid, _sample_symbol(_heat_symbol(params, t), grid.k_half))
@@ -209,6 +210,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     t < 0 is rejected: the smoothing semigroup has no inverse among
     densities (and the backward multiplier would amplify without bound).
     """
+    check_finite(t=t)
     if t < 0.0:
         raise NegativeTime(f"diffusion is irreversible; got t = {t}")
     return apply_symbol(rho0, _heat_symbol(params, t))
@@ -222,6 +224,7 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
     sub-seed spawned from ``seed``, define the stream.
     """
+    check_finite(t=t)
     if t <= 0.0:
         raise TimeNonPositive(f"sampling needs t > 0, got {t}")
     if n < 1:

@@ -152,6 +152,7 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     transform.  The frequencies and their cos and sin are computed beside
     the spectra of u and v, and the rotation by halves (grids._beside).
     """
+    check_finite(t=t)
     g = state._grid
     k = g.k_half
     w, cw, sw = np.empty_like(k), np.empty_like(k), np.empty_like(k)
@@ -268,7 +269,7 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
     |x|^(-1-delta) of the grid length; near the origin the error does not
     fall with dx (see the module docstring).
     """
-
+    check_finite(t=t)
     a, delta = params.a_delta, params.delta
 
     def symbol(k, out, w, nz):
@@ -286,6 +287,7 @@ def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> Rea
     The origin sample carries the mollified point mass (width ~ ladder
     floor); off-origin samples extrapolate to the smooth part.
     """
+    check_finite(t=t)
     a, delta = params.a_delta, params.delta
 
     def symbol(k, out):
@@ -451,6 +453,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2)."""
+    check_finite(omega=omega)
     _check_damping(eps)
     return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
 
@@ -469,6 +472,7 @@ def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float
     kernel converges (eps -> 0+, after gauging the k = 0 mode) to the
     static Green's function.
     """
+    check_finite(omega=omega)
     _check_damping(eps)
     a, delta = params.a_delta, params.delta
     if omega != 0.0:

@@ -46,8 +46,7 @@ work arrays included, is allocated by the caller before the helper
 starts, so that the caller's heap holds the same blocks in the same
 places whichever thread runs first (see below).  The helper is off below
 _HELPER_MIN wavenumbers (2^17; the CLI's default 2^16-point grids never
-split), where the process may run on one core only, and in a worker of
-io's fork pool, which has a worker per core already.
+split), and where the process may run on one core only.
 
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
@@ -60,12 +59,13 @@ and up to 128 MiB of free heap is kept before it is trimmed, so repeated
 transforms on one grid reuse resident pages.  Both are set or neither:
 either one alone switches the adaptive rule off and faults more than the
 defaults do.  Where the C library has no mallopt (not glibc), nothing is
-set.  A worker of io's fork pool hands the free heap it inherits back to
-the kernel before its first job.  glibc gives the helper thread an arena
-of its own, where only its few small allocations (ufunc buffers, thread
-state) land.  M_ARENA_MAX = 1 would put those on the caller's heap in
-whatever order the two threads run, and 1 to 3 in 10 runs of the fields
-benchmark then peaked 4 MB higher (214 against 210 MB on that machine).
+set.  A worker that io forks to format CSV rows hands the free heap it
+inherits back to the kernel before it starts.  glibc gives the helper
+thread an arena of its own, where only its few small allocations (ufunc
+buffers, thread state) land.  M_ARENA_MAX = 1 would put those on the
+caller's heap in whatever order the two threads run, and 1 to 3 in 10
+runs of the fields benchmark then peaked 4 MB higher (214 against 210 MB
+on that machine).
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ _HELPER_MIN = 1 << 17
 # Halves split at a multiple of this many values, so that each half starts
 # on a 64-byte line, as the whole array does
 _HALF_ALIGN = 64
-_helper_off = False  # True in a worker of io's fork pool (io._start_worker)
 
 
 try:
@@ -127,16 +126,19 @@ def _keep_fft_scratch_resident() -> None:
 _keep_fft_scratch_resident()
 
 
+def _cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _helper_on(size: int) -> bool:
     """Whether elementwise work on ``size`` values goes half to a helper
-    thread: not below _HELPER_MIN values, not in a fork-pool worker, and
-    not where this process may run on one core only."""
-    if _helper_off or size < _HELPER_MIN:
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
+    thread: not below _HELPER_MIN values, and not where this process may
+    run on one core only."""
+    return size >= _HELPER_MIN and _cores() > 1
 
 
 def _beside(side, main, size: int):

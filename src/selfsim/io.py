@@ -13,9 +13,9 @@ never exists as one string.  Cells come from a vectorized shortest-round-
 trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
 than one block and more than 2^18 cells (rows x columns) is split into
 contiguous row ranges, one per available core and per started 2^18
-cells: the workers of one fork pool (``_fork_pool``, which also runs the
-selftest) format the later ranges into part files beside the target
-while this process formats the first; the parts are appended in order.
+cells: forked workers, one per later range, format those ranges into
+part files beside the target while this process formats the first; the
+parts are appended in order.
 """
 
 from __future__ import annotations
@@ -135,12 +135,7 @@ def _write_rows(fh, columns, lo: int, hi: int) -> None:
 def _fork_workers() -> int:
     """How many processes to spread work over: one per core this process
     may run on, and one where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return grids._cores() if hasattr(os, "fork") else 1
 
 
 def _row_ranges(n_rows: int, n_columns: int) -> list[tuple[int, int]]:
@@ -165,38 +160,50 @@ def _trim_free_heap() -> None:
     trim(0)
 
 
-_pool_state = None  # in a pool worker: the state its pool was started with
+_pool_columns = None  # in a CSV worker: the columns of the table it formats
 
 
-def _start_worker(state) -> None:
+def _start_worker(columns) -> None:
     """Pool initializer.  A worker ignores ^C: the pool's owner stops it on
-    any exit, once the job it runs has finished.  It trims the free heap
+    any exit, once the range it formats is done.  It trims the free heap
     its fork inherited (grids keeps up to 128 MiB resident), so the pages
-    it writes there are not each faulted in and copied.  Its spectral calls
-    start no helper thread: the pool already has a worker per core."""
-    global _pool_state
+    it writes there are not each faulted in and copied.  It formats bytes
+    only and makes no spectral call."""
+    global _pool_columns
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _trim_free_heap()
-    grids._helper_off = True
-    _pool_state = state
+    _pool_columns = columns
 
 
-@contextlib.contextmanager
-def _fork_pool(fn, jobs, state=None):
-    """Futures of fn(*job) for each job, in order, run on forked workers:
-    one per core, at most one per job.  A worker's jobs read ``state`` as
-    ``_pool_state``; the fork inherits it, so it is never pickled.  A job
-    that could not be submitted because a worker had died holds that
-    BrokenProcessPool.  On every exit the jobs not started are cancelled
-    and every worker has finished and is reaped."""
+def _format_part(lo: int, hi: int, part: str) -> None:
+    """In a CSV worker: rows lo..hi-1 of the pool's columns into part."""
+    with open(part, "wb") as fh:
+        _write_rows(fh, _pool_columns, lo, hi)
+
+
+def _write_ranges(fh, columns, path: str) -> None:
+    """All rows into fh: the first range here while forked workers, one per
+    other range, write the others into part files, which are then appended
+    in row order.  A worker inherits the columns through its fork, so they
+    are never pickled.  On every exit the ranges not started are cancelled,
+    every worker has finished and is reaped, and no part is left."""
+    (lo, hi), *others = _row_ranges(len(columns[0]), len(columns))
+    if not others:
+        _write_rows(fh, columns, lo, hi)
+        return
     import multiprocessing
     from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(min(_fork_workers(), len(jobs)),
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(state,))
+    directory = os.path.dirname(os.path.abspath(path))
+    pool = ProcessPoolExecutor(len(others), mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(columns,))
+    parts = []
     try:
+        for _ in others:
+            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
+            os.close(fd)
+            parts.append(part)
         futures = []
         # The workers fork at the first submit.  Python >= 3.12 warns when a
         # process with threads forks: the child could inherit a lock another
@@ -206,51 +213,25 @@ def _fork_pool(fn, jobs, state=None):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=DeprecationWarning,
                                     message=r"This process .* is multi-threaded, use of fork\(\)")
-            for job in jobs:
+            for (part_lo, part_hi), part in zip(others, parts):
                 try:
-                    future = pool.submit(fn, *job)
-                except BrokenProcessPool as exc:
+                    future = pool.submit(_format_part, part_lo, part_hi, part)
+                except BrokenProcessPool as exc:  # a worker died already
                     future = Future()
                     future.set_exception(exc)
                 futures.append(future)
-        yield futures
+        _write_rows(fh, columns, lo, hi)
+        for (part_lo, part_hi), part, future in zip(others, parts, futures):
+            try:
+                future.result()
+            except Exception as exc:  # the range raised, or its worker died
+                raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} "
+                              f"failed in a worker: {exc}") from exc
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh, 1 << 20)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _format_part(lo: int, hi: int, part: str) -> None:
-    """In a pool worker: rows lo..hi-1 of the pool's columns into part."""
-    with open(part, "wb") as fh:
-        _write_rows(fh, _pool_state, lo, hi)
-
-
-def _write_ranges(fh, columns, path: str) -> None:
-    """All rows into fh: the first range here while pool workers write the
-    others into part files, which are then appended in row order.  On every
-    exit no part is left."""
-    (lo, hi), *others = _row_ranges(len(columns[0]), len(columns))
-    if not others:
-        _write_rows(fh, columns, lo, hi)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    jobs = []  # (first row, end row, part file)
-    try:
-        for part_lo, part_hi in others:
-            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
-            os.close(fd)
-            jobs.append((part_lo, part_hi, part))
-        with _fork_pool(_format_part, jobs, columns) as futures:
-            _write_rows(fh, columns, lo, hi)
-            for (part_lo, part_hi, part), future in zip(jobs, futures):
-                try:
-                    future.result()
-                except Exception as exc:  # the job raised, or its worker died
-                    raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} "
-                                  f"failed in a worker: {exc}") from exc
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh, 1 << 20)
-    finally:
-        for _, _, part in jobs:
+        for part in parts:
             with contextlib.suppress(OSError):
                 os.unlink(part)
 

@@ -2,25 +2,23 @@
 
 Each case cross-validates a closed form against an independent numeric
 route (quadrature, series, Monte Carlo, or an exact identity) at a fixed
-tolerance.  ``run_selftest`` prints one pass/fail line per case and
+tolerance.  ``run_selftest`` runs the cases one after another in the
+calling process, prints one pass/fail line per case as it finishes, and
 returns the collected results; the CLI maps any failure to exit code 3.
 
-The cases are independent, so ``run_selftest`` runs them side by side on
-io's fork pool, one worker per available core, and writes each line in
-registry order as soon as that case and every case before it have
-finished.  With one core, one case, or no ``os.fork``, they run one after
-another in this process.  Either way each case does the same arithmetic, so the lines are
-the same.  The suite is desk scale.  Its spectral cases use grids of
-2^14 to 2^18 points: AC07, AC09 and AC10 read the infinite-line
-propagator, whose periodic images are subtracted in closed form, and
-AC06 compares g(1) - g(2), in which the images cancel.  Its cases
-compute for about 90 ms in all (2-core x86-64, warm), AC04's wave-kernel
-quadratures and AC10's Monte Carlo the longest at under 20 ms each.
+The suite is desk scale.  Its spectral cases use grids of 2^14 to 2^18
+points: AC07, AC09 and AC10 read the infinite-line propagator, whose
+periodic images are subtracted in closed form, and AC06 compares
+g(1) - g(2), in which the images cancel.  Its cases compute for about
+90 ms in all (2-core x86-64, warm), AC04's wave-kernel quadratures and
+AC10's Monte Carlo the longest at under 20 ms each.  At that size forked
+workers cost more than they save: a fresh ``selfsim selftest`` took
+1.006 s with its cases on a fork pool against 0.931 s in one process
+(medians of 11 runs, 2-core x86-64).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import sys
@@ -36,7 +34,6 @@ from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
 from .grids import Grid1D
-from .io import _fork_pool, _fork_workers
 from .operator import laplacian_apply_point, laplacian_apply_spectral
 from .params import dispersion, dispersion_quadrature, factorial_ext, make_params
 from .quadrature import neville_at_zero
@@ -386,36 +383,9 @@ CASES = [
 ]
 
 
-def _run_case(index: int) -> tuple[bool, str]:
-    """(passed, detail) of CASES[index]; a failure's detail is its message."""
-    try:
-        return True, CASES[index].fn()
-    except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-        return False, str(exc)
-
-
-def _outcomes(indices):
-    """_run_case of each index, in the order given, each yielded once it and
-    every case before it have finished.  With two cores and two cases or
-    more, io's fork pool runs the cases side by side; a fork inherits CASES
-    as they stand, so only the index crosses to a worker."""
-    if min(_fork_workers(), len(indices)) < 2:
-        yield from map(_run_case, indices)
-        return
-    from concurrent.futures.process import BrokenProcessPool
-
-    with _fork_pool(_run_case, [(index,) for index in indices]) as futures:
-        for future in futures:
-            try:
-                yield future.result()
-            except BrokenProcessPool:
-                yield False, "a worker process died before this case finished"
-
-
 def run_selftest(case_ids=None) -> list[CaseResult]:
-    """Run the acceptance cases (all, or the ids given) and report each on
-    stdout in registry order as soon as it and every case before it have
-    finished."""
+    """Run the acceptance cases (all, or the ids given) in registry order,
+    here, and report each on stdout as soon as it has finished."""
     from .errors import ValidationError
 
     wanted = set(case_ids) if case_ids else None
@@ -423,11 +393,14 @@ def run_selftest(case_ids=None) -> list[CaseResult]:
         unknown = wanted - {c.case_id for c in CASES}
         if unknown:
             raise ValidationError(f"unknown case ids: {sorted(unknown)}")
-    indices = [i for i, case in enumerate(CASES) if not wanted or case.case_id in wanted]
     results = []
-    with contextlib.closing(_outcomes(indices)) as outcomes:
-        for index, (passed, detail) in zip(indices, outcomes):
-            case = CASES[index]
-            results.append(CaseResult(case.case_id, case.title, passed, detail))
-            sys.stdout.write(f"{'PASS' if passed else 'FAIL'} {case.case_id} {case.title}: {detail}\n")
+    for case in CASES:
+        if wanted and case.case_id not in wanted:
+            continue
+        try:
+            passed, detail = True, case.fn()
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
+            passed, detail = False, str(exc)
+        results.append(CaseResult(case.case_id, case.title, passed, detail))
+        sys.stdout.write(f"{'PASS' if passed else 'FAIL'} {case.case_id} {case.title}: {detail}\n")
     return results

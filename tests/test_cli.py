@@ -7,7 +7,6 @@ import shlex
 import stat
 import subprocess
 import sys
-import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -476,59 +475,51 @@ class TestSelftestCommand:
     def test_unknown_case_is_validation_error(self, tmp_path):
         assert main(["selftest", "--cases", "AC99", "--out", str(tmp_path / "o")]) == 1
 
-    def test_forked_workers_give_the_one_core_lines_and_file(self, monkeypatch, tmp_path, capsys):
-        real_fork = os.fork
-        runs = []
-        for cores in (1, 2):
-            _set_cores(monkeypatch, cores)
-            forks = []
-            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-            out = tmp_path / str(cores)
-            assert main(["selftest", "--cases", "AC06,AC09,AC12,AC15", "--out", str(out)]) == 0
-            lines = [ln for ln in capsys.readouterr().out.splitlines()
-                     if ln.startswith(("PASS", "FAIL"))]
-            assert len(forks) == (0 if cores == 1 else 2)  # one worker per core
-            runs.append((lines, _read(out / "selftest.csv")))
-            _assert_no_children()
-        assert [ln.split()[1] for ln in runs[0][0]] == ["AC06", "AC09", "AC12", "AC15"]
-        assert runs[0] == runs[1]
-
-    def test_dead_worker_fails_its_case_and_the_rest(self, monkeypatch, tmp_path, capfd):
+    def test_cases_run_in_this_process(self, monkeypatch, tmp_path, capsys):
+        # with two cores reported nothing forks, and every case's fn runs
+        # here, where a tracer that wraps CASES sees it
         from selfsim import selftest
 
-        fns = {"AC11": lambda: time.sleep(60.0),  # running in the other worker
-               "AC12": lambda: os._exit(1)}  # while AC13 waits for a worker
+        ran = []
+
+        def here(fn):
+            def run():
+                ran.append(os.getpid())
+                return fn()
+
+            return run
+
         monkeypatch.setattr(selftest, "CASES", [
-            selftest.SelftestCase(c.case_id, c.title, fns.get(c.case_id, c.fn)) for c in selftest.CASES])
+            selftest.SelftestCase(c.case_id, c.title, here(c.fn)) for c in selftest.CASES])
         _set_cores(monkeypatch, 2)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         out = tmp_path / "o"
-        started = time.monotonic()
-        assert main(["selftest", "--cases", "AC11,AC12,AC13", "--out", str(out)]) == 3
-        assert time.monotonic() - started < 30.0  # the sleeping worker was stopped
-        header, rows = _csv_rows(out / "selftest.csv")
-        assert [(r[0], r[1]) for r in rows] == [("AC11", "FAIL"), ("AC12", "FAIL"), ("AC13", "FAIL")]
-        assert "worker process died" in rows[1][2]
-        assert "Traceback" not in capfd.readouterr().err
+        assert main(["selftest", "--cases", "AC06,AC09,AC12,AC15", "--out", str(out)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+        assert [ln.split()[:2] for ln in lines] == [["PASS", c] for c in ("AC06", "AC09", "AC12", "AC15")]
+        assert forks == []
+        assert ran == [os.getpid()] * 4
         _assert_no_children()
 
-    def test_forked_selftest_without_warnings(self, monkeypatch, tmp_path):
-        # as test_readme_diffusion_forks_without_warnings, for the selftest's pool
-        argv = ["selftest", "--cases", "AC09,AC12"]
-        src = Path(io.__file__).resolve().parents[1]
-        # its 2^18-cell table is formatted in process unless the cell threshold is lowered
-        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-                "import selfsim.io; selfsim.io._CSV_CELLS_PER_WORKER = 1; "
-                "from selfsim.cli import main; sys.exit(main(sys.argv[1:]))")
-        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code,
-                               *argv, "--out", str(tmp_path / "forked")],
-                              env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert "Warning" not in done.stderr
-        _set_cores(monkeypatch, 1)
-        assert main(argv + ["--out", str(tmp_path / "here")]) == 0
-        assert (_read(tmp_path / "forked" / "selftest.csv")
-                == _read(tmp_path / "here" / "selftest.csv"))
+    def test_raising_case_fails_alone(self, monkeypatch, tmp_path, capsys):
+        from selfsim import selftest
+
+        def boom():
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(selftest, "CASES", [
+            selftest.SelftestCase(c.case_id, c.title, boom if c.case_id == "AC11" else c.fn)
+            for c in selftest.CASES])
+        out = tmp_path / "o"
+        assert main(["selftest", "--cases", "AC11,AC12,AC13", "--out", str(out)]) == 3
+        header, rows = _csv_rows(out / "selftest.csv")
+        assert [(r[0], r[1]) for r in rows] == [("AC11", "FAIL"), ("AC12", "pass"), ("AC13", "pass")]
+        assert "forced failure" in rows[0][2]
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+        assert [ln.split()[:2] for ln in lines] == [["FAIL", "AC11"], ["PASS", "AC12"], ["PASS", "AC13"]]
+        assert "forced failure" in lines[0]
 
     def test_importing_the_cli_loads_no_pool(self):
         src = Path(io.__file__).resolve().parents[1]

@@ -30,7 +30,6 @@ from selfsim import (
     dynamics,
     energy,
     helmholtz_green,
-    io,
     laplacian_apply_spectral,
     poisson_solve,
     propagator,
@@ -370,30 +369,6 @@ def test_helper_calls_no_transform_no_wavenumbers_no_public_function(parity_grid
     for run in _routes(parity_grid).values():
         run()
     assert callers and set(callers) == {threading.current_thread()}
-
-
-def _threads_started_by_diffuse(n: int):
-    """In a pool worker: how many threads a spectral call starts, and whether the helper is on."""
-    started = []
-    real_start = threading.Thread.start
-
-    def counting(self):
-        started.append(self.name)
-        real_start(self)
-
-    threading.Thread.start = counting
-    try:
-        grid = Grid1D.centered(n, 0.01)
-        diffuse(make_params(0.8, 1.0, 1.0), grid.sample(lambda x: np.exp(-x * x)), 0.5)
-    finally:
-        threading.Thread.start = real_start
-    return len(started), grids._helper_on(n // 2 + 1)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
-def test_pool_worker_starts_no_thread():
-    with io._fork_pool(_threads_started_by_diffuse, [(1 << 18,)]) as futures:
-        assert futures[0].result(timeout=120) == (0, False)
 
 
 def test_no_thread_to_be_had_runs_all_on_the_caller(parity_grid, monkeypatch):

@@ -11,6 +11,7 @@ from scipy.special import zeta
 
 import selfsim
 from selfsim import (
+    Grid1D,
     QuadratureNoConvergence,
     ValidationError,
     dispersion_quadrature,
@@ -18,13 +19,19 @@ from selfsim import (
     make_params,
 )
 from selfsim import quadrature
-from selfsim.diffusion import propagator_quadrature, propagator_series
+from selfsim.diffusion import diffuse, propagator, propagator_quadrature, propagator_series, sample_levy
 from selfsim.dynamics import (
+    CauchyState,
+    cauchy_evolve,
     greens_retarded,
+    helmholtz_green,
+    helmholtz_symbol,
     wave_kernel_dt_fourier,
     wave_kernel_dt_series,
+    wave_kernel_dt_spectral,
     wave_kernel_fourier,
     wave_kernel_series,
+    wave_kernel_spectral,
 )
 from selfsim.operator import weyl_marchaud
 from selfsim.quadrature import quad_checked
@@ -182,17 +189,48 @@ class TestQuadCallCounts:
         assert [(a, b, kwargs["weight"]) for a, b, kwargs in quad_calls] == [(1.0, math.inf, "cos")]
 
 
+def _pointwise(route, arg):
+    """route(p, x, t) with the bad value as arg and 1 for the other."""
+    def call(p, bad):
+        args = {"x": 1.0, "t": 1.0, arg: bad}
+        return route(p, args["x"], args["t"])
+
+    return pytest.param(call, arg, id=f"{route.__name__}-{arg}")
+
+
+_GRID = Grid1D.centered(64, 0.1)
+_FIELD = _GRID.sample(lambda x: np.exp(-x * x))
+# the grid routes, each with its time or frequency as the bad value
+_GRID_ROUTES = [
+    pytest.param(lambda p, bad: propagator(p, _GRID, bad), "t", id="propagator-t"),
+    pytest.param(lambda p, bad: diffuse(p, _FIELD, bad), "t", id="diffuse-t"),
+    pytest.param(lambda p, bad: sample_levy(p, bad, 10, 1), "t", id="sample_levy-t"),
+    pytest.param(lambda p, bad: cauchy_evolve(p, CauchyState(_FIELD, _FIELD), bad), "t",
+                 id="cauchy_evolve-t"),
+    pytest.param(lambda p, bad: wave_kernel_spectral(p, _GRID, bad), "t", id="wave_kernel_spectral-t"),
+    pytest.param(lambda p, bad: wave_kernel_dt_spectral(p, _GRID, bad), "t",
+                 id="wave_kernel_dt_spectral-t"),
+    pytest.param(lambda p, bad: helmholtz_green(p, _GRID, bad, 0.1), "omega", id="helmholtz_green-omega"),
+    pytest.param(lambda p, bad: helmholtz_symbol(p, 1.0, bad, 0.1), "omega", id="helmholtz_symbol-omega"),
+]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("arg", ["x", "t"])
-@pytest.mark.parametrize("route", [propagator_series, propagator_quadrature, wave_kernel_series,
-                                   wave_kernel_dt_series, wave_kernel_fourier, wave_kernel_dt_fourier,
-                                   greens_retarded])
-def test_pointwise_routes_refuse_non_finite_arguments(quad_calls, route, arg, bad):
-    # one refusal for every route, before any quadrature starts
-    args = {"x": 1.0, "t": 1.0, arg: bad}
-    with pytest.raises(ValidationError, match=f"{arg} must be finite"):
-        route(make_params(0.5, 1.0, 1.0), args["x"], args["t"])
+@pytest.mark.parametrize("call, arg", [
+    _pointwise(route, arg)
+    for route in (propagator_series, propagator_quadrature, wave_kernel_series, wave_kernel_dt_series,
+                  wave_kernel_fourier, wave_kernel_dt_fourier, greens_retarded)
+    for arg in ("x", "t")
+] + _GRID_ROUTES)
+def test_pointwise_routes_refuse_non_finite_arguments(quad_calls, fft_calls, call, arg, bad):
+    # one refusal for every pointwise and grid route, naming the argument,
+    # before any quadrature or transform starts and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"{arg} must be finite"):
+            call(make_params(0.5, 1.0, 1.0), bad)
     assert quad_calls == []
+    assert fft_calls == []
 
 
 def test_dispersion_refusal_goes_through_quad_checked(monkeypatch):
