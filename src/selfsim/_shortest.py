@@ -17,9 +17,11 @@ otherwise, and ``-0.0``, ``nan``, ``inf``, ``-inf``.
 
 Each value's text is assembled in four little-endian 64-bit lanes (an
 8-byte prefix, 18 bytes of digits with the point inserted, 6 bytes of
-suffix and separator) with NUL bytes where a part is shorter, a chunk of
-rows in one ``(rows, width, 4)`` array written a column at a time; the
-NULs are dropped from each chunk's bytes in one pass.
+suffix and separator) with NUL bytes where a part is shorter, all the rows
+given in one ``(rows, width, 4)`` array written a column at a time; the
+NULs are dropped from its bytes in one pass.  The caller bounds the rows,
+and with them the temporaries alive at once (io formats a table 2^13 rows
+at a time).
 
 Unsigned and signed integer arrays never meet in one operation: numpy
 promotes a ``uint64``/``int64`` pair to float64, under the legacy
@@ -46,10 +48,6 @@ _ONE_BITS = _U(0x3FF << 52)
 _K_MIN, _K_MAX = -324, 292
 _FIXED_LO, _FIXED_HI = -4, 15  # repr's fixed notation: -4 <= E <= 15
 _NO_DOT = 17                   # dot-position index meaning "no point"
-
-# rows formatted per chunk, a column per vectorized pass; bounds the
-# temporaries alive at once
-_CHUNK = 1 << 13
 
 
 def _lane_masks(covers) -> list[int]:
@@ -260,12 +258,8 @@ def csv_bytes(columns) -> bytes:
     views too): each cell as repr gives it, ``,`` between cells and ``\\n``
     after each row, the last row included."""
     tables = _tables()
-    width, n_rows = len(columns), len(columns[0])
-    parts = []
-    for lo in range(0, n_rows, _CHUNK):
-        hi = min(lo + _CHUNK, n_rows)
-        lanes = np.empty((hi - lo, width, 4), dtype="<u8")
-        for j, column in enumerate(columns):
-            _lanes(column[lo:hi], _U(ord("\n" if j == width - 1 else ",")), tables, lanes[:, j])
-        parts.append(lanes.tobytes().translate(None, b"\0"))
-    return b"".join(parts)
+    width = len(columns)
+    lanes = np.empty((len(columns[0]), width, 4), dtype="<u8")
+    for j, column in enumerate(columns):
+        _lanes(column, _U(ord("\n" if j == width - 1 else ",")), tables, lanes[:, j])
+    return lanes.tobytes().translate(None, b"\0")

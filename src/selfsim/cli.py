@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -132,6 +133,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # one tree per process: in-process callers run main() many times
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="selfsim", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

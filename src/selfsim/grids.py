@@ -59,13 +59,11 @@ and up to 128 MiB of free heap is kept before it is trimmed, so repeated
 transforms on one grid reuse resident pages.  Both are set or neither:
 either one alone switches the adaptive rule off and faults more than the
 defaults do.  Where the C library has no mallopt (not glibc), nothing is
-set.  A worker that io forks to format CSV rows hands the free heap it
-inherits back to the kernel before it starts.  glibc gives the helper
-thread an arena of its own, where only its few small allocations (ufunc
-buffers, thread state) land.  M_ARENA_MAX = 1 would put those on the
-caller's heap in whatever order the two threads run, and 1 to 3 in 10
-runs of the fields benchmark then peaked 4 MB higher (214 against 210 MB
-on that machine).
+set.  glibc gives the helper thread an arena of its own, where only its
+few small allocations (ufunc buffers, thread state) land.  M_ARENA_MAX =
+1 would put those on the caller's heap in whatever order the two threads
+run, and 1 to 3 in 10 runs of the fields benchmark then peaked 4 MB
+higher (214 against 210 MB on that machine).
 """
 
 from __future__ import annotations

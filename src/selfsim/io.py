@@ -7,21 +7,20 @@ form, exactly as repr writes them, JSON keys are sorted, and nothing
 volatile (timestamps, wall time) enters the files.
 
 A CSV table is its columns, equal-length 1-D float64 arrays that are never
-stacked into one 2-D copy.  It is formatted a block of rows at a time, and
-each block's bytes are streamed into the temp file, so a 2^20-row table
+stacked into one 2-D copy.  It is formatted a block of 2^13 rows at a time,
+and each block's bytes are streamed into the temp file, so a 2^20-row table
 never exists as one string.  Cells come from a vectorized shortest-round-
 trip kernel (``_shortest``) whose bytes equal repr's.  A table of more
-than one block and more than 2^18 cells (rows x columns) is split into
-contiguous row ranges, one per available core and per started 2^18
-cells: forked workers, one per later range, format those ranges into
-part files beside the target while this process formats the first; the
+than one full block and more than 2^17 cells (rows x columns) is split
+into contiguous row ranges, one per available core and per started 2^17
+cells: a bare fork of this process per later range formats that range into
+a part file beside the target while this process formats the first; the
 parts are appended in order.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import json
 import os
@@ -46,15 +45,17 @@ __all__ = [
     "commit",
 ]
 
-# rows per CSV block: bounds the bytes of one formatted block, and is the
-# unit of the row ranges that forked workers write
-_CSV_BLOCK_ROWS = 1 << 15
-# cells (rows x columns) per CSV worker: a table of up to 2^18 cells is
-# formatted in this process, where the fork costs more than it saves
-# (medians of 11 alternating writes beside a 120 MB heap, 2-core x86-64:
-# 65536 x 4 cells took 68 ms here against 75 forked, 131072 x 3 took 135
-# against 90)
-_CSV_CELLS_PER_WORKER = 1 << 18
+# rows per CSV block: bounds the kernel's temporaries, and is the unit of
+# the row ranges that forked children write (a 2^20 x 2 table took 642 ms
+# in process with 2^13-row blocks against 675 ms with 2^15, medians of 7)
+_CSV_BLOCK_ROWS = 1 << 13
+# cells (rows x columns) per CSV process: a table of up to 2^17 cells is
+# formatted in this process, where a fork costs about what it saves
+# (medians of 11 writes beside a 2^20-point table's heap, 2-core x86-64:
+# 65536 x 4 cells took 66 ms forked against 90 here, 65536 x 3 took 44.5
+# against 61, 65536 x 2 took 35 against 44, and 65536 x 1 took 22.0
+# against 20.7)
+_CSV_CELLS_PER_WORKER = 1 << 17
 
 
 def canonical_config(config: dict) -> dict:
@@ -132,105 +133,96 @@ def _write_rows(fh, columns, lo: int, hi: int) -> None:
         fh.write(_shortest.csv_bytes([column[block] for column in columns]))
 
 
-def _fork_workers() -> int:
-    """How many processes to spread work over: one per core this process
-    may run on, and one where the platform cannot fork."""
-    return grids._cores() if hasattr(os, "fork") else 1
-
-
 def _row_ranges(n_rows: int, n_columns: int) -> list[tuple[int, int]]:
-    """Contiguous, block-aligned row ranges, one per worker: one per core,
-    at most one per block and per started 2^18 cells, and one where the
-    platform cannot fork."""
-    n_blocks = -(-n_rows // _CSV_BLOCK_ROWS)
-    workers = max(1, min(_fork_workers(), n_blocks, -(-n_rows * n_columns // _CSV_CELLS_PER_WORKER)))
-    bounds = [i * n_blocks // workers * _CSV_BLOCK_ROWS for i in range(workers)] + [n_rows]
+    """Contiguous, block-aligned row ranges, one per process: one per core,
+    at most one per full block and per started 2^17 cells, and one where
+    the platform cannot fork.  The last range takes the rows after the
+    last full block."""
+    cores = grids._cores() if hasattr(os, "fork") else 1
+    n_blocks = n_rows // _CSV_BLOCK_ROWS
+    ranges = max(1, min(cores, n_blocks, -(-n_rows * n_columns // _CSV_CELLS_PER_WORKER)))
+    bounds = [i * n_blocks // ranges * _CSV_BLOCK_ROWS for i in range(ranges)] + [n_rows]
     return list(zip(bounds, bounds[1:]))
 
 
-def _trim_free_heap() -> None:
-    """Hand the free heap back to the kernel (glibc's malloc_trim(0)); where
-    the C library has no malloc_trim, nothing."""
+def _fork_range(columns, lo: int, hi: int, part: str):
+    """Fork a child that formats rows lo..hi-1 into the file part: its pid
+    and the read end of its error pipe, or None where the fork fails.  The
+    child ignores ^C (the parent kills it on any exit) and leaves through
+    os._exit, never flushing a buffer it inherited: status 0 once its part
+    is written, status 1 after writing its error text to the pipe."""
+    read, write = os.pipe()
     try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # no such C library call
-        return
-    trim.argtypes = (ctypes.c_size_t,)
-    trim.restype = ctypes.c_int
-    trim(0)
-
-
-_pool_columns = None  # in a CSV worker: the columns of the table it formats
-
-
-def _start_worker(columns) -> None:
-    """Pool initializer.  A worker ignores ^C: the pool's owner stops it on
-    any exit, once the range it formats is done.  It trims the free heap
-    its fork inherited (grids keeps up to 128 MiB resident), so the pages
-    it writes there are not each faulted in and copied.  It formats bytes
-    only and makes no spectral call."""
-    global _pool_columns
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _trim_free_heap()
-    _pool_columns = columns
-
-
-def _format_part(lo: int, hi: int, part: str) -> None:
-    """In a CSV worker: rows lo..hi-1 of the pool's columns into part."""
-    with open(part, "wb") as fh:
-        _write_rows(fh, _pool_columns, lo, hi)
-
-
-def _write_ranges(fh, columns, path: str) -> None:
-    """All rows into fh: the first range here while forked workers, one per
-    other range, write the others into part files, which are then appended
-    in row order.  A worker inherits the columns through its fork, so they
-    are never pickled.  On every exit the ranges not started are cancelled,
-    every worker has finished and is reaped, and no part is left."""
-    (lo, hi), *others = _row_ranges(len(columns[0]), len(columns))
-    if not others:
-        _write_rows(fh, columns, lo, hi)
-        return
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    directory = os.path.dirname(os.path.abspath(path))
-    pool = ProcessPoolExecutor(len(others), mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(columns,))
-    parts = []
-    try:
-        for _ in others:
-            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
-            os.close(fd)
-            parts.append(part)
-        futures = []
-        # The workers fork at the first submit.  Python >= 3.12 warns when a
-        # process with threads forks: the child could inherit a lock another
-        # thread held.  No selfsim thread outlives a spectral call (grids
-        # joins its helper before the call returns), so none runs here; a
-        # numpy process's threads are BLAS workers, which OpenBLAS stops first.
+        # Python >= 3.12 warns when a process with threads forks: the child
+        # could inherit a lock another thread held.  No selfsim thread
+        # outlives a spectral call (grids joins its helper before the call
+        # returns), so none runs here; a numpy process's threads are BLAS
+        # workers, which OpenBLAS stops first.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=DeprecationWarning,
                                     message=r"This process .* is multi-threaded, use of fork\(\)")
-            for (part_lo, part_hi), part in zip(others, parts):
-                try:
-                    future = pool.submit(_format_part, part_lo, part_hi, part)
-                except BrokenProcessPool as exc:  # a worker died already
-                    future = Future()
-                    future.set_exception(exc)
-                futures.append(future)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            with open(part, "wb") as fh:
+                _write_rows(fh, columns, lo, hi)
+            status = 0
+        except Exception as exc:
+            # bounded, so that the pipe holds it while the parent waits for this child
+            with contextlib.suppress(OSError):
+                os.write(write, f"{type(exc).__name__}: {exc}"[:1000].encode("utf-8", "replace"))
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _write_ranges(fh, columns, path: str) -> None:
+    """All rows into fh: the first range here while forked children, one
+    per other range, write the others into part files, which are then
+    appended in row order; a range whose fork fails is formatted here in
+    its turn.  A child inherits the columns through its fork, so they are
+    never copied.  On every exit each child still running is killed and
+    every child is reaped, and no part is left."""
+    (lo, hi), *others = _row_ranges(len(columns[0]), len(columns))
+    directory = os.path.dirname(os.path.abspath(path))
+    parts, children, pipes = [], {}, {}  # by row range: pid until reaped, error pipe
+    try:
+        for rows in others:
+            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-")
+            os.close(fd)
+            parts.append(part)
+            forked = _fork_range(columns, *rows, part)
+            if forked:
+                children[rows], pipes[rows] = forked
         _write_rows(fh, columns, lo, hi)
-        for (part_lo, part_hi), part, future in zip(others, parts, futures):
-            try:
-                future.result()
-            except Exception as exc:  # the range raised, or its worker died
-                raise IoError(f"formatting rows {part_lo}..{part_hi - 1} of {path} "
-                              f"failed in a worker: {exc}") from exc
+        for rows, part in zip(others, parts):
+            if rows not in pipes:  # its fork failed
+                _write_rows(fh, columns, *rows)
+                continue
+            status = os.waitpid(children[rows], 0)[1]
+            del children[rows]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                error = (os.read(pipes[rows], 1 << 12).decode("utf-8", "replace")
+                         or (f"killed by signal {-code}" if code < 0 else f"exit status {code}"))
+                raise IoError(f"formatting rows {rows[0]}..{rows[1] - 1} of {path} "
+                              f"failed in a forked process: {error}")
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, fh, 1 << 20)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid in children.values():
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            os.close(pipe)
         for part in parts:
             with contextlib.suppress(OSError):
                 os.unlink(part)

@@ -41,6 +41,7 @@ from .errors import (
     ExcludedAlpha,
     NonPositiveA,
     NonZeroMeanForce,
+    NumericError,
     OriginSingular,
     PoleError,
 )
@@ -123,7 +124,8 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     alpha >= 0 are localized (zero for x != 0); negative odd integers are
     excluded.  At a negative even integer -2m the closed form takes its
     finite limit (-1)^m |x|^(2m-1) / (2 (2m-1)!), while the damped
-    transform has a pole there and raises PoleError.
+    transform has a pole there and raises PoleError.  A value beyond float
+    range at x != 0 raises NumericError; at x = 0, -1 < alpha < 0 gives inf.
     """
     if not math.isfinite(alpha):
         raise AlphaOutOfRange(f"alpha must be finite, got {alpha!r}")
@@ -135,30 +137,32 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     if eps < 0.0 or not math.isfinite(eps):
         raise AlphaOutOfRange(f"eps must be finite and >= 0, got {eps}")
-    if eps > 0.0:
-        if negative_even:
-            raise PoleError(f"the damped transform (eps = {eps:g}) has a pole at alpha = {alpha:g}; "
-                            "only its eps = 0 limit is finite")
-        fe = factorial_ext(alpha)
-        z = xa + 1j * eps
-        vals = (fe / math.pi) * (1j ** (alpha + 1.0) / z ** (alpha + 1.0)).real
-        return float(vals) if scalar else vals
-    if np.any(xa == 0.0):
-        if alpha >= 0.0:
+    if eps > 0.0 and negative_even:
+        raise PoleError(f"the damped transform (eps = {eps:g}) has a pole at alpha = {alpha:g}; "
+                        "only its eps = 0 limit is finite")
+    # at x = 0 the closed form has a continuous zero for alpha < -1 and an
+    # integrable divergence for -1 < alpha < 0
+    if eps == 0.0 and alpha >= 0.0:
+        if np.any(xa == 0.0):
             raise OriginSingular(
                 f"b_alpha carries a distributional part at x = 0 for alpha = {alpha:g}"
             )
-        # alpha < -1: continuous zero; -1 < alpha < 0: integrable divergence
-    if integral and alpha >= 0.0 and int(alpha) % 2 == 0:
-        vals = np.zeros_like(xa)
-        return 0.0 if scalar else vals
-    if negative_even:
-        m = int(-alpha) // 2
-        vals = (-1) ** m * xa ** (2 * m - 1) / (2.0 * _gamma(2.0 * m))
-        return float(vals) if scalar else vals
-    fe = factorial_ext(alpha)
-    with np.errstate(divide="ignore"):
-        vals = -(fe / math.pi) * xa ** (-alpha - 1.0) * math.sin(math.pi * alpha / 2.0)
+        if integral and int(alpha) % 2 == 0:
+            return 0.0 if scalar else np.zeros_like(xa)
+    with np.errstate(all="ignore"):  # a value beyond float range is refused below
+        if eps > 0.0:
+            z = xa + 1j * eps
+            vals = (factorial_ext(alpha) / math.pi) * (1j ** (alpha + 1.0) / z ** (alpha + 1.0)).real
+        elif negative_even:
+            m = int(-alpha) // 2
+            vals = (-1) ** m * xa ** (2 * m - 1) / (2.0 * _gamma(2.0 * m))
+        else:
+            vals = (-(factorial_ext(alpha) / math.pi) * xa ** (-alpha - 1.0)
+                    * math.sin(math.pi * alpha / 2.0))
+    beyond = ~np.isfinite(vals) & np.isfinite(xa) & (xa != 0.0)
+    if np.any(beyond):
+        raise NumericError(f"b_alpha(x) for alpha = {alpha:g} is beyond float range "
+                           f"at |x| = {xa[beyond].flat[0]:g}")
     return float(vals) if scalar else vals
 
 

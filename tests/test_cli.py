@@ -4,9 +4,11 @@ import math
 import os
 import re
 import shlex
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -105,17 +107,22 @@ class TestValidation:
         (["laplacian", "--pointwise", "3"], "cli", "laplacian_apply_point"),
         # the samples are drawn before the failing CDF
         (["mc", "--n-samples", "1000", "--ks"], "cli.dif", "numeric_cdf"),
+        # b_2.5(1e-300) is beyond float range: refused, with no overflow warning
+        (["potentials", "--alphas=2.5", "--x", "1e-300,1"], None, None),
     ])
-    def test_numeric_failure_leaves_no_files(self, monkeypatch, tmp_path, argv, owner, name):
+    @pytest.mark.filterwarnings("error")
+    def test_numeric_failure_leaves_no_files(self, monkeypatch, tmp_path, capsys, argv, owner, name):
         from selfsim import cli
         from selfsim.errors import QuadratureNoConvergence
 
         def boom(*args, **kwargs):
             raise QuadratureNoConvergence("forced")
 
-        monkeypatch.setattr(cli if owner == "cli" else cli.dif, name, boom)
+        if owner:
+            monkeypatch.setattr(cli if owner == "cli" else cli.dif, name, boom)
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config", [
@@ -301,7 +308,7 @@ class TestUnwritableOutput:
     def test_failed_csv_worker_leaves_nothing(self, monkeypatch, tmp_path, capsys):
         _set_cores(monkeypatch, 2)
         _fork_small_tables(monkeypatch)
-        _fail_block(monkeypatch, RuntimeError, in_workers=True)
+        _fail_block(monkeypatch, RuntimeError, in_children=True)
         out = tmp_path / "o"
         self._check_exit_4(capsys, ["diffusion", "--times", "1", "--n", str(2 * _BLOCK),
                                     "--dx", "0.05", "--out", str(out)])
@@ -353,9 +360,8 @@ class TestDeterminism:
                     if ln.startswith("selfsim diffusion --delta 1 "))
         argv = shlex.split(line)[1:]
         src = Path(io.__file__).resolve().parents[1]
-        # its 2^18-cell table is formatted in process unless the cell threshold is lowered
+        # its 2^18-cell table is split between this process and one child
         code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-                "import selfsim.io; selfsim.io._CSV_CELLS_PER_WORKER = 1; "
                 "from selfsim.cli import main; sys.exit(main(sys.argv[1:]))")
         argv[argv.index("--out") + 1] = str(tmp_path / "forked")
         done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code, *argv],
@@ -584,18 +590,18 @@ def _set_cores(monkeypatch, n):
 
 
 def _fork_small_tables(monkeypatch):
-    """Fork CSV workers by block count alone, so small tables take the forked path."""
+    """Fork CSV children by full-block count alone, so small tables take the forked path."""
     monkeypatch.setattr(io, "_CSV_CELLS_PER_WORKER", 1)
 
 
-def _fail_block(monkeypatch, exc, in_workers):
-    """Make formatting a block raise exc("forced") in the forked workers
+def _fail_block(monkeypatch, exc, in_children):
+    """Make formatting a block raise exc("forced") in the forked children
     only, or in this process only."""
     here = os.getpid()
     real = io._shortest.csv_bytes
 
     def block(*args):
-        if (os.getpid() != here) == in_workers:
+        if (os.getpid() != here) == in_children:
             raise exc("forced")
         return real(*args)
 
@@ -603,8 +609,13 @@ def _fail_block(monkeypatch, exc, in_workers):
 
 
 def _exit_1(message):
-    """Passed to _fail_block as the exception: the worker leaves without raising."""
+    """Passed to _fail_block as the exception: the child leaves without raising."""
     os._exit(1)
+
+
+def _killed(message):
+    """Passed to _fail_block as the exception: the child is killed by a signal."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _assert_no_children():
@@ -613,8 +624,8 @@ def _assert_no_children():
 
 
 class TestIoHelpers:
-    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                        2 * _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK - 1,
+                                        4 * _BLOCK, 4 * _BLOCK + 1, 8 * _BLOCK + 1, 12 * _BLOCK + 7])
     def test_array_and_rows_match_rowwise_reference(self, monkeypatch, tmp_path, n_rows):
         header = ["a", "b", "c"]
         table = np.resize(np.array(_SPECIAL_FLOATS), 3 * n_rows).reshape(n_rows, 3)
@@ -629,18 +640,19 @@ class TestIoHelpers:
             write_csv_atomic(str(path), header, *table.T)
             # compared as lines: pytest reports the first differing row cheaply
             assert _read(path).decode().split("\n") == want.split("\n"), cores
-            # one worker per core and block
-            assert len(forks) == max(0, min(cores, -(-n_rows // _BLOCK)) - 1)
+            # one process per core and full block
+            assert len(forks) == max(0, min(cores, n_rows // _BLOCK) - 1)
         _assert_no_children()
 
     @pytest.mark.parametrize("n_rows, n_columns, forks", [
-        (io._CSV_CELLS_PER_WORKER // 4, 4, 0),  # 2^18 cells, 2 blocks: in process
-        (io._CSV_CELLS_PER_WORKER, 1, 0),  # 2^18 cells, 8 blocks: in process
-        (io._CSV_CELLS_PER_WORKER // 4 + _BLOCK, 4, 1),  # just over: one worker more
-        (3 * io._CSV_CELLS_PER_WORKER // 2, 2, 2),  # 3 x 2^18 cells: three ranges
+        (io._CSV_CELLS_PER_WORKER // 4, 4, 0),  # 2^17 cells, 4 blocks: in process
+        (io._CSV_CELLS_PER_WORKER, 1, 0),  # 2^17 cells, 16 blocks: in process
+        (io._CSV_CELLS_PER_WORKER // 4 + _BLOCK, 4, 1),  # just over: one child more
+        (3 * io._CSV_CELLS_PER_WORKER // 2, 2, 2),  # 3 x 2^17 cells: three ranges
+        (_BLOCK + 1, 32, 0),  # 2^18 cells in one full block and a row: in process
     ])
     def test_tables_fork_by_cell_count(self, monkeypatch, tmp_path, n_rows, n_columns, forks):
-        # at most one worker per started 2^18 cells, whatever the block count
+        # at most one process per started 2^17 cells and per full block
         _set_cores(monkeypatch, 4)
         real_fork = os.fork
         seen = []
@@ -659,7 +671,7 @@ class TestIoHelpers:
         real_fork = os.fork
         forks = []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        n_rows = _BLOCK + 8
+        n_rows = 2 * _BLOCK + 8
         rng = np.random.default_rng(17)
         table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 300, (n_rows, 3))
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
@@ -673,7 +685,7 @@ class TestIoHelpers:
 
     def test_strided_columns_match_rowwise_reference(self, monkeypatch, tmp_path):
         # the parts of a complex array and a [::2] view, as the handlers pass them
-        n_rows = 2 * _BLOCK + 8
+        n_rows = 3 * _BLOCK + 8
         rng = np.random.default_rng(29)
         table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 300, (n_rows, 3))
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
@@ -698,6 +710,48 @@ class TestIoHelpers:
             assert len(forks) == cores - 1
         _assert_no_children()
 
+    @pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["second_fork", "every_fork"])
+    def test_failed_fork_formats_its_range_here(self, monkeypatch, tmp_path, failing):
+        # three ranges; a fork that raises OSError leaves its range to this process
+        n_rows = 3 * _BLOCK + 7
+        table = np.resize(np.array(_SPECIAL_FLOATS), 3 * n_rows).reshape(n_rows, 3)
+        _set_cores(monkeypatch, 3)
+        _fork_small_tables(monkeypatch)
+        real_fork = os.fork
+        calls, forks = [], []
+
+        def fork():
+            calls.append(1)
+            if len(calls) in failing:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b", "c"], *table.T)
+        assert (len(calls), len(forks)) == (2, 2 - len(failing))
+        assert _read(tmp_path / "t.csv") == _rowwise_csv(["a", "b", "c"], table.tolist()).encode()
+        assert os.listdir(tmp_path) == ["t.csv"]  # no .part-* or .tmp-* file
+        _assert_no_children()
+
+    def test_forked_table_leaves_unflushed_stdout_to_the_parent(self, tmp_path):
+        # in a fresh interpreter, where stdout is a pipe and so block-buffered,
+        # text printed before a forked table is written reaches it once
+        src = Path(io.__file__).resolve().parents[1]
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "import numpy as np; from selfsim import io; "
+                "real_fork, forks = os.fork, []; "
+                "os.fork = lambda: forks.append(1) or real_fork(); "
+                "print('unflushed', end=' '); "
+                f"io.write_csv_atomic(sys.argv[1], ['a', 'b'], *np.zeros((2, {16 * _BLOCK}))); "
+                "print('forks', len(forks))")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "unflushed forks 1\n"
+        assert _read(tmp_path / "t.csv") == b"a,b\n" + b"0.0,0.0\n" * (16 * _BLOCK)
+
     def test_table_is_written_without_a_stacked_copy(self, monkeypatch, tmp_path):
         # one core: every row is formatted in this process, where tracemalloc sees it
         from selfsim import cli
@@ -714,18 +768,40 @@ class TestIoHelpers:
         assert peak < sum(c.nbytes for c in columns) / 2
         assert _read(tmp_path / "t.csv").endswith(b"1048575.0,0.5\n")
 
-    @pytest.mark.parametrize("exc, in_workers, raised", [
-        (RuntimeError, True, IoError),  # a worker's job raises
-        (KeyboardInterrupt, False, KeyboardInterrupt),  # while the workers run
-        (_exit_1, True, IoError),  # a worker dies
-    ], ids=["worker_fails", "interrupt_here", "worker_dies"])
-    def test_failed_range_leaves_no_file_or_child(self, monkeypatch, tmp_path, exc, in_workers, raised):
+    @pytest.mark.parametrize("exc, in_children, raised, message", [
+        # a child's range raises: the message names the first failed range and the error
+        (RuntimeError, True, IoError, f"rows {_BLOCK}..{2 * _BLOCK - 1} .*: RuntimeError: forced$"),
+        (KeyboardInterrupt, False, KeyboardInterrupt, None),  # while the children run
+        (_exit_1, True, IoError, f"rows {_BLOCK}..{2 * _BLOCK - 1} .*: exit status 1$"),  # a child dies
+        (_killed, True, IoError, f"rows {_BLOCK}..{2 * _BLOCK - 1} .*: killed by signal {signal.SIGKILL:d}$"),
+    ], ids=["worker_fails", "interrupt_here", "worker_dies", "worker_killed"])
+    def test_failed_range_leaves_no_file_or_child(self, monkeypatch, tmp_path, exc, in_children, raised,
+                                                  message):
         _set_cores(monkeypatch, 3)
         _fork_small_tables(monkeypatch)
-        _fail_block(monkeypatch, exc, in_workers)
-        with pytest.raises(raised):
+        _fail_block(monkeypatch, exc, in_children)
+        with pytest.raises(raised, match=message):
             write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], *np.zeros((3 * _BLOCK, 2)).T)
         assert os.listdir(tmp_path) == []  # no .part-* or .tmp-* file
+        _assert_no_children()
+
+    def test_interrupt_kills_running_children(self, monkeypatch, tmp_path):
+        # the children would take a minute over their ranges: ^C here ends them at once
+        _set_cores(monkeypatch, 3)
+        _fork_small_tables(monkeypatch)
+        here = os.getpid()
+
+        def block(*args):
+            if os.getpid() != here:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(io._shortest, "csv_bytes", block)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv_atomic(str(tmp_path / "t.csv"), ["a", "b"], *np.zeros((3 * _BLOCK, 2)).T)
+        assert time.monotonic() - started < 30
+        assert os.listdir(tmp_path) == []
         _assert_no_children()
 
     def test_new_files_follow_umask(self, tmp_path):

@@ -15,6 +15,7 @@ from selfsim import (
     LOutOfGrid,
     NonPositiveA,
     NonZeroMeanForce,
+    NumericError,
     OriginSingular,
     PoleError,
     frac_kernel_y,
@@ -261,7 +262,10 @@ class TestNormalizationTrichotomy:
 # each refused with the error class of its finite bad values; accepted,
 # eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
 # (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
-# division error and alpha = nan a nan kernel
+# division error and alpha = nan a nan kernel.  A kernel value beyond
+# float range at x != 0 is refused too, with no overflow warning, where
+# it was +-inf
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,error", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), AlphaOutOfRange),
@@ -278,11 +282,14 @@ class TestNormalizationTrichotomy:
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive),
     (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid),
+    (lambda p: riesz_kernel(2.5, 1e-300), NumericError),
+    (lambda p: riesz_kernel(0.5, 1e-310), NumericError),
 ], ids=["riesz_eps_nan", "riesz_eps_inf", "riesz_alpha_nan", "riesz_alpha_inf",
         "riesz_alpha_minus_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
         "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
         "greens_eps_nan", "greens_eps_inf",
-        "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan"])
+        "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan",
+        "riesz_overflow", "riesz_overflow_subnormal_x"])
 def test_non_finite_and_negative_parameters_are_refused(params_half, call, error):
     with pytest.raises(error):
         call(params_half)
