@@ -79,7 +79,6 @@ from .dynamics import (
     wave_kernel_fourier,
     wave_kernel_series,
     wave_kernel_spectral,
-    wave_series_terms,
 )
 from .diffusion import (
     SampleBatch,

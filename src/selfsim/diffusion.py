@@ -36,7 +36,6 @@ from .errors import (
     NegativeTime,
     NumericError,
     OriginSingular,
-    SeriesBudgetExceeded,
     TimeNonPositive,
     ValidationError,
     check_finite,
@@ -274,12 +273,9 @@ def tail_cdf_mass(params: MediumParams, x, t: float):
     d = params.delta
     ln_xi = math.log(params.a_delta * t) - d * np.log(xa)
     top = float(np.max(ln_xi, initial=-math.inf))
-    mags = _series_terms(d, lambda n: _stable_log_terms(d, n, 0.0, 1.0, 1.0, top))[1]
-    if (hump := sum(mags)) * math.ulp(1.0) > ABS_TOL:
-        raise SeriesBudgetExceeded(f"tail terms cancel across a hump of {hump:g}: their rounding exceeds "
-                                   f"{ABS_TOL:g}; x = {float(xa.min()):g} is far inside the scale", tail_bound=hump)
+    terms = len(_series_terms(d, lambda n: _stable_log_terms(d, n, 0.0, 1.0, 1.0, top))[1])
     tot = sum(_stable_sign(d, n) * np.exp(_stable_log_terms(d, n, 0.0, 1.0, 1.0, ln_xi))
-              for n in range(1, len(mags) + 1))
+              for n in range(1, terms + 1))
     return float(tot) if np.ndim(x) == 0 else tot
 
 

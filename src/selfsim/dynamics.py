@@ -43,10 +43,10 @@ import math
 
 import numpy as np
 
-from .errors import EpsNonPositive, OriginSingular, ValidationError, check_finite
+from .errors import EpsNonPositive, OriginSingular, QuadratureNoConvergence, ValidationError, check_finite
 from .grids import ComplexField, Grid1D, RealField, _beside, _by_halves, _sample_symbol, sample_kernel
 from .params import MediumParams, _dispersion_into, dispersion
-from .quadrature import ABS_TOL, _stable_log_terms, _stable_series, quad_checked
+from .quadrature import ABS_TOL, _stable_series, quad_checked
 
 __all__ = [
     "CauchyState",
@@ -58,7 +58,6 @@ __all__ = [
     "wave_kernel_dt_series",
     "wave_kernel_fourier",
     "wave_kernel_dt_fourier",
-    "wave_series_terms",
     "greens_retarded",
     "helmholtz_green",
     "helmholtz_symbol",
@@ -336,27 +335,6 @@ def wave_kernel_dt_series(params: MediumParams, x: float, t: float) -> float:
     return _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "dQ"))
 
 
-def wave_series_terms(params: MediumParams, x: float, t: float,
-                      kind: str = "Q", count: int = 30,
-                      include_angular: bool = True) -> np.ndarray:
-    """|term_n| magnitudes of the kernel series, for convergence diagnostics.
-
-    The coefficient ratios decay like (2n)^-(2-delta), so the magnitudes
-    fall super-exponentially once past the hump.  include_angular=False
-    drops the |sin(n pi delta / 2)| factor (which vanishes periodically for
-    rational delta), leaving the pure coefficient magnitudes whose ratios
-    carry the decay law.
-    """
-    if kind not in ("Q", "dQ"):
-        raise ValidationError("kind must be 'Q' or 'dQ'")
-    q, ln_xi, ln_front = _kernel_series_args(params, x, t, kind)
-    n = np.arange(1, count + 1, dtype=float)
-    mags = np.exp(_stable_log_terms(params.delta, n, 1, 2, q, ln_xi, ln_front))
-    if include_angular:
-        mags = mags * np.abs(np.sin(n * math.pi * params.delta / 2.0))
-    return mags
-
-
 # -------------------------------------------------- certified quadrature
 
 # relative tolerance of the rotated-contour quad calls
@@ -369,7 +347,8 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> flo
     [0, k0] is integrated directly; beyond k0 the contour k = k0 + iu turns
     e^{ikx} into e^{-ux} while sin/cos grow only sub-exponentially
     (|Im w| ~ u^(delta/2), delta < 2), so the rotated integrand decays and
-    is integrated in log-assembled form to avoid overflow.
+    is integrated in log-assembled form to avoid overflow.  It may peak far
+    above the integral first: refused when ulp(1) peak / |x| exceeds ABS_TOL.
     """
     x = abs(x)
     delta = params.delta
@@ -391,24 +370,33 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> flo
     half = 0.5 * delta
     ist = 1j * s_a * t
     ln_s = math.log(s_a)
+    peak = 0.0
 
     def rotated(u, exp=cmath.exp, log=cmath.log):
+        nonlocal peak
         try:
             lnz = log(k0 + 1j * u)
             iw = ist * exp(half * lnz)
             ux = u * x
             if kind == "Q":
                 ln_denom = ln_s + half * lnz
-                return (0.5 * (exp(phase + iw - ux - ln_denom) - exp(phase - iw - ux - ln_denom))).real
-            return (0.5j * (exp(phase + iw - ux) + exp(phase - iw - ux))).real
+                v = (0.5 * (exp(phase + iw - ux - ln_denom) - exp(phase - iw - ux - ln_denom))).real
+            else:
+                v = (0.5j * (exp(phase + iw - ux) + exp(phase - iw - ux))).real
         except OverflowError:
             # for t large against |x| the integrand peaks beyond float range
             # before e^{-ux} wins.  cmath raises there; numpy's exp gives the
             # inf or nan that makes quad_checked refuse
             with np.errstate(all="ignore"):
                 return float(rotated(u, np.exp, np.log))
+        if v > peak or -v > peak:
+            peak = abs(v)
+        return v
 
     p2 = quad_checked(rotated, 0.0, np.inf, abs_tol=ABS_TOL, rel_tol=_REL_TOL)
+    if (rounding := math.ulp(1.0) * peak / x) > ABS_TOL:
+        raise QuadratureNoConvergence(f"rotated integrand peaks at {peak:g}: its rounding {rounding:g} "
+                                      f"exceeds {ABS_TOL:g}")
     return (p1 + p2) / math.pi
 
 
@@ -441,7 +429,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
     """Causal space-time Green's function theta(t) e^{-eps t} Q(x, t).
 
     Zero for t <= 0 (Q vanishes at t = 0); the damping factor defaults to
-    the undamped limit eps = 0.
+    the undamped limit eps = 0.  Q is the series, and is refused where it is.
     """
     check_finite(x=x, t=t)
     if eps < 0.0 or not math.isfinite(eps):

@@ -33,10 +33,13 @@ Vol. II, XVII.6),
 Every such sum runs on one guarded term loop, _series_terms: the terms in
 log space, a stop at the first term below 1e-14 that is smaller than its
 predecessor, a ratio guard of 1e8, a refusal of a term beyond float range
-and at most 400 terms, each a SeriesBudgetExceeded.  A tail sum beyond some
-|x| (tail_cdf_mass at its smallest x, image_series below at |u| = 1/2) takes
-its terms where each is largest and refuses terms that cancel across a hump
-far above its tolerance.  The callers differ only in their parameters:
+and at most 400 terms, and at the stop a rounding guard: the magnitudes
+summed (the hump) times ulp(1) above ABS_TOL (image_series: above its
+stop).  Each is a SeriesBudgetExceeded.  The wave kernels' rotated contour
+refuses its rounding the same way.  A tail sum beyond some |x|
+(tail_cdf_mass at its smallest x, image_series below at |u| = 1/2) takes
+its terms where each is largest.  The callers differ only in their
+parameters:
 
     caller                   r  p  q  xi               front
     wave_kernel_series       1  2  2  a t^2/|x|^delta  t/|x|
@@ -314,7 +317,7 @@ _SERIES_RATIO_GUARD = 1e8
 
 
 def _stable_log_terms(delta, n, r, p, q, ln_xi, ln_front=0.0):
-    """ln |term n| without its angular factor; n and ln_xi may be arrays."""
+    """ln |term n| without its angular factor; ln_xi may be an array."""
     return _gammaln(n * delta + r) - _gammaln(p * n + q) + n * ln_xi + ln_front
 
 
@@ -330,9 +333,11 @@ def _series_terms(delta: float, log_term, relative: bool = False) -> tuple[float
     that exceeds 1.  Returns the sum and the magnitudes summed.  Raises
     SeriesBudgetExceeded, with the partial sum and a tail bound, when a term
     overflows float range, outgrows its predecessor by the ratio guard, or
-    _SERIES_MAX_TERMS terms do not reach the stop.
+    _SERIES_MAX_TERMS terms do not reach the stop; and at the stop, when the
+    hump, the magnitudes' sum, times ulp(1) exceeds ABS_TOL (with
+    ``relative``, the stop): the terms cancel far below their hump.
     """
-    total = 0.0
+    total = hump = 0.0
     mags: list[float] = []
     tol = _SERIES_ABS_TOL
     prev_m = math.inf
@@ -350,8 +355,12 @@ def _series_terms(delta: float, log_term, relative: bool = False) -> tuple[float
         if relative and n == 1:
             tol *= max(1.0, m)
         total += _stable_sign(delta, n) * m
+        hump += m
         mags.append(m)
         if m < tol and m < prev_m:
+            if hump * math.ulp(1.0) > (limit := tol if relative else ABS_TOL):
+                raise SeriesBudgetExceeded(f"terms cancel across a hump of {hump:g}: their rounding "
+                                           f"exceeds {limit:g}", partial_sum=total, tail_bound=hump)
             return total, mags
         if m > prev_m * _SERIES_RATIO_GUARD:
             raise SeriesBudgetExceeded(
@@ -406,9 +415,6 @@ def image_series(delta: float, r, p, q, ln_c: float, length: float, u: np.ndarra
 
     mags = _series_terms(delta, log_term, relative=True)[1]
     tol = _SERIES_ABS_TOL * max(1.0, mags[0])
-    if (hump := sum(mags)) * math.ulp(1.0) > tol:
-        raise SeriesBudgetExceeded(f"image terms cancel across a hump of {hump:g}: their rounding "
-                                   f"exceeds {tol:g}; L/2 is far inside the scale", tail_bound=hump)
     signs = np.array([_stable_sign(delta, n) for n in range(1, len(mags) + 1)])
     s = np.arange(1, len(mags) + 1) * delta + 1.0
     # C(s + 2k - 1, 2k) = Gamma(s + 2k) / (Gamma(2k + 1) Gamma(s))

@@ -174,7 +174,8 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
     n >= 1 gives -(a_delta^n/pi) sin(pi n delta/2) (n delta)! |x|^(-n delta - 1).
     The point mass at x = 0 is left out: it is 1 for n = 0 and 0 for every
     other n, whose structure at the origin is oscillatory and is never
-    sampled on a grid (convolutions against it are done spectrally).
+    sampled on a grid (convolutions against it are done spectrally).  A
+    value beyond float range raises NumericError.
     """
     if not isinstance(n, (int, np.integer)):
         raise AlphaOutOfRange(f"n must be an integer, got {n!r}")
@@ -188,8 +189,11 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
         raise OriginSingular("the point-source powers are singular at x = 0")
     if n == 0:
         return 0.0 if scalar else np.zeros_like(xa)
-    vals = params.a_delta**n * riesz_kernel(n * params.delta, x)
-    return vals
+    with np.errstate(over="ignore"):
+        vals = np.float64(params.a_delta) ** n * riesz_kernel(n * params.delta, x)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError(f"a_delta^n b_(n delta)(x) for n = {n} is beyond float range")
+    return float(vals) if scalar else vals
 
 
 def riesz_tail_integral(alpha: float, a: float) -> float:

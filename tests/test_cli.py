@@ -456,6 +456,12 @@ class TestKernelsCommand:
             assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-7)
             assert float(row[3]) == pytest.approx(float(row[4]), rel=1e-7)
 
+    def test_refused_where_the_series_rounding_passes_its_tolerance(self, tmp_path):
+        # the terms pass a hump of 7.8e7: the unguarded Q_series was off by 7.8e-8
+        out = tmp_path / "o"
+        assert main(["kernels", "--delta", "1.5", "--t", "2", "--x", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPotentialsCommand:
     def test_columns_per_exponent(self, tmp_path):

@@ -203,6 +203,14 @@ class TestLaplacianPowerKernel:
                 scaled = laplacian_power_kernel(p, n, x) * abs(x) ** (n * p.delta + 1.0)
                 assert scaled == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("n,x", [(101, 0.5), (150, 0.5), (201, 0.5), (45, np.array([0.5, 1.0]))],
+                             ids=["101", "150", "201", "product_45"])
+    def test_beyond_float_range_is_a_numeric_error(self, n, x):
+        # a_delta = 1.06e5: a_delta^n passes float range from n = 62, and at
+        # n = 45 its product with b_(n delta)(1/2) does
+        with pytest.raises(NumericError, match="beyond float range"):
+            laplacian_power_kernel(make_params(1.5, 1e3, 1.0), n, x)
+
     def test_origin_and_validation(self, params_half):
         with pytest.raises(OriginSingular):
             laplacian_power_kernel(params_half, 1, 0.0)
