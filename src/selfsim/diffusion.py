@@ -134,6 +134,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
 
 def propagator_cauchy(params: MediumParams, x, t: float):
     """delta = 1 closed form: (1/pi) s / (x^2 + s^2) with s = a_1 t."""
+    check_finite(t=t)
     if abs(params.delta - 1.0) > 1e-12:
         raise DeltaMismatch(f"closed form requires delta = 1, got {params.delta}")
     if t <= 0.0:

@@ -29,7 +29,12 @@ three evaluations:
   reaches 2; it was 2e-2 or less only where 20 dx k* / pi < 0.02 (README,
   Numerical notes),
 * a certified pointwise quadrature of the Fourier integral along a rotated
-  contour, used as the high-accuracy cross-check.
+  contour, used as the high-accuracy cross-check; it is refused where its
+  integrand peaks beyond its rounding budget or leaves float range.
+
+The series and the quadrature are pointwise, for the smooth part off the
+origin, and share one entry: finite arguments, OriginSingular at x = 0,
+exactly 0 at t = 0, and Q odd and dQ/dt even in t.
 
 The causal Green's function is theta(t) e^{-eps t} Q; its frequency-domain
 counterpart inverts omega^2(k) - (omega + i eps)^2.
@@ -118,21 +123,21 @@ def _omega_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) ->
     np.sqrt(out, out=out)
 
 
-def _sin_over(w: np.ndarray, sw: np.ndarray, t: float, out: np.ndarray, nz: np.ndarray) -> np.ndarray:
+def _sin_over(w: np.ndarray, sw: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     """sin(w t)/w into out from w and sw = sin(w t), with its w = 0 limit t;
-    out may be sw, and the boolean nz is overwritten."""
-    np.greater(w, 0.0, out=nz)
-    np.divide(sw, w, out=out, where=nz)
-    np.logical_not(nz, out=nz)
-    np.copyto(out, t, where=nz)
+    out may be sw."""
+    with np.errstate(invalid="ignore"):
+        np.divide(sw, w, out=out)
+    if w[0] == 0.0:  # w vanishes only at k = 0, which is only ever the first wavenumber
+        out[0] = t
     return out
 
 
-def _rotate(t: float, w, cw, sw, uh, vh, uh2, vh2, ratio, product, nz) -> None:
+def _rotate(t: float, w, cw, sw, uh, vh, uh2, vh2, ratio, product) -> None:
     """cauchy_evolve's rotation of (uh, vh) into (uh2, vh2), elementwise;
-    w and the work arrays ratio, product and nz are overwritten."""
+    w and the work arrays ratio and product are overwritten."""
     np.multiply(cw, uh, out=uh2)
-    np.multiply(_sin_over(w, sw, t, ratio, nz), vh, out=product)
+    np.multiply(_sin_over(w, sw, t, ratio), vh, out=product)
     uh2 += product
     np.negative(w, out=w)
     w *= sw
@@ -166,8 +171,7 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     uh, vh = _beside(frequencies, lambda: (state._u_spectrum(), state._v_spectrum()), k.size)
     del k
     uh2, vh2, product = np.empty_like(uh), np.empty_like(vh), np.empty_like(uh)
-    _by_halves(functools.partial(_rotate, t), w, cw, sw, uh, vh, uh2, vh2,
-               np.empty_like(w), product, np.empty(w.shape, dtype=bool))
+    _by_halves(functools.partial(_rotate, t), w, cw, sw, uh, vh, uh2, vh2, np.empty_like(w), product)
     return CauchyState._from_spectra(g, uh2, vh2)
 
 
@@ -271,13 +275,13 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
     check_finite(t=t)
     a, delta = params.a_delta, params.delta
 
-    def symbol(k, out, w, nz):
+    def symbol(k, out, w):
         _omega_into(a, delta, k, w)
         np.multiply(w, t, out=out)
         np.sin(out, out=out)
-        _sin_over(w, out, t, out, nz)
+        _sin_over(w, out, t, out)
 
-    return RealField(grid, _kernel_ladder(grid, symbol, scratch=(float, bool)))
+    return RealField(grid, _kernel_ladder(grid, symbol, scratch=(float,)))
 
 
 def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
@@ -297,14 +301,26 @@ def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> Rea
     return RealField(grid, _kernel_ladder(grid, symbol))
 
 
-# ------------------------------------------------------------ series kernels
+# -------------------------------------------------------- pointwise kernels
 
-def _kernel_series_args(params: MediumParams, x: float, t: float, kind: str):
-    """(q, ln xi, ln front) of the Q or dQ/dt series (r = 1, p = 2)."""
-    ln_xi = math.log(params.a_delta * t * t) - params.delta * math.log(abs(x))
-    if kind == "Q":
-        return 2, ln_xi, math.log(abs(t) / abs(x))
-    return 1, ln_xi, -math.log(abs(x))
+def _pointwise(body, params: MediumParams, x: float, t: float, kind: str) -> float:
+    """The one entry of the four pointwise kernels: finite arguments, x != 0,
+    zero at t = 0, else body(params, |x|, |t|, kind), with Q odd and dQ/dt
+    even in t."""
+    check_finite(x=x, t=t)
+    if x == 0.0:
+        raise OriginSingular("the pointwise wave kernels are defined for x != 0")
+    if t == 0.0:
+        return 0.0
+    val = body(params, abs(x), abs(t), kind)
+    return -val if kind == "Q" and t < 0.0 else val
+
+
+def _series(params: MediumParams, x: float, t: float, kind: str) -> float:
+    """The Q or dQ/dt series (r = 1, p = 2) at x, t > 0."""
+    ln_xi = math.log(params.a_delta * t * t) - params.delta * math.log(x)
+    q, ln_front = (2, math.log(t / x)) if kind == "Q" else (1, -math.log(x))
+    return _stable_series(params.delta, 1, 2, q, ln_xi, ln_front)
 
 
 def wave_kernel_series(params: MediumParams, x: float, t: float) -> float:
@@ -316,41 +332,28 @@ def wave_kernel_series(params: MediumParams, x: float, t: float) -> float:
     (convolution with initial data is done spectrally, never by sampling
     the series at x = 0).
     """
-    check_finite(x=x, t=t)
-    if x == 0.0:
-        raise OriginSingular("series kernel is defined for x != 0")
-    if t == 0.0:
-        return 0.0
-    val = _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "Q"))
-    return val if t > 0 else -val
+    return _pointwise(_series, params, x, t, "Q")
 
 
 def wave_kernel_dt_series(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0: same series with (2n)! weights."""
-    check_finite(x=x, t=t)
-    if x == 0.0:
-        raise OriginSingular("series kernel is defined for x != 0")
-    if t == 0.0:
-        return 0.0
-    return _stable_series(params.delta, 1, 2, *_kernel_series_args(params, x, t, "dQ"))
+    return _pointwise(_series, params, x, t, "dQ")
 
-
-# -------------------------------------------------- certified quadrature
 
 # relative tolerance of the rotated-contour quad calls
 _REL_TOL = 1e-9
 
 
 def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> float:
-    """(1/pi) int_0^inf cos(kx) s(k) dk with s = sin(wt)/w or cos(wt).
+    """(1/pi) int_0^inf cos(kx) s(k) dk with s = sin(wt)/w or cos(wt), x, t > 0.
 
     [0, k0] is integrated directly; beyond k0 the contour k = k0 + iu turns
     e^{ikx} into e^{-ux} while sin/cos grow only sub-exponentially
     (|Im w| ~ u^(delta/2), delta < 2), so the rotated integrand decays and
     is integrated in log-assembled form to avoid overflow.  It may peak far
-    above the integral first: refused when ulp(1) peak / |x| exceeds ABS_TOL.
+    above the integral first: refused when ulp(1) peak / x exceeds ABS_TOL,
+    or when the peak leaves float range.
     """
-    x = abs(x)
     delta = params.delta
     s_a = params.omega_scale
     k0 = max(2.0, 2.0 / x)
@@ -372,23 +375,21 @@ def _rotated_fourier(params: MediumParams, x: float, t: float, kind: str) -> flo
     ln_s = math.log(s_a)
     peak = 0.0
 
-    def rotated(u, exp=cmath.exp, log=cmath.log):
+    def rotated(u):
         nonlocal peak
+        lnz = cmath.log(k0 + 1j * u)
+        iw = ist * cmath.exp(half * lnz)
+        ux = u * x
         try:
-            lnz = log(k0 + 1j * u)
-            iw = ist * exp(half * lnz)
-            ux = u * x
             if kind == "Q":
                 ln_denom = ln_s + half * lnz
-                v = (0.5 * (exp(phase + iw - ux - ln_denom) - exp(phase - iw - ux - ln_denom))).real
+                z = 0.5 * (cmath.exp(phase + iw - ux - ln_denom) - cmath.exp(phase - iw - ux - ln_denom))
             else:
-                v = (0.5j * (exp(phase + iw - ux) + exp(phase - iw - ux))).real
+                z = 0.5j * (cmath.exp(phase + iw - ux) + cmath.exp(phase - iw - ux))
         except OverflowError:
-            # for t large against |x| the integrand peaks beyond float range
-            # before e^{-ux} wins.  cmath raises there; numpy's exp gives the
-            # inf or nan that makes quad_checked refuse
-            with np.errstate(all="ignore"):
-                return float(rotated(u, np.exp, np.log))
+            # t large against x: the integrand passes float range before e^{-ux} wins
+            raise QuadratureNoConvergence(f"rotated integrand leaves float range at u = {u:g}") from None
+        v = z.real
         if v > peak or -v > peak:
             peak = abs(v)
         return v
@@ -406,21 +407,12 @@ def wave_kernel_fourier(params: MediumParams, x: float, t: float) -> float:
     Independent of both the series and the FFT synthesis; this is the
     reference evaluation of the spectral representation.
     """
-    check_finite(x=x, t=t)
-    if x == 0.0:
-        raise OriginSingular("pointwise Fourier evaluation requires x != 0")
-    if t == 0.0:
-        return 0.0
-    val = _rotated_fourier(params, x, abs(t), "Q")
-    return val if t > 0 else -val
+    return _pointwise(_rotated_fourier, params, x, t, "Q")
 
 
 def wave_kernel_dt_fourier(params: MediumParams, x: float, t: float) -> float:
     """Smooth part of dQ/dt(x, t), x != 0, by the rotated-contour quadrature."""
-    check_finite(x=x, t=t)
-    if x == 0.0:
-        raise OriginSingular("pointwise Fourier evaluation requires x != 0")
-    return _rotated_fourier(params, x, abs(t), "dQ")
+    return _pointwise(_rotated_fourier, params, x, t, "dQ")
 
 
 # ------------------------------------------------------------ Green's functions

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError
+from .errors import (AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError,
+                     check_finite)
 from .grids import RealField, apply_symbol
 from .params import MediumParams, _dispersion_into, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
@@ -63,6 +64,7 @@ def laplacian_apply_point(params: MediumParams, f, x: float, abs_tol: float = AB
     fourth-order Taylor disc, Gauss-Kronrod panels on geometric segments to
     tau = 1, the windowed tail sum beyond.  abs_tol must lie in (0, inf).
     """
+    check_finite(x=x)
     if not 0.0 < abs_tol < math.inf:
         raise NonPositiveScale(f"abs_tol must lie in (0, inf), got {abs_tol!r}")
     delta = params.delta
@@ -106,6 +108,7 @@ def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
     -(h^delta Gamma(1-delta) / (zeta delta)) * (D_left + D_right) equals
     the nonlocal Laplacian.
     """
+    check_finite(x=x)
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"increment derivative needs 0 < delta < 1, got {delta}")
     if side not in ("left", "right"):
@@ -180,6 +183,7 @@ def frac_kernel_y(alpha: float, x: float, eps: float = 0.0) -> float:
     for integer alpha (off the origin), reproducing the localized
     integer-order derivatives.
     """
+    check_finite(x=x)
     if not -1.0 < alpha < math.inf:
         raise AlphaOutOfRange(f"kernel defined for finite alpha > -1, got {alpha}")
     if eps < 0.0 or not math.isfinite(eps):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import DeltaOutOfRange, NonPositiveScale, PoleError
+from .errors import DeltaOutOfRange, NonPositiveScale, PoleError, check_finite
 from .quadrature import ABS_TOL, quad_checked
 
 __all__ = [
@@ -128,6 +128,7 @@ def dispersion_quadrature(params: MediumParams, k: float) -> float:
     behavior), the outer part combines the exact power tail with an
     oscillatory cosine-weighted quadrature.
     """
+    check_finite(k=k)
     if k == 0.0:
         return 0.0
     base = 2.0 * (params.h**params.delta / params.zeta) * abs(k) ** params.delta

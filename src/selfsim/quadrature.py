@@ -296,7 +296,8 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
 
     * (0, 1e-3): the Taylor terms in closed form; direct evaluation there
       loses every digit to the cancellation in g(u) + shift;
-    * [1e-3, 1]: _march's inner region, from one panel per segment 2^j 1e-3;
+    * [1e-3, 1]: _march's inner region, from one panel per segment 2^j 1e-3,
+      its panels summed by one Kronrod dot product, as oscillatory_tail's;
     * (1, inf): shift's tail, shift / delta, in closed form, plus
       oscillatory_tail of g.
     """
@@ -308,15 +309,8 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
     nodes, values, halves = [], [], []
     for a, b in zip((_DISC, *_POINTS), (*_POINTS, 1.0)):
         _march(g, shift, power, a, b, b - a, tol * 0.4, None, nodes, values, halves)
-    # in qk21's order, then panel by panel: the bits of QAGP's first pass over the segments
-    f = list(map(mul, values, map(pow, nodes, repeat(power))))
-    total = 0.0
-    for r, fp in zip(halves, zip(*[iter(f)] * 21)):
-        resk = _WK[10] * fp[10]
-        for i in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-            resk += _WK[i] * (fp[i] + fp[20 - i])
-        total += resk * r
-    inner += total
+    w = np.multiply.outer(halves, _KRONROD).ravel()
+    inner += float(np.dot(w, np.array(values) * np.array(nodes)**power))
     outer = shift / delta + oscillatory_tail(g, power, 1.0, abs_tol=tol * 0.4)
     return scale * (inner + outer)
 

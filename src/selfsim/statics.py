@@ -44,6 +44,7 @@ from .errors import (
     NumericError,
     OriginSingular,
     PoleError,
+    check_finite,
 )
 from .grids import RealField, apply_symbol
 from .params import MediumParams, _dispersion_into, factorial_ext
@@ -198,6 +199,7 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
 
 def riesz_tail_integral(alpha: float, a: float) -> float:
     """int_a^inf b_alpha(x) dx = -(Gamma(alpha)/pi) a^(-alpha) sin(pi alpha / 2), alpha > 0."""
+    check_finite(alpha=alpha, a=a)
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"tail integral requires alpha > 0, got {alpha}")
     if a <= 0.0:

@@ -19,7 +19,8 @@ from selfsim import (
     make_params,
 )
 from selfsim import quadrature
-from selfsim.diffusion import diffuse, propagator, propagator_quadrature, propagator_series, sample_levy
+from selfsim.diffusion import (diffuse, propagator, propagator_cauchy, propagator_quadrature, propagator_series,
+                               sample_levy)
 from selfsim.dynamics import (
     CauchyState,
     cauchy_evolve,
@@ -33,8 +34,9 @@ from selfsim.dynamics import (
     wave_kernel_series,
     wave_kernel_spectral,
 )
-from selfsim.operator import weyl_marchaud
+from selfsim.operator import frac_kernel_y, weyl_marchaud
 from selfsim.quadrature import quad_checked
+from selfsim.statics import riesz_tail_integral
 
 from oracles import quad_checked_reference
 
@@ -238,6 +240,17 @@ _GRID_ROUTES = [
     pytest.param(lambda p, bad: helmholtz_green(p, _GRID, bad, 0.1), "omega", id="helmholtz_green-omega"),
     pytest.param(lambda p, bad: helmholtz_symbol(p, 1.0, bad, 0.1), "omega", id="helmholtz_symbol-omega"),
 ]
+# the scalar routes, each with one scalar argument as the bad value
+_SCALAR_ROUTES = [
+    pytest.param(lambda p, bad: propagator_cauchy(make_params(1.0, 1.0, 1.0), 1.0, bad), "t",
+                 id="propagator_cauchy-t"),
+    pytest.param(lambda p, bad: riesz_tail_integral(0.5, bad), "a", id="riesz_tail_integral-a"),
+    pytest.param(lambda p, bad: riesz_tail_integral(bad, 1.0), "alpha", id="riesz_tail_integral-alpha"),
+    pytest.param(lambda p, bad: dispersion_quadrature(p, bad), "k", id="dispersion_quadrature-k"),
+    pytest.param(lambda p, bad: frac_kernel_y(0.5, bad), "x", id="frac_kernel_y-x"),
+    pytest.param(lambda p, bad: laplacian_apply_point(p, math.cos, bad), "x", id="laplacian_apply_point-x"),
+    pytest.param(lambda p, bad: weyl_marchaud(0.5, math.cos, bad, "left"), "x", id="weyl_marchaud-x"),
+]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -246,7 +259,7 @@ _GRID_ROUTES = [
     for route in (propagator_series, propagator_quadrature, wave_kernel_series, wave_kernel_dt_series,
                   wave_kernel_fourier, wave_kernel_dt_fourier, greens_retarded)
     for arg in ("x", "t")
-] + _GRID_ROUTES)
+] + _GRID_ROUTES + _SCALAR_ROUTES)
 def test_pointwise_routes_refuse_non_finite_arguments(quad_calls, fft_calls, call, arg, bad):
     # one refusal for every pointwise and grid route, naming the argument,
     # before any quadrature or transform starts and without a warning
