@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     check_finite,
 )
-from .grids import Grid1D, RealField, _sample_symbol, apply_symbol, sample_kernel
+from .grids import Grid1D, RealField, _check_not_nan, _sample_symbol, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import MediumParams, _dispersion_into
 from .quadrature import (ABS_TOL, _series_terms, _stable_log_terms, _stable_series, _stable_sign, image_series,
@@ -65,6 +65,12 @@ __all__ = [
 # sampler chunking: fixed-size chunks, each drawn from its own sub-seed
 # spawned from the master seed; the chunked sub-seeds define the stream
 _CHUNK = 1 << 16
+
+
+def _check_time(t: float) -> None:
+    """The time rule of every route defined for t > 0 only, before any work."""
+    if not 0.0 < t < math.inf:
+        raise TimeNonPositive(f"t must be finite and > 0, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
     series has not settled at |x| = L/2 (for delta >= 1, where L/2 does
     not span many scales (a t)^(1/delta)).
     """
-    check_finite(t=t)
-    if t <= 0.0:
-        raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
+    _check_time(t)
     values = sample_kernel(grid, _sample_symbol(_heat_symbol(params, t), grid.k_half))
     if line:
         m = grid.n // 2
@@ -134,11 +138,9 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
 
 def propagator_cauchy(params: MediumParams, x, t: float):
     """delta = 1 closed form: (1/pi) s / (x^2 + s^2) with s = a_1 t."""
-    check_finite(t=t)
+    _check_time(t)
     if abs(params.delta - 1.0) > 1e-12:
         raise DeltaMismatch(f"closed form requires delta = 1, got {params.delta}")
-    if t <= 0.0:
-        raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
     s = params.a_delta * t
     xa = np.asarray(x, dtype=float)
     vals = (1.0 / math.pi) * s / (xa * xa + s * s)
@@ -154,15 +156,14 @@ def propagator_series(params: MediumParams, x: float, t: float) -> float:
     For delta >= 1 the series diverges and the request is rejected; no
     analytic-continuation heroics.
     """
-    check_finite(x=x, t=t)
+    check_finite(x=x)
+    _check_time(t)
     if not params.delta < 1.0:
         raise DeltaOutOfRange(
             f"propagator series converges only for delta < 1, got {params.delta}"
         )
     if x == 0.0:
         raise OriginSingular("series propagator is defined for x != 0")
-    if t <= 0.0:
-        raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
     ln_xi = math.log(params.a_delta * t) - params.delta * math.log(abs(x))
     return _stable_series(params.delta, 1, 1, 1, ln_xi, -math.log(abs(x)))
 
@@ -178,9 +179,8 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     (for small delta, u^delta decays too slowly for the wider span).
     At x = 0, W = Gamma(1 + 1/delta) (a t)^(-1/delta) / pi in closed form.
     """
-    check_finite(x=x, t=t)
-    if t <= 0.0:
-        raise TimeNonPositive(f"propagator defined for t > 0, got {t}")
+    check_finite(x=x)
+    _check_time(t)
     d = params.delta
     if x == 0.0:
         ln_w = math.lgamma(1.0 + 1.0 / d) - (math.log(params.a_delta) + math.log(t)) / d
@@ -224,13 +224,10 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
     sub-seed spawned from ``seed``, define the stream.
     """
-    check_finite(t=t)
-    if t <= 0.0:
-        raise TimeNonPositive(f"sampling needs t > 0, got {t}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1 samples, got {n}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_time(t)
+    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     delta = params.delta
     scale = (params.a_delta * t) ** (1.0 / delta)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -266,8 +263,7 @@ def tail_cdf_mass(params: MediumParams, x, t: float):
     where the series does not settle at the smallest x, or where the
     rounding of the terms summed there exceeds ABS_TOL.
     """
-    if not 0.0 < t < math.inf:
-        raise TimeNonPositive(f"tail mass defined for finite t > 0, got {t}")
+    _check_time(t)
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 0.0):
         raise ValidationError("tail mass needs x > 0")
@@ -293,8 +289,8 @@ def numeric_cdf(params: MediumParams, t: float, xq, grid: Grid1D | None = None):
     asymptotic, 32 scales (a t)^(1/delta); below 1, one scale, so that no
     term outgrows the first.
     """
-    if not 0.0 < t < math.inf:
-        raise TimeNonPositive(f"CDF defined for finite t > 0, got {t}")
+    _check_time(t)
+    _check_not_nan(xq=xq)
     if grid is None:
         d, dx, n = params.delta, 0.01, 1 << 10
         ln_reach = math.log(params.a_delta * t) / d + (math.log(32.0) if d >= 1.0 else 0.0)
@@ -318,9 +314,11 @@ def ks_distance(samples: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
     """Kolmogorov-Smirnov statistic of samples against their model CDF values.
 
     ``cdf_values_sorted`` must be the model CDF evaluated at the sorted
-    samples.
+    samples, at least one.
     """
-    n = cdf_values_sorted.size
+    n = np.size(cdf_values_sorted)
+    if n == 0:
+        raise ValidationError("ks_distance needs at least one sample")
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     return float(

@@ -49,9 +49,9 @@ import math
 import numpy as np
 
 from .errors import EpsNonPositive, NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, check_finite
-from .grids import ComplexField, Grid1D, RealField, _beside, _by_halves, _sample_symbol, sample_kernel
+from .grids import ComplexField, Grid1D, RealField, _beside, _by_halves, _check_not_nan, _sample_symbol, sample_kernel
 from .params import MediumParams, _dispersion_into, dispersion
-from .quadrature import ABS_TOL, _stable_series, quad_checked
+from .quadrature import ABS_TOL, _stable_series, _weights_at_zero, quad_checked
 
 __all__ = [
     "CauchyState",
@@ -227,7 +227,7 @@ def _ladder_damping(grid: Grid1D) -> np.ndarray:
     """
     eps_min = 20.0 / (math.pi / grid.dx)
     eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
-    weights = [(e_j, math.prod(e_m / (e_m - e_j) for e_m in eps_list if e_m != e_j)) for e_j in eps_list]
+    weights = list(zip(eps_list, _weights_at_zero(eps_list)))
 
     def ladder(k, out, work):
         out.fill(0.0)
@@ -248,8 +248,8 @@ def _kernel_ladder(grid: Grid1D, symbol, dtype=float, scratch=()) -> np.ndarray:
     The damped symbols S(k) e^{-eps_j k} on a geometric eps-ladder are
     combined with the Lagrange weights c_j of polynomial extrapolation to
     eps = 0 before a single synthesis: since synthesis is linear, this is
-    the pointwise Neville extrapolation of the damped kernels, done once on
-    the symbol.  The smallest eps still suppresses the Nyquist symbol:
+    the pointwise extrapolation of the damped kernels, done once on the
+    symbol.  The smallest eps still suppresses the Nyquist symbol:
     eps_min * k_max = 20.  The weighted damping is computed once per grid.
     symbol(k, out, *work) writes S(k) into out, of ``dtype``, with numpy
     only, and may overwrite work arrays of the dtypes ``scratch`` names; the
@@ -437,6 +437,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2)."""
     check_finite(omega=omega)
+    _check_not_nan(k=k)
     _check_damping(eps)
     return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
 

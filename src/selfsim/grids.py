@@ -257,6 +257,13 @@ class Grid1D:
         return RealField(self, np.asarray(fn(self.x), dtype=float))
 
 
+def _check_not_nan(**values) -> None:
+    """Raise ValidationError naming the first argument, scalar or array, holding a NaN."""
+    for name, val in values.items():
+        if np.isnan(val).any():
+            raise ValidationError(f"{name} must not be NaN")
+
+
 def _check_values(grid: Grid1D, values: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != (grid.n,):

@@ -206,6 +206,7 @@ def frac_derivative_spectral(alpha: float, f: RealField) -> RealField:
     alpha = 0 is the identity; integer alpha reproduces ordinary
     derivatives.
     """
+    check_finite(alpha=alpha)
     if alpha < 0.0:
         raise AlphaOutOfRange(f"derivative branch needs alpha >= 0, got {alpha}")
     k = f.grid.k_half

@@ -114,9 +114,10 @@ def _dispersion_integral(delta: float) -> float:
     inner = 0.0
     for m in range(1, _INNER_TERMS + 1):
         inner += (-1.0) ** (m + 1) / (_gamma(2 * m + 1.0) * (2 * m - delta))
-    # QUADPACK's QAWF: its cosine weight makes the tail beyond s = 1 converge
-    cospart = quad_checked(lambda s: s ** (-1.0 - delta), 1.0, np.inf,
-                           abs_tol=ABS_TOL * 0.01, weight="cos", wvar=1.0)
+    p = -1.0 - delta  # int_1^inf cos(s) s^p ds = Re[i e^i int_0^inf e^(-u) (1 + iu)^p du]
+    cospart = quad_checked(
+        lambda u: -math.exp(-u) * (1.0 + u * u) ** (0.5 * p) * math.sin(1.0 + p * math.atan(u)),
+        0.0, np.inf, abs_tol=ABS_TOL * 0.01)
     return inner + 1.0 / delta - cospart
 
 
@@ -125,8 +126,8 @@ def dispersion_quadrature(params: MediumParams, k: float) -> float:
 
     Splits the integrand at s = 1: the inner part is summed exactly
     term by term (the cosine series is corrected against the s^(1-delta)
-    behavior), the outer part combines the exact power tail with an
-    oscillatory cosine-weighted quadrature.
+    behavior), the outer part combines the exact power tail with the cosine
+    tail on the contour s = 1 + iu, where e^(is) decays instead of oscillating.
     """
     check_finite(k=k)
     if k == 0.0:

@@ -17,8 +17,8 @@ reported error is checked against the budget, and QuadratureNoConvergence
 raised when it is over.  ABS_TOL is the absolute tolerance the library's
 routes pass; laplacian_apply_point alone lets its caller set another.
 
-Regularized (eps -> 0+) grid transforms take their Richardson weights on
-the symbol (see ``dynamics``); neville_at_zero extrapolates scalar sweeps.
+Every eps -> 0+ limit takes the Lagrange weights of _weights_at_zero: the
+grid transforms on the symbol (see ``dynamics``), neville_at_zero on sweeps.
 
 The power series of the wave kernels, the propagator and its tail mass are
 all the Bergstroem/Feller expansion of a symmetric stable law (Feller,
@@ -77,14 +77,14 @@ __all__ = [
 ABS_TOL = 1e-9
 
 
-def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
+def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11):
     """scipy quad that raises instead of warning when accuracy is not met.
 
     With full_output, quad returns its message instead of issuing a warning,
     so the process-wide warning filters are left alone; a warning that fn
     itself issues reaches the caller's filters.
     """
-    val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1, **kwargs)[:2]
+    val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=400, full_output=1)[:2]
     if not math.isfinite(val) or err > max(abs_tol, rel_tol * abs(val)) * 50.0:
         raise QuadratureNoConvergence(
             f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
@@ -92,15 +92,14 @@ def quad_checked(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
     return val
 
 
+def _weights_at_zero(xs) -> list[float]:
+    """The Lagrange weights of polynomial interpolation through xs, taken at 0."""
+    return [math.prod(x_m / (x_m - x_j) for x_m in xs if x_m != x_j) for x_j in xs]
+
+
 def neville_at_zero(xs, ys):
-    """Polynomial extrapolation of ys(xs) to 0; ys entries may be arrays."""
-    tab = [np.asarray(y, dtype=float) for y in ys]
-    n = len(tab)
-    for level in range(1, n):
-        for i in range(n - level):
-            x0, x1 = xs[i], xs[i + level]
-            tab[i] = (x1 * tab[i] - x0 * tab[i + 1]) / (x1 - x0)
-    out = tab[0]
+    """Polynomial extrapolation of ys(xs) to 0, sum_j w_j ys_j; ys entries may be arrays."""
+    out = sum(w * np.asarray(y, dtype=float) for w, y in zip(_weights_at_zero(xs), ys))
     return float(out) if out.ndim == 0 else out
 
 

@@ -46,7 +46,7 @@ from .errors import (
     PoleError,
     check_finite,
 )
-from .grids import RealField, apply_symbol
+from .grids import RealField, _check_not_nan, apply_symbol
 from .params import MediumParams, _dispersion_into, factorial_ext
 
 __all__ = [
@@ -80,6 +80,7 @@ def greens_static(params: MediumParams, x):
     Scalar or array x.  For delta < 1 the origin is singular and raises;
     for delta > 1 the response vanishes continuously at x = 0.
     """
+    _check_not_nan(x=x)
     g0 = greens_prefactor(params)
     xa = np.abs(np.asarray(x, dtype=float))
     if np.any(xa == 0.0) and params.delta < 1.0:
@@ -134,6 +135,7 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     if integral and alpha <= -1.0 and int(-alpha) % 2 == 1:
         raise ExcludedAlpha(f"alpha = {alpha:g} lies in the excluded negative-odd set")
     negative_even = integral and alpha <= -2.0
+    _check_not_nan(x=x)
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.isscalar(x) or np.ndim(x) == 0
     if eps < 0.0 or not math.isfinite(eps):
@@ -182,6 +184,7 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
         raise AlphaOutOfRange(f"n must be an integer, got {n!r}")
     if n < -1:
         raise AlphaOutOfRange(f"powers below -1 are not defined, got n = {n}")
+    _check_not_nan(x=x)
     xa = np.asarray(x, dtype=float)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     if n == -1:

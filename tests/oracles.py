@@ -33,12 +33,15 @@ from scipy.special import erfc, gamma, hyp1f1, wofz
 
 
 def _neville0(xs, ys):
-    tab = [float(y) for y in ys]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
+    """Neville's tableau of ys(xs) at 0; ys entries may be arrays."""
+    tab = [np.asarray(y, dtype=float) for y in ys]
+    n = len(tab)
+    for level in range(1, n):
+        for i in range(n - level):
             x0, x1 = xs[i], xs[i + level]
             tab[i] = (x1 * tab[i] - x0 * tab[i + 1]) / (x1 - x0)
-    return tab[0]
+    out = tab[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _quiet_quad(fn, a, b, **kw):
@@ -154,13 +157,12 @@ def kernel_ladder_xspace(grid, symbol_half):
     real and imaginary parts are extrapolated separately.
     """
     from selfsim.grids import sample_kernel
-    from selfsim.quadrature import neville_at_zero
 
     eps_list = _ladder_eps(grid)
     fields = [sample_kernel(grid, symbol_half * np.exp(-e * grid.k_half)) for e in eps_list]
-    out = neville_at_zero(eps_list, [f.real for f in fields])
+    out = _neville0(eps_list, [f.real for f in fields])
     if np.iscomplexobj(symbol_half):
-        out = out + 1j * neville_at_zero(eps_list, [f.imag for f in fields])
+        out = out + 1j * _neville0(eps_list, [f.imag for f in fields])
     return out
 
 
@@ -257,13 +259,13 @@ def outcome(call, message=True):
         return f"{type(exc).__name__}: {exc}" if message else type(exc).__name__
 
 
-def quad_checked_reference(fn, a, b, abs_tol, rel_tol=1e-11, limit=400):
-    """quad_checked with quad's warnings silenced by a filter."""
+def quad_checked_reference(fn, a, b, abs_tol, rel_tol=1e-11, limit=400, **kwargs):
+    """quad_checked with quad's warnings silenced by a filter; kwargs go to quad."""
     from selfsim import QuadratureNoConvergence
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+        val, err = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit, **kwargs)
     if not math.isfinite(val) or err > max(abs_tol, rel_tol * abs(val)) * 50.0:
         raise QuadratureNoConvergence(
             f"quadrature on [{a:g}, {b:g}] reported error {err:g} (budget {abs_tol:g})"
@@ -275,7 +277,7 @@ def singular_integral_reference(g, shift, taylor, delta, abs_tol, scale):
     """singular_integral as it was with one QUADPACK call on its inner
     region [1e-3, 1]: QAGP, started on the segments between the breakpoints
     2^j 1e-3."""
-    from selfsim.quadrature import oscillatory_tail, quad_checked
+    from selfsim.quadrature import oscillatory_tail
 
     _DISC = 1e-3
     _POINTS = tuple(_DISC * 2.0**j for j in range(1, 10))
@@ -284,8 +286,8 @@ def singular_integral_reference(g, shift, taylor, delta, abs_tol, scale):
     inner = -0.0  # the exact additive identity: inner is bit for bit the first term
     for c, p in taylor:
         inner += c * _DISC ** (p - delta) / (p - delta)
-    inner += quad_checked(lambda u: (g(u) + shift) * u**power, _DISC, 1.0,
-                          abs_tol=tol * 0.4, limit=200, points=_POINTS)
+    inner += quad_checked_reference(lambda u: (g(u) + shift) * u**power, _DISC, 1.0,
+                                    abs_tol=tol * 0.4, limit=200, points=_POINTS)
     outer = shift / delta + oscillatory_tail(g, power, 1.0, abs_tol=tol * 0.4)
     return scale * (inner + outer)
 

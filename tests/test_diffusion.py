@@ -413,6 +413,13 @@ class TestSampler:
             want = math.exp(-p.a_delta * k**delta * t)
             assert abs(ecf - want) < 4.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), (True, 1), (np.float64(3.0), 1), (3, True), (3, 2.0)],
+                             ids=["n-float", "n-bool", "n-numpy-float", "seed-bool", "seed-float"])
+    def test_counts_must_be_integers(self, params_half, n, seed):
+        # a float count reached numpy (TypeError), and seed=True was taken as seed 1
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sample_levy(params_half, 1.0, n, seed)
+
     def test_validation(self, params_half):
         with pytest.raises(TimeNonPositive):
             sample_levy(params_half, 0.0, 10, 1)
@@ -533,6 +540,10 @@ class TestNumericCdf:
         with pytest.raises(error):
             call(params_half)
         assert fft_calls == []
+
+    def test_ks_distance_needs_a_sample(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            ks_distance(np.array([]), np.array([]))
 
     def test_ks_distance_of_exact_uniform(self):
         u = (np.arange(1, 101) - 0.5) / 100.0
@@ -670,3 +681,26 @@ class TestContinuity:
         rho = small_grid.sample(lambda x: np.full_like(x, 0.3))
         resid = continuity_residual(params_half, rho)
         assert np.max(np.abs(resid.values)) < 1e-10
+
+
+# the seven routes defined for t > 0 only, each with t as its one bad argument
+_POSITIVE_TIME_ROUTES = [
+    pytest.param(lambda p, t: propagator(p, Grid1D.centered(64, 0.1), t), id="propagator"),
+    pytest.param(lambda p, t: propagator_cauchy(make_params(1.0, 1.0, 1.0), 1.0, t), id="propagator_cauchy"),
+    pytest.param(lambda p, t: propagator_series(p, 1.0, t), id="propagator_series"),
+    pytest.param(lambda p, t: propagator_quadrature(p, 1.0, t), id="propagator_quadrature"),
+    pytest.param(lambda p, t: sample_levy(p, t, 10, 1), id="sample_levy"),
+    pytest.param(lambda p, t: tail_cdf_mass(p, 5.0, t), id="tail_cdf_mass"),
+    pytest.param(lambda p, t: numeric_cdf(p, t, 1.0), id="numeric_cdf"),
+]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("call", _POSITIVE_TIME_ROUTES)
+def test_positive_time_routes_share_one_rule(params_half, fft_calls, call, t):
+    # every t outside (0, inf) is TimeNonPositive, that class exactly, before
+    # any transform; t = nan gave a bare ValidationError on five of them
+    with pytest.raises(TimeNonPositive, match="t must be finite and > 0") as info:
+        call(params_half, t)
+    assert type(info.value) is TimeNonPositive
+    assert fft_calls == []

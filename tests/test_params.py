@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from selfsim import (
     DeltaOutOfRange,
@@ -117,3 +118,10 @@ class TestDispersionQuadrature:
         p = make_params(delta, 1.0, 1.0)
         assert dispersion_quadrature(p, k) == pytest.approx(dispersion(p, k), rel=1e-6)
 
+    @given(delta=st.floats(0.05, 1.95), k=st.floats(0.1, 10.0))
+    @example(delta=0.798024012006003, k=6.1)
+    def test_matches_closed_form_on_band(self, delta, k):
+        # the cosine tail on the contour s = 1 + iu; QUADPACK's cosine weight
+        # on the real axis was 2.35e-14 off at the example
+        p = make_params(delta, 1.0, 1.0)
+        assert dispersion_quadrature(p, k) == pytest.approx(dispersion(p, k), rel=2e-14, abs=0.0)

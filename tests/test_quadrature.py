@@ -19,8 +19,8 @@ from selfsim import (
     make_params,
 )
 from selfsim import quadrature
-from selfsim.diffusion import (diffuse, propagator, propagator_cauchy, propagator_quadrature, propagator_series,
-                               sample_levy)
+from selfsim.diffusion import (diffuse, numeric_cdf, propagator, propagator_cauchy, propagator_quadrature,
+                               propagator_series, sample_levy, tail_cdf_mass)
 from selfsim.dynamics import (
     CauchyState,
     cauchy_evolve,
@@ -34,11 +34,11 @@ from selfsim.dynamics import (
     wave_kernel_series,
     wave_kernel_spectral,
 )
-from selfsim.operator import frac_kernel_y, weyl_marchaud
-from selfsim.quadrature import quad_checked
-from selfsim.statics import riesz_tail_integral
+from selfsim.operator import frac_derivative_spectral, frac_kernel_y, weyl_marchaud
+from selfsim.quadrature import neville_at_zero, quad_checked
+from selfsim.statics import greens_static, laplacian_power_kernel, riesz_kernel, riesz_tail_integral
 
-from oracles import quad_checked_reference
+from oracles import _neville0, quad_checked_reference
 
 
 class TestQuadChecked:
@@ -56,7 +56,7 @@ class TestQuadChecked:
 
         quad_checked(f, 0.0, 1.0, 1e-9)
         with pytest.raises(QuadratureNoConvergence):
-            quad_checked(lambda u: f(200.0 * u), 0.0, 10.0, 1e-12, limit=3)
+            quad_checked(lambda u: f(1e4 * u), 0.0, 100.0, 1e-12)
         dispersion_quadrature(make_params(0.7, 1.0, 1.0), 2.0)
         assert all(seen)
         assert warnings.filters is before
@@ -69,7 +69,7 @@ class TestQuadChecked:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureNoConvergence, match="reported error"):
-                quad_checked(lambda u: math.cos(200.0 * u), 0.0, 10.0, 1e-12, limit=3)
+                quad_checked(lambda u: math.cos(1e4 * u), 0.0, 100.0, 1e-12)
 
     @pytest.mark.parametrize("fn,a,b", [(math.cos, 0.0, 1.0), (lambda u: u**-0.5, 1e-3, 1.0),
                                         (lambda u: math.exp(-u * u), 0.0, math.inf),
@@ -109,6 +109,25 @@ def quad_evals(monkeypatch):
 
     monkeypatch.setattr(quadrature, "quad", counting)
     return evals
+
+
+class TestNevilleAtZero:
+    def test_weights_match_neville_tableau(self):
+        # Sum_j w_j y_j with the Lagrange weights at 0 is the polynomial that
+        # Neville's tableau extrapolates, on geometric ladders of 2 to 7
+        # levels with the ratios the library's sweeps use (1/4 to 0.7)
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            levels, x0, ratio = int(rng.integers(2, 8)), rng.uniform(0.05, 0.5), rng.uniform(0.25, 0.7)
+            xs = [x0 * ratio**j for j in range(levels)]
+            a, b = rng.uniform(-2.0, 2.0, (2, 50))
+            ys = [np.exp(a * x) * np.cos(b * x) + 0.1 for x in xs]
+            got, want = neville_at_zero(xs, ys), _neville0(xs, ys)
+            assert got.shape == (50,)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            got, want = neville_at_zero(xs, [y[0] for y in ys]), _neville0(xs, [y[0] for y in ys])
+            assert type(got) is float
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestImageSeries:
@@ -212,8 +231,9 @@ class TestQuadCallCounts:
         assert quad_calls == []
 
     def test_dispersion_quadrature_makes_one_call(self, quad_calls):
+        # the cosine tail on the contour s = 1 + iu, u from 0 to inf, with no weight function
         assert np.isfinite(dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0))
-        assert [(a, b, kwargs["weight"]) for a, b, kwargs in quad_calls] == [(1.0, math.inf, "cos")]
+        assert [(a, b, "weight" in kwargs) for a, b, kwargs in quad_calls] == [(0.0, math.inf, False)]
 
 
 def _pointwise(route, arg):
@@ -239,6 +259,7 @@ _GRID_ROUTES = [
                  id="wave_kernel_dt_spectral-t"),
     pytest.param(lambda p, bad: helmholtz_green(p, _GRID, bad, 0.1), "omega", id="helmholtz_green-omega"),
     pytest.param(lambda p, bad: helmholtz_symbol(p, 1.0, bad, 0.1), "omega", id="helmholtz_symbol-omega"),
+    pytest.param(lambda p, bad: frac_derivative_spectral(bad, _FIELD), "alpha", id="frac_derivative_spectral-alpha"),
 ]
 # the scalar routes, each with one scalar argument as the bad value
 _SCALAR_ROUTES = [
@@ -271,20 +292,49 @@ def test_pointwise_routes_refuse_non_finite_arguments(quad_calls, fft_calls, cal
     assert fft_calls == []
 
 
+_NAN_ROUTES = [
+    pytest.param(lambda p, x: numeric_cdf(p, 1.0, x), "xq", id="numeric_cdf"),
+    pytest.param(lambda p, x: tail_cdf_mass(p, x, 1.0), "x", id="tail_cdf_mass"),
+    pytest.param(lambda p, x: greens_static(p, x), "x", id="greens_static"),
+    pytest.param(lambda p, x: riesz_kernel(0.5, x), "x", id="riesz_kernel"),
+    pytest.param(lambda p, x: laplacian_power_kernel(p, 2, x), "x", id="laplacian_power_kernel"),
+    pytest.param(lambda p, x: laplacian_power_kernel(p, 0, x), "x", id="laplacian_power_kernel-0"),
+    pytest.param(lambda p, x: helmholtz_symbol(p, x, 1.0, 0.1), "k", id="helmholtz_symbol"),
+]
+
+
+@pytest.mark.parametrize("points", [math.nan, np.array([2.0, math.nan, 3.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize("call, arg", _NAN_ROUTES)
+def test_array_routes_refuse_nan_points(quad_calls, fft_calls, call, arg, points):
+    # a NaN point is refused by name before any work, and without a
+    # warning; it answered nan, raised NumericError or warned before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"\b{arg}\b"):
+            call(make_params(0.5, 1.0, 1.0), points)
+    assert quad_calls == []
+    assert fft_calls == []
+
+
+def test_cdf_keeps_its_infinite_limits():
+    # only NaN points are refused: the CDF is 0 and 1 at -inf and +inf
+    assert list(numeric_cdf(make_params(0.5, 1.0, 1.0), 1.0, np.array([-math.inf, math.inf]))) == [0.0, 1.0]
+
+
 def test_dispersion_refusal_goes_through_quad_checked(monkeypatch):
     # a quad that reports an error far over the budget is refused by
     # quad_checked's one rule, with its message
     monkeypatch.setattr(quadrature, "quad", lambda fn, a, b, **kwargs: (0.5, 1.0, {}))
-    with pytest.raises(QuadratureNoConvergence, match=r"quadrature on \[1, inf\] reported error 1 "):
+    with pytest.raises(QuadratureNoConvergence, match=r"quadrature on \[0, inf\] reported error 1 "):
         dispersion_quadrature(make_params(0.5, 1.0, 1.0), 1.0)
 
 
 def test_only_quadrature_binds_scipy_quad():
-    # every library QUADPACK call goes through quad_checked; the selftest
-    # keeps its own oracle, independent of the library's engines
+    # every library QUADPACK call goes through quad_checked, the selftest's
+    # rotated-contour oracle too
     binders = []
     for info in pkgutil.iter_modules(selfsim.__path__):
         module = importlib.import_module(f"selfsim.{info.name}")
         if any(value is scipy.integrate.quad for value in vars(module).values()):
             binders.append(info.name)
-    assert binders == ["quadrature", "selftest"]
+    assert binders == ["quadrature"]
