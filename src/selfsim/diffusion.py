@@ -139,6 +139,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
 def propagator_cauchy(params: MediumParams, x, t: float):
     """delta = 1 closed form: (1/pi) s / (x^2 + s^2) with s = a_1 t."""
     _check_time(t)
+    _check_not_nan(x=x)
     if abs(params.delta - 1.0) > 1e-12:
         raise DeltaMismatch(f"closed form requires delta = 1, got {params.delta}")
     s = params.a_delta * t
@@ -313,12 +314,19 @@ def numeric_cdf(params: MediumParams, t: float, xq, grid: Grid1D | None = None):
 def ks_distance(samples: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
     """Kolmogorov-Smirnov statistic of samples against their model CDF values.
 
-    ``cdf_values_sorted`` must be the model CDF evaluated at the sorted
-    samples, at least one.
+    ``samples`` must be in ascending order, at least one, and
+    ``cdf_values_sorted`` the model CDF evaluated at them, one value per
+    sample; ValidationError otherwise.
     """
     n = np.size(cdf_values_sorted)
     if n == 0:
         raise ValidationError("ks_distance needs at least one sample")
+    samples = np.asarray(samples)
+    if samples.shape != (n,):
+        raise ValidationError(f"ks_distance needs one CDF value per sample, got {samples.size} samples "
+                              f"and {n} values")
+    if np.any(samples[1:] < samples[:-1]):
+        raise ValidationError("ks_distance needs the samples in ascending order")
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     return float(

@@ -4,8 +4,8 @@ Two recurring difficulties, one Gauss-Kronrod marcher (_march) for both:
 
 * power-law singularity at 0           -> Taylor disc + 21-point panels on
                                           geometric segments,
-* bounded tails g(u) u^power to inf    -> the same panels under a smooth
-                                          window that doubles until two
+* bounded tails g(u) u^power to inf,   -> the same panels under a smooth
+  power < -1                              window that doubles until two
                                           windowed sums agree.
 
 singular_integral joins the two into the pointwise form of the power-kernel
@@ -134,7 +134,6 @@ _WINDOW_AT_U = 0.5 * math.erfc(-0.5 * _STEEPNESS)
 _WINDOW_AT_2U = 0.5 * math.erfc(0.5 * _STEEPNESS)
 _MAX_WINDOW = 2.0**16      # largest U, in units of start
 _GROWTH = 1.25             # largest rise of max|g| on [U, 2U] over [start, U]
-_MEAN_FLOOR = 1e-8         # windowed means below this share of max|g| are zero
 _MIN_PANEL = 1e-10         # narrowest panel, relative to its end
 
 
@@ -183,7 +182,7 @@ def _march(g, shift, power, a, end, h, abs_tol, jumped, nodes, values, halves):
 
 
 def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
-    """int_start^inf g(u) u^power du by a smoothly windowed sum.
+    """int_start^inf g(u) u^power du, power < -1, by a smoothly windowed sum.
 
     g is bounded: a constant, plus an oscillation about zero with any number
     of carriers, plus a part that decays.  With a cutoff chi equal to 1 up
@@ -195,27 +194,30 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     integral faster than any power of k U for every carrier k (the windowed
     Green function idea: Monro, Caltech thesis 2007; Bruno, Lyon,
     Perez-Arancibia and Turc, SIAM J. Appl. Math. 76, 2016).  m is the mean
-    of g on (U, 2U) under the bump chi (1 - chi), and its tail is integrated
-    in closed form, so a constant part of g (1 + cos u) is exact too.
+    of g on (U, 2U) under the bump chi (1 - chi), and its tail, m U^q / -q
+    with q = power + 1, is integrated in closed form, so a constant part of
+    g (1 + cos u) is exact too.
 
     _march's panels go out from start, each g value computed once: panels
     below U fold into a running sum, so each doubling of U, from 4 start
     up, costs only the new span.  The value is accepted when two windowed
     sums in turn agree to abs_tol.  Refused with QuadratureNoConvergence:
 
-    * power >= 0, where the integral of the weight itself diverges
-      (cos(3u)/log(1 + u) from 1 is one such integral that converges);
+    * power >= -1, before g is evaluated: the weight is not integrable at
+      infinity (the operator's u^(-1-delta), 0 < delta < 2, always is);
     * max|g| on [U, 2U] above 1.25 times max|g| on [start, U] when the sums
-      agree: the windowed sum of a growing g is an Abel value, also when the
-      integral diverges (u^1/2 cos 3u against u^-1/2).  The reference is
-      all of [start, U], not [U/2, U], because the beat of two close
-      carriers can leave one window's maximum 1.35 times the last one's;
-    * for power >= -1, a windowed mean above both 1e-8 max|g| and
-      abs_tol / int_U^2U u^power, whose integral diverges;
+      agree, unless that maximum times int_U^inf u^power, the most a g
+      bounded by it adds beyond U, is within abs_tol: the windowed sum of a
+      growing g is an Abel value, also when the integral diverges (u^2 cos 3u
+      against u^-1.5), while a g that is rounding noise (at a zero of the
+      operator's f) may rise and still be answered.  The reference is all of
+      [start, U], not [U/2, U], because the beat of two close carriers can
+      leave one window's maximum 1.35 times the last one's;
     * a non-finite g value, or a second jump of g in one doubling of U,
       where g jumps again or abs_tol is below the rounding of g;
     * U beyond 2^16 start without agreement ("did not settle"), as for a g
-      that tends to its limit only like a power of u (2 + 1/u).
+      that tends to its limit only like a small power of 1/u ((1 + u^2)^-1/4
+      against u^-1.5).
 
     The first jump of a doubling is accepted, at a cost of about |jump|
     times its panel's width.  g should still be smooth: a jump between a
@@ -224,13 +226,10 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     """
     if not start > 0.0:
         raise ValidationError(f"tail start must be > 0, got {start!r}")
-    if power >= 0.0:
-        raise QuadratureNoConvergence(f"tail weight u^{power:g} is not integrable: the integral diverges")
+    if not power < -1.0:
+        raise QuadratureNoConvergence(
+            f"tail weight u^{power:g} is not integrable at infinity: the windowed tail takes power < -1")
     q = power + 1.0
-
-    def weight_integral(a, b):
-        return math.log(b / a) if q == 0.0 else (b**q - a**q) / q
-
     nodes, values, halves = [], [], []  # halves: one half-width per panel
     folded = 0.0
     big = 4.0 * start
@@ -254,22 +253,12 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
         bump = w * chi * (1.0 - chi)
         m = float(np.dot(bump, gv) / np.sum(bump))
         peak = float(np.max(np.abs(gv)))
-        diverging = (q >= 0.0 and abs(m) > _MEAN_FLOOR * peak
-                     and abs(m) * weight_integral(big, 2.0 * big) > abs_tol)
-        # the mean's tail beyond U in closed form; where that diverges, a
-        # mean above the floor is left out, so that the rest settles and is refused
-        mean = m if q < 0.0 or diverging else 0.0
-        value = folded + float(np.dot(w * chi, (gv - mean) * up))
-        value -= mean * big**q / q if q < 0.0 else mean * weight_integral(start, big)
+        value = folded + float(np.dot(w * chi, (gv - m) * up)) - m * big**q / q
         if prev is not None and abs(value - prev) <= abs_tol:
-            if peak > _GROWTH * seen:
+            if peak > _GROWTH * seen and peak * big**q / -q > abs_tol:
                 raise QuadratureNoConvergence(
                     f"tail factor g from {start:g} grows (max {peak:g} on [{big:g}, {2 * big:g}], "
                     f"{seen:g} before): the windowed sum may be the Abel value of a divergent integral"
-                )
-            if diverging:
-                raise QuadratureNoConvergence(
-                    f"tail integrand from {start:g} has mean {m:g} against u^{power:g}: the integral diverges"
                 )
             return value
         prev, seen = value, max(seen, peak)

@@ -43,3 +43,17 @@ def test_full_selftest_command_exits_zero(tmp_path, capsys):
     assert [len(row) for row in rows] == [3] * len(CASES)
     assert [f"{'PASS' if status == 'pass' else 'FAIL'} {case} {c.title}: {detail}"
             for (case, status, detail), c in zip(rows, CASES)] == lines
+
+
+def test_ac04_runs_without_the_eps_ladder(monkeypatch):
+    # AC04 checks the kernels at t = 0 through cauchy_evolve, whose exact
+    # rotation holds Q(., 0) = 0 and dQ/dt(., 0) = delta at once; the
+    # eps-ladder syntheses are not called
+    from selfsim import dynamics
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("AC04 synthesized a kernel on the eps-ladder")
+
+    monkeypatch.setattr(dynamics, "_kernel_ladder", refuse)
+    case = next(c for c in CASES if c.case_id == "AC04")
+    assert case.fn().startswith("evolution by t=0 returns (u, v) to ")

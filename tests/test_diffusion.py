@@ -545,6 +545,19 @@ class TestNumericCdf:
         with pytest.raises(ValidationError, match="at least one sample"):
             ks_distance(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("samples,cdf,match", [
+        (np.array([5.0, 1.0, 3.0]), np.array([0.5]), "one CDF value per sample"),
+        (np.array([1.0]), np.array([0.2, 0.5]), "one CDF value per sample"),
+        (np.array([[1.0, 2.0]]), np.array([0.2, 0.5]), "one CDF value per sample"),
+        (np.array([5.0, 1.0, 3.0]), np.array([0.1, 0.5, 0.9]), "ascending"),
+    ], ids=["fewer_values", "more_values", "not_flat", "unsorted"])
+    def test_ks_distance_reads_its_samples(self, samples, cdf, match):
+        with pytest.raises(ValidationError, match=match):
+            ks_distance(samples, cdf)
+
+    def test_ks_distance_leaves_the_cdf_order_to_the_model(self):
+        assert ks_distance(np.array([1.0, 3.0, 5.0]), np.array([0.9, 0.1, 0.5])) == pytest.approx(0.9)
+
     def test_ks_distance_of_exact_uniform(self):
         u = (np.arange(1, 101) - 0.5) / 100.0
         assert ks_distance(u, u) == pytest.approx(0.005, abs=1e-12)

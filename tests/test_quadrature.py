@@ -300,6 +300,7 @@ _NAN_ROUTES = [
     pytest.param(lambda p, x: laplacian_power_kernel(p, 2, x), "x", id="laplacian_power_kernel"),
     pytest.param(lambda p, x: laplacian_power_kernel(p, 0, x), "x", id="laplacian_power_kernel-0"),
     pytest.param(lambda p, x: helmholtz_symbol(p, x, 1.0, 0.1), "k", id="helmholtz_symbol"),
+    pytest.param(lambda p, x: propagator_cauchy(make_params(1.0, 1.0, 1.0), x, 1.0), "x", id="propagator_cauchy"),
 ]
 
 
