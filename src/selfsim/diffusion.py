@@ -99,7 +99,7 @@ class SampleBatch:
 
 
 def _heat_symbol(params: MediumParams, t: float):
-    """symbol(k, out) writing e^{-omega^2(k) t} into out (see grids.apply_symbol)."""
+    """symbol(k, out) writing e^{-omega^2(k) t} into out (see grids._sample_symbol)."""
     a, delta = params.a_delta, params.delta
 
     def symbol(k, out):
@@ -214,7 +214,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     check_finite(t=t)
     if t < 0.0:
         raise NegativeTime(f"diffusion is irreversible; got t = {t}")
-    return apply_symbol(rho0, _heat_symbol(params, t))
+    return apply_symbol(rho0, _sample_symbol(_heat_symbol(params, t), rho0.grid.k_half))
 
 
 def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatch:

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import EpsNonPositive, NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, check_finite
-from .grids import ComplexField, Grid1D, RealField, _beside, _by_halves, _check_not_nan, _sample_symbol, sample_kernel
+from .grids import ComplexField, Grid1D, RealField, _check_not_nan, _sample_symbol, sample_kernel
 from .params import MediumParams, _dispersion_into, dispersion
 from .quadrature import ABS_TOL, _stable_series, _weights_at_zero, quad_checked
 
@@ -118,7 +118,7 @@ class CauchyState:
 
 
 def _omega_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) -> None:
-    """out = omega(k) = sqrt(omega^2(k)), with numpy only."""
+    """out = omega(k) = sqrt(omega^2(k))."""
     _dispersion_into(a_delta, delta, k, out)
     np.sqrt(out, out=out)
 
@@ -133,19 +133,6 @@ def _sin_over(w: np.ndarray, sw: np.ndarray, t: float, out: np.ndarray) -> np.nd
     return out
 
 
-def _rotate(t: float, w, cw, sw, uh, vh, uh2, vh2, ratio, product) -> None:
-    """cauchy_evolve's rotation of (uh, vh) into (uh2, vh2), elementwise;
-    w and the work arrays ratio and product are overwritten."""
-    np.multiply(cw, uh, out=uh2)
-    np.multiply(_sin_over(w, sw, t, ratio), vh, out=product)
-    uh2 += product
-    np.negative(w, out=w)
-    w *= sw
-    np.multiply(w, uh, out=vh2)
-    np.multiply(cw, vh, out=product)
-    vh2 += product
-
-
 def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyState:
     """Propagate (u, v) by time t: exact spectral rotation, reversible.
 
@@ -153,25 +140,23 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     mode uses the analytic limit u + t v.  Energy is conserved to rounding
     and evolving by t then -t returns the input state.  The result holds
     the rotated spectra: evolving it again, or taking its energy, needs no
-    transform.  The frequencies and their cos and sin are computed beside
-    the spectra of u and v, and the rotation by halves (grids._beside).
+    transform.
     """
     check_finite(t=t)
     g = state._grid
-    k = g.k_half
-    w, cw, sw = np.empty_like(k), np.empty_like(k), np.empty_like(k)
-    a, delta = params.a_delta, params.delta
-
-    def frequencies():
-        _omega_into(a, delta, k, w)
-        np.multiply(w, t, out=cw)
-        np.sin(cw, out=sw)
-        np.cos(cw, out=cw)
-
-    uh, vh = _beside(frequencies, lambda: (state._u_spectrum(), state._v_spectrum()), k.size)
-    del k
-    uh2, vh2, product = np.empty_like(uh), np.empty_like(vh), np.empty_like(uh)
-    _by_halves(functools.partial(_rotate, t), w, cw, sw, uh, vh, uh2, vh2, np.empty_like(w), product)
+    w = _sample_symbol(functools.partial(_omega_into, params.a_delta, params.delta), g.k_half)
+    cw = np.multiply(w, t)
+    sw = np.sin(cw)
+    np.cos(cw, out=cw)
+    uh, vh = state._u_spectrum(), state._v_spectrum()
+    uh2 = cw * uh
+    product = _sin_over(w, sw, t, np.empty_like(w)) * vh
+    uh2 += product
+    np.negative(w, out=w)
+    w *= sw
+    vh2 = w * uh
+    np.multiply(cw, vh, out=product)
+    vh2 += product
     return CauchyState._from_spectra(g, uh2, vh2)
 
 
@@ -184,36 +169,20 @@ def energy(params: MediumParams, state: CauchyState) -> float:
     Nyquist index.  The kinetic part is taken from v in the form the state
     holds: the x-space sum of v^2 for a state built from fields, and
     (1/n) sum_k w_k |v_k|^2, in the same sum, for one that holds spectra.
-    Neither needs a transform beyond the kept spectrum of u.  omega^2 is
-    computed beside that transform, and the power terms by halves
-    (grids._beside); every sum is taken whole.
+    Neither needs a transform beyond the kept spectrum of u.
     """
     g = state._grid
-    k = g.k_half
-    omega2 = np.empty_like(k)
-    a, delta = params.a_delta, params.delta
-    uh = _beside(lambda: _dispersion_into(a, delta, k, omega2), state._u_spectrum, k.size)
-    del k
-    power, work = np.empty_like(omega2), np.empty_like(omega2)
+    power = _sample_symbol(functools.partial(_dispersion_into, params.a_delta, params.delta), g.k_half)
+    uh = state._u_spectrum()
+    power *= np.square(uh.real) + np.square(uh.imag)
     if state._vh is None:
         kinetic = np.sum(state._v.values**2)
-        _by_halves(_spectral_power, uh, omega2, power, work)
     else:
         kinetic = 0.0
-        _by_halves(_spectral_power, uh, omega2, power, work, state._vh)
+        power += np.square(state._vh.real)
+        power += np.square(state._vh.imag)
     power[1:(g.n + 1) // 2] *= 2.0
     return float(0.5 * g.dx * (kinetic + np.sum(power) / g.n))
-
-
-def _spectral_power(uh, omega2, power, work, vh=None) -> None:
-    """power = omega^2 |u_k|^2, plus |v_k|^2 where vh is given, elementwise;
-    work is overwritten."""
-    np.square(uh.real, out=power)
-    power += np.square(uh.imag, out=work)
-    power *= omega2
-    if vh is not None:
-        power += np.square(vh.real, out=work)
-        power += np.square(vh.imag, out=work)
 
 
 # --------------------------------------------------------------- FFT kernels
@@ -251,17 +220,13 @@ def _kernel_ladder(grid: Grid1D, symbol, dtype=float, scratch=()) -> np.ndarray:
     the pointwise extrapolation of the damped kernels, done once on the
     symbol.  The smallest eps still suppresses the Nyquist symbol:
     eps_min * k_max = 20.  The weighted damping is computed once per grid.
-    symbol(k, out, *work) writes S(k) into out, of ``dtype``, with numpy
-    only, and may overwrite work arrays of the dtypes ``scratch`` names; the
-    damped symbol is evaluated by halves (grids._sample_symbol).
+    symbol(k, out, *work) writes S(k) into out, of ``dtype``, and may
+    overwrite work arrays of the dtypes ``scratch`` names
+    (grids._sample_symbol).
     """
-
-    def damped(k, damping, out, *work):
-        symbol(k, out, *work)
-        out *= damping
-
-    return sample_kernel(grid, _sample_symbol(damped, grid.k_half, _ladder_damping(grid),
-                                              dtype=dtype, scratch=scratch))
+    damped = _sample_symbol(symbol, grid.k_half, dtype=dtype, scratch=scratch)
+    damped *= _ladder_damping(grid)
+    return sample_kernel(grid, damped)
 
 
 def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:

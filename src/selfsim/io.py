@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, _shortest, grids
+from . import __version__, _shortest
 from .errors import IoError
 
 __all__ = [
@@ -133,12 +133,20 @@ def _write_rows(fh, columns, lo: int, hi: int) -> None:
         fh.write(_shortest.csv_bytes([column[block] for column in columns]))
 
 
+def _cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _row_ranges(n_rows: int, n_columns: int) -> list[tuple[int, int]]:
     """Contiguous, block-aligned row ranges, one per process: one per core,
     at most one per full block and per started 2^17 cells, and one where
     the platform cannot fork.  The last range takes the rows after the
     last full block."""
-    cores = grids._cores() if hasattr(os, "fork") else 1
+    cores = _cores() if hasattr(os, "fork") else 1
     n_blocks = n_rows // _CSV_BLOCK_ROWS
     ranges = max(1, min(cores, n_blocks, -(-n_rows * n_columns // _CSV_CELLS_PER_WORKER)))
     bounds = [i * n_blocks // ranges * _CSV_BLOCK_ROWS for i in range(ranges)] + [n_rows]
@@ -154,10 +162,9 @@ def _fork_range(columns, lo: int, hi: int, part: str):
     read, write = os.pipe()
     try:
         # Python >= 3.12 warns when a process with threads forks: the child
-        # could inherit a lock another thread held.  No selfsim thread
-        # outlives a spectral call (grids joins its helper before the call
-        # returns), so none runs here; a numpy process's threads are BLAS
-        # workers, which OpenBLAS stops first.
+        # could inherit a lock another thread held.  selfsim starts no
+        # thread, so none of its own runs here; a numpy process's threads
+        # are BLAS workers, which OpenBLAS stops first.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=DeprecationWarning,
                                     message=r"This process .* is multi-threaded, use of fork\(\)")

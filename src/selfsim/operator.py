@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError,
                      check_finite)
-from .grids import RealField, apply_symbol
+from .grids import RealField, _sample_symbol, apply_symbol
 from .params import MediumParams, _dispersion_into, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
 
@@ -94,7 +94,7 @@ def laplacian_apply_spectral(params: MediumParams, f: RealField) -> RealField:
         _dispersion_into(a, delta, k, out)
         np.negative(out, out=out)
 
-    return apply_symbol(f, symbol)
+    return apply_symbol(f, _sample_symbol(symbol, f.grid.k_half))
 
 
 def weyl_marchaud(delta: float, f, x: float, side: str) -> float:

@@ -98,8 +98,8 @@ def dispersion(params: MediumParams, k):
 
 
 def _dispersion_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) -> None:
-    """out = a_delta |k|^delta, the same values as ``dispersion``, with
-    numpy only and no array beyond out (a symbol on the helper thread)."""
+    """out = a_delta |k|^delta, the same values as ``dispersion``, in
+    place: no array beyond out."""
     np.abs(k, out=out)
     out **= delta
     out *= a_delta

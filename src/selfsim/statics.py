@@ -46,7 +46,7 @@ from .errors import (
     PoleError,
     check_finite,
 )
-from .grids import RealField, _check_not_nan, apply_symbol
+from .grids import RealField, _check_not_nan, _sample_symbol, apply_symbol
 from .params import MediumParams, _dispersion_into, factorial_ext
 
 __all__ = [
@@ -114,7 +114,7 @@ def poisson_solve(params: MediumParams, force: RealField, project: bool = False)
         if k[0] == 0.0:  # the zero-mean gauge: k = 0 is only ever the first wavenumber
             out[0] = 0.0
 
-    return apply_symbol(force, inverse)
+    return apply_symbol(force, _sample_symbol(inverse, g.k_half))
 
 
 def riesz_kernel(alpha: float, x, eps: float = 0.0):

@@ -299,6 +299,14 @@ class TestQuadratureRay:
         with pytest.raises(NumericError, match="beyond float range"):
             propagator_quadrature(p, 0.0, 1e-18 / p.a_delta)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: below delta = 1/2, inside the scale "
+                                           "(a t)^(1/delta), the quadrature returns 1.8e-12 where W is 1.44e-6")
+    def test_inside_the_scale_below_one_half(self):
+        # W(0, 70) = Gamma(1 + 1/delta) / (pi (a t)^(1/delta)) = 1.43982e-6 in closed form
+        p = make_params(0.45, 1.0, 1.0)
+        want = propagator_direct(0.45, 0.15, 70.0, p.a_delta)
+        assert propagator_quadrature(p, 0.15, 70.0) == pytest.approx(want, rel=1e-6)
+
 
 class TestTailCdfMass:
     @given(delta=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))

@@ -1,5 +1,3 @@
-import contextlib
-import inspect
 import math
 import os
 import platform
@@ -267,27 +265,12 @@ def test_repeated_transforms_reuse_resident_scratch():
     assert int(done.stdout) < 100
 
 
-# ------------------------------------------------------------- helper thread
-
-HAS_AFFINITY = hasattr(os, "sched_setaffinity")
-
+# ---------------------------------------------------------------- one thread
 
 @pytest.fixture(scope="module")
-def parity_grid():
-    # 2^17 + 1 wavenumbers: the smallest grid on which the helper runs
+def large_grid():
+    # 2^17 + 1 wavenumbers, on which the cosine transform splits twice
     return Grid1D.centered(1 << 18, 0.01)
-
-
-@contextlib.contextmanager
-def _one_core():
-    """A context in which this process may run on one core only, so that
-    every spectral call keeps all its work on the caller."""
-    cores = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cores)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cores)
 
 
 ROUTES = ["propagator", "diffuse", "laplacian_apply_spectral", "poisson_solve", "cauchy_evolve+energy",
@@ -321,63 +304,19 @@ def _routes(grid):
     ]))
 
 
-@pytest.mark.skipif(not HAS_AFFINITY, reason="the helper is forced off through the process's affinity")
-class TestHelperParity:
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_same_bits_on_one_core(self, parity_grid, route):
-        run = _routes(parity_grid)[route]
-        threads = threading.active_count()
-        dynamics._ladder_damping.cache_clear()
-        spread = run()
-        assert threading.active_count() == threads
-        with _one_core():
-            assert not grids._helper_on(parity_grid.n // 2 + 1)
-            dynamics._ladder_damping.cache_clear()
-            alone = run()
-        assert threading.active_count() == threads
-        assert spread.tobytes() == alone.tobytes()
+@pytest.mark.parametrize("route", ROUTES)
+def test_spectral_routes_start_no_thread(large_grid, route, monkeypatch):
+    # io._fork_range forks CSV children on the premise that no selfsim
+    # thread is running
+    started = []
+    start = threading.Thread.start
 
-    def test_helper_runs_where_it_can(self, parity_grid):
-        size = parity_grid.n // 2 + 1
-        assert grids._helper_on(size) == (len(os.sched_getaffinity(0)) > 1)
-        assert not grids._helper_on(grids._HELPER_MIN - 1)
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
 
-
-def test_helper_calls_no_transform_no_wavenumbers_no_public_function(parity_grid, monkeypatch):
-    # a tracer may wrap each of these; its state is not thread-safe, so
-    # every call must come from the caller's thread
-    callers = []
-
-    def recording(real):
-        def call(*args, **kwargs):
-            callers.append(threading.current_thread())
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
-    monkeypatch.setattr(Grid1D, "k_half", property(recording(vars(Grid1D)["k_half"].fget)))
-    # every binding of every public selfsim function, in every selfsim module
-    wrapped = {}
-    modules = [m for name, m in list(sys.modules.items()) if name.startswith("selfsim.")]
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if (inspect.isfunction(value) and not attr.startswith("_")
-                    and value.__module__.startswith("selfsim.")):
-                monkeypatch.setattr(module, attr, wrapped.setdefault(id(value), recording(value)))
-    for run in _routes(parity_grid).values():
-        run()
-    assert callers and set(callers) == {threading.current_thread()}
-
-
-def test_no_thread_to_be_had_runs_all_on_the_caller(parity_grid, monkeypatch):
-    p = make_params(0.8, 1.0, 1.0)
-    f = parity_grid.sample(lambda x: np.exp(-x * x))
-    want = diffuse(p, f, 0.5).values
-
-    def refuse(self):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert diffuse(p, f, 0.5).values.tobytes() == want.tobytes()
+    run = _routes(large_grid)[route]
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    dynamics._ladder_damping.cache_clear()
+    run()
+    assert started == []
