@@ -40,9 +40,9 @@ from .errors import (
     ValidationError,
     check_finite,
 )
-from .grids import Grid1D, RealField, _check_not_nan, _sample_symbol, apply_symbol, sample_kernel
+from .grids import Grid1D, RealField, _check_not_nan, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
-from .params import MediumParams, _dispersion_into
+from .params import MediumParams, dispersion
 from .quadrature import (ABS_TOL, _series_terms, _stable_log_terms, _stable_series, _stable_sign, image_series,
                          quad_checked)
 
@@ -98,17 +98,12 @@ class SampleBatch:
                          preamble=f"# delta={float(self.delta)!r} scale={float(self.scale)!r} seed={self.seed}")
 
 
-def _heat_symbol(params: MediumParams, t: float):
-    """symbol(k, out) writing e^{-omega^2(k) t} into out (see grids._sample_symbol)."""
-    a, delta = params.a_delta, params.delta
-
-    def symbol(k, out):
-        _dispersion_into(a, delta, k, out)
-        np.negative(out, out=out)
-        out *= t
-        np.exp(out, out=out)
-
-    return symbol
+def _heat_symbol(params: MediumParams, t: float, k: np.ndarray) -> np.ndarray:
+    """e^{-omega^2(k) t}, built in place in one new array."""
+    out = dispersion(params, k)
+    np.negative(out, out=out)
+    out *= t
+    return np.exp(out, out=out)
 
 
 def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = False) -> RealField:
@@ -125,7 +120,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
     not span many scales (a t)^(1/delta)).
     """
     _check_time(t)
-    values = sample_kernel(grid, _sample_symbol(_heat_symbol(params, t), grid.k_half))
+    values = sample_kernel(grid, _heat_symbol(params, t, grid.k_half))
     if line:
         m = grid.n // 2
         # x = -j dx at index m - j, so u = x/L = -j/n; the kernel is even
@@ -214,7 +209,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     check_finite(t=t)
     if t < 0.0:
         raise NegativeTime(f"diffusion is irreversible; got t = {t}")
-    return apply_symbol(rho0, _sample_symbol(_heat_symbol(params, t), rho0.grid.k_half))
+    return apply_symbol(rho0, _heat_symbol(params, t, rho0.grid.k_half))
 
 
 def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatch:

@@ -49,8 +49,8 @@ import math
 import numpy as np
 
 from .errors import EpsNonPositive, NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, check_finite
-from .grids import ComplexField, Grid1D, RealField, _check_not_nan, _sample_symbol, sample_kernel
-from .params import MediumParams, _dispersion_into, dispersion
+from .grids import ComplexField, Grid1D, RealField, _check_not_nan, sample_kernel
+from .params import MediumParams, dispersion
 from .quadrature import ABS_TOL, _stable_series, _weights_at_zero, quad_checked
 
 __all__ = [
@@ -117,12 +117,6 @@ class CauchyState:
         return np.fft.rfft(self._v.values) if self._vh is None else self._vh
 
 
-def _omega_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) -> None:
-    """out = omega(k) = sqrt(omega^2(k))."""
-    _dispersion_into(a_delta, delta, k, out)
-    np.sqrt(out, out=out)
-
-
 def _sin_over(w: np.ndarray, sw: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
     """sin(w t)/w into out from w and sw = sin(w t), with its w = 0 limit t;
     out may be sw."""
@@ -144,7 +138,8 @@ def cauchy_evolve(params: MediumParams, state: CauchyState, t: float) -> CauchyS
     """
     check_finite(t=t)
     g = state._grid
-    w = _sample_symbol(functools.partial(_omega_into, params.a_delta, params.delta), g.k_half)
+    w = dispersion(params, g.k_half)
+    np.sqrt(w, out=w)
     cw = np.multiply(w, t)
     sw = np.sin(cw)
     np.cos(cw, out=cw)
@@ -172,7 +167,7 @@ def energy(params: MediumParams, state: CauchyState) -> float:
     Neither needs a transform beyond the kept spectrum of u.
     """
     g = state._grid
-    power = _sample_symbol(functools.partial(_dispersion_into, params.a_delta, params.delta), g.k_half)
+    power = dispersion(params, g.k_half)
     uh = state._u_spectrum()
     power *= np.square(uh.real) + np.square(uh.imag)
     if state._vh is None:
@@ -196,22 +191,19 @@ def _ladder_damping(grid: Grid1D) -> np.ndarray:
     """
     eps_min = 20.0 / (math.pi / grid.dx)
     eps_list = [eps_min * 2.0**j for j in range(4, -1, -1)]
-    weights = list(zip(eps_list, _weights_at_zero(eps_list)))
-
-    def ladder(k, out, work):
-        out.fill(0.0)
-        for e_j, c_j in weights:
-            np.multiply(k, -e_j, out=work)
-            np.exp(work, out=work)
-            work *= c_j
-            out += work
-
-    damping = _sample_symbol(ladder, grid.k_half, scratch=(float,))
+    k = grid.k_half
+    damping = np.zeros_like(k)
+    work = np.empty_like(k)
+    for e_j, c_j in zip(eps_list, _weights_at_zero(eps_list)):
+        np.multiply(k, -e_j, out=work)
+        np.exp(work, out=work)
+        work *= c_j
+        damping += work
     damping.flags.writeable = False
     return damping
 
 
-def _kernel_ladder(grid: Grid1D, symbol, dtype=float, scratch=()) -> np.ndarray:
+def _kernel_ladder(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
     """Kernel of a slowly decaying even symbol, regularized and taken to eps -> 0+.
 
     The damped symbols S(k) e^{-eps_j k} on a geometric eps-ladder are
@@ -220,13 +212,11 @@ def _kernel_ladder(grid: Grid1D, symbol, dtype=float, scratch=()) -> np.ndarray:
     the pointwise extrapolation of the damped kernels, done once on the
     symbol.  The smallest eps still suppresses the Nyquist symbol:
     eps_min * k_max = 20.  The weighted damping is computed once per grid.
-    symbol(k, out, *work) writes S(k) into out, of ``dtype``, and may
-    overwrite work arrays of the dtypes ``scratch`` names
-    (grids._sample_symbol).
+    ``symbol`` holds S on grid.k_half, one array that its route builds in
+    place; it is damped in place.
     """
-    damped = _sample_symbol(symbol, grid.k_half, dtype=dtype, scratch=scratch)
-    damped *= _ladder_damping(grid)
-    return sample_kernel(grid, damped)
+    symbol *= _ladder_damping(grid)
+    return sample_kernel(grid, symbol)
 
 
 def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
@@ -238,15 +228,13 @@ def wave_kernel_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealFi
     fall with dx (see the module docstring).
     """
     check_finite(t=t)
-    a, delta = params.a_delta, params.delta
-
-    def symbol(k, out, w):
-        _omega_into(a, delta, k, w)
-        np.multiply(w, t, out=out)
-        np.sin(out, out=out)
-        _sin_over(w, out, t, out)
-
-    return RealField(grid, _kernel_ladder(grid, symbol, scratch=(float,)))
+    w = dispersion(params, grid.k_half)
+    np.sqrt(w, out=w)
+    symbol = np.multiply(w, t)
+    np.sin(symbol, out=symbol)
+    _sin_over(w, symbol, t, symbol)
+    del w  # not held across the synthesis
+    return RealField(grid, _kernel_ladder(grid, symbol))
 
 
 def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> RealField:
@@ -256,13 +244,10 @@ def wave_kernel_dt_spectral(params: MediumParams, grid: Grid1D, t: float) -> Rea
     floor); off-origin samples extrapolate to the smooth part.
     """
     check_finite(t=t)
-    a, delta = params.a_delta, params.delta
-
-    def symbol(k, out):
-        _omega_into(a, delta, k, out)
-        out *= t
-        np.cos(out, out=out)
-
+    symbol = dispersion(params, grid.k_half)
+    np.sqrt(symbol, out=symbol)
+    symbol *= t
+    np.cos(symbol, out=symbol)
     return RealField(grid, _kernel_ladder(grid, symbol))
 
 
@@ -400,11 +385,20 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
-    """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2)."""
+    """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2), built in
+    place in one complex array.  A shift (omega + i eps)^2 beyond float
+    range raises NumericError."""
     check_finite(omega=omega)
     _check_not_nan(k=k)
     _check_damping(eps)
-    return 1.0 / (dispersion(params, k) - (omega + 1j * eps) ** 2)
+    try:
+        shift = (omega + 1j * eps) ** 2
+    except OverflowError:
+        raise NumericError(f"(omega + i eps)^2 for omega = {omega:g}, eps = {eps:g} "
+                           "is beyond float range") from None
+    out = np.asarray(dispersion(params, k) - shift)
+    np.divide(1.0, out, out=out)
+    return out[()]  # a scalar for a scalar k
 
 
 def _check_damping(eps: float) -> None:
@@ -423,23 +417,11 @@ def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float
     """
     check_finite(omega=omega)
     _check_damping(eps)
-    a, delta = params.a_delta, params.delta
     if omega != 0.0:
-        shift = (omega + 1j * eps) ** 2
-
-        def resolvent(k, out):
-            # helmholtz_symbol's 1 / (omega^2(k) - shift), in place
-            _dispersion_into(a, delta, k, out.real)
-            out.imag = 0.0
-            out -= shift
-            np.divide(1.0, out, out=out)
-
-        return ComplexField(grid, _kernel_ladder(grid, resolvent, complex))
-    shift = eps * eps
-
-    def static(k, out):
-        _dispersion_into(a, delta, k, out)
-        out += shift
-        np.divide(1.0, out, out=out)
-
-    return ComplexField(grid, _kernel_ladder(grid, static))
+        return ComplexField(grid, _kernel_ladder(grid, helmholtz_symbol(params, grid.k_half, omega, eps)))
+    symbol = dispersion(params, grid.k_half)
+    symbol += eps * eps
+    np.divide(1.0, symbol, out=symbol)
+    kernel = _kernel_ladder(grid, symbol)
+    del symbol  # not held while ComplexField copies the kernel
+    return ComplexField(grid, kernel)

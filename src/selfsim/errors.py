@@ -67,7 +67,8 @@ class NonZeroMeanForce(ValidationError):
 
 
 class EpsNonPositive(ValidationError):
-    """Damping parameter must be strictly positive."""
+    """Damping parameter negative or not finite, or zero where the route
+    needs it strictly positive (the Helmholtz response)."""
 
 
 class TimeNonPositive(ValidationError):
@@ -100,10 +101,13 @@ class QuadratureNoConvergence(NumericError):
 
 
 class SeriesBudgetExceeded(NumericError):
-    """Series truncation hit max_terms before meeting abs_tol.
+    """A series refused its sum: a term beyond float range, a term ratio
+    above the guard, no stop within the term budget, or terms cancelling
+    across a hump whose rounding exceeds the tolerance.
 
-    Carries the partial sum and a bound on the first omitted term so the
-    caller can decide whether the partial answer is usable.
+    Carries the partial sum (where there is one) and a tail bound, the last
+    term or the hump, so the caller can decide whether the partial answer
+    is usable.
     """
 
     def __init__(self, message, partial_sum=None, tail_bound=None):

@@ -28,9 +28,7 @@ x_m - x_{M-m} (M/2 points), done by one real FFT of M/2 points after a
 unit twiddle (Makhoul 1980; FFTW's split of REDFT00).  Split, the
 transforms cover about half the points of one n-point transform.  A real
 symbol costs one synthesis, a complex one two, written into the real and
-imaginary parts of the one output.  A symbol given as a function,
-``symbol(k, out, *work)``, is evaluated in place into one new array
-(_sample_symbol).  No call starts a thread.
+imaginary parts of the one output.  No call starts a thread.
 
 Importing this module sets two glibc allocator thresholds for the whole
 process, once: M_MMAP_THRESHOLD to 64 MiB and M_TRIM_THRESHOLD to 128 MiB.
@@ -89,15 +87,6 @@ def _keep_fft_scratch_resident() -> None:
 
 
 _keep_fft_scratch_resident()
-
-
-def _sample_symbol(symbol, k: np.ndarray, dtype=float, scratch=()) -> np.ndarray:
-    """S(k): ``symbol(k, out, *work)`` writes S(k) into out, a new array of
-    ``dtype``; ``work`` are new arrays of the dtypes ``scratch`` names, which
-    it may overwrite."""
-    out = np.empty(k.shape, dtype=dtype)
-    symbol(k, out, *(np.empty(k.shape, dtype=d) for d in scratch))
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError,
                      check_finite)
-from .grids import RealField, _sample_symbol, apply_symbol
-from .params import MediumParams, _dispersion_into, dispersion, factorial_ext
+from .grids import RealField, apply_symbol
+from .params import MediumParams, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
 
 __all__ = [
@@ -88,13 +88,7 @@ def laplacian_apply_spectral(params: MediumParams, f: RealField) -> RealField:
     wide enough that wrap-around at the measurement window is below
     tolerance.
     """
-    a, delta = params.a_delta, params.delta
-
-    def symbol(k, out):
-        _dispersion_into(a, delta, k, out)
-        np.negative(out, out=out)
-
-    return apply_symbol(f, _sample_symbol(symbol, f.grid.k_half))
+    return apply_symbol(f, laplacian_symbol(params, f.grid.k_half))
 
 
 def weyl_marchaud(delta: float, f, x: float, side: str) -> float:

@@ -97,14 +97,6 @@ def dispersion(params: MediumParams, k):
     return params.a_delta * np.abs(k) ** params.delta
 
 
-def _dispersion_into(a_delta: float, delta: float, k: np.ndarray, out: np.ndarray) -> None:
-    """out = a_delta |k|^delta, the same values as ``dispersion``, in
-    place: no array beyond out."""
-    np.abs(k, out=out)
-    out **= delta
-    out *= a_delta
-
-
 # Terms of int_0^1 (1 - cos s)/s^(1+delta) ds integrated term by term;
 # 1/(2m)! decay makes 25 terms far more than double precision needs.
 _INNER_TERMS = 25

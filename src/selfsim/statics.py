@@ -46,8 +46,8 @@ from .errors import (
     PoleError,
     check_finite,
 )
-from .grids import RealField, _check_not_nan, _sample_symbol, apply_symbol
-from .params import MediumParams, _dispersion_into, factorial_ext
+from .grids import RealField, _check_not_nan, apply_symbol
+from .params import MediumParams, dispersion, factorial_ext
 
 __all__ = [
     "POLE_GUARD",
@@ -105,16 +105,11 @@ def poisson_solve(params: MediumParams, force: RealField, project: bool = False)
             f"force has mean amplitude {mean:g} (tolerance {_MEAN_TOL * scale:g}); "
             "enable project=True to gauge it away"
         )
-    a, delta = params.a_delta, params.delta
-
-    def inverse(k, out):
-        _dispersion_into(a, delta, k, out)
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, out, out=out)
-        if k[0] == 0.0:  # the zero-mean gauge: k = 0 is only ever the first wavenumber
-            out[0] = 0.0
-
-    return apply_symbol(force, _sample_symbol(inverse, g.k_half))
+    inverse = dispersion(params, g.k_half)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, inverse, out=inverse)
+    inverse[0] = 0.0  # the zero-mean gauge: k_half starts at k = 0
+    return apply_symbol(force, inverse)
 
 
 def riesz_kernel(alpha: float, x, eps: float = 0.0):

@@ -36,6 +36,7 @@ from oracles import (
     numeric_cdf_core_reference,
     propagator_direct,
     propagator_quadrature_reference,
+    stable_cdf_fourier,
     stable_cdf_reference,
     truncated_moment_reference,
 )
@@ -511,16 +512,27 @@ class TestNumericCdf:
         for jump in self._handoff_jumps(1.95, (2.0,)):
             assert abs(jump) <= 1e-9
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
+    def test_fourier_oracle_is_the_lorentzian_at_delta_one(self, params_one, t):
+        xq = np.array([-2621.43, -40.0, -25.0, -3.5, -1.0, 0.0, 0.7, 3.0, 3.2, 25.0, 2621.43])
+        want = lorentzian_cdf(xq, params_one.a_delta * t)
+        assert np.max(np.abs(stable_cdf_fourier(params_one, t, xq) - want)) <= 1e-15
+
     @given(delta=st.floats(0.25, 1.9), t=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     @example(delta=1.0, t=2.0)
     @example(delta=1.9, t=2.0)
-    def test_matches_levy_stable_across_the_handoff(self, delta, t):
+    @example(delta=0.25, t=4.0)
+    @example(delta=0.996, t=0.5)
+    def test_matches_the_fourier_cdf_across_the_handoff(self, delta, t):
         # at the grid's last point, and at |x| = 25, where a fixed-term tail
-        # took over before (off by 1.7e-3 at delta = 1.9, t = 2)
+        # took over before (off by 1.7e-3 at delta = 1.9, t = 2).  scipy's
+        # levy_stable gave exactly 0.5 at (0.25, 4, +-25), 1.1e-4 off, and the
+        # Cauchy tail at (0.996, 0.5, 40.95); the Fourier inversion is
+        # within 4.6e-10 of numeric_cdf at both
         p, xq, got = self._handoff(delta, t)
-        assert np.max(np.abs(got - stable_cdf_reference(p, t, xq))) <= 1e-6
+        assert np.max(np.abs(got - stable_cdf_fourier(p, t, xq))) <= 1e-6
         xq = np.array([-25.0, np.nextafter(-25.0, 0.0), np.nextafter(25.0, 0.0), 25.0, 25.5])
-        assert np.max(np.abs(numeric_cdf(p, t, xq) - stable_cdf_reference(p, t, xq))) <= 1e-6
+        assert np.max(np.abs(numeric_cdf(p, t, xq) - stable_cdf_fourier(p, t, xq))) <= 1e-6
 
     def test_tail_values_are_probabilities_at_small_delta(self):
         # a fixed 14 tail terms gave [-0.984, 1.984] here; the values are

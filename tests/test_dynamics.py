@@ -626,6 +626,17 @@ class TestHelmholtz:
         conj_rel = np.conj(1.0 / (dispersion(params_half, 1.0) - (2.0 - 0.1j) ** 2))
         assert sym == pytest.approx(conj_rel, rel=1e-14)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: helmholtz_symbol(p, 1.0, 1e155, 0.1),
+        lambda p: helmholtz_symbol(p, np.array([0.0, 1.0]), 1.0, 1e155),
+        lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 1.35e154, 0.1),
+    ], ids=["symbol-omega", "symbol-eps", "green-omega"])
+    def test_shift_beyond_float_range_is_refused(self, params_half, fft_calls, call):
+        # (omega + i eps)^2 overflowed in Python's complex power
+        with pytest.raises(NumericError, match="beyond float range"):
+            call(params_half)
+        assert fft_calls == []
+
     @pytest.mark.parametrize("omega, transforms", [(0.0, 1), (1.3, 2)])
     def test_real_symbol_takes_one_transform(self, params_half, small_grid, monkeypatch,
                                              omega, transforms):

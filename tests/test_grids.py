@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -320,3 +321,32 @@ def test_spectral_routes_start_no_thread(large_grid, route, monkeypatch):
     dynamics._ladder_damping.cache_clear()
     run()
     assert started == []
+
+
+# Tracemalloc peaks of each route on large_grid, in units of n * 8 bytes,
+# as the routes measured before their symbols became plain arrays, rounded
+# up to 0.01.  Held past their use, the wave kernel's omega read 3.38 and
+# the omega = 0 Helmholtz symbol, while ComplexField copies the kernel,
+# 4.00.  The synthesis peaks above the Helmholtz symbol, so the symbol is
+# pinned on its own, built in place as k, omega^2(k) and one complex array
+# (1 / (omega^2(k) - shift) read 2.50).  The grid stays at 2^17 points or
+# more, where numpy's temporary elision (arrays of 256 KB and up) takes
+# dispersion's product and laplacian_symbol's negation in place.
+_PEAKS = {"propagator": 2.38, "diffuse": 2.63, "laplacian_apply_spectral": 2.63, "poisson_solve": 2.63,
+          "cauchy_evolve+energy": 7.01, "wave_kernel_spectral": 2.88, "wave_kernel_dt_spectral": 2.88,
+          "helmholtz_green omega = 0": 3.51, "helmholtz_green omega > 0": 4.38, "helmholtz_symbol": 2.07}
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="the peaks are pinned on numpy 2's transforms")
+@pytest.mark.parametrize("route", list(_PEAKS))
+def test_spectral_routes_hold_no_more_memory(large_grid, route):
+    p = make_params(0.7, 1.3, 0.8)
+    run = {**_routes(large_grid), "helmholtz_symbol": lambda: helmholtz_symbol(p, large_grid.k_half, 1.3, 0.1)}
+    dynamics._ladder_damping.cache_clear()
+    tracemalloc.start()
+    try:
+        run[route]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAKS[route] * large_grid.n * 8
