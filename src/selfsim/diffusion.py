@@ -215,8 +215,10 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
 def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatch:
     """n i.i.d. symmetric stable displacements with scale (a_delta t)^(1/delta).
 
-    Trigonometric transform of a uniform angle and an exponential mixture;
-    the empirical characteristic function converges to
+    Chambers-Mallows-Stuck transform of a uniform angle phi and an
+    exponential mixture w, one expression on the whole band: at delta = 1
+    the mixture's power is 0 and it gives tan(phi), the Cauchy law, to
+    rounding.  The empirical characteristic function converges to
     e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
     sub-seed spawned from ``seed``, define the stream.
     """
@@ -229,22 +231,18 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
     out = np.empty(n)
-    cauchy = abs(delta - 1.0) < 1e-12
     for i, ss in enumerate(seqs):
         lo = i * _CHUNK
         hi = min(lo + _CHUNK, n)
         m = hi - lo
         rng = np.random.default_rng(ss)
         phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, m)
-        if cauchy:
-            out[lo:hi] = np.tan(phi)
-        else:
-            w = rng.exponential(1.0, m)
-            out[lo:hi] = (
-                np.sin(delta * phi)
-                / np.cos(phi) ** (1.0 / delta)
-                * (np.cos((1.0 - delta) * phi) / w) ** ((1.0 - delta) / delta)
-            )
+        w = rng.exponential(1.0, m)
+        out[lo:hi] = (
+            np.sin(delta * phi)
+            / np.cos(phi) ** (1.0 / delta)
+            * (np.cos((1.0 - delta) * phi) / w) ** ((1.0 - delta) / delta)
+        )
     return SampleBatch(delta=delta, scale=scale, seed=seed, samples=scale * out)
 
 

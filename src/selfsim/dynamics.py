@@ -386,42 +386,34 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2), built in
-    place in one complex array.  A shift (omega + i eps)^2 beyond float
-    range raises NumericError."""
+    place in one array: complex, or real at omega = 0, where the shift is
+    -eps^2.  A shift (omega + i eps)^2 beyond float range raises
+    NumericError, at omega = 0 as elsewhere."""
     check_finite(omega=omega)
     _check_not_nan(k=k)
-    _check_damping(eps)
+    if not 0.0 < eps < math.inf:
+        raise EpsNonPositive(f"helmholtz damping must be finite and > 0, got {eps}")
     try:
         shift = (omega + 1j * eps) ** 2
     except OverflowError:
         raise NumericError(f"(omega + i eps)^2 for omega = {omega:g}, eps = {eps:g} "
                            "is beyond float range") from None
-    out = np.asarray(dispersion(params, k) - shift)
+    if omega == 0.0:
+        out = np.asarray(dispersion(params, k))
+        out -= shift.real
+    else:
+        out = np.asarray(dispersion(params, k) - shift)
     np.divide(1.0, out, out=out)
     return out[()]  # a scalar for a scalar k
-
-
-def _check_damping(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise EpsNonPositive(f"helmholtz damping must be finite and > 0, got {eps}")
 
 
 def helmholtz_green(params: MediumParams, grid: Grid1D, omega: float, eps: float) -> ComplexField:
     """Frequency-domain Green's function on a centered grid.
 
-    Inverse transform of the resolvent symbol, synthesized with the same
+    Inverse transform of helmholtz_symbol, synthesized with the same
     eps-ladder as the time-domain kernels.  At omega = 0 the symbol is the
-    real 1/(omega^2(k) + eps^2), built in float (one transform), and the
-    kernel converges (eps -> 0+, after gauging the k = 0 mode) to the
-    static Green's function.
+    real 1/(omega^2(k) + eps^2) (one transform), and the kernel converges
+    (eps -> 0+, after gauging the k = 0 mode) to the static Green's
+    function.
     """
-    check_finite(omega=omega)
-    _check_damping(eps)
-    if omega != 0.0:
-        return ComplexField(grid, _kernel_ladder(grid, helmholtz_symbol(params, grid.k_half, omega, eps)))
-    symbol = dispersion(params, grid.k_half)
-    symbol += eps * eps
-    np.divide(1.0, symbol, out=symbol)
-    kernel = _kernel_ladder(grid, symbol)
-    del symbol  # not held while ComplexField copies the kernel
-    return ComplexField(grid, kernel)
+    return ComplexField(grid, _kernel_ladder(grid, helmholtz_symbol(params, grid.k_half, omega, eps)))

@@ -75,21 +75,16 @@ def make_params(delta: float, h: float, zeta: float) -> MediumParams:
 def factorial_ext(alpha: float) -> float:
     """Extended factorial alpha! = Gamma(alpha + 1), defined for alpha < -1 too.
 
-    For alpha > -1 this is the ordinary Gamma integral.  Below -1 the
-    reflection formula supplies the continuation
-
-        alpha! = -pi / (Gamma(-alpha) * sin(pi alpha)),
-
-    which agrees with the analytic continuation of Gamma everywhere both
-    are defined.  Negative integers are poles and raise PoleError.
+    For alpha > -1 this is the ordinary Gamma integral; below -1 it is
+    Gamma's analytic continuation, which scipy's Gamma evaluates itself,
+    to rounding even next to the poles.  Negative integers are poles and
+    raise PoleError.
     """
     if not math.isfinite(alpha):
         raise PoleError(f"alpha must be finite, got {alpha!r}")
     if alpha <= -1.0 and float(alpha).is_integer():
         raise PoleError(f"alpha = {alpha:g} is a pole of the extended factorial")
-    if alpha > -1.0:
-        return float(_gamma(alpha + 1.0))
-    return float(-math.pi / (_gamma(-alpha) * math.sin(math.pi * alpha)))
+    return float(_gamma(alpha + 1.0))
 
 
 def dispersion(params: MediumParams, k):

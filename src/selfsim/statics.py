@@ -86,7 +86,7 @@ def greens_static(params: MediumParams, x):
     if np.any(xa == 0.0) and params.delta < 1.0:
         raise OriginSingular("g(x) ~ |x|^(delta-1) is singular at x = 0 for delta < 1")
     out = g0 * xa ** (params.delta - 1.0)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def poisson_solve(params: MediumParams, force: RealField, project: bool = False) -> RealField:
@@ -132,7 +132,7 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     negative_even = integral and alpha <= -2.0
     _check_not_nan(x=x)
     xa = np.abs(np.asarray(x, dtype=float))
-    scalar = np.isscalar(x) or np.ndim(x) == 0
+    scalar = np.ndim(x) == 0
     if eps < 0.0 or not math.isfinite(eps):
         raise AlphaOutOfRange(f"eps must be finite and >= 0, got {eps}")
     if eps > 0.0 and negative_even:
@@ -168,31 +168,25 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
     """Smooth part of the n-th Laplacian power applied to a point source.
 
     Equals a_delta^n * b_{n delta}(x); n = -1 recovers the static Green's
-    function, n = 0 is the point source itself (zero smooth part), and
-    n >= 1 gives -(a_delta^n/pi) sin(pi n delta/2) (n delta)! |x|^(-n delta - 1).
-    The point mass at x = 0 is left out: it is 1 for n = 0 and 0 for every
-    other n, whose structure at the origin is oscillatory and is never
-    sampled on a grid (convolutions against it are done spectrally).  A
-    value beyond float range raises NumericError.
+    function, and n >= 0 gives -(a_delta^n/pi) sin(pi n delta/2)
+    (n delta)! |x|^(-n delta - 1), which is 0 for n = 0: the point source
+    itself has no smooth part.  The point mass at x = 0 is left out: it is
+    1 for n = 0 and 0 for every other n, whose structure at the origin is
+    oscillatory and is never sampled on a grid (convolutions against it
+    are done spectrally); for n >= 0, x = 0 raises OriginSingular, as
+    riesz_kernel does.  A value beyond float range raises NumericError.
     """
     if not isinstance(n, (int, np.integer)):
         raise AlphaOutOfRange(f"n must be an integer, got {n!r}")
     if n < -1:
         raise AlphaOutOfRange(f"powers below -1 are not defined, got n = {n}")
-    _check_not_nan(x=x)
-    xa = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
     if n == -1:
         return greens_static(params, x)
-    if np.any(np.abs(xa) == 0.0):
-        raise OriginSingular("the point-source powers are singular at x = 0")
-    if n == 0:
-        return 0.0 if scalar else np.zeros_like(xa)
     with np.errstate(over="ignore"):
         vals = np.float64(params.a_delta) ** n * riesz_kernel(n * params.delta, x)
     if not np.all(np.isfinite(vals)):
         raise NumericError(f"a_delta^n b_(n delta)(x) for n = {n} is beyond float range")
-    return float(vals) if scalar else vals
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def riesz_tail_integral(alpha: float, a: float) -> float:

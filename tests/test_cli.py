@@ -128,12 +128,14 @@ class TestValidation:
     @pytest.mark.filterwarnings("error")
     def test_helmholtz_shift_beyond_float_range_exits_2(self, tmp_path, capsys):
         # (omega + i eps)^2 overflowed in Python's complex power and escaped
-        # as a traceback
-        out = tmp_path / "o"
-        assert main(["helmholtz", "--omega", "1e200", "--n", "64", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: {code: NumericError, message: (omega + i eps)^2 for "
-                                           "omega = 1e+200, eps = 0.1 is beyond float range}\n")
-        assert not out.exists()
+        # as a traceback; at omega = 0, -eps^2 once gave an all-zero table
+        for omega, eps in (("1e200", "0.1"), ("0", "1e200")):
+            out = tmp_path / f"o{omega}"
+            assert main(["helmholtz", "--omega", omega, "--eps", eps, "--n", "64", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: {code: NumericError, message: (omega + i eps)^2 for "
+                                               f"omega = {float(omega):g}, eps = {float(eps):g} "
+                                               "is beyond float range}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, config", [
         ("dispersion", {"delta": "abc"}),

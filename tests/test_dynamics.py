@@ -299,9 +299,9 @@ class TestSynthesisBitIdentity:
             (wave_kernel_dt_spectral(p, grid, t).values,
              kernel_ladder_reference(grid, lambda k: wave_symbol_reference(p, k, t, "dQ"))),
         ]
-        for omega in (0.0, 1.3):
+        for omega in (0.0, 1.3):  # the resolvent, complex at omega = 0 too
             cases.append((helmholtz_green(p, grid, omega, 0.1).values,
-                          kernel_ladder_reference(grid, lambda k: helmholtz_symbol(p, k, omega, 0.1))))
+                          kernel_ladder_reference(grid, lambda k: 1.0 / (dispersion(p, k) - (omega + 0.1j) ** 2))))
         m = n // 2
         for got, want in cases:
             assert got.dtype == want.dtype
@@ -630,12 +630,27 @@ class TestHelmholtz:
         lambda p: helmholtz_symbol(p, 1.0, 1e155, 0.1),
         lambda p: helmholtz_symbol(p, np.array([0.0, 1.0]), 1.0, 1e155),
         lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 1.35e154, 0.1),
-    ], ids=["symbol-omega", "symbol-eps", "green-omega"])
+        lambda p: helmholtz_symbol(p, 1.0, 0.0, 1e155),
+        lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 0.0, 1e155),
+    ], ids=["symbol-omega", "symbol-eps", "green-omega", "symbol-omega-zero", "green-omega-zero"])
     def test_shift_beyond_float_range_is_refused(self, params_half, fft_calls, call):
-        # (omega + i eps)^2 overflowed in Python's complex power
+        # (omega + i eps)^2 overflowed in Python's complex power; at omega = 0
+        # the shift -eps^2 is refused by the same rule
         with pytest.raises(NumericError, match="beyond float range"):
             call(params_half)
         assert fft_calls == []
+
+    @given(delta=BAND, eps=st.floats(1e-3, 1e3))
+    @example(delta=0.5, eps=0.1)
+    def test_static_symbol_is_real_and_bit_exact(self, delta, eps):
+        # at omega = 0 the shift is -eps^2 bit for bit, so the symbol is the
+        # float 1/(omega^2(k) + eps^2)
+        p = make_params(delta, 1.0, 1.0)
+        k = Grid1D.centered(2048, 0.05).k_half
+        got = helmholtz_symbol(p, k, 0.0, eps)
+        want = 1.0 / (dispersion(p, k) + eps * eps)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("omega, transforms", [(0.0, 1), (1.3, 2)])
     def test_real_symbol_takes_one_transform(self, params_half, small_grid, monkeypatch,

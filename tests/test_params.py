@@ -65,12 +65,22 @@ class TestFactorialExt:
             lhs = factorial_ext(float(alpha) - 1.0) * factorial_ext(-float(alpha))
             assert lhs == pytest.approx(math.pi / math.sin(math.pi * alpha), rel=1e-12)
 
-    def test_branches_agree_with_gamma_recurrence(self):
-        # alpha! = (alpha+1 side) / (alpha+1): continuation consistent across -1
-        for alpha in (-1.3, -1.9, -2.7, -4.2):
-            assert factorial_ext(alpha) == pytest.approx(
-                factorial_ext(alpha + 1.0) / (alpha + 1.0), rel=1e-12
-            )
+    @given(alpha=st.one_of(
+        st.builds(lambda k, j, side: -k + side * 10.0**-j,
+                  st.integers(1, 8), st.integers(3, 12), st.sampled_from([-1.0, 1.0])),
+        st.floats(-8.0, 8.0, exclude_min=True, exclude_max=True).filter(
+            lambda a: a > -1.0 or not a.is_integer()),
+    ))
+    @example(alpha=-1.3)
+    @example(alpha=-1.9)
+    @example(alpha=-2.7)
+    @example(alpha=-4.2)
+    def test_branches_agree_with_gamma_recurrence(self, alpha):
+        # Gamma(alpha + 1) = Gamma(alpha + 1 + m) / ((alpha + 1) ... (alpha + m)),
+        # m steps up to a positive argument; within 1e-12 of a pole too
+        m = max(0, math.floor(-alpha))
+        want = math.gamma(alpha + 1.0 + m) / math.prod(alpha + i for i in range(1, m + 1))
+        assert factorial_ext(alpha) == pytest.approx(want, rel=1e-13)
 
 
 class TestDispersion:
