@@ -22,16 +22,11 @@ __version__ = "0.1.0"
 
 from .errors import (
     AlphaOutOfRange,
-    DeltaMismatch,
     DeltaOutOfRange,
-    DeltaPole,
     EpsNonPositive,
-    ExcludedAlpha,
     GridTooSmall,
     IoError,
     LOutOfGrid,
-    NegativeTime,
-    NonPositiveA,
     NonPositiveScale,
     NonZeroMeanForce,
     NumericError,

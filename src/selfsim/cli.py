@@ -6,7 +6,8 @@ and commits them into --out as one staged set.  Exit codes:
 
     0  success
     1  validation error, including a malformed command line
-    2  numeric failure (quadrature or series did not converge)
+    2  numeric failure (quadrature or series did not converge, or a value
+       beyond float range in any command)
     3  self-test failure
     4  an output file could not be written
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
-from .errors import IoError, NumericError, ValidationError
+from .errors import IoError, NumericError, ValidationError, _float_range
 from .grids import Grid1D
 from .io import ResultEnvelope, atomic_write_text, commit, plot_script, write_csv_atomic
 from .operator import laplacian_apply_point, laplacian_apply_spectral
@@ -403,7 +404,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         spec = _spec(_build_parser().parse_args(argv))
-        env = _HANDLERS[spec.command](spec)
+        with _float_range(f"a value computed by {spec.command}"):
+            env = _HANDLERS[spec.command](spec)
         computed = time.monotonic()
         commit(env, spec.out)
     except (ValidationError, NumericError, IoError) as exc:

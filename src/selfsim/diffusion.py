@@ -30,17 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DeltaMismatch,
     DeltaOutOfRange,
     LOutOfGrid,
-    NegativeTime,
-    NumericError,
     OriginSingular,
     TimeNonPositive,
     ValidationError,
+    _check_not_nan,
+    _float_range,
     check_finite,
 )
-from .grids import Grid1D, RealField, _check_not_nan, apply_symbol, sample_kernel
+from .grids import Grid1D, RealField, apply_symbol, sample_kernel
 from .operator import flux_apply, laplacian_apply_spectral
 from .params import MediumParams, dispersion
 from .quadrature import (ABS_TOL, _series_terms, _stable_log_terms, _stable_series, _stable_sign, image_series,
@@ -136,7 +135,7 @@ def propagator_cauchy(params: MediumParams, x, t: float):
     _check_time(t)
     _check_not_nan(x=x)
     if abs(params.delta - 1.0) > 1e-12:
-        raise DeltaMismatch(f"closed form requires delta = 1, got {params.delta}")
+        raise DeltaOutOfRange(f"closed form requires delta = 1, got {params.delta}")
     s = params.a_delta * t
     xa = np.asarray(x, dtype=float)
     vals = (1.0 / math.pi) * s / (xa * xa + s * s)
@@ -180,10 +179,8 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     d = params.delta
     if x == 0.0:
         ln_w = math.lgamma(1.0 + 1.0 / d) - (math.log(params.a_delta) + math.log(t)) / d
-        try:
+        with _float_range(f"W(0, t) = e^{ln_w:g}/pi"):
             return math.exp(ln_w) / math.pi
-        except OverflowError:
-            raise NumericError(f"W(0, t) = e^{ln_w:g}/pi is beyond float range") from None
     a_t = params.a_delta * t
     ln_scale = math.log(a_t) / d
     c = 1.0 / abs(x) if math.log(abs(x)) > ln_scale else math.exp(-ln_scale) if d >= 0.5 else 1.0
@@ -208,7 +205,7 @@ def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     """
     check_finite(t=t)
     if t < 0.0:
-        raise NegativeTime(f"diffusion is irreversible; got t = {t}")
+        raise TimeNonPositive(f"diffusion is irreversible; got t = {t}")
     return apply_symbol(rho0, _heat_symbol(params, t, rho0.grid.k_half))
 
 
@@ -220,30 +217,33 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     the mixture's power is 0 and it gives tan(phi), the Cauchy law, to
     rounding.  The empirical characteristic function converges to
     e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
-    sub-seed spawned from ``seed``, define the stream.
+    sub-seed spawned from ``seed``, define the stream.  NumericError: beyond float range.
     """
     _check_time(t)
     for name, value, least in (("n", n, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     delta = params.delta
-    scale = (params.a_delta * t) ** (1.0 / delta)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    seqs = np.random.SeedSequence(seed).spawn(n_chunks)
-    out = np.empty(n)
-    for i, ss in enumerate(seqs):
-        lo = i * _CHUNK
-        hi = min(lo + _CHUNK, n)
-        m = hi - lo
-        rng = np.random.default_rng(ss)
-        phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, m)
-        w = rng.exponential(1.0, m)
-        out[lo:hi] = (
-            np.sin(delta * phi)
-            / np.cos(phi) ** (1.0 / delta)
-            * (np.cos((1.0 - delta) * phi) / w) ** ((1.0 - delta) / delta)
-        )
-    return SampleBatch(delta=delta, scale=scale, seed=seed, samples=scale * out)
+    with _float_range(f"a stable sample for delta = {delta:g}, t = {t:g}"):
+        scale = (params.a_delta * t) ** (1.0 / delta)
+        if not 0.0 < scale < math.inf:  # underflow, and Python's *, raise nothing
+            raise ArithmeticError
+        n_chunks = (n + _CHUNK - 1) // _CHUNK
+        seqs = np.random.SeedSequence(seed).spawn(n_chunks)
+        out = np.empty(n)
+        for i, ss in enumerate(seqs):
+            lo = i * _CHUNK
+            hi = min(lo + _CHUNK, n)
+            m = hi - lo
+            rng = np.random.default_rng(ss)
+            phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, m)
+            w = rng.exponential(1.0, m)
+            out[lo:hi] = (
+                np.sin(delta * phi)
+                / np.cos(phi) ** (1.0 / delta)
+                * (np.cos((1.0 - delta) * phi) / w) ** ((1.0 - delta) / delta)
+            )
+        return SampleBatch(delta=delta, scale=scale, seed=seed, samples=scale * out)
 
 
 def tail_cdf_mass(params: MediumParams, x, t: float):

@@ -48,8 +48,9 @@ import math
 
 import numpy as np
 
-from .errors import EpsNonPositive, NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, check_finite
-from .grids import ComplexField, Grid1D, RealField, _check_not_nan, sample_kernel
+from .errors import (NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, _check_damping,
+                     _check_not_nan, _float_range, check_finite)
+from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .params import MediumParams, dispersion
 from .quadrature import ABS_TOL, _stable_series, _weights_at_zero, quad_checked
 
@@ -374,8 +375,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
     the undamped limit eps = 0.  Q is the series, else wave_kernel_fourier.
     """
     check_finite(x=x, t=t)
-    if eps < 0.0 or not math.isfinite(eps):
-        raise EpsNonPositive(f"damping must be finite and >= 0, got {eps}")
+    _check_damping(eps)
     if t <= 0.0:
         return 0.0
     try:
@@ -387,23 +387,19 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
 def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     """Resolvent amplitudes 1 / (omega^2(k) - (omega + i eps)^2), built in
     place in one array: complex, or real at omega = 0, where the shift is
-    -eps^2.  A shift (omega + i eps)^2 beyond float range raises
-    NumericError, at omega = 0 as elsewhere."""
+    -eps^2.  A shift (omega + i eps)^2 or an amplitude 1/0 beyond float
+    range raises NumericError, at omega = 0 as elsewhere."""
     check_finite(omega=omega)
     _check_not_nan(k=k)
-    if not 0.0 < eps < math.inf:
-        raise EpsNonPositive(f"helmholtz damping must be finite and > 0, got {eps}")
-    try:
+    _check_damping(eps, positive=True)
+    with _float_range(f"(omega + i eps)^2 for omega = {omega:g}, eps = {eps:g}"):
         shift = (omega + 1j * eps) ** 2
-    except OverflowError:
-        raise NumericError(f"(omega + i eps)^2 for omega = {omega:g}, eps = {eps:g} "
-                           "is beyond float range") from None
-    if omega == 0.0:
-        out = np.asarray(dispersion(params, k))
-        out -= shift.real
-    else:
-        out = np.asarray(dispersion(params, k) - shift)
-    np.divide(1.0, out, out=out)
+        if omega == 0.0:
+            out = np.asarray(dispersion(params, k))
+            out -= shift.real
+        else:
+            out = np.asarray(dispersion(params, k) - shift)
+        np.divide(1.0, out, out=out)
     return out[()]  # a scalar for a scalar k
 
 

@@ -1,11 +1,15 @@
 """Exception hierarchy for selfsim.
 
 Validation errors (bad inputs) derive from ``ValidationError``; numeric
-failures (non-convergence, budget exhaustion) derive from ``NumericError``.
+failures (non-convergence, budget exhaustion, float range) derive from ``NumericError``.
 Both share the ``SelfsimError`` base so callers can catch everything at once.
+Each refusal rule that several routes share is written once, here.
 """
 
+import contextlib
 import math
+
+import numpy as np
 
 
 class SelfsimError(Exception):
@@ -13,45 +17,29 @@ class SelfsimError(Exception):
 
 
 class ValidationError(SelfsimError, ValueError):
-    """Invalid argument; raised before any numeric work starts."""
+    """Invalid argument, a non-finite or NaN one among them; raised before any numeric work."""
 
 
 class NumericError(SelfsimError, RuntimeError):
-    """A numeric routine could not meet its accuracy contract."""
+    """A numeric routine could not meet its accuracy contract, or a value left float range."""
 
 
 # ---------------------------------------------------------------- validation
 
 class DeltaOutOfRange(ValidationError):
-    """Scaling exponent outside the admissible open band (0, 2)."""
+    """Exponent outside the open band (0, 2), or outside the part of it a route supports."""
 
 
 class NonPositiveScale(ValidationError):
-    """A length/scale parameter that must be strictly positive is not."""
+    """A length, scale, tolerance or cut point that must be strictly positive is not."""
 
 
 class PoleError(ValidationError):
-    """Extended factorial evaluated at a negative-integer pole."""
+    """At a pole: of the extended factorial (negative integers) or of the static prefactor (delta = 1)."""
 
 
 class AlphaOutOfRange(ValidationError):
-    """Kernel exponent outside the range the requested branch supports."""
-
-
-class ExcludedAlpha(ValidationError):
-    """Exponent in the excluded negative-odd-integer set of the kernel family."""
-
-
-class NonPositiveA(ValidationError):
-    """Integral cut point must be strictly positive."""
-
-
-class DeltaPole(ValidationError):
-    """Static Green's function prefactor diverges at this exponent."""
-
-
-class DeltaMismatch(ValidationError):
-    """Closed form requested for a different exponent than the parameters carry."""
+    """Kernel exponent or power outside its branch's range, or in the excluded negative-odd set."""
 
 
 class OriginSingular(ValidationError):
@@ -67,16 +55,11 @@ class NonZeroMeanForce(ValidationError):
 
 
 class EpsNonPositive(ValidationError):
-    """Damping parameter negative or not finite, or zero where the route
-    needs it strictly positive (the Helmholtz response)."""
+    """Damping negative or not finite, or zero where the route needs it positive (Helmholtz)."""
 
 
 class TimeNonPositive(ValidationError):
-    """Operation defined only for t > 0."""
-
-
-class NegativeTime(ValidationError):
-    """Dissipative evolution rejects t < 0 (the process is irreversible)."""
+    """Operation defined only for t > 0 (t >= 0 for the irreversible diffusion)."""
 
 
 class LOutOfGrid(ValidationError):
@@ -88,6 +71,31 @@ def check_finite(**values) -> None:
     for name, val in values.items():
         if not math.isfinite(val):
             raise ValidationError(f"{name} must be finite, got {val!r}")
+
+
+def _check_not_nan(**values) -> None:
+    """Raise ValidationError naming the first argument, scalar or array, holding a NaN."""
+    for name, val in values.items():
+        if np.isnan(val).any():
+            raise ValidationError(f"{name} must not be NaN")
+
+
+def _check_damping(eps: float, positive: bool = False) -> None:
+    """The damping rule: eps finite and >= 0, or > 0 where ``positive``."""
+    if not 0.0 <= eps < math.inf or (positive and eps == 0.0):
+        raise EpsNonPositive(f"damping eps must be finite and {'>' if positive else '>='} 0, got {eps!r}")
+
+
+@contextlib.contextmanager
+def _float_range(what: str):
+    """The float-range rule: inside, numpy's overflow, division by zero and
+    invalid operations raise, and any ArithmeticError, numpy's or Python's,
+    leaves as NumericError("<what> is beyond float range")."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError:
+        raise NumericError(f"{what} is beyond float range") from None
 
 
 class IoError(SelfsimError, OSError):

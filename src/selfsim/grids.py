@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooSmall, NonPositiveScale, ValidationError
+from .errors import GridTooSmall, NonPositiveScale, ValidationError, check_finite
 
 __all__ = [
     "Grid1D",
@@ -100,8 +100,7 @@ class Grid1D:
     def __post_init__(self):
         if self.dx <= 0.0 or not np.isfinite(self.dx):
             raise NonPositiveScale(f"dx must be > 0, got {self.dx}")
-        if not np.isfinite(self.x_min):
-            raise ValidationError(f"x_min must be finite, got {self.x_min}")
+        check_finite(x_min=self.x_min)
         if not isinstance(self.n, (int, np.integer)):
             raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < MIN_POINTS:
@@ -144,13 +143,6 @@ class Grid1D:
 
     def sample(self, fn) -> "RealField":
         return RealField(self, np.asarray(fn(self.x), dtype=float))
-
-
-def _check_not_nan(**values) -> None:
-    """Raise ValidationError naming the first argument, scalar or array, holding a NaN."""
-    for name, val in values.items():
-        if np.isnan(val).any():
-            raise ValidationError(f"{name} must not be NaN")
 
 
 def _check_values(grid: Grid1D, values: np.ndarray, name: str) -> np.ndarray:

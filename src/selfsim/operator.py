@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import exprel as _exprel
 
 from .errors import (AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError,
-                     check_finite)
+                     _check_damping, _float_range, check_finite)
 from .grids import RealField, apply_symbol
 from .params import MediumParams, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
@@ -124,21 +125,18 @@ def _flux_weights(delta: float, dx: float, n: int) -> np.ndarray:
 
     w[p] multiplies rho_{i+p} in the discrete correlation; the p = 0
     singular moment cancels identically between the +tau and -tau branches
-    and is dropped.
+    and is dropped.  Over the cell [a, b] = [m dx, (m + 1) dx] each moment
+    is int_a^b tau^(-q) dtau = a^(1-q) L exprel((1-q) L), L = log1p(1/m):
+    one formula through q = 1 (delta = 1), with no cancellation near it.
     """
     m = np.arange(1, n, dtype=float)
     a = m * dx
-    b = (m + 1.0) * dx
+    ln_ba = np.log1p(1.0 / m)
     i0 = np.empty(n)
     i1 = np.empty(n)
-    if abs(delta - 1.0) < 1e-12:
-        i0[1:] = np.log(b / a)
-        i1[1:] = b - a - a * i0[1:]
-        i1[0] = dx
-    else:
-        i0[1:] = (b ** (1.0 - delta) - a ** (1.0 - delta)) / (1.0 - delta)
-        i1[1:] = (b ** (2.0 - delta) - a ** (2.0 - delta)) / (2.0 - delta) - a * i0[1:]
-        i1[0] = dx ** (2.0 - delta) / (2.0 - delta)
+    i0[1:] = a ** (1.0 - delta) * ln_ba * _exprel((1.0 - delta) * ln_ba)
+    i1[1:] = a ** (2.0 - delta) * ln_ba * _exprel((2.0 - delta) * ln_ba) - a * i0[1:]
+    i1[0] = dx ** (2.0 - delta) / (2.0 - delta)
     # i0[0] is the singular moment whose contribution cancels; never used
     i0[0] = 0.0
     w = np.zeros(n + 1)
@@ -175,22 +173,21 @@ def frac_kernel_y(alpha: float, x: float, eps: float = 0.0) -> float:
     principal branch.  At eps = 0 the kernel is supported on x > 0, where it
     equals -(alpha!/pi) x^(-alpha-1) sin(pi alpha); it vanishes for x < 0 and
     for integer alpha (off the origin), reproducing the localized
-    integer-order derivatives.
+    integer-order derivatives.  NumericError: a value beyond float range.
     """
-    check_finite(x=x)
-    if not -1.0 < alpha < math.inf:
-        raise AlphaOutOfRange(f"kernel defined for finite alpha > -1, got {alpha}")
-    if eps < 0.0 or not math.isfinite(eps):
-        raise AlphaOutOfRange(f"eps must be >= 0, got {eps}")
-    if eps > 0.0:
-        z = complex(x, eps)
-        val = (1j ** (2.0 * alpha + 1.0)) / z ** (alpha + 1.0)
-        return float(factorial_ext(alpha) / math.pi * val.real)
-    if x == 0.0:
-        raise OriginSingular("eps = 0 evaluation requires x != 0")
-    if x < 0.0 or float(alpha).is_integer():
-        return 0.0
-    return float(-factorial_ext(alpha) / math.pi * x ** (-alpha - 1.0) * math.sin(math.pi * alpha))
+    check_finite(x=x, alpha=alpha)
+    if alpha <= -1.0:
+        raise AlphaOutOfRange(f"kernel defined for alpha > -1, got {alpha}")
+    _check_damping(eps)
+    with _float_range(f"y_alpha(x) for alpha = {alpha:g}, x = {x:g}, eps = {eps:g}"):
+        if eps > 0.0:
+            val = (1j ** (2.0 * alpha + 1.0)) / complex(x, eps) ** (alpha + 1.0)
+            return float(factorial_ext(alpha) / math.pi * val.real)
+        if x == 0.0:
+            raise OriginSingular("eps = 0 evaluation requires x != 0")
+        if x < 0.0 or float(alpha).is_integer():
+            return 0.0
+        return float(-factorial_ext(alpha) / math.pi * x ** (-alpha - 1.0) * math.sin(math.pi * alpha))
 
 
 def frac_derivative_spectral(alpha: float, f: RealField) -> RealField:

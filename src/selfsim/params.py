@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import DeltaOutOfRange, NonPositiveScale, PoleError, check_finite
+from .errors import DeltaOutOfRange, NonPositiveScale, PoleError, _float_range, check_finite
 from .quadrature import ABS_TOL, quad_checked
 
 __all__ = [
@@ -57,18 +57,19 @@ def make_params(delta: float, h: float, zeta: float) -> MediumParams:
 
     Raises DeltaOutOfRange unless 0 < delta < 2 (both ends excluded: the
     defining integrals cease to exist at the boundary), NonPositiveScale
-    for h <= 0 or zeta <= 0.
+    for h <= 0 or zeta <= 0, NumericError for an a_delta beyond float range.
     """
-    for name, val in (("delta", delta), ("h", h), ("zeta", zeta)):
-        if not math.isfinite(val):
-            raise NonPositiveScale(f"{name} must be finite, got {val!r}")
+    check_finite(delta=delta, h=h, zeta=zeta)
     if not 0.0 < delta < 2.0:
         raise DeltaOutOfRange(f"delta must lie strictly inside (0, 2), got {delta}")
     if h <= 0.0:
         raise NonPositiveScale(f"h must be > 0, got {h}")
     if zeta <= 0.0:
         raise NonPositiveScale(f"zeta must be > 0, got {zeta}")
-    a = (h**delta / zeta) * math.pi / (_gamma(1.0 + delta) * math.sin(math.pi * delta / 2.0))
+    with _float_range(f"a_delta for delta = {delta:g}, h = {h:g}, zeta = {zeta:g}"):
+        a = (h**delta / zeta) * math.pi / (_gamma(1.0 + delta) * math.sin(math.pi * delta / 2.0))
+        if not 0.0 < a < math.inf:  # Python's * and / leave float range silently
+            raise ArithmeticError
     return MediumParams(delta=float(delta), h=float(h), zeta=float(zeta), a_delta=float(a))
 
 
@@ -78,18 +79,22 @@ def factorial_ext(alpha: float) -> float:
     For alpha > -1 this is the ordinary Gamma integral; below -1 it is
     Gamma's analytic continuation, which scipy's Gamma evaluates itself,
     to rounding even next to the poles.  Negative integers are poles and
-    raise PoleError.
+    raise PoleError; a value beyond float range (alpha > 170.6) NumericError.
     """
-    if not math.isfinite(alpha):
-        raise PoleError(f"alpha must be finite, got {alpha!r}")
+    check_finite(alpha=alpha)
     if alpha <= -1.0 and float(alpha).is_integer():
         raise PoleError(f"alpha = {alpha:g} is a pole of the extended factorial")
-    return float(_gamma(alpha + 1.0))
+    with _float_range(f"alpha! for alpha = {alpha:g}"):
+        value = float(_gamma(alpha + 1.0))
+        if math.isinf(value):  # scipy's Gamma overflows to inf without a flag
+            raise ArithmeticError
+    return value
 
 
 def dispersion(params: MediumParams, k):
-    """omega^2(k) = a_delta |k|^delta.  Accepts scalars or arrays."""
-    return params.a_delta * np.abs(k) ** params.delta
+    """omega^2(k) = a_delta |k|^delta, scalar or array k; NumericError beyond float range."""
+    with _float_range("omega^2(k) = a_delta |k|^delta"):
+        return params.a_delta * np.abs(k) ** params.delta
 
 
 # Terms of int_0^1 (1 - cos s)/s^(1+delta) ds integrated term by term;
@@ -115,9 +120,13 @@ def dispersion_quadrature(params: MediumParams, k: float) -> float:
     term by term (the cosine series is corrected against the s^(1-delta)
     behavior), the outer part combines the exact power tail with the cosine
     tail on the contour s = 1 + iu, where e^(is) decays instead of oscillating.
-    """
+    NumericError: a value beyond float range."""
     check_finite(k=k)
     if k == 0.0:
         return 0.0
-    base = 2.0 * (params.h**params.delta / params.zeta) * abs(k) ** params.delta
-    return base * _dispersion_integral(params.delta)
+    with _float_range(f"omega^2(k) by quadrature at k = {k:g}"):
+        base = 2.0 * (params.h**params.delta / params.zeta) * abs(k) ** params.delta
+        value = base * _dispersion_integral(params.delta)
+        if value == math.inf:  # Python's * leaves float range silently
+            raise ArithmeticError
+    return value

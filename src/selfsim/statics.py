@@ -6,7 +6,7 @@ The point-force displacement is the power law
     g(x) = g0 |x|^(delta-1),   g0 = (zeta delta / (2 pi h^delta)) tan(pi delta / 2),
 
 whose transform is 1 / omega^2(k).  g0 diverges at delta = 1 (the static
-problem has no finite power-law solution there); a guard raises DeltaPole
+problem has no finite power-law solution there); a guard raises PoleError
 instead of returning huge numbers.
 
 The Riesz-type kernels
@@ -37,16 +37,17 @@ from scipy.special import gamma as _gamma
 
 from .errors import (
     AlphaOutOfRange,
-    DeltaPole,
-    ExcludedAlpha,
-    NonPositiveA,
+    NonPositiveScale,
     NonZeroMeanForce,
     NumericError,
     OriginSingular,
     PoleError,
+    _check_damping,
+    _check_not_nan,
+    _float_range,
     check_finite,
 )
-from .grids import RealField, _check_not_nan, apply_symbol
+from .grids import RealField, apply_symbol
 from .params import MediumParams, dispersion, factorial_ext
 
 __all__ = [
@@ -65,10 +66,10 @@ _MEAN_TOL = 1e-9
 
 
 def greens_prefactor(params: MediumParams) -> float:
-    """g0 = (zeta delta / (2 pi h^delta)) tan(pi delta / 2); DeltaPole near delta = 1."""
+    """g0 = (zeta delta / (2 pi h^delta)) tan(pi delta / 2); PoleError near delta = 1."""
     d = params.delta
     if abs(d - 1.0) <= POLE_GUARD:
-        raise DeltaPole(
+        raise PoleError(
             f"static prefactor diverges at delta = 1 (got delta = {d}); no finite power-law response"
         )
     return (params.zeta * d / (2.0 * math.pi * params.h**d)) * math.tan(math.pi * d / 2.0)
@@ -78,14 +79,15 @@ def greens_static(params: MediumParams, x):
     """Static displacement response to a unit point force: g0 |x|^(delta-1).
 
     Scalar or array x.  For delta < 1 the origin is singular and raises;
-    for delta > 1 the response vanishes continuously at x = 0.
-    """
+    for delta > 1 the response vanishes continuously at x = 0.  NumericError:
+    a value beyond float range."""
     _check_not_nan(x=x)
     g0 = greens_prefactor(params)
     xa = np.abs(np.asarray(x, dtype=float))
     if np.any(xa == 0.0) and params.delta < 1.0:
         raise OriginSingular("g(x) ~ |x|^(delta-1) is singular at x = 0 for delta < 1")
-    out = g0 * xa ** (params.delta - 1.0)
+    with _float_range(f"g(x) = g0 |x|^(delta-1) for delta = {params.delta:g}"):
+        out = g0 * xa ** (params.delta - 1.0)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -124,17 +126,15 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     transform has a pole there and raises PoleError.  A value beyond float
     range at x != 0 raises NumericError; at x = 0, -1 < alpha < 0 gives inf.
     """
-    if not math.isfinite(alpha):
-        raise AlphaOutOfRange(f"alpha must be finite, got {alpha!r}")
+    check_finite(alpha=alpha)
     integral = float(alpha).is_integer()
     if integral and alpha <= -1.0 and int(-alpha) % 2 == 1:
-        raise ExcludedAlpha(f"alpha = {alpha:g} lies in the excluded negative-odd set")
+        raise AlphaOutOfRange(f"alpha = {alpha:g} lies in the excluded negative-odd set")
     negative_even = integral and alpha <= -2.0
     _check_not_nan(x=x)
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
-    if eps < 0.0 or not math.isfinite(eps):
-        raise AlphaOutOfRange(f"eps must be finite and >= 0, got {eps}")
+    _check_damping(eps)
     if eps > 0.0 and negative_even:
         raise PoleError(f"the damped transform (eps = {eps:g}) has a pole at alpha = {alpha:g}; "
                         "only its eps = 0 limit is finite")
@@ -182,10 +182,8 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
         raise AlphaOutOfRange(f"powers below -1 are not defined, got n = {n}")
     if n == -1:
         return greens_static(params, x)
-    with np.errstate(over="ignore"):
+    with _float_range(f"a_delta^n b_(n delta)(x) for n = {n}"):
         vals = np.float64(params.a_delta) ** n * riesz_kernel(n * params.delta, x)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(f"a_delta^n b_(n delta)(x) for n = {n} is beyond float range")
     return float(vals) if np.ndim(x) == 0 else vals
 
 
@@ -195,5 +193,5 @@ def riesz_tail_integral(alpha: float, a: float) -> float:
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"tail integral requires alpha > 0, got {alpha}")
     if a <= 0.0:
-        raise NonPositiveA(f"cut point must be > 0, got {a}")
+        raise NonPositiveScale(f"cut point must be > 0, got {a}")
     return -(_gamma(alpha) / math.pi) * a ** (-alpha) * math.sin(math.pi * alpha / 2.0)

@@ -83,6 +83,19 @@ class TestValidation:
         assert code == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["missing", "not-an-object"])
+    def test_unusable_config_exits_1(self, tmp_path, capsys, content, message):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: {code: ValidationError, message: "
+                                           f"{message.format(cfg=cfg)}}}\n")
+        assert not out.exists()
+
     def test_config_file_scalars_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.5, "k": "1"}))
@@ -109,6 +122,17 @@ class TestValidation:
         (["mc", "--n-samples", "1000", "--ks"], "cli.dif", "numeric_cdf"),
         # b_2.5(1e-300) is beyond float range: refused, with no overflow warning
         (["potentials", "--alphas=2.5", "--x", "1e-300,1"], None, None),
+        # each of these ended in a traceback, wrote inf or nan cells and
+        # exited 0, or was reported as a bad argument
+        (["dispersion", "--delta", "1.9", "--k", "1e300"], None, None),
+        (["dispersion", "--delta", "1.9", "--h", "1e200"], None, None),
+        (["dispersion", "--delta", "0.5", "--zeta", "1e-320"], None, None),
+        (["greens-static", "--delta", "0.01", "--x", "1e-320"], None, None),
+        (["helmholtz", "--omega", "0", "--eps", "1e-170", "--n", "64"], None, None),
+        (["helmholtz", "--omega", "1e-170", "--eps", "1e-170", "--n", "64"], None, None),
+        (["mc", "--delta", "0.5", "--t", "1e300", "--n-samples", "10"], None, None),
+        (["mc", "--delta", "0.01", "--n-samples", "100000"], None, None),
+        (["mc", "--delta", "0.05", "--t", "1e-300", "--n-samples", "10"], None, None),
     ])
     @pytest.mark.filterwarnings("error")
     def test_numeric_failure_leaves_no_files(self, monkeypatch, tmp_path, capsys, argv, owner, name):
@@ -122,7 +146,13 @@ class TestValidation:
             monkeypatch.setattr(cli if owner == "cli" else cli.dif, name, boom)
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1
+        if not owner:  # beyond float range
+            assert re.fullmatch(r"error: \{code: NumericError, message: .* is beyond float range( at .*)?\}",
+                                errors[0])
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -136,6 +166,43 @@ class TestValidation:
                                                f"omega = {float(omega):g}, eps = {float(eps):g} "
                                                "is beyond float range}\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("arithmetic", [
+        lambda: 1e300**2,
+        lambda: 1.0 / 0.0,
+        lambda: np.float64(1e300) * 1e300,
+        lambda: np.float64(1.0) / 0.0,
+        lambda: np.float64(np.inf) - np.inf,
+    ], ids=["python-overflow", "python-division", "numpy-overflow", "numpy-division", "numpy-invalid"])
+    def test_handler_arithmetic_beyond_float_range_exits_2(self, monkeypatch, tmp_path, capsys, arithmetic):
+        # main runs each handler inside the float-range rule, named by its
+        # command; numpy's overflow, division by zero and invalid operations raise there
+        from selfsim import cli
+
+        def boom(spec):
+            arithmetic()
+            raise AssertionError("the arithmetic did not raise")
+
+        monkeypatch.setitem(cli._HANDLERS, "dispersion", boom)
+        out = tmp_path / "o"
+        assert main(["dispersion", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: {code: NumericError, message: "
+                                           "a value computed by dispersion is beyond float range}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--delta", "0.05"],
+        ["mc", "--delta", "1.99", "--ks"],
+        ["cauchy", "--delta", "1.99", "--times", "5,10"],
+        ["helmholtz", "--delta", "1.99", "--omega", "100", "--eps", "1e-3"],
+        ["laplacian", "--delta", "1.95", "--function", "cos", "--k0", "2.5", "--pointwise", "5"],
+        ["diffusion", "--delta", "0.05", "--times", "0.1"],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_runs_near_the_band_edges_succeed_under_the_float_range_rule(self, tmp_path, argv):
+        # their arithmetic stays in float range, so the rule that raises on
+        # numpy's overflow, division by zero and invalid operations is silent
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, config", [
         ("dispersion", {"delta": "abc"}),
@@ -455,6 +522,48 @@ class TestMcCommand:
         assert main(["mc", "--delta", "0.3", "--t", "2", "--n-samples", "100000", "--seed", "1",
                      "--ks", "--out", str(out)]) == 0
         assert json.loads((out / "mc.json").read_text())["results"]["ks_distance"] < 0.01
+
+
+class TestHelmholtzCommand:
+    def test_table_and_envelope(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["helmholtz", "--n", "256", "--dx", "0.05", "--omega", "1.5", "--eps", "0.1",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["helmholtz.csv", "helmholtz.json"]
+        header, rows = _csv_rows(out / "helmholtz.csv")
+        assert header == ["x", "re", "im"]
+        assert len(rows) == 256
+        env = json.loads((out / "helmholtz.json").read_text())
+        assert sorted(env) == ["command", "config", "config_sha256", "results", "seed", "tables", "version"]
+        assert env["config"] == {"dx": 0.05, "eps": 0.1, "n": 256, "omega": 1.5}
+        assert env["results"] == {}
+        assert env["tables"] == ["helmholtz.csv"]
+
+
+class TestLaplacianCommand:
+    @pytest.mark.parametrize("function", ["gaussian", "cos"])
+    def test_pointwise_route_and_its_difference(self, tmp_path, function):
+        out = tmp_path / "o"
+        # the spectral route is the periodic surrogate: its wrap-around at
+        # x = +-2 falls like the grid length to the -delta
+        assert main(["laplacian", "--n", "16384", "--dx", "0.02", "--function", function,
+                     "--pointwise", "3", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["laplacian.csv", "laplacian.json", "laplacian_pointwise.csv"]
+        header, rows = _csv_rows(out / "laplacian_pointwise.csv")
+        assert header == ["x", "laplacian"]
+        assert [float(row[0]) for row in rows] == [-2.0, 0.0, 2.0]
+        env = json.loads((out / "laplacian.json").read_text())
+        assert env["config"]["function"] == function
+        assert env["tables"] == ["laplacian.csv", "laplacian_pointwise.csv"]
+        assert list(env["results"]) == ["max_route_difference"]
+        assert 0.0 <= env["results"]["max_route_difference"] < 5e-3
+
+    def test_unknown_function_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["laplacian", "--function", "sine", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: {code: ValidationError, message: invalid function 'sine': "
+                                           "expected gaussian or cos}\n")
+        assert not out.exists()
 
 
 class TestKernelsCommand:

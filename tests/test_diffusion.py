@@ -6,11 +6,9 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import trapezoid
 
 from selfsim import (
-    DeltaMismatch,
     DeltaOutOfRange,
     Grid1D,
     LOutOfGrid,
-    NegativeTime,
     TimeNonPositive,
     continuity_residual,
     diffuse,
@@ -165,7 +163,7 @@ class TestPropagatorCauchy:
         assert num == pytest.approx(want, abs=1e-9)
 
     def test_wrong_exponent_rejected(self, params_half):
-        with pytest.raises(DeltaMismatch):
+        with pytest.raises(DeltaOutOfRange):
             propagator_cauchy(params_half, 0.0, 1.0)
 
 
@@ -357,7 +355,7 @@ class TestDiffuse:
         assert np.max(np.abs(out.values - gaussian_field.values)) < 1e-14
 
     def test_negative_time_rejected(self, params_half, gaussian_field):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(TimeNonPositive):
             diffuse(params_half, gaussian_field, -0.5)
 
     @given(delta=BAND)

@@ -632,19 +632,28 @@ class TestHelmholtz:
         lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 1.35e154, 0.1),
         lambda p: helmholtz_symbol(p, 1.0, 0.0, 1e155),
         lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 0.0, 1e155),
-    ], ids=["symbol-omega", "symbol-eps", "green-omega", "symbol-omega-zero", "green-omega-zero"])
+        lambda p: helmholtz_symbol(p, np.array([0.0, 1.0]), 0.0, 1e-170),
+        lambda p: helmholtz_symbol(p, 0.0, 0.0, 1e-155),
+        lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 0.0, 1e-170),
+        lambda p: helmholtz_green(p, Grid1D.centered(64, 0.1), 1e-170, 1e-170),
+    ], ids=["symbol-omega", "symbol-eps", "green-omega", "symbol-omega-zero", "green-omega-zero",
+            "symbol-eps-underflow", "symbol-eps-subnormal", "green-eps-underflow", "green-shift-underflow"])
+    @pytest.mark.filterwarnings("error")
     def test_shift_beyond_float_range_is_refused(self, params_half, fft_calls, call):
         # (omega + i eps)^2 overflowed in Python's complex power; at omega = 0
-        # the shift -eps^2 is refused by the same rule
+        # the shift -eps^2 is refused by the same rule, and a shift whose
+        # square underflows leaves 1/0 at k = 0, refused with it
         with pytest.raises(NumericError, match="beyond float range"):
             call(params_half)
         assert fft_calls == []
 
     @given(delta=BAND, eps=st.floats(1e-3, 1e3))
     @example(delta=0.5, eps=0.1)
+    @example(delta=0.5, eps=1e-150)
     def test_static_symbol_is_real_and_bit_exact(self, delta, eps):
         # at omega = 0 the shift is -eps^2 bit for bit, so the symbol is the
-        # float 1/(omega^2(k) + eps^2)
+        # float 1/(omega^2(k) + eps^2); eps^2 = 1e-300 is still in float
+        # range, so its k = 0 amplitude 1e300 is answered
         p = make_params(delta, 1.0, 1.0)
         k = Grid1D.centered(2048, 0.05).k_half
         got = helmholtz_symbol(p, k, 0.0, eps)

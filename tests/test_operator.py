@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -618,6 +619,29 @@ class TestFlux:
         div = np.gradient(j, grid.dx, edge_order=2)
         resid = drho_dt + div
         assert np.max(np.abs(resid)) / np.max(np.abs(drho_dt)) < 1e-4
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 1.5, 1.9, 1.0 - 1e-11, 1.0 + 1e-9, 2.0 - 1e-9])
+    def test_weights_match_the_closed_form_in_decimal(self, delta):
+        # the cell moments int_a^b tau^(-q) dtau = (b^(1-q) - a^(1-q)) / (1-q)
+        # (log(b/a) at q = 1) at 40 digits, from the same doubles: the
+        # difference of powers was off by 2.6 relative beside delta = 1 and
+        # by 4.8 beside delta = 2, and by 9.3e-9 elsewhere in the band
+        n, dx = 4096, 0.01
+        d, h = Decimal(delta), Decimal(dx)
+
+        def moment(q, m):
+            a, b = m * h, (m + 1) * h
+            return (b / a).ln() if q == 1 else (b ** (1 - q) - a ** (1 - q)) / (1 - q)
+
+        def i1(m):  # int over the cell of (tau - a) tau^-delta
+            return h ** (2 - d) / (2 - d) if m == 0 else moment(d - 1, m) - m * h * moment(d, m)
+
+        w = operator_module._flux_weights(delta, dx, n)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for p in (1, 2, 3, 10, 100, 1000, n - 1, n):
+                want = i1(n - 1) / h if p == n else moment(d, p) + (i1(p - 1) - i1(p)) / h
+                assert abs(Decimal(float(w[p])) - want) <= Decimal("1e-11") * abs(want), p
 
 
 class TestFracKernel:

@@ -8,6 +8,7 @@ from selfsim import (
     DeltaOutOfRange,
     NonPositiveScale,
     PoleError,
+    ValidationError,
     dispersion,
     dispersion_quadrature,
     factorial_ext,
@@ -35,8 +36,10 @@ class TestMakeParams:
             make_params(0.5, h, zeta)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(ValidationError) as info:
             make_params(0.5, float("nan"), 1.0)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "h must be finite, got nan"
 
     def test_coefficient_positive_across_band(self):
         for delta in np.linspace(0.05, 1.95, 39):

@@ -8,16 +8,18 @@ from scipy.special import gamma
 
 from selfsim import (
     AlphaOutOfRange,
-    DeltaPole,
     EpsNonPositive,
-    ExcludedAlpha,
     Grid1D,
     LOutOfGrid,
-    NonPositiveA,
+    NonPositiveScale,
     NonZeroMeanForce,
     NumericError,
     OriginSingular,
     PoleError,
+    ValidationError,
+    dispersion,
+    dispersion_quadrature,
+    factorial_ext,
     frac_kernel_y,
     greens_prefactor,
     greens_retarded,
@@ -29,6 +31,7 @@ from selfsim import (
     poisson_solve,
     riesz_kernel,
     riesz_tail_integral,
+    sample_levy,
     truncated_moment,
 )
 
@@ -50,9 +53,9 @@ class TestGreensStatic:
         assert ratio == pytest.approx(0.5, rel=1e-14)
 
     def test_pole_at_delta_one(self, params_one):
-        with pytest.raises(DeltaPole):
+        with pytest.raises(PoleError):
             greens_static(params_one, 1.0)
-        with pytest.raises(DeltaPole):
+        with pytest.raises(PoleError):
             greens_prefactor(make_params(1.0 + 1e-9, 1.0, 1.0))
 
     def test_origin_branches(self):
@@ -140,7 +143,7 @@ class TestRieszKernel:
 
     def test_excluded_exponents(self):
         for alpha in (-1, -3, -5, -1.0, -3.0, -5.0):
-            with pytest.raises(ExcludedAlpha):
+            with pytest.raises(AlphaOutOfRange):
                 riesz_kernel(alpha, 1.0)
 
     def test_origin_rules(self):
@@ -240,7 +243,7 @@ class TestCompensationIntegrals:
     def test_validation(self):
         with pytest.raises(AlphaOutOfRange):
             riesz_tail_integral(-0.5, 1.0)
-        with pytest.raises(NonPositiveA):
+        with pytest.raises(NonPositiveScale):
             riesz_tail_integral(0.5, 0.0)
 
 
@@ -267,37 +270,62 @@ class TestNormalizationTrichotomy:
         assert vals[2] > 2.0 * vals[0]
 
 
-# each refused with the error class of its finite bad values; accepted,
-# eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
-# (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
-# division error and alpha = nan a nan kernel.  A kernel value beyond
-# float range at x != 0 is refused too, with no overflow warning, where
-# it was +-inf
+# each refused by its rule, with exactly that rule's class and message: a
+# non-finite alpha by check_finite, a nan or inf damping by the damping
+# rule; accepted, eps = nan would give the eps = 0 kernel (riesz_kernel) or
+# nan (greens_retarded), L = nan a zero moment, alpha = inf a math domain
+# or division error and alpha = nan a nan kernel.  A value beyond float
+# range, at either end, is refused by the float-range rule, with no
+# overflow warning, where it was +-inf, a bare OverflowError, or a
+# ValidationError of the result
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call,error", [
-    (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
-    (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), AlphaOutOfRange),
-    (lambda p: riesz_kernel(math.nan, 1.0), AlphaOutOfRange),
-    (lambda p: riesz_kernel(math.inf, 1.0), AlphaOutOfRange),
-    (lambda p: riesz_kernel(-math.inf, 1.0), AlphaOutOfRange),
-    (lambda p: frac_kernel_y(0.5, 1.0, eps=math.nan), AlphaOutOfRange),
-    (lambda p: frac_kernel_y(math.inf, 1.0), AlphaOutOfRange),
-    (lambda p: frac_kernel_y(math.inf, 1.0, eps=0.1), AlphaOutOfRange),
-    (lambda p: frac_kernel_y(math.nan, 1.0), AlphaOutOfRange),
-    (lambda p: frac_kernel_y(math.nan, 1.0, eps=0.1), AlphaOutOfRange),
-    (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.nan), EpsNonPositive),
-    (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.inf), EpsNonPositive),
-    (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive),
-    (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive),
-    (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid),
-    (lambda p: riesz_kernel(2.5, 1e-300), NumericError),
-    (lambda p: riesz_kernel(0.5, 1e-310), NumericError),
+@pytest.mark.parametrize("call,error,message", [
+    (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), EpsNonPositive, "eps must be finite and >= 0, got nan"),
+    (lambda p: riesz_kernel(0.5, 1.0, eps=math.inf), EpsNonPositive, "eps must be finite and >= 0, got inf"),
+    (lambda p: riesz_kernel(math.nan, 1.0), ValidationError, "alpha must be finite, got nan"),
+    (lambda p: riesz_kernel(math.inf, 1.0), ValidationError, "alpha must be finite, got inf"),
+    (lambda p: riesz_kernel(-math.inf, 1.0), ValidationError, "alpha must be finite, got -inf"),
+    (lambda p: frac_kernel_y(0.5, 1.0, eps=math.nan), EpsNonPositive, "eps must be finite and >= 0, got nan"),
+    (lambda p: frac_kernel_y(math.inf, 1.0), ValidationError, "alpha must be finite, got inf"),
+    (lambda p: frac_kernel_y(math.inf, 1.0, eps=0.1), ValidationError, "alpha must be finite, got inf"),
+    (lambda p: frac_kernel_y(math.nan, 1.0), ValidationError, "alpha must be finite, got nan"),
+    (lambda p: frac_kernel_y(math.nan, 1.0, eps=0.1), ValidationError, "alpha must be finite, got nan"),
+    (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.nan), EpsNonPositive, "eps must be finite and >= 0, got nan"),
+    (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.inf), EpsNonPositive, "eps must be finite and >= 0, got inf"),
+    (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive, "eps must be finite and > 0, got nan"),
+    (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive, "eps must be finite and > 0, got inf"),
+    (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid,
+     "window must be positive, got nan"),
+    (lambda p: riesz_kernel(2.5, 1e-300), NumericError, "beyond float range"),
+    (lambda p: riesz_kernel(0.5, 1e-310), NumericError, "beyond float range"),
+    (lambda p: make_params(0.5, 1.0, 1e-320), NumericError, "beyond float range"),
+    (lambda p: make_params(1.9, 1e200, 1.0), NumericError, "beyond float range"),
+    (lambda p: make_params(1.9, 1e-300, 1.0), NumericError, "beyond float range"),
+    (lambda p: dispersion(make_params(1.9, 1.0, 1.0), 1e300), NumericError, "beyond float range"),
+    (lambda p: dispersion_quadrature(make_params(1.9, 1.0, 1.0), 1e300), NumericError, "beyond float range"),
+    (lambda p: dispersion_quadrature(make_params(1.9, 1e150, 1.0), 1e20), NumericError, "beyond float range"),
+    (lambda p: greens_static(make_params(0.01, 1.0, 1.0), 1e-320), NumericError, "beyond float range"),
+    (lambda p: laplacian_power_kernel(make_params(0.01, 1.0, 1.0), -1, 1e-320), NumericError,
+     "beyond float range"),
+    (lambda p: sample_levy(p, 1e300, 10, 1), NumericError, "beyond float range"),
+    (lambda p: sample_levy(make_params(0.01, 1.0, 1.0), 1.0, 1000, 1), NumericError, "beyond float range"),
+    (lambda p: sample_levy(make_params(0.05, 1.0, 1.0), 1e-300, 10, 1), NumericError, "beyond float range"),
+    (lambda p: frac_kernel_y(0.5, 1e-320), NumericError, "beyond float range"),
+    (lambda p: frac_kernel_y(200.0, 1.0, eps=0.1), NumericError, "beyond float range"),
+    (lambda p: factorial_ext(171.0), NumericError, "beyond float range"),
 ], ids=["riesz_eps_nan", "riesz_eps_inf", "riesz_alpha_nan", "riesz_alpha_inf",
         "riesz_alpha_minus_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
         "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
         "greens_eps_nan", "greens_eps_inf",
         "helmholtz_eps_nan", "helmholtz_eps_inf", "moment_L_nan",
-        "riesz_overflow", "riesz_overflow_subnormal_x"])
-def test_non_finite_and_negative_parameters_are_refused(params_half, call, error):
-    with pytest.raises(error):
+        "riesz_overflow", "riesz_overflow_subnormal_x",
+        "a_delta_zeta_subnormal", "a_delta_h_overflow", "a_delta_underflow", "dispersion_overflow",
+        "dispersion_quadrature_overflow", "dispersion_quadrature_product", "greens_static_overflow",
+        "power_kernel_minus_one_overflow", "levy_scale_overflow", "levy_samples_overflow",
+        "levy_scale_underflow", "frac_kernel_overflow", "frac_kernel_factorial_overflow",
+        "factorial_overflow"])
+def test_non_finite_and_negative_parameters_are_refused(params_half, call, error, message):
+    with pytest.raises(error) as info:
         call(params_half)
+    assert type(info.value) is error
+    assert message in str(info.value)
