@@ -35,7 +35,7 @@ import numpy as np
 from . import diffusion as dif
 from . import dynamics as dyn
 from . import statics as sta
-from .errors import IoError, NumericError, ValidationError, _float_range
+from .errors import IoError, NumericError, TimeNonPositive, ValidationError, _check_positive, _float_range
 from .grids import Grid1D
 from .io import ResultEnvelope, atomic_write_text, commit, plot_script, write_csv_atomic
 from .operator import laplacian_apply_point, laplacian_apply_spectral
@@ -89,11 +89,10 @@ def _evolution_times(text) -> tuple[float, ...]:
 
 
 def _propagator_times(text) -> tuple[float, ...]:
-    """Labelled times of the propagator, which exists for t > 0 only."""
+    """Labelled times of the propagator, held to the library's rule t > 0."""
     values = _labelled_floats(text)
     for v in values:
-        if v <= 0.0:  # a nan is refused later, as non-finite
-            raise ValueError(f"{v!r} is not a positive time")
+        _check_positive(error=TimeNonPositive, t=v)
     return values
 
 

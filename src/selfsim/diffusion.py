@@ -35,7 +35,9 @@ from .errors import (
     OriginSingular,
     TimeNonPositive,
     ValidationError,
+    _check_integer,
     _check_not_nan,
+    _check_positive,
     _float_range,
     check_finite,
 )
@@ -66,15 +68,9 @@ __all__ = [
 _CHUNK = 1 << 16
 
 
-def _check_time(t: float) -> None:
-    """The time rule of every route defined for t > 0 only, before any work."""
-    if not 0.0 < t < math.inf:
-        raise TimeNonPositive(f"t must be finite and > 0, got {t!r}")
-
-
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible batch of stable jump displacements."""
+    """Reproducible batch of stable jump displacements; scale is finite and > 0 (NonPositiveScale)."""
 
     delta: float
     scale: float
@@ -82,8 +78,7 @@ class SampleBatch:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValidationError(f"scale must be > 0, got {self.scale}")
+        _check_positive(scale=self.scale)
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError("samples contain non-finite values")
 
@@ -118,7 +113,7 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
     series has not settled at |x| = L/2 (for delta >= 1, where L/2 does
     not span many scales (a t)^(1/delta)).
     """
-    _check_time(t)
+    _check_positive(error=TimeNonPositive, t=t)
     values = sample_kernel(grid, _heat_symbol(params, t, grid.k_half))
     if line:
         m = grid.n // 2
@@ -131,14 +126,22 @@ def propagator(params: MediumParams, grid: Grid1D, t: float, *, line: bool = Fal
 
 
 def propagator_cauchy(params: MediumParams, x, t: float):
-    """delta = 1 closed form: (1/pi) s / (x^2 + s^2) with s = a_1 t."""
-    _check_time(t)
+    """delta = 1 closed form: (1/pi) s / (x^2 + s^2) with s = a_1 t.
+
+    Evaluated as (s/h)/h/pi with h = hypot(x, s), which forms no x^2 or
+    s^2, so it overflows only where the value does.  An s or a value
+    beyond float range raises NumericError.
+    """
+    _check_positive(error=TimeNonPositive, t=t)
     _check_not_nan(x=x)
     if abs(params.delta - 1.0) > 1e-12:
         raise DeltaOutOfRange(f"closed form requires delta = 1, got {params.delta}")
-    s = params.a_delta * t
-    xa = np.asarray(x, dtype=float)
-    vals = (1.0 / math.pi) * s / (xa * xa + s * s)
+    with _float_range(f"the Cauchy propagator at t = {t:g}"):
+        s = params.a_delta * t
+        if not 0.0 < s < math.inf:  # Python's * leaves float range silently
+            raise ArithmeticError
+        h = np.hypot(x, s)
+        vals = s / h / h / math.pi
     return float(vals) if np.ndim(x) == 0 else vals
 
 
@@ -152,7 +155,7 @@ def propagator_series(params: MediumParams, x: float, t: float) -> float:
     analytic-continuation heroics.
     """
     check_finite(x=x)
-    _check_time(t)
+    _check_positive(error=TimeNonPositive, t=t)
     if not params.delta < 1.0:
         raise DeltaOutOfRange(
             f"propagator series converges only for delta < 1, got {params.delta}"
@@ -175,7 +178,7 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     At x = 0, W = Gamma(1 + 1/delta) (a t)^(-1/delta) / pi in closed form.
     """
     check_finite(x=x)
-    _check_time(t)
+    _check_positive(error=TimeNonPositive, t=t)
     d = params.delta
     if x == 0.0:
         ln_w = math.lgamma(1.0 + 1.0 / d) - (math.log(params.a_delta) + math.log(t)) / d
@@ -200,12 +203,10 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
 def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
     """Evolve a density by e^{-omega^2(k) t}; mass is conserved exactly.
 
-    t < 0 is rejected: the smoothing semigroup has no inverse among
-    densities (and the backward multiplier would amplify without bound).
+    t must be finite and >= 0 (TimeNonPositive): the semigroup has no
+    inverse among densities, its backward multiplier grows without bound.
     """
-    check_finite(t=t)
-    if t < 0.0:
-        raise TimeNonPositive(f"diffusion is irreversible; got t = {t}")
+    _check_positive(error=TimeNonPositive, or_zero=True, t=t)
     return apply_symbol(rho0, _heat_symbol(params, t, rho0.grid.k_half))
 
 
@@ -219,10 +220,9 @@ def sample_levy(params: MediumParams, t: float, n: int, seed: int) -> SampleBatc
     e^{-a_delta |k|^delta t}.  Chunks of 2^16 draws, each from its own
     sub-seed spawned from ``seed``, define the stream.  NumericError: beyond float range.
     """
-    _check_time(t)
-    for name, value, least in (("n", n, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_positive(error=TimeNonPositive, t=t)
+    _check_integer(least=1, n=n)
+    _check_integer(least=0, seed=seed)
     delta = params.delta
     with _float_range(f"a stable sample for delta = {delta:g}, t = {t:g}"):
         scale = (params.a_delta * t) ** (1.0 / delta)
@@ -257,7 +257,7 @@ def tail_cdf_mass(params: MediumParams, x, t: float):
     where the series does not settle at the smallest x, or where the
     rounding of the terms summed there exceeds ABS_TOL.
     """
-    _check_time(t)
+    _check_positive(error=TimeNonPositive, t=t)
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 0.0):
         raise ValidationError("tail mass needs x > 0")
@@ -283,7 +283,7 @@ def numeric_cdf(params: MediumParams, t: float, xq, grid: Grid1D | None = None):
     asymptotic, 32 scales (a t)^(1/delta); below 1, one scale, so that no
     term outgrows the first.
     """
-    _check_time(t)
+    _check_positive(error=TimeNonPositive, t=t)
     _check_not_nan(xq=xq)
     if grid is None:
         d, dx, n = params.delta, 0.01, 1 << 10
@@ -353,12 +353,13 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
     """int_{-L}^{L} x^p W(x) dx on the grid (trapezoid).
 
     Odd p vanish by symmetry; even p >= 2 grow like L^(p - delta): the
-    moments have no infinite-window limit.
+    moments have no infinite-window limit.  p is an integer in 1..4, never
+    a bool; L is finite and > 0 (NonPositiveScale) and inside the grid.
     """
+    _check_integer(p=p)
     if p not in (1, 2, 3, 4):
         raise ValidationError(f"moment order must be 1..4, got {p}")
-    if not L > 0.0:
-        raise LOutOfGrid(f"window must be positive, got {L}")
+    _check_positive(L=L)
     if L > -w.grid.x_min or L > w.grid.x_min + w.grid.dx * (w.grid.n - 1):
         raise LOutOfGrid(f"window [-{L}, {L}] extends beyond the grid")
     rows, x = _window(w.grid, -L, L)

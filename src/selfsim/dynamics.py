@@ -48,8 +48,8 @@ import math
 
 import numpy as np
 
-from .errors import (NumericError, OriginSingular, QuadratureNoConvergence, ValidationError, _check_damping,
-                     _check_not_nan, _float_range, check_finite)
+from .errors import (EpsNonPositive, NumericError, OriginSingular, QuadratureNoConvergence, ValidationError,
+                     _check_not_nan, _check_positive, _float_range, check_finite)
 from .grids import ComplexField, Grid1D, RealField, sample_kernel
 from .params import MediumParams, dispersion
 from .quadrature import ABS_TOL, _stable_series, _weights_at_zero, quad_checked
@@ -375,7 +375,7 @@ def greens_retarded(params: MediumParams, x: float, t: float, eps: float = 0.0) 
     the undamped limit eps = 0.  Q is the series, else wave_kernel_fourier.
     """
     check_finite(x=x, t=t)
-    _check_damping(eps)
+    _check_positive(error=EpsNonPositive, or_zero=True, eps=eps)
     if t <= 0.0:
         return 0.0
     try:
@@ -391,7 +391,7 @@ def helmholtz_symbol(params: MediumParams, k, omega: float, eps: float):
     range raises NumericError, at omega = 0 as elsewhere."""
     check_finite(omega=omega)
     _check_not_nan(k=k)
-    _check_damping(eps, positive=True)
+    _check_positive(error=EpsNonPositive, eps=eps)
     with _float_range(f"(omega + i eps)^2 for omega = {omega:g}, eps = {eps:g}"):
         shift = (omega + 1j * eps) ** 2
         if omega == 0.0:

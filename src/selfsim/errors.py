@@ -3,7 +3,8 @@
 Validation errors (bad inputs) derive from ``ValidationError``; numeric
 failures (non-convergence, budget exhaustion, float range) derive from ``NumericError``.
 Both share the ``SelfsimError`` base so callers can catch everything at once.
-Each refusal rule that several routes share is written once, here.
+Each refusal rule that several routes share is written once, here: the
+finite, NaN, sign, count and float-range rules.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ class DeltaOutOfRange(ValidationError):
 
 
 class NonPositiveScale(ValidationError):
-    """A length, scale, tolerance or cut point that must be strictly positive is not."""
+    """A length, scale, tolerance, cut point or window that must be finite and > 0 is not."""
 
 
 class PoleError(ValidationError):
@@ -80,10 +81,19 @@ def _check_not_nan(**values) -> None:
             raise ValidationError(f"{name} must not be NaN")
 
 
-def _check_damping(eps: float, positive: bool = False) -> None:
-    """The damping rule: eps finite and >= 0, or > 0 where ``positive``."""
-    if not 0.0 <= eps < math.inf or (positive and eps == 0.0):
-        raise EpsNonPositive(f"damping eps must be finite and {'>' if positive else '>='} 0, got {eps!r}")
+def _check_positive(error: type = NonPositiveScale, or_zero: bool = False, **values) -> None:
+    """The sign rule: raise ``error`` naming the first argument not finite and > 0 (>= 0 with ``or_zero``)."""
+    for name, val in values.items():
+        if not (0.0 <= val if or_zero else 0.0 < val) or not val < math.inf:
+            raise error(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {val!r}")
+
+
+def _check_integer(least: int | None = None, **values) -> None:
+    """The count rule: raise ValidationError naming the first argument not an integer (a bool is not) >= least."""
+    bound = "" if least is None else f" >= {least}"
+    for name, val in values.items():
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or (least is not None and val < least):
+            raise ValidationError(f"{name} must be an integer{bound}, got {val!r}")
 
 
 @contextlib.contextmanager

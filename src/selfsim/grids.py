@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooSmall, NonPositiveScale, ValidationError, check_finite
+from .errors import GridTooSmall, ValidationError, _check_integer, _check_positive, check_finite
 
 __all__ = [
     "Grid1D",
@@ -98,11 +98,9 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.dx <= 0.0 or not np.isfinite(self.dx):
-            raise NonPositiveScale(f"dx must be > 0, got {self.dx}")
+        _check_positive(dx=self.dx)
         check_finite(x_min=self.x_min)
-        if not isinstance(self.n, (int, np.integer)):
-            raise ValidationError(f"n must be an integer, got {self.n!r}")
+        _check_integer(n=self.n)
         if self.n < MIN_POINTS:
             raise GridTooSmall(f"need at least {MIN_POINTS} points, got {self.n}")
 

@@ -23,8 +23,8 @@ import math
 import numpy as np
 from scipy.special import exprel as _exprel
 
-from .errors import (AlphaOutOfRange, DeltaOutOfRange, NonPositiveScale, OriginSingular, ValidationError,
-                     _check_damping, _float_range, check_finite)
+from .errors import (AlphaOutOfRange, DeltaOutOfRange, EpsNonPositive, OriginSingular, ValidationError,
+                     _check_positive, _float_range, check_finite)
 from .grids import RealField, apply_symbol
 from .params import MediumParams, dispersion, factorial_ext
 from .quadrature import ABS_TOL, singular_integral
@@ -63,11 +63,10 @@ def laplacian_apply_point(params: MediumParams, f, x: float, abs_tol: float = AB
     decaying part.  f(x) is evaluated once.  ``quadrature.singular_integral``
     integrates g(tau) = f(x + tau) + f(x - tau) with the shift -2 f(x): a
     fourth-order Taylor disc, Gauss-Kronrod panels on geometric segments to
-    tau = 1, the windowed tail sum beyond.  abs_tol must lie in (0, inf).
+    tau = 1, the windowed tail sum beyond.  abs_tol must be finite and > 0.
     """
     check_finite(x=x)
-    if not 0.0 < abs_tol < math.inf:
-        raise NonPositiveScale(f"abs_tol must lie in (0, inf), got {abs_tol!r}")
+    _check_positive(abs_tol=abs_tol)
     delta = params.delta
     two_fx = 2.0 * f(x)
     # the Taylor disc to fourth order: near delta = 2 the tau^4 term of the
@@ -178,7 +177,7 @@ def frac_kernel_y(alpha: float, x: float, eps: float = 0.0) -> float:
     check_finite(x=x, alpha=alpha)
     if alpha <= -1.0:
         raise AlphaOutOfRange(f"kernel defined for alpha > -1, got {alpha}")
-    _check_damping(eps)
+    _check_positive(error=EpsNonPositive, or_zero=True, eps=eps)
     with _float_range(f"y_alpha(x) for alpha = {alpha:g}, x = {x:g}, eps = {eps:g}"):
         if eps > 0.0:
             val = (1j ** (2.0 * alpha + 1.0)) / complex(x, eps) ** (alpha + 1.0)
@@ -195,10 +194,12 @@ def frac_derivative_spectral(alpha: float, f: RealField) -> RealField:
 
     Principal branch: (ik)^alpha = |k|^alpha exp(i sign(k) pi alpha / 2).
     alpha = 0 is the identity; integer alpha reproduces ordinary
-    derivatives.
+    derivatives.  NumericError: a symbol beyond float range.
     """
     check_finite(alpha=alpha)
     if alpha < 0.0:
         raise AlphaOutOfRange(f"derivative branch needs alpha >= 0, got {alpha}")
     k = f.grid.k_half
-    return apply_symbol(f, k**alpha * np.exp(1j * np.sign(k) * math.pi * alpha / 2.0))
+    with _float_range(f"the symbol (ik)^alpha for alpha = {alpha:g}"):
+        symbol = k**alpha * np.exp(1j * np.sign(k) * math.pi * alpha / 2.0)
+    return apply_symbol(f, symbol)

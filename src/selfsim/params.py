@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import DeltaOutOfRange, NonPositiveScale, PoleError, _float_range, check_finite
+from .errors import DeltaOutOfRange, PoleError, _check_positive, _float_range, check_finite
 from .quadrature import ABS_TOL, quad_checked
 
 __all__ = [
@@ -55,17 +55,15 @@ class MediumParams:
 def make_params(delta: float, h: float, zeta: float) -> MediumParams:
     """Validate (delta, h, zeta) and attach the dispersion coefficient.
 
-    Raises DeltaOutOfRange unless 0 < delta < 2 (both ends excluded: the
-    defining integrals cease to exist at the boundary), NonPositiveScale
-    for h <= 0 or zeta <= 0, NumericError for an a_delta beyond float range.
+    Raises ValidationError for a non-finite argument, DeltaOutOfRange
+    unless 0 < delta < 2 (the defining integrals cease to exist at both
+    ends), NonPositiveScale for h or zeta <= 0, NumericError for an
+    a_delta beyond float range.
     """
     check_finite(delta=delta, h=h, zeta=zeta)
     if not 0.0 < delta < 2.0:
         raise DeltaOutOfRange(f"delta must lie strictly inside (0, 2), got {delta}")
-    if h <= 0.0:
-        raise NonPositiveScale(f"h must be > 0, got {h}")
-    if zeta <= 0.0:
-        raise NonPositiveScale(f"zeta must be > 0, got {zeta}")
+    _check_positive(h=h, zeta=zeta)
     with _float_range(f"a_delta for delta = {delta:g}, h = {h:g}, zeta = {zeta:g}"):
         a = (h**delta / zeta) * math.pi / (_gamma(1.0 + delta) * math.sin(math.pi * delta / 2.0))
         if not 0.0 < a < math.inf:  # Python's * and / leave float range silently

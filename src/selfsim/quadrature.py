@@ -63,7 +63,7 @@ from scipy.special import erfc as _erfc
 from scipy.special import gammaln as _gammaln
 from scipy.special import zeta as _zeta
 
-from .errors import QuadratureNoConvergence, SeriesBudgetExceeded, ValidationError
+from .errors import QuadratureNoConvergence, SeriesBudgetExceeded, _check_positive
 
 __all__ = [
     "ABS_TOL",
@@ -201,7 +201,8 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     _march's panels go out from start, each g value computed once: panels
     below U fold into a running sum, so each doubling of U, from 4 start
     up, costs only the new span.  The value is accepted when two windowed
-    sums in turn agree to abs_tol.  Refused with QuadratureNoConvergence:
+    sums in turn agree to abs_tol.  A start not finite and > 0 raises
+    NonPositiveScale.  Refused with QuadratureNoConvergence:
 
     * power >= -1, before g is evaluated: the weight is not integrable at
       infinity (the operator's u^(-1-delta), 0 < delta < 2, always is);
@@ -224,8 +225,7 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     panel's last node and its end is invisible to the error estimate
     (cos 3u below 5 and u^-2 above, from 1, misses by 3.6e-9 at 1e-10).
     """
-    if not start > 0.0:
-        raise ValidationError(f"tail start must be > 0, got {start!r}")
+    _check_positive(start=start)
     if not power < -1.0:
         raise QuadratureNoConvergence(
             f"tail weight u^{power:g} is not integrable at infinity: the windowed tail takes power < -1")

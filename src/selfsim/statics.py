@@ -37,13 +37,14 @@ from scipy.special import gamma as _gamma
 
 from .errors import (
     AlphaOutOfRange,
-    NonPositiveScale,
+    EpsNonPositive,
     NonZeroMeanForce,
     NumericError,
     OriginSingular,
     PoleError,
-    _check_damping,
+    _check_integer,
     _check_not_nan,
+    _check_positive,
     _float_range,
     check_finite,
 )
@@ -134,7 +135,7 @@ def riesz_kernel(alpha: float, x, eps: float = 0.0):
     _check_not_nan(x=x)
     xa = np.abs(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
-    _check_damping(eps)
+    _check_positive(error=EpsNonPositive, or_zero=True, eps=eps)
     if eps > 0.0 and negative_even:
         raise PoleError(f"the damped transform (eps = {eps:g}) has a pole at alpha = {alpha:g}; "
                         "only its eps = 0 limit is finite")
@@ -174,10 +175,10 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
     1 for n = 0 and 0 for every other n, whose structure at the origin is
     oscillatory and is never sampled on a grid (convolutions against it
     are done spectrally); for n >= 0, x = 0 raises OriginSingular, as
-    riesz_kernel does.  A value beyond float range raises NumericError.
+    riesz_kernel does.  n is an integer, never a bool (ValidationError);
+    n < -1 raises AlphaOutOfRange, a value beyond float range NumericError.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise AlphaOutOfRange(f"n must be an integer, got {n!r}")
+    _check_integer(n=n)
     if n < -1:
         raise AlphaOutOfRange(f"powers below -1 are not defined, got n = {n}")
     if n == -1:
@@ -188,10 +189,15 @@ def laplacian_power_kernel(params: MediumParams, n: int, x):
 
 
 def riesz_tail_integral(alpha: float, a: float) -> float:
-    """int_a^inf b_alpha(x) dx = -(Gamma(alpha)/pi) a^(-alpha) sin(pi alpha / 2), alpha > 0."""
+    """int_a^inf b_alpha(x) dx = -(Gamma(alpha)/pi) a^(-alpha) sin(pi alpha / 2), alpha > 0.
+
+    NonPositiveScale: a cut point a <= 0; NumericError: Gamma(alpha) or the value beyond float range."""
     check_finite(alpha=alpha, a=a)
     if alpha <= 0.0:
         raise AlphaOutOfRange(f"tail integral requires alpha > 0, got {alpha}")
-    if a <= 0.0:
-        raise NonPositiveScale(f"cut point must be > 0, got {a}")
-    return -(_gamma(alpha) / math.pi) * a ** (-alpha) * math.sin(math.pi * alpha / 2.0)
+    _check_positive(a=a)
+    with _float_range(f"the tail integral for alpha = {alpha:g}, a = {a:g}"):
+        gamma = _gamma(alpha)
+        if math.isinf(gamma):  # scipy's Gamma overflows to inf without a flag
+            raise ArithmeticError
+        return -(gamma / math.pi) * a ** (-alpha) * math.sin(math.pi * alpha / 2.0)

@@ -381,7 +381,7 @@ def oscillatory_tail_reference(g, power, start, abs_tol):
     shared."""
     from operator import mul
 
-    from selfsim import QuadratureNoConvergence, ValidationError
+    from selfsim import NonPositiveScale, QuadratureNoConvergence
     from selfsim.quadrature import _DIFF, _KRONROD, _NODES
 
     steepness = 9.0
@@ -389,8 +389,8 @@ def oscillatory_tail_reference(g, power, start, abs_tol):
     window_at_2u = 0.5 * math.erfc(0.5 * steepness)
     max_window, growth, min_panel = 2.0**16, 1.25, 1e-10
 
-    if not start > 0.0:
-        raise ValidationError(f"tail start must be > 0, got {start!r}")
+    if not 0.0 < start < math.inf:
+        raise NonPositiveScale(f"start must be finite and > 0, got {start!r}")
     if not power < -1.0:
         raise QuadratureNoConvergence(
             f"tail weight u^{power:g} is not integrable at infinity: the windowed tail takes power < -1")

@@ -283,10 +283,10 @@ class TestValidation:
         # the initial state is the column u_t0 and the result energy_t0
         (["cauchy", "--n", "256", "--dx", "0.1", "--times", "0,1"],
          "cli.dyn", "cauchy_evolve", "the initial state's time, labelled 0"),
-        # the propagator exists for t > 0 only; refused before the first
-        # time's 2^20-point transform
+        # the propagator exists for t > 0 only, by the library's time rule;
+        # refused before the first time's 2^20-point transform
         (["diffusion", "--times", "1,-1", "--n", "1048576", "--dx", "0.01"],
-         "cli.dif", "propagator", "-1.0 is not a positive time"),
+         "cli.dif", "propagator", "invalid times '1,-1': t must be finite and > 0, got -1.0"),
     ])
     def test_refused_before_numeric_work(self, monkeypatch, tmp_path, capsys, argv, owner, name, message):
         from selfsim import cli
@@ -298,13 +298,13 @@ class TestValidation:
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "code: ValidationError" in err and message in err
+        assert "code: ValidationError, message: " in err and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("delta", "2", "DeltaOutOfRange, message: delta must lie strictly inside (0, 2), got 2.0"),
         ("n", "4", "GridTooSmall, message: need at least 8 points, got 4"),
-        ("dx", "0", "NonPositiveScale, message: dx must be > 0, got 0.0"),
+        ("dx", "0", "NonPositiveScale, message: dx must be finite and > 0, got 0.0"),
     ])
     def test_bad_medium_or_grid_refused_before_the_handler(self, monkeypatch, tmp_path, capsys,
                                                            flag, value, message):

@@ -166,6 +166,20 @@ class TestPropagatorCauchy:
         with pytest.raises(DeltaOutOfRange):
             propagator_cauchy(params_half, 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_scale_and_far_point_stay_in_float_range(self, params_one):
+        # x^2 + s^2 overflowed: at t = 1e160 the answer was 0, at x = 1e200 a warning
+        assert propagator_cauchy(params_one, 1.0, 1e160) == pytest.approx(1.0132118364233778e-161, rel=4e-16)
+        assert propagator_cauchy(params_one, 1e200, 1.0) == 0.0
+
+    def test_matches_the_textbook_arithmetic(self, params_one):
+        # the hypot form moves ordinary values only in their last bits
+        x = np.linspace(-50.0, 50.0, 10001)
+        for t in (0.01, 1.0, 100.0):
+            s = params_one.a_delta * t
+            want = (1.0 / math.pi) * s / (x * x + s * s)
+            assert np.max(np.abs(propagator_cauchy(params_one, x, t) / want - 1.0)) <= 1e-15
+
 
 class TestPropagatorSeries:
     def test_rejected_at_and_above_one(self):

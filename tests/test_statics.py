@@ -10,16 +10,17 @@ from selfsim import (
     AlphaOutOfRange,
     EpsNonPositive,
     Grid1D,
-    LOutOfGrid,
     NonPositiveScale,
     NonZeroMeanForce,
     NumericError,
     OriginSingular,
     PoleError,
+    SampleBatch,
     ValidationError,
     dispersion,
     dispersion_quadrature,
     factorial_ext,
+    frac_derivative_spectral,
     frac_kernel_y,
     greens_prefactor,
     greens_retarded,
@@ -29,11 +30,13 @@ from selfsim import (
     laplacian_power_kernel,
     make_params,
     poisson_solve,
+    propagator_cauchy,
     riesz_kernel,
     riesz_tail_integral,
     sample_levy,
     truncated_moment,
 )
+from selfsim.quadrature import oscillatory_tail
 
 from oracles import greens_fourier, riesz_kernel_sweep
 
@@ -219,8 +222,10 @@ class TestLaplacianPowerKernel:
             laplacian_power_kernel(params_half, 1, 0.0)
         with pytest.raises(AlphaOutOfRange):
             laplacian_power_kernel(params_half, -2, 1.0)
-        with pytest.raises(AlphaOutOfRange):
+        # a non-integer power is refused by the count rule, that class exactly
+        with pytest.raises(ValidationError, match=r"^n must be an integer, got 1\.5$") as info:
             laplacian_power_kernel(params_half, 1.5, 1.0)
+        assert type(info.value) is ValidationError
 
 
 class TestCompensationIntegrals:
@@ -271,13 +276,14 @@ class TestNormalizationTrichotomy:
 
 
 # each refused by its rule, with exactly that rule's class and message: a
-# non-finite alpha by check_finite, a nan or inf damping by the damping
-# rule; accepted, eps = nan would give the eps = 0 kernel (riesz_kernel) or
-# nan (greens_retarded), L = nan a zero moment, alpha = inf a math domain
-# or division error and alpha = nan a nan kernel.  A value beyond float
-# range, at either end, is refused by the float-range rule, with no
-# overflow warning, where it was +-inf, a bare OverflowError, or a
-# ValidationError of the result
+# non-finite alpha by check_finite, a nan or inf damping, scale, window or
+# tail start by the sign rule, a bool count by the count rule; accepted,
+# eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
+# (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
+# division error, alpha = nan a nan kernel, scale = nan a batch and True
+# the count 1.  A value beyond float range, at either end, is refused by
+# the float-range rule, with no overflow warning, where it was +-inf, 0, a
+# bare OverflowError, or a ValidationError of the result
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,error,message", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), EpsNonPositive, "eps must be finite and >= 0, got nan"),
@@ -294,8 +300,8 @@ class TestNormalizationTrichotomy:
     (lambda p: greens_retarded(p, 1.0, 1.0, eps=math.inf), EpsNonPositive, "eps must be finite and >= 0, got inf"),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.nan), EpsNonPositive, "eps must be finite and > 0, got nan"),
     (lambda p: helmholtz_symbol(p, 1.0, 1.0, math.inf), EpsNonPositive, "eps must be finite and > 0, got inf"),
-    (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), LOutOfGrid,
-     "window must be positive, got nan"),
+    (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), 2, math.nan), NonPositiveScale,
+     "L must be finite and > 0, got nan"),
     (lambda p: riesz_kernel(2.5, 1e-300), NumericError, "beyond float range"),
     (lambda p: riesz_kernel(0.5, 1e-310), NumericError, "beyond float range"),
     (lambda p: make_params(0.5, 1.0, 1e-320), NumericError, "beyond float range"),
@@ -313,6 +319,21 @@ class TestNormalizationTrichotomy:
     (lambda p: frac_kernel_y(0.5, 1e-320), NumericError, "beyond float range"),
     (lambda p: frac_kernel_y(200.0, 1.0, eps=0.1), NumericError, "beyond float range"),
     (lambda p: factorial_ext(171.0), NumericError, "beyond float range"),
+    (lambda p: SampleBatch(0.5, math.nan, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got nan"),
+    (lambda p: SampleBatch(0.5, 0.0, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got 0.0"),
+    (lambda p: SampleBatch(0.5, math.inf, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got inf"),
+    (lambda p: laplacian_power_kernel(p, True, 1.0), ValidationError, "n must be an integer, got True"),
+    (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), True, 1.0), ValidationError,
+     "p must be an integer, got True"),
+    (lambda p: Grid1D.centered(True, 0.1), ValidationError, "n must be an integer, got True"),
+    (lambda p: oscillatory_tail(math.cos, -1.5, 0.0, 1e-9), NonPositiveScale, "start must be finite and > 0, got 0.0"),
+    (lambda p: riesz_tail_integral(200.0, 1e-3), NumericError, "beyond float range"),
+    (lambda p: riesz_tail_integral(180.5, 10.0), NumericError, "beyond float range"),
+    (lambda p: riesz_tail_integral(200.5, 1e3), NumericError, "beyond float range"),
+    (lambda p: frac_derivative_spectral(300.0, Grid1D.centered(64, 0.1).sample(np.exp)), NumericError,
+     "beyond float range"),
+    (lambda p: propagator_cauchy(make_params(1.0, 1.0, 1.0), 1.0, 1e308), NumericError, "beyond float range"),
+    (lambda p: propagator_cauchy(make_params(1.0, 1.0, 1.0), 0.0, 1e-320), NumericError, "beyond float range"),
 ], ids=["riesz_eps_nan", "riesz_eps_inf", "riesz_alpha_nan", "riesz_alpha_inf",
         "riesz_alpha_minus_inf", "frac_kernel_eps_nan", "frac_kernel_alpha_inf",
         "frac_kernel_alpha_inf_eps", "frac_kernel_alpha_nan", "frac_kernel_alpha_nan_eps",
@@ -323,7 +344,10 @@ class TestNormalizationTrichotomy:
         "dispersion_quadrature_overflow", "dispersion_quadrature_product", "greens_static_overflow",
         "power_kernel_minus_one_overflow", "levy_scale_overflow", "levy_samples_overflow",
         "levy_scale_underflow", "frac_kernel_overflow", "frac_kernel_factorial_overflow",
-        "factorial_overflow"])
+        "factorial_overflow", "batch_scale_nan", "batch_scale_zero", "batch_scale_inf",
+        "power_kernel_n_bool", "moment_p_bool", "grid_n_bool", "tail_start_zero",
+        "tail_integral_overflow", "tail_integral_gamma_overflow", "tail_integral_gamma_overflow_times_zero",
+        "frac_derivative_overflow", "cauchy_scale_overflow", "cauchy_origin_overflow"])
 def test_non_finite_and_negative_parameters_are_refused(params_half, call, error, message):
     with pytest.raises(error) as info:
         call(params_half)
