@@ -70,7 +70,8 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible batch of stable jump displacements; scale is finite and > 0 (NonPositiveScale)."""
+    """Reproducible batch of stable jump displacements; scale is finite and
+    > 0 (NonPositiveScale), seed an integer >= 0 (ValidationError)."""
 
     delta: float
     scale: float
@@ -79,6 +80,7 @@ class SampleBatch:
 
     def __post_init__(self):
         _check_positive(scale=self.scale)
+        _check_integer(least=0, seed=self.seed)
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError("samples contain non-finite values")
 

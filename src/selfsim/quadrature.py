@@ -201,8 +201,8 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     _march's panels go out from start, each g value computed once: panels
     below U fold into a running sum, so each doubling of U, from 4 start
     up, costs only the new span.  The value is accepted when two windowed
-    sums in turn agree to abs_tol.  A start not finite and > 0 raises
-    NonPositiveScale.  Refused with QuadratureNoConvergence:
+    sums in turn agree to abs_tol.  A start or abs_tol not finite and > 0
+    raises NonPositiveScale.  Refused with QuadratureNoConvergence:
 
     * power >= -1, before g is evaluated: the weight is not integrable at
       infinity (the operator's u^(-1-delta), 0 < delta < 2, always is);
@@ -225,7 +225,7 @@ def oscillatory_tail(g, power: float, start: float, abs_tol: float) -> float:
     panel's last node and its end is invisible to the error estimate
     (cos 3u below 5 and u^-2 above, from 1, misses by 3.6e-9 at 1e-10).
     """
-    _check_positive(start=start)
+    _check_positive(start=start, abs_tol=abs_tol)
     if not power < -1.0:
         raise QuadratureNoConvergence(
             f"tail weight u^{power:g} is not integrable at infinity: the windowed tail takes power < -1")
@@ -288,7 +288,10 @@ def singular_integral(g, shift: float, taylor, delta: float, abs_tol: float, sca
       its panels summed by one Kronrod dot product, as oscillatory_tail's;
     * (1, inf): shift's tail, shift / delta, in closed form, plus
       oscillatory_tail of g.
+
+    An abs_tol not finite and > 0 raises NonPositiveScale.
     """
+    _check_positive(abs_tol=abs_tol)
     tol = abs_tol / max(scale, 1.0)
     power = -1.0 - delta
     inner = -0.0  # the exact additive identity: inner is bit for bit the first term

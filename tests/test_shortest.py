@@ -1,6 +1,7 @@
 """The vectorized float formatter against repr, byte for byte."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,32 @@ def test_notation_boundaries():
     assert csv_bytes(x.T) == b"1e-05,0.0001,9999999999999998.0,1e+16\n"
     _assert_matches_repr([1e-05, 0.0001, 9.99999e-05, 0.000123, 9999999999999998.0, 1e16,
                           123456789012345.6, 1e15, 1e100, 1e-100, 1.5e300, -2.5e-300])
+
+
+def test_every_layout_class():
+    # repr's layout hangs on the sign, the count n of significant digits and
+    # the decimal exponent E of the first digit, alike below -4 and above 15:
+    # for each E an n-digit decimal, n = 1..15, and four doubles of the
+    # decade, with both signs and their neighbours, each in both columns
+    rng = np.random.default_rng(46)
+    values = []
+    for e in range(-324, 309):
+        for n in range(1, 16):
+            d = rng.integers(10 ** (n - 1), 10 ** n) // 10 * 10 + rng.integers(1, 10)
+            values.append(float(f"{d}e{e - n + 1}"))
+        values += [float(f"{m!r}e{e}") for m in (1.0 + 9.0 * rng.random(4)).tolist()]
+    x = np.array(values)
+    x = x[np.isfinite(x)]
+    x = np.concatenate([x, -x])
+    _assert_matches_repr(np.stack([x, x[::-1]], axis=1), width=2)
+    # all 22 x 17 classes (E clipped to -5..16, n = 1..17) of both signs
+    bits = x.view(np.uint64)
+    cells = np.concatenate([x, (bits + np.uint64(1)).view(np.float64), (bits - np.uint64(1)).view(np.float64)])
+    classes = set()
+    for v in cells[np.isfinite(cells) & (cells != 0)].tolist():
+        sign, digits, exponent = Decimal(repr(v)).normalize().as_tuple()
+        classes.add((sign, min(max(exponent + len(digits) - 1, -5), 16), len(digits)))
+    assert len(classes) == 2 * 22 * 17
 
 
 def test_integers_and_specials():

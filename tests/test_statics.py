@@ -36,7 +36,7 @@ from selfsim import (
     sample_levy,
     truncated_moment,
 )
-from selfsim.quadrature import oscillatory_tail
+from selfsim.quadrature import oscillatory_tail, singular_integral
 
 from oracles import greens_fourier, riesz_kernel_sweep
 
@@ -276,14 +276,17 @@ class TestNormalizationTrichotomy:
 
 
 # each refused by its rule, with exactly that rule's class and message: a
-# non-finite alpha by check_finite, a nan or inf damping, scale, window or
-# tail start by the sign rule, a bool count by the count rule; accepted,
-# eps = nan would give the eps = 0 kernel (riesz_kernel) or nan
-# (greens_retarded), L = nan a zero moment, alpha = inf a math domain or
-# division error, alpha = nan a nan kernel, scale = nan a batch and True
-# the count 1.  A value beyond float range, at either end, is refused by
-# the float-range rule, with no overflow warning, where it was +-inf, 0, a
-# bare OverflowError, or a ValidationError of the result
+# non-finite alpha by check_finite, a nan or inf damping, scale, window,
+# tail start or abs_tol by the sign rule, a bool count or a seed that is
+# not a count by the count rule; accepted, eps = nan would give the eps = 0
+# kernel (riesz_kernel) or nan (greens_retarded), L = nan a zero moment,
+# alpha = inf a math domain or division error, alpha = nan a nan kernel,
+# scale = nan a batch, True the count 1, a seed of True the preamble
+# seed=True, and an abs_tol of -1 a TypeError, of 0 or nan a
+# QuadratureNoConvergence and of inf an answer with nothing certified.
+# A value beyond float range, at either end, is refused by the float-range
+# rule, with no overflow warning, where it was +-inf, 0, a bare
+# OverflowError, or a ValidationError of the result
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,error,message", [
     (lambda p: riesz_kernel(0.5, 1.0, eps=math.nan), EpsNonPositive, "eps must be finite and >= 0, got nan"),
@@ -322,11 +325,30 @@ class TestNormalizationTrichotomy:
     (lambda p: SampleBatch(0.5, math.nan, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got nan"),
     (lambda p: SampleBatch(0.5, 0.0, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got 0.0"),
     (lambda p: SampleBatch(0.5, math.inf, 1, np.zeros(3)), NonPositiveScale, "scale must be finite and > 0, got inf"),
+    (lambda p: SampleBatch(0.5, 1.0, True, np.zeros(3)), ValidationError, "seed must be an integer >= 0, got True"),
+    (lambda p: SampleBatch(0.5, 1.0, -3.5, np.zeros(3)), ValidationError, "seed must be an integer >= 0, got -3.5"),
+    (lambda p: SampleBatch(0.5, 1.0, 2.5, np.zeros(3)), ValidationError, "seed must be an integer >= 0, got 2.5"),
     (lambda p: laplacian_power_kernel(p, True, 1.0), ValidationError, "n must be an integer, got True"),
     (lambda p: truncated_moment(Grid1D.centered(64, 0.1).sample(np.exp), True, 1.0), ValidationError,
      "p must be an integer, got True"),
     (lambda p: Grid1D.centered(True, 0.1), ValidationError, "n must be an integer, got True"),
     (lambda p: oscillatory_tail(math.cos, -1.5, 0.0, 1e-9), NonPositiveScale, "start must be finite and > 0, got 0.0"),
+    (lambda p: oscillatory_tail(math.cos, -1.5, 1.0, -1.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got -1.0"),
+    (lambda p: oscillatory_tail(math.cos, -1.5, 1.0, 0.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got 0.0"),
+    (lambda p: oscillatory_tail(math.cos, -1.5, 1.0, math.nan), NonPositiveScale,
+     "abs_tol must be finite and > 0, got nan"),
+    (lambda p: oscillatory_tail(math.cos, -1.5, 1.0, math.inf), NonPositiveScale,
+     "abs_tol must be finite and > 0, got inf"),
+    (lambda p: singular_integral(math.cos, -1.0, ((0.5, 2.0),), 0.5, -1.0, 1.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got -1.0"),
+    (lambda p: singular_integral(math.cos, -1.0, ((0.5, 2.0),), 0.5, 0.0, 1.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got 0.0"),
+    (lambda p: singular_integral(math.cos, -1.0, ((0.5, 2.0),), 0.5, math.nan, 1.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got nan"),
+    (lambda p: singular_integral(math.cos, -1.0, ((0.5, 2.0),), 0.5, math.inf, 1.0), NonPositiveScale,
+     "abs_tol must be finite and > 0, got inf"),
     (lambda p: riesz_tail_integral(200.0, 1e-3), NumericError, "beyond float range"),
     (lambda p: riesz_tail_integral(180.5, 10.0), NumericError, "beyond float range"),
     (lambda p: riesz_tail_integral(200.5, 1e3), NumericError, "beyond float range"),
@@ -345,7 +367,11 @@ class TestNormalizationTrichotomy:
         "power_kernel_minus_one_overflow", "levy_scale_overflow", "levy_samples_overflow",
         "levy_scale_underflow", "frac_kernel_overflow", "frac_kernel_factorial_overflow",
         "factorial_overflow", "batch_scale_nan", "batch_scale_zero", "batch_scale_inf",
+        "batch_seed_bool", "batch_seed_negative_fraction", "batch_seed_fraction",
         "power_kernel_n_bool", "moment_p_bool", "grid_n_bool", "tail_start_zero",
+        "tail_abs_tol_negative", "tail_abs_tol_zero", "tail_abs_tol_nan", "tail_abs_tol_inf",
+        "singular_abs_tol_negative", "singular_abs_tol_zero", "singular_abs_tol_nan",
+        "singular_abs_tol_inf",
         "tail_integral_overflow", "tail_integral_gamma_overflow", "tail_integral_gamma_overflow_times_zero",
         "frac_derivative_overflow", "cauchy_scale_overflow", "cauchy_origin_overflow"])
 def test_non_finite_and_negative_parameters_are_refused(params_half, call, error, message):
