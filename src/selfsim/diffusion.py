@@ -178,6 +178,8 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     scale (a t)^(1/delta), inside it 1/scale on the ray and 1 on the axis
     (for small delta, u^delta decays too slowly for the wider span).
     At x = 0, W = Gamma(1 + 1/delta) (a t)^(-1/delta) / pi in closed form.
+    W is held to max(ABS_TOL, 1e-11 |W|), not the scaled integral to
+    ABS_TOL; past quad's reach (tiny x and t, W huge) the route refuses.
     """
     check_finite(x=x)
     _check_positive(error=TimeNonPositive, t=t)
@@ -199,7 +201,7 @@ def propagator_quadrature(params: MediumParams, x: float, t: float) -> float:
     def integrand(u):
         return (rot * cmath.exp(-a_tc * u**d * phase + u * ixa)).real
 
-    return c * quad_checked(integrand, 0.0, np.inf, abs_tol=ABS_TOL) / math.pi
+    return c * quad_checked(integrand, 0.0, np.inf, abs_tol=ABS_TOL * min(1.0, math.pi / c)) / math.pi
 
 
 def diffuse(params: MediumParams, rho0: RealField, t: float) -> RealField:
@@ -371,9 +373,8 @@ def truncated_moment(w: RealField, p: int, L: float) -> float:
 def _ddx4(vals: np.ndarray, dx: float) -> np.ndarray:
     out = np.empty_like(vals)
     out[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * dx)
-    edge = np.gradient(vals, dx)
-    out[:2] = edge[:2]
-    out[-2:] = edge[-2:]
+    out[:2] = np.gradient(vals[:3], dx)[:2]
+    out[-2:] = np.gradient(vals[-3:], dx)[-2:]
     return out
 
 

@@ -122,25 +122,21 @@ def weyl_marchaud(delta: float, f, x: float, side: str) -> float:
 def _flux_weights(delta: float, dx: float, n: int) -> np.ndarray:
     """Exact moments of tau^-delta against piecewise-linear fields.
 
-    w[p] multiplies rho_{i+p} in the discrete correlation; the p = 0
-    singular moment cancels identically between the +tau and -tau branches
-    and is dropped.  Over the cell [a, b] = [m dx, (m + 1) dx] each moment
-    is int_a^b tau^(-q) dtau = a^(1-q) L exprel((1-q) L), L = log1p(1/m):
+    w[p], p < n, multiplies rho_{i+p} in the discrete correlation; w[0] is 0,
+    as the p = 0 singular moment cancels between the +tau and -tau branches.
+    Over the cell [a, b] = [m dx, (m + 1) dx] each moment is
+    int_a^b tau^(-q) dtau = a^(1-q) L exprel((1-q) L), L = log1p(1/m):
     one formula through q = 1 (delta = 1), with no cancellation near it.
     """
     m = np.arange(1, n, dtype=float)
     a = m * dx
     ln_ba = np.log1p(1.0 / m)
-    i0 = np.empty(n)
+    i0 = a ** (1.0 - delta) * ln_ba * _exprel((1.0 - delta) * ln_ba)
     i1 = np.empty(n)
-    i0[1:] = a ** (1.0 - delta) * ln_ba * _exprel((1.0 - delta) * ln_ba)
-    i1[1:] = a ** (2.0 - delta) * ln_ba * _exprel((2.0 - delta) * ln_ba) - a * i0[1:]
+    i1[1:] = a ** (2.0 - delta) * ln_ba * _exprel((2.0 - delta) * ln_ba) - a * i0
     i1[0] = dx ** (2.0 - delta) / (2.0 - delta)
-    # i0[0] is the singular moment whose contribution cancels; never used
-    i0[0] = 0.0
-    w = np.zeros(n + 1)
-    w[1:n] = i0[1:n] + (i1[0 : n - 1] - i1[1:n]) / dx
-    w[n] = i1[n - 1] / dx
+    w = np.zeros(n)
+    w[1:] = i0 + (i1[:-1] - i1[1:]) / dx
     return w
 
 
@@ -151,18 +147,20 @@ def flux_apply(params: MediumParams, rho: RealField) -> RealField:
     rho (particle balance).  The field is taken to vanish beyond the grid
     after subtracting the edge baseline, which makes the discrete operator
     annihilate constants exactly; rho should decay toward the edges.
+    The correlation runs on a circle of 2n points, its kernel -w[p] at
+    offset p and w[p] at offset 2n - p: no offset wraps, and the first n
+    entries are the flux.
     """
     g = rho.grid
     n = g.n
     c = params.h**params.delta / (params.zeta * params.delta)
     vals = rho.values - 0.5 * (rho.values[0] + rho.values[-1])
     w = _flux_weights(params.delta, g.dx, n)
-    kernel = np.zeros(2 * n + 1)
-    kernel[n + 1 :] = -w[1:]
-    kernel[:n] = w[1:][::-1]
-    m = 3 * n  # full linear convolution length n + (2n + 1) - 1
-    full = np.fft.irfft(np.fft.rfft(vals, m) * np.fft.rfft(kernel, m), m)
-    return RealField(g, -c * full[n : 2 * n])
+    kernel = np.zeros(2 * n)
+    kernel[:n] = -w
+    kernel[n + 1 :] = w[:0:-1]
+    full = np.fft.irfft(np.fft.rfft(vals, 2 * n) * np.fft.rfft(kernel), 2 * n)
+    return RealField(g, -c * full[:n])
 
 
 def frac_kernel_y(alpha: float, x: float, eps: float = 0.0) -> float:

@@ -21,7 +21,9 @@ filter silences, and the operators' inner region as one checked QAGP call
 on its geometric segments.  At delta = 1 the wave kernels have closed forms in
 Faddeeva's function, which no library route uses, and the stable CDF is
 scipy's levy_stable, or its Fourier inversion by quad, whose oscillating
-part takes quad's sin weight (QUADPACK's QAWO and QAWF).
+part takes quad's sin weight (QUADPACK's QAWO and QAWF).  The flux's
+reference is its correlation as first written, a linear convolution
+zero-padded to 3n points.
 """
 
 import cmath
@@ -259,6 +261,25 @@ def cauchy_evolve_reference(params, u, v, grid, t):
     uh2 = cw * uh + sw_over * vh
     vh2 = -w * sw * uh + cw * vh
     return np.fft.irfft(uh2, n=grid.n), np.fft.irfft(vh2, n=grid.n)
+
+
+def flux_linear_reference(params, rho):
+    """flux_apply as a linear convolution zero-padded to 3n points, with a
+    (2n + 1)-entry kernel whose centre and both ends no output reads (a
+    zero stands in for the unread weight w[n])."""
+    from selfsim.operator import _flux_weights
+
+    g = rho.grid
+    n = g.n
+    c = params.h**params.delta / (params.zeta * params.delta)
+    vals = rho.values - 0.5 * (rho.values[0] + rho.values[-1])
+    w = np.append(_flux_weights(params.delta, g.dx, n), 0.0)
+    kernel = np.zeros(2 * n + 1)
+    kernel[n + 1 :] = -w[1:]
+    kernel[:n] = w[1:][::-1]
+    m = 3 * n  # full linear convolution length n + (2n + 1) - 1
+    full = np.fft.irfft(np.fft.rfft(vals, m) * np.fft.rfft(kernel, m), m)
+    return -c * full[n : 2 * n]
 
 
 def truncated_moment_reference(w, p, L):

@@ -25,7 +25,8 @@ from selfsim import (
     truncated_moment,
 )
 from selfsim.diffusion import tail_cdf_mass
-from selfsim.errors import NumericError, OriginSingular, SeriesBudgetExceeded, ValidationError
+from selfsim.errors import (NumericError, OriginSingular, QuadratureNoConvergence, SeriesBudgetExceeded,
+                            ValidationError)
 from selfsim.quadrature import ABS_TOL
 
 from oracles import (
@@ -311,6 +312,38 @@ class TestQuadratureRay:
         p = make_params(0.05, 1.0, 1.0)
         with pytest.raises(NumericError, match="beyond float range"):
             propagator_quadrature(p, 0.0, 1e-18 / p.a_delta)
+
+    def test_tiny_x_and_t_held_in_w(self):
+        # c = 1/|x| is 1e30: an integral certified to ABS_TOL in the scaled
+        # variable left W off by 4.8e-6 relative; held in W, 3.8e-16
+        p = make_params(0.5, 1.0, 1.0)
+        want = self._bergstroem(p, 1e-30, 1e-30, terms=25)
+        assert propagator_quadrature(p, 1e-30, 1e-30) == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_x_and_t_beyond_the_target_refused(self):
+        # W is 1e50 at x = t = 1e-100; the scaled integral's certificate
+        # let -5.2e75 through, while W's target is out of QUADPACK's reach
+        p = make_params(0.5, 1.0, 1.0)
+        with pytest.raises(QuadratureNoConvergence):
+            propagator_quadrature(p, 1e-100, 1e-100)
+
+    @given(delta=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+           log_x=st.floats(-40.0, 2.0), xi=st.floats(1e-6, 0.1))
+    def test_beyond_the_scale_right_or_refused(self, delta, log_x, xi):
+        # beyond the scale, xi = a t/x^delta <= 0.1, the Bergstroem series
+        # converges below delta = 1 and its 25 terms settle; over forty
+        # decades of x the ray meets it within max(ABS_TOL, 1e-9 |W|) or
+        # refuses (the scaled integral's certificate missed it in 64 of 600
+        # derandomized draws, by up to 6.3e3 times that bound)
+        p = make_params(delta, 1.0, 1.0)
+        x = 10.0**log_x
+        t = xi * x**delta / p.a_delta
+        want = self._bergstroem(p, x, t, terms=25)
+        try:
+            got = propagator_quadrature(p, x, t)
+        except QuadratureNoConvergence:
+            return
+        assert abs(got - want) <= max(ABS_TOL, 1e-9 * abs(want))
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: below delta = 1/2, inside the scale "
                                            "(a t)^(1/delta), the quadrature returns 1.8e-12 where W is 1.44e-6")
